@@ -22,6 +22,7 @@ from .boxes import (
     ParseError,
     all_relabelings2,
     correlator,
+    exact_values,
     index2,
     relabel,
 )
@@ -57,65 +58,63 @@ def _basis_box(u: int, v: int) -> Box2:
     )
 
 
-_ACTIONS = None
-
-
-def _correlator_actions() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Action of each of the 128 relabelings on the correlator table.
-
-    Every group element acts as a signed permutation: relabeled Exy equals
-    sgn[i] * E[src[i]] at position i.  Derived once by pushing the four basis
-    boxes through relabel(), then deduplicated; evaluating the deduplicated
-    set is exactly evaluating the whole orbit.
-    """
-    global _ACTIONS
-    if _ACTIONS is not None:
-        return _ACTIONS
-    basis = [_basis_box(u, v) for u, v in product(BITS, repeat=2)]
-    actions = set()
-    for r in all_relabelings2():
-        src = [None] * 4
-        sgn = [None] * 4
-        for col, bx in enumerate(basis):
-            e = correlator_table(relabel(bx, r))
-            hits = [i for i, val in enumerate(e) if val]
-            assert len(hits) == 1 and abs(e[hits[0]]) == 1
-            src[hits[0]] = col
-            sgn[hits[0]] = 1 if e[hits[0]] > 0 else -1
-        actions.add((tuple(src), tuple(sgn)))
-    _ACTIONS = tuple(sorted(actions))
-    return _ACTIONS
-
-
 def chsh_max(box: Box2) -> Fraction:
     """Maximum of |CHSH| over the full relabeling orbit of the box."""
-    e = correlator_table(box)
-    best = ZERO
-    for src, sgn in _correlator_actions():
-        v = (
-            sgn[0] * e[src[0]]
-            + sgn[1] * e[src[1]]
-            + sgn[2] * e[src[2]]
-            - sgn[3] * e[src[3]]
-        )
-        if v < 0:
-            v = -v
-        if v > best:
-            best = v
-    return best
+    return chsh_max_of_correlators(correlator_table(box))
 
 
 def uffink_max(box: Box2) -> Fraction:
     """Maximum of the Uffink form over the full relabeling orbit of the box."""
-    e = correlator_table(box)
-    best = ZERO
-    for src, sgn in _correlator_actions():
-        v = (sgn[0] * e[src[0]] + sgn[2] * e[src[2]]) ** 2 + (
-            sgn[1] * e[src[1]] - sgn[3] * e[src[3]]
-        ) ** 2
-        if v > best:
-            best = v
-    return best
+    return uffink_max_of_correlators(correlator_table(box))
+
+
+def _up_to_sign(form) -> tuple[int, ...]:
+    """The form, negated if needed so its first nonzero is positive."""
+    lead = next(c for c in form if c)
+    return tuple(c if lead > 0 else -c for c in form)
+
+
+_FORMS = None
+
+
+def _orbit_forms():
+    """(CHSH forms, Uffink bracket pairs) over the 128 relabelings, as
+    coefficient vectors on the correlator table (E00, E01, E10, E11).
+
+    A relabeling acts linearly on the correlator table, so coefficient j of
+    the image of a linear form is the form evaluated on the relabeled j-th
+    basis box.  |CHSH| and the squared Uffink brackets E00 + E10 and
+    E01 - E11 do not see a form's sign, so forms are kept up to sign: 4 CHSH
+    forms and 4 bracket pairs remain, and evaluating them is exactly
+    evaluating the whole orbit.
+    """
+    global _FORMS
+    if _FORMS is None:
+        basis = [_basis_box(u, v) for u, v in product(BITS, repeat=2)]
+        chsh_forms, uffink_pairs = set(), set()
+        for r in all_relabelings2():
+            images = [tuple(map(int, correlator_table(relabel(b, r)))) for b in basis]
+            chsh_forms.add(_up_to_sign([e[0] + e[1] + e[2] - e[3] for e in images]))
+            brackets = ([e[0] + e[2] for e in images], [e[1] - e[3] for e in images])
+            uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
+        _FORMS = (tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs)))
+    return _FORMS
+
+
+def _dot(c, e):
+    return c[0] * e[0] + c[1] * e[1] + c[2] * e[2] + c[3] * e[3]
+
+
+def chsh_max_of_correlators(e):
+    """chsh_max from the correlator table (E00, E01, E10, E11) alone, exact
+    in the type of its entries (integers for a scaled table)."""
+    return max(abs(_dot(c, e)) for c in _orbit_forms()[0])
+
+
+def uffink_max_of_correlators(e):
+    """uffink_max from the correlator table alone, exact in the type of its
+    entries."""
+    return max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1])
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ class GyniWeights:
     def __post_init__(self):
         if len(self.q) != 8:
             raise ArityError(f"need 8 weights, got {len(self.q)}")
-        q = tuple(Fraction(v) for v in self.q)
+        q = exact_values(self.q)
         object.__setattr__(self, "q", q)
         if any(v < 0 for v in q):
             raise ValueError("weights must be nonnegative")

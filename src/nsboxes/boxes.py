@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 BITS = (0, 1)
 PARTY_NAMES = "ABC"
@@ -63,6 +63,23 @@ class UnknownBuiltinError(BoxError):
     """Requested builtin box name is not recognized."""
 
 
+class InexactValueError(BoxError):
+    """A float was given where an exact value is needed."""
+
+
+def exact_values(values) -> tuple[Fraction, ...]:
+    """Fractions of ints, Fractions or decimal strings.
+
+    Floats are refused: Fraction(0.1) is the binary expansion
+    3602879701896397/36028797018963968, not 1/10.
+    """
+    values = tuple(values)
+    if any(map(isinstance, values, repeat(float))):
+        bad = next(v for v in values if isinstance(v, float))
+        raise InexactValueError(f"inexact float value {bad!r}; pass a Fraction, an int or a string")
+    return tuple(map(Fraction, values))
+
+
 def index3(a: int, b: int, c: int, x: int, y: int, z: int) -> int:
     return 32 * x + 16 * y + 8 * z + 4 * a + 2 * b + c
 
@@ -94,7 +111,7 @@ class Box3:
     def __post_init__(self):
         if len(self.table) != 64:
             raise ArityError(f"Box3 needs 64 entries, got {len(self.table)}")
-        object.__setattr__(self, "table", tuple(Fraction(v) for v in self.table))
+        object.__setattr__(self, "table", exact_values(self.table))
 
     def prob(self, a: int, b: int, c: int, x: int, y: int, z: int) -> Fraction:
         return self.table[index3(a, b, c, x, y, z)]
@@ -104,7 +121,7 @@ class Box3:
         """Build from fn(a, b, c, x, y, z) -> value."""
         tab = [ZERO] * 64
         for x, y, z, a, b, c in product(BITS, repeat=6):
-            tab[index3(a, b, c, x, y, z)] = Fraction(fn(a, b, c, x, y, z))
+            tab[index3(a, b, c, x, y, z)] = fn(a, b, c, x, y, z)
         return cls(tuple(tab))
 
 
@@ -119,7 +136,7 @@ class Box2:
     def __post_init__(self):
         if len(self.table) != 16:
             raise ArityError(f"Box2 needs 16 entries, got {len(self.table)}")
-        object.__setattr__(self, "table", tuple(Fraction(v) for v in self.table))
+        object.__setattr__(self, "table", exact_values(self.table))
 
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
         return self.table[index2(a, b, x, y)]
@@ -129,7 +146,7 @@ class Box2:
         """Build from fn(a, b, x, y) -> value."""
         tab = [ZERO] * 16
         for x, y, a, b in product(BITS, repeat=4):
-            tab[index2(a, b, x, y)] = Fraction(fn(a, b, x, y))
+            tab[index2(a, b, x, y)] = fn(a, b, x, y)
         return cls(tuple(tab))
 
 
@@ -395,7 +412,7 @@ def all_relabelings2() -> tuple[Relabeling, ...]:
 def mix(boxes, weights) -> Box:
     """Convex combination of same-arity boxes; weights must sum to 1."""
     boxes = list(boxes)
-    weights = [Fraction(w) for w in weights]
+    weights = exact_values(weights)
     if not boxes or len(boxes) != len(weights):
         raise ArityError("need matching nonempty box and weight lists")
     cls = type(boxes[0])
@@ -582,11 +599,11 @@ def loads(text: str, check: bool = True) -> Box:
         m = _ENTRY_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: cannot parse entry {raw!r}")
-        outs = tuple(int(t) for t in m.group(1).split())
-        ins = tuple(int(t) for t in m.group(2).split())
+        outs, ins = m.group(1).split(), m.group(2).split()
         n = 3 if header == "box3" else 2
-        if len(outs) != n or len(ins) != n:
+        if len(outs) != n or len(ins) != n or any(t not in ("0", "1") for t in outs + ins):
             raise ParseError(f"line {lineno}: expected {n} output and input bits")
+        outs, ins = tuple(map(int, outs)), tuple(map(int, ins))
         try:
             value = Fraction(m.group(3).strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -124,12 +124,9 @@ def cmd_wire(args) -> int:
     box = _require3(_load_box(args.box), "wire")
     wiring = Wiring.parse(args.wiring)
     eff = apply_wiring(box, wiring)
-    verdict = bell.ic_witness(eff)
-    summary = (
-        f"chsh_max = {bell.chsh_max(eff)}, "
-        f"uffink_max = {bell.uffink_max(eff)}, "
-        f"{_verdict_text(verdict)}"
-    )
+    chsh_v, uffink_v = bell.chsh_max(eff), bell.uffink_max(eff)
+    verdict = bell.IcVerdict.from_values(chsh_v, uffink_v)
+    summary = f"chsh_max = {chsh_v}, uffink_max = {uffink_v}, {_verdict_text(verdict)}"
     text = dumps(eff)
     if args.out is not None:
         Path(args.out).write_text(text)

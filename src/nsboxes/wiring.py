@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .boxes import (
     BITS,
     Box2,
     Box3,
     PARTY_NAMES,
-    ZERO,
     ParseError,
-    index2,
+    _IN_W,
+    _OUT_W,
     require_valid,
 )
 from . import bell
@@ -52,12 +53,19 @@ class Bipartition:
         raise ParseError(f"unknown bipartition {name!r}, expected one of "
                          + ", ".join(bp.name for bp in BIPARTITIONS))
 
+    def actors(self, ordering: int) -> tuple[int, int]:
+        """(first, second) acting parties of the pair under an ordering."""
+        return self.pair if ordering == 0 else self.pair[::-1]
+
 
 BIPARTITIONS = (
     Bipartition(0, (1, 2)),
     Bipartition(1, (0, 2)),
     Bipartition(2, (0, 1)),
 )
+
+
+_FIELDS = {"bp", "order", "alpha", "beta", "gamma"}
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,7 @@ class Wiring:
 
     def actors(self) -> tuple[int, int]:
         """(first, second) acting parties of the pair."""
-        p0, p1 = self.bipartition.pair
-        return (p0, p1) if self.ordering == 0 else (p1, p0)
+        return self.bipartition.actors(self.ordering)
 
     @property
     def is_type_i(self) -> bool:
@@ -115,9 +122,10 @@ class Wiring:
             if key in fields:
                 raise ParseError(f"duplicate wiring field {key!r}")
             fields[key] = value
-        missing = {"bp", "order", "alpha", "beta", "gamma"} - set(fields)
-        if missing:
-            raise ParseError(f"wiring encoding missing fields: {sorted(missing)}")
+        if set(fields) != _FIELDS:
+            raise ParseError(
+                f"wiring encoding needs the fields {sorted(_FIELDS)}, got {sorted(fields)}"
+            )
         bp = Bipartition.from_name(fields["bp"])
         order_parts = fields["order"].split(",")
         if len(order_parts) != 2:
@@ -139,32 +147,49 @@ class Wiring:
         return cls(bp, 0 if first == bp.pair[0] else 1, alpha, beta, gamma)
 
 
-_IN_W3 = (32, 16, 8)
-_OUT_W3 = (4, 2, 1)
+def _half_table(table, solo: int, first: int, second: int, half: int) -> tuple:
+    """The 8 entries (flat index 4*x' + 2*a' + b') of the effective box at
+    one effective input y' = s'.
+
+    They depend only on the half of the wiring that s' selects: bit 6 of
+    `half` is alpha(s'), bits 4-5 are beta(s', .) indexed by w1 and bits 0-3
+    are gamma(s', ., .) indexed by 2*w1 + w2.  Entries come out in the type
+    of the table's, so an integer-scaled table gives integers.
+    """
+    iw, ow = _IN_W[3], _OUT_W[3]
+    out = [0] * 8
+    for w1 in BITS:
+        base = (half >> 6) * iw[first] + ((half >> (4 + w1)) & 1) * iw[second] + w1 * ow[first]
+        for w2 in BITS:
+            bout = (half >> (2 * w1 + w2)) & 1
+            base2 = base + w2 * ow[second]
+            for xp in BITS:
+                for ap in BITS:
+                    out[4 * xp + 2 * ap + bout] += table[base2 + xp * iw[solo] + ap * ow[solo]]
+    return tuple(out)
 
 
-def _apply_raw(table, w: Wiring) -> tuple[Fraction, ...]:
-    """Effective 16-entry table; assumes the source already validated."""
-    solo = w.bipartition.solo
-    first, second = w.actors()
-    sw_i, fw_i, gw_i = _IN_W3[solo], _IN_W3[first], _IN_W3[second]
-    sw_o, fw_o, gw_o = _OUT_W3[solo], _OUT_W3[first], _OUT_W3[second]
-    alpha, beta, gamma = w.alpha, w.beta, w.gamma
-    acc = [ZERO] * 16
-    for sp in BITS:
-        u1 = (alpha >> sp) & 1
-        for w1 in BITS:
-            u2 = (beta >> (2 * sp + w1)) & 1
-            base = u1 * fw_i + u2 * gw_i + w1 * fw_o
-            for w2 in BITS:
-                bout = (gamma >> (4 * sp + 2 * w1 + w2)) & 1
-                base2 = base + w2 * gw_o
-                for xp in BITS:
-                    for ap in BITS:
-                        v = table[base2 + xp * sw_i + ap * sw_o]
-                        if v:
-                            acc[8 * xp + 4 * sp + 2 * ap + bout] += v
-    return tuple(acc)
+def _halves(w: Wiring) -> tuple[int, int]:
+    """The halves of w at s' = 0 and s' = 1, packed as in _half_table."""
+    return tuple(
+        ((w.alpha >> s) & 1) << 6 | ((w.beta >> (2 * s)) & 3) << 4 | (w.gamma >> (4 * s)) & 15
+        for s in BITS
+    )
+
+
+def _joined(h0: int, h1: int) -> tuple[int, int, int]:
+    """(alpha, beta, gamma) of the wiring whose halves are h0 and h1; in
+    canonical order their bits interleave as (a1, a0, b1, b0, g1, g0)."""
+    return (
+        (h1 >> 6) << 1 | h0 >> 6,
+        ((h1 >> 4) & 3) << 2 | (h0 >> 4) & 3,
+        (h1 & 15) << 4 | h0 & 15,
+    )
+
+
+def _effective(t0, t1) -> tuple:
+    """Box2 table (flat index 8*x' + 4*y' + 2*a' + b') from its two halves."""
+    return t0[:4] + t1[:4] + t0[4:] + t1[4:]
 
 
 def apply_wiring(box: Box3, w: Wiring, check: bool = True) -> Box2:
@@ -177,86 +202,46 @@ def apply_wiring(box: Box3, w: Wiring, check: bool = True) -> Box2:
     """
     if check:
         require_valid(box)
-    return Box2(_apply_raw(box.table, w))
-
-
-@dataclass(frozen=True)
-class EffectiveBoxDerivation:
-    """apply_wiring plus per-entry provenance.
-
-    contributions[i] lists the flat tripartite indices whose values were
-    summed into effective entry i.
-    """
-
-    source: Box3
-    wiring: Wiring
-    result: Box2
-    contributions: tuple[tuple[int, ...], ...]
-
-
-def derive_effective_box(box: Box3, w: Wiring) -> EffectiveBoxDerivation:
-    require_valid(box)
-    solo = w.bipartition.solo
     first, second = w.actors()
-    acc = [ZERO] * 16
-    contrib = [[] for _ in range(16)]
-    for sp in BITS:
-        u1 = (w.alpha >> sp) & 1
-        for w1 in BITS:
-            u2 = (w.beta >> (2 * sp + w1)) & 1
-            for w2 in BITS:
-                bout = (w.gamma >> (4 * sp + 2 * w1 + w2)) & 1
-                for xp in BITS:
-                    for ap in BITS:
-                        src = (
-                            xp * _IN_W3[solo]
-                            + u1 * _IN_W3[first]
-                            + u2 * _IN_W3[second]
-                            + ap * _OUT_W3[solo]
-                            + w1 * _OUT_W3[first]
-                            + w2 * _OUT_W3[second]
-                        )
-                        i = index2(ap, bout, xp, sp)
-                        v = box.table[src]
-                        if v:
-                            acc[i] += v
-                            contrib[i].append(src)
-    return EffectiveBoxDerivation(
-        box, w, Box2(tuple(acc)), tuple(tuple(sorted(c)) for c in contrib)
+    t0, t1 = (
+        _half_table(box.table, w.bipartition.solo, first, second, h) for h in _halves(w)
     )
+    return Box2(_effective(t0, t1))
 
 
-def apply_wiring_fixed_inputs(box: Box3, w: Wiring, check: bool = True) -> Box2:
-    """Type-I evaluation path: fix both pair inputs, then aggregate by gamma.
+def _integer_table(box: Box3) -> tuple[int, tuple[int, ...]]:
+    """(D, D * table) with D the lcm of the table's denominators."""
+    scale = lcm(*(v.denominator for v in box.table))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in box.table)
 
-    Only valid when beta ignores the first actor's output; the result must
-    agree entry for entry with apply_wiring.
+
+def _sweep(table, key):
+    """Every wiring that is the first, in canonical order, to give its pair
+    of half keys, as (wiring, key at s' = 0, key at s' = 1).
+
+    The halves at s' = 0 and s' = 1 range over the same 128 half-tables and
+    are chosen independently, so the first wiring for a key pair joins the
+    first half giving each key.  Pairs come per (bipartition, ordering) in
+    canonical order, and within one in the order of their first wirings.
     """
-    if not w.is_type_i:
-        raise ParseError("fixed-input evaluation needs a type-I wiring")
-    if check:
-        require_valid(box)
-    solo = w.bipartition.solo
-    first, second = w.actors()
-    acc = [ZERO] * 16
-    for sp in BITS:
-        u1 = (w.alpha >> sp) & 1
-        u2 = (w.beta >> (2 * sp)) & 1
-        for xp in BITS:
-            base = xp * _IN_W3[solo] + u1 * _IN_W3[first] + u2 * _IN_W3[second]
-            # Plain conditional block at fixed inputs, grouped by the pair's
-            # effective output.
-            for ap, w1, w2 in product(BITS, repeat=3):
-                v = box.table[
-                    base
-                    + ap * _OUT_W3[solo]
-                    + w1 * _OUT_W3[first]
-                    + w2 * _OUT_W3[second]
-                ]
-                if v:
-                    bout = (w.gamma >> (4 * sp + 2 * w1 + w2)) & 1
-                    acc[index2(ap, bout, xp, sp)] += v
-    return Box2(tuple(acc))
+    for bp in BIPARTITIONS:
+        for ordering in BITS:
+            first, second = bp.actors(ordering)
+            first_half = {}
+            for h in range(128):
+                first_half.setdefault(key(_half_table(table, bp.solo, first, second, h)), h)
+            pairs = sorted(
+                (_joined(h0, h1), k0, k1)
+                for k0, h0 in first_half.items()
+                for k1, h1 in first_half.items()
+            )
+            for abg, k0, k1 in pairs:
+                yield Wiring(bp, ordering, *abg), k0, k1
+
+
+def _column(t) -> tuple[int, int]:
+    """(E_0s', E_1s'): the correlator column of a half-table."""
+    return (t[0] - t[1] - t[2] + t[3], t[4] - t[5] - t[6] + t[7])
 
 
 _WIRING_CACHE: dict[tuple[int, str], tuple[Wiring, ...]] = {}
@@ -283,10 +268,13 @@ def enumerate_wirings(bp: Bipartition, kind: str = "all") -> list[Wiring]:
     return list(_WIRING_CACHE[key])
 
 
+# name -> orbit maximum of a correlator table.  chsh_max is linear in the
+# table and uffink_max quadratic: on a table scaled by D they scale by D**degree.
 _FUNCTIONALS = {
-    "chsh_max": bell.chsh_max,
-    "uffink_max": bell.uffink_max,
+    "chsh_max": bell.chsh_max_of_correlators,
+    "uffink_max": bell.uffink_max_of_correlators,
 }
+_DEGREE = {"chsh_max": 1, "uffink_max": 2}
 
 
 def search_max(box: Box3, functional: str) -> tuple[Wiring, Fraction]:
@@ -302,40 +290,37 @@ def search_max(box: Box3, functional: str) -> tuple[Wiring, Fraction]:
 def search_max_all(
     box: Box3, functionals: tuple[str, ...] = ("chsh_max", "uffink_max")
 ) -> dict[str, tuple[Wiring, Fraction]]:
-    """Run several functionals over one wiring sweep, sharing the effective
-    boxes; same tie-break as search_max for each."""
+    """Run several functionals over one wiring sweep; same tie-break as
+    search_max for each.
+
+    Both orbit maxima depend only on the correlator table, whose column at
+    y' = s' is fixed by the half of the wiring at s'.  So the functionals run
+    once per pair of distinct columns, in integers scaled by the lcm D of
+    the box's denominators, and no effective box is built.
+    """
     for f in functionals:
         if f not in _FUNCTIONALS:
             raise ParseError(f"unknown functional {f!r}")
     require_valid(box)
-    table = box.table
-    best: dict[str, tuple[Wiring, Fraction]] = {}
-    cache: dict[str, dict] = {f: {} for f in functionals}
-    for bp in BIPARTITIONS:
-        for w in enumerate_wirings(bp):
-            eff = _apply_raw(table, w)
-            eff_box = None
-            for f in functionals:
-                v = cache[f].get(eff)
-                if v is None:
-                    if eff_box is None:
-                        eff_box = Box2(eff)
-                    v = _FUNCTIONALS[f](eff_box)
-                    cache[f][eff] = v
-                if f not in best or v > best[f][1]:
-                    best[f] = (w, v)
-    return best
+    scale, table = _integer_table(box)
+    best: dict[str, tuple[Wiring, int]] = {}
+    for w, c0, c1 in _sweep(table, _column):
+        e = (c0[0], c1[0], c0[1], c1[1])
+        for f in functionals:
+            v = _FUNCTIONALS[f](e)
+            if f not in best or v > best[f][1]:
+                best[f] = (w, v)
+    return {
+        f: (w, Fraction(v, scale ** _DEGREE[f])) for f, (w, v) in best.items()
+    }
 
 
 def distinct_effective_boxes(box: Box3) -> dict[tuple[Fraction, ...], Wiring]:
     """Map each distinct effective table over all wirings of all bipartitions
     to the first wiring producing it (canonical enumeration order)."""
     require_valid(box)
-    table = box.table
-    seen: dict[tuple[Fraction, ...], Wiring] = {}
-    for bp in BIPARTITIONS:
-        for w in enumerate_wirings(bp):
-            eff = _apply_raw(table, w)
-            if eff not in seen:
-                seen[eff] = w
-    return seen
+    scale, table = _integer_table(box)
+    seen: dict[tuple[int, ...], Wiring] = {}
+    for w, t0, t1 in _sweep(table, tuple):
+        seen.setdefault(_effective(t0, t1), w)
+    return {tuple(Fraction(v, scale) for v in t): w for t, w in seen.items()}

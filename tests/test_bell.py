@@ -7,6 +7,7 @@ from nsboxes import (
     ArityError,
     Box2,
     GyniWeights,
+    InexactValueError,
     ParseError,
     all_relabelings2,
     builtin,
@@ -196,6 +197,12 @@ def test_gyni_weights_validation():
         GyniWeights(
             tuple([Fraction(3, 2), Fraction(-1, 2)] + [Fraction(0)] * 6)
         )
+
+
+def test_gyni_weights_reject_floats():
+    with pytest.raises(InexactValueError):
+        GyniWeights((0.125,) * 8)
+    assert GyniWeights(("0.125",) * 8).q == (Fraction(1, 8),) * 8
 
 
 def test_gyni_weights_text_round_trip():

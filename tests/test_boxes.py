@@ -9,6 +9,7 @@ from nsboxes import (
     Box3,
     ConstraintSet,
     ContradictionError,
+    InexactValueError,
     InvalidBoxError,
     ParseError,
     Relabeling,
@@ -181,6 +182,8 @@ def test_loads_rejects_garbage():
         loads("not-a-box\n")
     with pytest.raises(InvalidBoxError):
         loads("box2\n0 0 | 0 0 = 1\n")  # other inputs unnormalized
+    with pytest.raises(ParseError):
+        loads("box2\n01 0 | 0 0 = 1/2\n", check=False)  # bits are 0 or 1
 
 
 def test_round_trip_all_builtins():
@@ -243,6 +246,29 @@ def test_mix_rejects_bad_weights():
         mix((b, b), (HALF, HALF + 1))
     with pytest.raises(ValueError):
         mix((b, b), (Fraction(3, 2), Fraction(-1, 2)))
+
+
+def test_box2_rejects_floats():
+    with pytest.raises(InexactValueError):
+        Box2((0.1,) * 8 + (0.15,) * 8)
+    exact = Box2(("0.1",) * 8 + ("0.15",) * 8)
+    assert exact.table[0] == Fraction(1, 10)
+    assert exact.table[8] == Fraction(3, 20)
+
+
+def test_box3_rejects_floats():
+    with pytest.raises(InexactValueError):
+        Box3((0.125,) * 64)
+    with pytest.raises(InexactValueError):
+        Box3.from_function(lambda a, b, c, x, y, z: 0.125)
+    assert Box3(("1/8",) * 64).table == builtin("uniform3").table
+
+
+def test_mix_rejects_float_weights():
+    b = builtin("uniform2")
+    with pytest.raises(InexactValueError):
+        mix((b, b), (0.5, 0.5))
+    assert mix((b, b), ("0.5", 1 - HALF)).table == b.table
 
 
 def test_relabeling_group_structure():

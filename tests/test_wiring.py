@@ -3,20 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+import wiring_oracle as oracle
 from nsboxes import (
     BIPARTITIONS,
     Bipartition,
     Box2,
     ParseError,
+    Relabeling,
     Wiring,
     apply_wiring,
-    apply_wiring_fixed_inputs,
     builtin,
     chsh_max,
     correlator_table,
-    derive_effective_box,
     distinct_effective_boxes,
     enumerate_wirings,
+    mix,
+    relabel,
     search_max,
     search_max_all,
     uffink_max,
@@ -29,6 +31,16 @@ CLASS3_WIRING = "bp=B|AC order=C,A alpha=2 beta=4 gamma=170"
 PARITY_WIRING = "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"
 
 
+def random_wiring(rng):
+    return Wiring(
+        rng.choice(BIPARTITIONS),
+        rng.randrange(2),
+        rng.randrange(4),
+        rng.randrange(16),
+        rng.randrange(256),
+    )
+
+
 def test_bipartition_names():
     assert [bp.name for bp in BIPARTITIONS] == ["A|BC", "B|AC", "C|AB"]
     assert Bipartition.from_name("B|AC") is BIPARTITIONS[1]
@@ -39,13 +51,7 @@ def test_bipartition_names():
 def test_wiring_encode_parse_round_trip():
     rng = random.Random(SEED)
     for _ in range(50):
-        w = Wiring(
-            rng.choice(BIPARTITIONS),
-            rng.randrange(2),
-            rng.randrange(4),
-            rng.randrange(16),
-            rng.randrange(256),
-        )
+        w = random_wiring(rng)
         assert Wiring.parse(w.encode()) == w
 
 
@@ -58,6 +64,7 @@ def test_wiring_parse_rejects_malformed():
         "bp=A|BC order=B,C alpha=2 beta=15 gamma=256",
         "bp=A|BC order=B,C alpha=x beta=15 gamma=102",
         "bp=A|BC bp=A|BC order=B,C alpha=2 beta=15 gamma=102",
+        "bp=B|AC order=C,A alpha=2 beta=4 gamma=170 gamme=3 foo=bar",
     ):
         with pytest.raises(ParseError):
             Wiring.parse(bad)
@@ -97,15 +104,31 @@ def test_effective_boxes_validate():
     for name in ("class3", "class4", "class44", "uniform3"):
         box = builtin(name)
         for _ in range(40):
-            w = Wiring(
-                rng.choice(BIPARTITIONS),
-                rng.randrange(2),
-                rng.randrange(4),
-                rng.randrange(16),
-                rng.randrange(256),
-            )
+            w = random_wiring(rng)
             report = validate(apply_wiring(box, w))
             assert report.is_valid, (name, w.encode(), report.lines())
+
+
+def seeded_mixture(rng):
+    """class3 under a random relabelling mixed with a deterministic box."""
+    perm = rng.choice([(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)])
+    r = Relabeling(
+        perm,
+        tuple(rng.randrange(2) for _ in range(3)),
+        tuple((rng.randrange(2), rng.randrange(2)) for _ in range(3)),
+    )
+    det = builtin("deterministic(%d,%d,%d)" % tuple(rng.randrange(4) for _ in range(3)))
+    weight = Fraction(rng.randrange(1, 10), 10)
+    return mix([relabel(builtin("class3"), r), det], [weight, 1 - weight])
+
+
+def test_half_table_kernel_matches_oracle():
+    rng = random.Random(SEED + 4)
+    boxes = [builtin(n) for n in ("class3", "class4", "class44", "uniform3")]
+    for box in boxes + [seeded_mixture(rng)]:
+        for _ in range(60):
+            w = random_wiring(rng)
+            assert apply_wiring(box, w).table == oracle.wire(box.table, w), w.encode()
 
 
 def test_fixed_input_path_agrees_on_type_i():
@@ -114,33 +137,22 @@ def test_fixed_input_path_agrees_on_type_i():
         box = builtin(name)
         wirings = enumerate_wirings(rng.choice(BIPARTITIONS), "typeI")
         for w in rng.sample(wirings, 60):
-            assert apply_wiring_fixed_inputs(box, w).table == apply_wiring(box, w).table
-
-
-def test_fixed_input_path_rejects_type_ii():
-    with pytest.raises(ParseError):
-        apply_wiring_fixed_inputs(builtin("class3"), Wiring.parse(CLASS3_WIRING))
+            assert oracle.wire_fixed_inputs(box.table, w) == apply_wiring(box, w).table
 
 
 def test_derivation_provenance_sums_to_result():
     box = builtin("class3")
-    der = derive_effective_box(box, Wiring.parse(CLASS3_WIRING))
-    assert der.result.table == apply_wiring(box, Wiring.parse(CLASS3_WIRING)).table
-    for i, sources in enumerate(der.contributions):
-        assert sum((box.table[j] for j in sources), Fraction(0)) == der.result.table[i]
+    w = Wiring.parse(CLASS3_WIRING)
+    result = apply_wiring(box, w).table
+    for i, js in enumerate(oracle.sources(w)):
+        assert sum((box.table[j] for j in js), Fraction(0)) == result[i]
 
 
 def test_wiring_of_uniform_keeps_solo_marginal_uniform():
     box = builtin("uniform3")
     rng = random.Random(SEED + 3)
     for _ in range(20):
-        w = Wiring(
-            rng.choice(BIPARTITIONS),
-            rng.randrange(2),
-            rng.randrange(4),
-            rng.randrange(16),
-            rng.randrange(256),
-        )
+        w = random_wiring(rng)
         eff = apply_wiring(box, w)
         # gamma may bias the pair output, but the solo side stays uniform
         for xp in (0, 1):
@@ -182,12 +194,48 @@ def test_search_tie_break_is_first_in_enumeration_order():
     assert w == Wiring(BIPARTITIONS[0], 0, 0, 0, 0)
 
 
+# Recorded by an exhaustive per-wiring sweep (perfbench/reference.json).
+REFERENCE_SEARCH = {
+    "class3": {
+        "chsh_max": (4, "bp=A|BC order=C,B alpha=3 beta=6 gamma=85"),
+        "uffink_max": (8, "bp=A|BC order=C,B alpha=3 beta=6 gamma=85"),
+    },
+    "class4": {
+        "chsh_max": (2, "bp=A|BC order=B,C alpha=0 beta=0 gamma=20"),
+        "uffink_max": (4, "bp=A|BC order=B,C alpha=0 beta=0 gamma=85"),
+    },
+    "class44": {
+        "chsh_max": (4, "bp=A|BC order=B,C alpha=1 beta=3 gamma=102"),
+        "uffink_max": (8, "bp=A|BC order=B,C alpha=1 beta=3 gamma=102"),
+    },
+}
+
+
+def test_search_matches_exhaustive_reference():
+    for name, expected in REFERENCE_SEARCH.items():
+        results = search_max_all(builtin(name))
+        assert {
+            f: (value, w.encode()) for f, (w, value) in results.items()
+        } == expected, name
+
+
 def test_distinct_effective_boxes_covers_search():
     box = builtin("class44")
     seen = distinct_effective_boxes(box)
     best = max(chsh_max(Box2(t)) for t in seen)
     assert best == 4
-    # first-wiring bookkeeping: every stored wiring reproduces its table
-    some = list(seen.items())[:10]
-    for table, w in some:
-        assert apply_wiring(box, w).table == table
+
+
+def test_distinct_effective_boxes_match_oracle():
+    rng = random.Random(SEED + 5)
+    for name, count in (("class3", 361), ("class4", 225), ("class44", 361)):
+        box = builtin(name)
+        seen = distinct_effective_boxes(box)
+        assert len(seen) == count
+        for table, w in seen.items():
+            assert oracle.wire(box.table, w) == table
+        # no wiring earlier in canonical order gives a stored table
+        for _ in range(300):
+            w = random_wiring(rng)
+            first = seen[oracle.wire(box.table, w)]
+            assert oracle.canonical_key(first) <= oracle.canonical_key(w)
