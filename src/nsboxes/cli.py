@@ -169,14 +169,17 @@ def cmd_membership(args) -> int:
         )
         suffix = "ns"
     else:
-        require_valid(box)
         if args.model == "local":
             cert = is_local(box)
             suffix = "local"
         else:
-            if args.bipartition is None:
-                raise _Usage("--model tobl requires --bipartition")
-            bp = Bipartition.from_name(args.bipartition)
+            try:
+                if args.bipartition is None:
+                    raise _Usage("--model tobl requires --bipartition")
+                bp = Bipartition.from_name(args.bipartition)
+            except (_Usage, ParseError):
+                require_valid(box)  # an invalid box is reported first (exit 1)
+                raise
             cert = is_tobl(_require3(box, "tobl"), bp)
             suffix = f"tobl.{bp.name.replace('|', '-')}"
         feasible = cert.feasible

@@ -17,6 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+from .boxes import InexactValueError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,17 +35,22 @@ class LPProblem:
 
     rows is a tuple of (entries, rhs) with entries a tuple of (column,
     coefficient) pairs; coefficients may be int or Fraction, zero
-    coefficients are allowed and ignored.
+    coefficients are allowed and ignored.  A float coefficient or rhs
+    raises InexactValueError.
     """
 
     num_vars: int
     rows: tuple
 
     def __post_init__(self):
-        for entries, _ in self.rows:
-            for col, _ in entries:
+        for entries, rhs in self.rows:
+            if isinstance(rhs, float):
+                raise InexactValueError(f"inexact float right-hand side {rhs!r}")
+            for col, coeff in entries:
                 if not 0 <= col < self.num_vars:
                     raise LPError(f"column {col} out of range")
+                if isinstance(coeff, float):
+                    raise InexactValueError(f"inexact float coefficient {coeff!r} in column {col}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +84,21 @@ class LPCertificate:
                 if total != rhs:
                     return False
             return True
-        y = self.farkas_dict()
+        y = {r: Fraction(v) for r, v in self.farkas_dict().items()}
         if any(not 0 <= r < len(problem.rows) for r in y):
             return False
-        col_sums: dict[int, Fraction] = {}
+        # Scaling y by the lcm of its denominators keeps every sign below,
+        # and keeps the column sums in integers when the coefficients are.
+        scale = lcm(*(v.denominator for v in y.values()))
+        y = {r: v.numerator * (scale // v.denominator) for r, v in y.items()}
+        col_sums: dict = {}
         rhs_sum = ZERO
         for r, yv in y.items():
             entries, rhs = problem.rows[r]
             rhs_sum += yv * rhs
             for col, coeff in entries:
                 if coeff:
-                    col_sums[col] = col_sums.get(col, ZERO) + yv * coeff
+                    col_sums[col] = col_sums.get(col, 0) + yv * coeff
         if rhs_sum <= 0:
             return False
         return all(s <= 0 for s in col_sums.values())

@@ -21,12 +21,14 @@ where route 1 has pair[0] sending and route 2 has pair[1] sending.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 
 from .boxes import BITS, ONE, ZERO, ArityError, Box3, pack, require_valid
-from .lp import LPCertificate, LPProblem, lp_feasible
+from .lp import LPCertificate, LPError, LPProblem, lp_feasible
 from .wiring import Bipartition
 
 
@@ -63,9 +65,11 @@ def is_local(box) -> LPCertificate:
     return lp_feasible(local_problem(box))
 
 
-def _route_rows(bp: Bipartition, route: int):
-    """For each (solo_tt, f, g) strategy of the given route, the 8 flat table
-    indices it populates (one per input triple).
+@cache
+def _route_rows(bp: Bipartition, route: int) -> tuple[tuple[int, ...], ...]:
+    """For each strategy solo_tt * 64 + f * 16 + g of a route, the 8 rows of
+    tobl_problem it populates (one per input triple): route 0 fills rows
+    0..63, route 1 rows 64..127, each at 64 * route + flat table index.
 
     Route 0: pair[0] sends, so pair[0] out = f(pair[0] in) and pair[1] out =
     g(inputs).  Route 1: pair[1] sends.
@@ -73,7 +77,7 @@ def _route_rows(bp: Bipartition, route: int):
     s = bp.solo
     p0, p1 = bp.pair
     sender, receiver = (p0, p1) if route == 0 else (p1, p0)
-    table = {}
+    table = []
     for solo_tt in range(4):
         for f in range(4):
             for g in range(16):
@@ -83,9 +87,9 @@ def _route_rows(bp: Bipartition, route: int):
                     outs[s] = _bit(solo_tt, ins[s])
                     outs[sender] = _bit(f, ins[sender])
                     outs[receiver] = _bit(g, 2 * ins[p0] + ins[p1])
-                    hits.append(pack(tuple(outs), ins))
-                table[(solo_tt, f, g)] = tuple(hits)
-    return table
+                    hits.append(64 * route + pack(tuple(outs), ins))
+                table.append(tuple(hits))
+    return tuple(table)
 
 
 def lambda_index(solo_tt: int, r1: tuple[int, int], r2: tuple[int, int]) -> int:
@@ -98,41 +102,208 @@ def decode_lambda(idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
     return solo_tt, divmod(r1, 16), divmod(r2, 16)
 
 
+def _block(solo_tt: int) -> range:
+    """The strategies of either route with this solo truth table."""
+    return range(64 * solo_tt, 64 * solo_tt + 64)
+
+
+def _one_way_problem(table, bp: Bipartition, keep) -> LPProblem:
+    """tobl_problem's rows over some of its columns only.
+
+    Column (sigma, tau) = lambda index sigma * 64 + tau % 64 pairs route-0
+    strategy sigma with route-1 strategy tau of the same solo truth table;
+    keep lists, per solo truth table, the (sigmas, taus) whose products stay.
+    """
+    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
+    rows_entries: list[list] = [[] for _ in range(129)]
+    for sigmas, taus in keep:
+        for sigma in sigmas:
+            hits1 = routes[0][sigma]
+            for tau in taus:
+                entry = (sigma * 64 + tau % 64, 1)
+                for row in hits1 + routes[1][tau]:
+                    rows_entries[row].append(entry)
+                rows_entries[128].append(entry)
+    rhs = tuple(table) * 2 + (ONE,)
+    return LPProblem(16384, tuple(zip(map(tuple, rows_entries), rhs)))
+
+
 def tobl_problem(box: Box3, bp: Bipartition) -> LPProblem:
     """129-row, 16384-column LP: rows 0..63 are route-1 table equations (flat
-    index), 64..127 route-2, 128 normalization."""
-    rows_entries: list[list] = [[] for _ in range(129)]
-    route1 = _route_rows(bp, 0)
-    route2 = _route_rows(bp, 1)
-    for solo_tt in range(4):
-        for f1 in range(4):
-            for g1 in range(16):
-                hits1 = route1[(solo_tt, f1, g1)]
-                base = solo_tt * 4096 + (f1 * 16 + g1) * 64
-                for f2 in range(4):
-                    for g2 in range(16):
-                        col = base + f2 * 16 + g2
-                        for row in hits1:
-                            rows_entries[row].append((col, 1))
-                        for row in route2[(solo_tt, f2, g2)]:
-                            rows_entries[64 + row].append((col, 1))
-                        rows_entries[128].append((col, 1))
-    rows = []
-    for i in range(64):
-        rows.append((tuple(rows_entries[i]), box.table[i]))
-    for i in range(64):
-        rows.append((tuple(rows_entries[64 + i]), box.table[i]))
-    rows.append((tuple(rows_entries[128]), ONE))
-    return LPProblem(16384, tuple(rows))
+    index), 64..127 route-2, 128 normalization.  Column lambda_index(...)
+    hits the 8 rows of each of its two route strategies (_route_rows) and
+    row 128, each with coefficient 1."""
+    return _one_way_problem(box.table, bp, [(_block(s), _block(s)) for s in range(4)])
+
+
+# Kill time of a column that no zero row removes: later than every row.
+_NEVER = 129
+
+_ToblPresolve = namedtuple("_ToblPresolve", "z clean steps detected requeued")
+
+
+def _tobl_presolve(table, bp: Bipartition) -> _ToblPresolve:
+    """lp_feasible's presolve of tobl_problem, replayed on route strategies.
+
+    Every coefficient is 1 and every zero-rhs row is all-positive, so the
+    first zero row j a column (sigma, tau) hits removes it:
+    kill = min(z[0][sigma], z[1][tau]), z being the first zero row each
+    route strategy hits.  steps are the zero rows that remove columns,
+    ascending; detected is the row whose columns all went while its rhs is
+    not zero (None if none did), and requeued tells whether it was found
+    only when re-queued after the first pass over the rows.  clean[s] holds,
+    per route, the strategies with solo truth table s that hit no zero row:
+    their products are the columns left.
+    """
+    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
+    z = tuple(
+        tuple(min((r for r in hits if not table[r % 64]), default=_NEVER) for hits in strategies)
+        for strategies in routes
+    )
+    clean = tuple(
+        tuple(tuple(st for st in _block(s) if z[route][st] == _NEVER) for route in (0, 1))
+        for s in range(4)
+    )
+    # Zero row j removes the columns whose kill is j: on route 0 every
+    # column of a strategy with z == j, on route 1 only those pairing it with
+    # a clean route-0 strategy (a route-0 zero row comes first otherwise).
+    steps = sorted(
+        {j for j in z[0] if j < _NEVER}
+        | {j for tau, j in enumerate(z[1]) if j < _NEVER and clean[tau // 64][0]}
+    )
+    # A row loses its last column at the largest kill among its columns.
+    # Those pair each strategy through the row with every strategy of the
+    # other route with the same solo truth table, so that largest kill is
+    # min(z, the largest z among those).
+    zmax = [[max(z[route][st] for st in _block(s)) for s in range(4)] for route in (0, 1)]
+    last = [0] * 128 + [max(min(zmax[0][s], zmax[1][s]) for s in range(4))]
+    for route in (0, 1):
+        for st, hits in enumerate(routes[route]):
+            k = min(z[route][st], zmax[1 - route][st // 64])
+            for r in hits:
+                if k > last[r]:
+                    last[r] = k
+    nonzero = [r for r in range(129) if r == 128 or table[r % 64]]
+    # First pass in row order: a row whose columns all went before it
+    # arrives empty.  The lp presolve stops there, but the steps after it
+    # remove only columns that miss that row, so lifting through them adds
+    # nothing.
+    for r in nonzero:
+        if last[r] < r:
+            return _ToblPresolve(z, clean, tuple(steps), r, False)
+    emptied = [r for r in nonzero if last[r] < _NEVER]
+    if not emptied:
+        return _ToblPresolve(z, clean, tuple(steps), None, False)
+    # Re-queue order: row r is queued again at the first step j > r removing
+    # one of its columns; within step j by ascending column, then row.
+    def queued_at(r):
+        route = r // 64
+        best = None
+        for st, hits in enumerate(routes[route]):
+            if r in hits:
+                for other in _block(st // 64):
+                    sigma, tau = (st, other) if route == 0 else (other, st)
+                    kill = min(z[0][sigma], z[1][tau])
+                    if r < kill < _NEVER:
+                        key = (kill, sigma * 64 + tau % 64, r)
+                        if best is None or key < best:
+                            best = key
+        return best
+
+    detected = min(map(queued_at, emptied))[2]
+    return _ToblPresolve(z, clean, tuple(steps), detected, True)
+
+
+def _strategy_sum(y: dict, hits) -> Fraction:
+    return sum((y[r] for r in hits if r in y), ZERO)
+
+
+def _lift_tobl(pre: _ToblPresolve, bp: Bipartition, y: dict) -> dict:
+    """lp._lift_farkas on tobl_problem, over route strategies.
+
+    Column (sigma, tau) aggregates u0(sigma) + u1(tau) + y[128], u being
+    the witness summed over a strategy's rows.  So the largest aggregate
+    over a step's columns is, per solo truth table, the largest u among the
+    strategies the step removes plus the largest u of their partners.
+    """
+    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
+    base = y.get(128, ZERO)
+
+    def lift(route, partner):
+        for j in reversed([j for j in pre.steps if j // 64 == route]):
+            m = ZERO
+            for st, k in enumerate(pre.z[route]):
+                if k == j and partner[st // 64] is not None:
+                    m = max(m, _strategy_sum(y, routes[route][st]) + partner[st // 64] + base)
+            if m:
+                y[j] = -m
+
+    # Steps lift in reverse row order, so those on route 1 (rows 64..127)
+    # come first.  Their columns pair with clean route-0 strategies, which no
+    # step touches; the columns of route-0 steps pair with every route-1
+    # strategy, whose rows are all lifted by then.
+    lift(1, [max((_strategy_sum(y, routes[0][st]) for st in clean0), default=None)
+             for clean0, _ in pre.clean])
+    lift(0, [max(_strategy_sum(y, routes[1][tau]) for tau in _block(s)) for s in range(4)])
+    return y
+
+
+def _verify_tobl(cert: LPCertificate, pre: _ToblPresolve, table, bp: Bipartition) -> bool:
+    """cert.verify(tobl_problem(box, bp)) on route strategies; a point must
+    also stay on the columns the presolve left."""
+    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
+    rhs = tuple(table) * 2 + (ONE,)
+    if cert.feasible:
+        reading = [ZERO] * 129
+        for col, v in cert.point_dict().items():
+            if v < 0 or not 0 <= col < 16384:
+                return False
+            sigma, f2 = divmod(col, 64)
+            tau = sigma // 64 * 64 + f2
+            if pre.z[0][sigma] < _NEVER or pre.z[1][tau] < _NEVER:
+                return False
+            for r in routes[0][sigma] + routes[1][tau] + (128,):
+                reading[r] += v
+        return tuple(reading) == rhs
+    y = cert.farkas_dict()
+    if any(not 0 <= r < 129 for r in y):
+        return False
+    if sum(v * rhs[r] for r, v in y.items()) <= 0:
+        return False
+    # All 16384 column aggregates are nonpositive iff, per solo truth
+    # table, the largest u0 plus the largest u1 plus y[128] is.
+    best = [
+        [max(_strategy_sum(y, routes[route][st]) for st in _block(s)) for s in range(4)]
+        for route in (0, 1)
+    ]
+    base = y.get(128, ZERO)
+    return all(b0 + b1 + base <= 0 for b0, b1 in zip(*best))
 
 
 def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:
     """Feasibility of a shared one-way-signalling model for both directions
-    of the bipartition."""
+    of the bipartition.
+
+    The certificate is the one lp_feasible(tobl_problem(box, bp)) returns,
+    row and column ids included, but the presolve, the Farkas lift and the
+    verification run on the 2 x 256 route strategies, and the simplex on
+    the columns the presolve leaves.
+    """
     if not isinstance(box, Box3):
         raise ArityError("time-ordered decompositions are defined for Box3")
     require_valid(box)
-    return lp_feasible(tobl_problem(box, bp))
+    pre = _tobl_presolve(box.table, bp)
+    if pre.detected is not None:
+        farkas = _lift_tobl(pre, bp, {pre.detected: ONE})
+        cert = LPCertificate(False, None, tuple(sorted(farkas.items())))
+    else:
+        cert = lp_feasible(_one_way_problem(box.table, bp, pre.clean))
+        if not cert.feasible:
+            farkas = _lift_tobl(pre, bp, cert.farkas_dict())
+            cert = LPCertificate(False, None, tuple(sorted(farkas.items())))
+    if not _verify_tobl(cert, pre, box.table, bp):
+        raise LPError("certificate failed self-verification")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -148,9 +319,9 @@ class ToblModel:
         tab = [ZERO] * 64
         for idx, w in self.weights:
             solo_tt, r1, r2 = decode_lambda(idx)
-            hits = rows[(solo_tt,) + (r1 if route == 0 else r2)]
-            for row in hits:
-                tab[row] += w
+            f, g = r1 if route == 0 else r2
+            for row in rows[solo_tt * 64 + f * 16 + g]:
+                tab[row - 64 * route] += w
         return Box3(tuple(tab))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from nsboxes import builtin, dump, loads
+from nsboxes import boxes, builtin, dump, loads
 from nsboxes.cli import load_table_rows, main
 
 CLASS3_WIRING = "bp=B|AC order=C,A alpha=2 beta=4 gamma=170"
@@ -199,6 +199,27 @@ def test_membership_tobl_requires_bipartition(capsys):
     code, _, err = run(capsys, "membership", "builtin:class4", "--model", "tobl")
     assert code == 2
     assert "bipartition" in err
+
+
+def test_membership_invalid_box_outranks_usage_errors(tmp_path, capsys):
+    # one validation per call, still reported before a bipartition problem
+    bad = tmp_path / "bad.box"
+    bad.write_text("box2\n0 0 | 0 0 = 1\n0 0 | 0 1 = 1\n0 0 | 1 0 = 1\n1 1 | 1 1 = 1\n")
+    for extra in ((), ("--bipartition", "X|YZ")):
+        code, out, err = run(capsys, "membership", str(bad), "--model", "tobl", *extra)
+        assert (code, out) == (1, "")
+        assert "signalling" in err
+
+
+def test_membership_validates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = boxes.validate
+    monkeypatch.setattr(boxes, "validate", lambda box: calls.append(box) or validate(box))
+    for model in (("local",), ("tobl", "--bipartition", "A|BC")):
+        calls.clear()
+        cert = str(tmp_path / "c.cert")
+        code, _, _ = run(capsys, "membership", "builtin:class4", "--certificate", cert, "--model", *model)
+        assert (code, len(calls)) == (0, 1)
 
 
 def test_membership_tobl_class4(tmp_path, capsys):

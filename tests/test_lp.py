@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nsboxes.lp import LPCertificate, LPError, LPProblem, lp_feasible
+from nsboxes import InexactValueError
+from nsboxes.lp import LPCertificate, LPError, LPProblem, _presolve, lp_feasible
 
 F = Fraction
 
@@ -186,3 +189,116 @@ def test_degenerate_single_variable_chain():
     assert cert.feasible
     assert cert.verify(problem)
     assert all(v == F(1, n) for _, v in cert.point)
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(InexactValueError):
+        LPProblem(2, ((((0, 1), (1, 0.5)), F(1)),))
+
+
+def test_float_rhs_rejected():
+    with pytest.raises(InexactValueError):
+        LPProblem(2, ((((0, 1), (1, 1)), 0.1),))
+
+
+def basis_feasible(problem):
+    """Brute-force oracle: A x = b, x >= 0 is feasible iff some set of
+    linearly independent columns solves it with nonnegative values (a basic
+    feasible solution), the empty set included when b = 0."""
+    n, m = problem.num_vars, len(problem.rows)
+    dense = [[F(0)] * n for _ in range(m)]
+    for i, (entries, _) in enumerate(problem.rows):
+        for col, coeff in entries:
+            dense[i][col] += coeff
+    b = [F(rhs) for _, rhs in problem.rows]
+    for size in range(min(m, n) + 1):
+        for cols in combinations(range(n), size):
+            x = solve_columns(dense, b, cols)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
+
+def solve_columns(dense, b, cols):
+    """x with sum_k dense[:, cols[k]] x_k = b, or None when those columns are
+    dependent or the system is inconsistent."""
+    aug = [[row[c] for c in cols] + [rhs] for row, rhs in zip(dense, b)]
+    k = len(cols)
+    for c in range(k):
+        p = next((i for i in range(c, len(aug)) if aug[i][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i, row in enumerate(aug):
+            if i != c and row[c]:
+                aug[i] = [v - row[c] * w for v, w in zip(row, aug[c])]
+    if any(row[k] for row in aug[k:]):
+        return None
+    return [aug[c][k] for c in range(k)]
+
+
+def presolve_row(rng, n):
+    """A zero-rhs row whose coefficients share one sign, so presolve
+    eliminates it and fixes its columns to zero."""
+    sign = rng.choice((1, -1))
+    return (tuple((j, F(sign * rng.randrange(1, 3))) for j in range(n) if rng.random() < 0.4), F(0))
+
+
+def small_system(rng):
+    n = rng.randrange(1, 6)
+    m = rng.randrange(1, 5)
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.35:
+            rows.append(presolve_row(rng, n))
+        else:
+            entries = tuple((j, F(rng.randrange(-2, 3))) for j in range(n) if rng.random() < 0.7)
+            rows.append((entries, F(rng.randrange(-2, 3))))
+    return LPProblem(n, tuple(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_lp_feasible_agrees_with_basis_enumeration(rng):
+    problem = small_system(rng)
+    cert = lp_feasible(problem)
+    assert cert.feasible == basis_feasible(problem)
+    assert cert.verify(problem)
+
+
+def test_farkas_witnesses_lifted_through_presolve_cascades():
+    # Witnesses found on the reduced system, or seeded on a row that presolve
+    # emptied, need multipliers on eliminated rows; only the lift adds them.
+    rng = random.Random(2718)
+    lifted_phase1 = lifted_early = 0
+    for _ in range(300):
+        problem = small_system(rng)
+        _, _, steps, early = _presolve(problem)
+        cert = lp_feasible(problem)
+        assert cert.feasible == basis_feasible(problem)
+        assert cert.verify(problem)
+        if early is not None:
+            lifted_early += len(early) > 1
+        elif not cert.feasible:
+            lifted_phase1 += not {row for row, _, _ in steps}.isdisjoint(cert.farkas_dict())
+    assert lifted_phase1 >= 10
+    assert lifted_early >= 10
+
+
+def test_beale_cycling_example_terminates_under_bland():
+    # Beale's degenerate LP (the form in Bertsimas and Tsitsiklis, Example
+    # 3.6), which cycles under the largest-coefficient rule: minimise
+    # -3/4 x3 + 20 x4 - 1/2 x5 + 6 x6 over slacks x0, x1, x2.  Its optimum is
+    # -5/4, so "objective + x7 = t" is feasible exactly for t >= -5/4.
+    beale = [
+        (((0, 1), (3, F(1, 4)), (4, -8), (5, -1), (6, 9)), 0),
+        (((1, 1), (3, F(1, 2)), (4, -12), (5, F(-1, 2)), (6, 3)), 0),
+        (((2, 1), (5, 1)), 1),
+    ]
+    objective = ((3, F(-3, 4)), (4, 20), (5, F(-1, 2)), (6, 6), (7, 1))
+    for target, feasible in ((F(-5, 4), True), (F(-5, 4) - F(1, 100), False), (F(0), True)):
+        problem, cert = solve(8, beale + [(objective, target)])
+        assert cert.feasible is feasible
+        assert basis_feasible(problem) is feasible
+        assert cert.verify(problem)

@@ -7,6 +7,7 @@ from nsboxes import (
     BIPARTITIONS,
     ArityError,
     Box2,
+    Relabeling,
     ToblModel,
     all_relabelings2,
     builtin,
@@ -17,11 +18,14 @@ from nsboxes import (
     is_tobl,
     lambda_index,
     local_problem,
+    lp_feasible,
     mix,
     relabel,
     tobl_problem,
     verify_model,
 )
+from nsboxes.lp import LPCertificate
+from nsboxes.membership import _tobl_presolve, _verify_tobl
 
 SEED = 31415
 
@@ -165,3 +169,76 @@ def test_tobl_problem_shape():
     # normalization row touches every column
     assert len(problem.rows[128][0]) == 16384
     assert problem.rows[128][1] == 1
+
+
+EXTREMAL = ("class3", "class4", "class44")
+
+# Between them, the first ONE_WAY_CASES cases from this seed reach every
+# branch of the factored path (asserted below).  The seed was picked for
+# that among seeds whose cases each leave at most 64 columns after presolve,
+# which keeps the expanded oracle to about 2 s for all four.
+ONE_WAY_SEED = 1479
+ONE_WAY_CASES = 4
+
+
+def seeded_one_way_cases():
+    """Relabelled extremal boxes and mixtures of two, each with a random
+    bipartition."""
+    rng = random.Random(ONE_WAY_SEED)
+    for _ in range(ONE_WAY_CASES):
+        vertices = [
+            relabel(
+                builtin(rng.choice(EXTREMAL)),
+                Relabeling(
+                    tuple(rng.sample((0, 1, 2), 3)),
+                    tuple(rng.randrange(2) for _ in range(3)),
+                    tuple((rng.randrange(2), rng.randrange(2)) for _ in range(3)),
+                ),
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        raw = [rng.randint(1, 4) for _ in vertices]
+        yield mix(vertices, [Fraction(r, sum(raw)) for r in raw]), rng.choice(BIPARTITIONS)
+
+
+def test_factored_tobl_matches_expanded_lp():
+    # The factored path must return the expanded solver's certificate byte
+    # for byte, through each of its branches.
+    cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
+    cases += seeded_one_way_cases()
+    outcomes = set()
+    for box, bp in cases:
+        cert = is_tobl(box, bp)
+        assert cert.to_text() == lp_feasible(tobl_problem(box, bp)).to_text(), bp.name
+        pre = _tobl_presolve(box.table, bp)
+        if pre.detected is not None:
+            outcomes.add("re-queue" if pre.requeued else "arrival")
+        else:
+            outcomes.add("feasible" if cert.feasible else "phase-1 farkas")
+    assert outcomes == {"arrival", "re-queue", "phase-1 farkas", "feasible"}
+
+
+def test_factored_verification_rejects_tampered_certificates():
+    bp = BIPARTITIONS[1]
+    for name in ("class4", "class44"):
+        box = builtin(name)
+        pre = _tobl_presolve(box.table, bp)
+        problem = tobl_problem(box, bp)
+        cert = is_tobl(box, bp)
+        assert _verify_tobl(cert, pre, box.table, bp)
+        if cert.feasible:
+            (col, w), *rest = cert.point
+            forged = [
+                ((col, w / 2), *rest),  # breaks the rows col hits
+                ((col + 1, w), *rest),  # moves weight to another column
+            ]
+            forged = [LPCertificate(True, point, None) for point in forged]
+        else:
+            (row, y), *rest = cert.farkas
+            forged = [
+                LPCertificate(False, None, tuple((r, -v) for r, v in cert.farkas)),
+                LPCertificate(False, None, ((row, y + 1), *rest)),
+            ]
+        for bad in forged:
+            assert not _verify_tobl(bad, pre, box.table, bp)
+            assert not bad.verify(problem)
