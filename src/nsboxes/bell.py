@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .boxes import (
@@ -21,24 +22,15 @@ from .boxes import (
     ArityError,
     ParseError,
     all_relabelings2,
+    block_correlators,
     correlator,
     exact_values,
-    index2,
-    relabel,
 )
 
 
 def correlator_table(box: Box2) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(E00, E01, E10, E11) with Exy indexed by 2*x + y."""
-    out = []
-    for x, y in product(BITS, repeat=2):
-        e = ZERO
-        for a, b in product(BITS, repeat=2):
-            v = box.table[index2(a, b, x, y)]
-            if v:
-                e += v if a == b else -v
-        out.append(e)
-    return tuple(out)
+    return block_correlators(box.table)
 
 
 def chsh(box: Box2) -> Fraction:
@@ -49,13 +41,6 @@ def chsh(box: Box2) -> Fraction:
 def uffink(box: Box2) -> Fraction:
     e = correlator_table(box)
     return (e[0] + e[2]) ** 2 + (e[1] - e[3]) ** 2
-
-
-def _basis_box(u: int, v: int) -> Box2:
-    # Valid box whose correlator table is the (u, v) indicator.
-    return Box2.from_function(
-        lambda a, b, x, y: Fraction(1 + (1 if a == b else -1) * (x == u) * (y == v), 4)
-    )
 
 
 def chsh_max(box: Box2) -> Fraction:
@@ -74,31 +59,32 @@ def _up_to_sign(form) -> tuple[int, ...]:
     return tuple(c if lead > 0 else -c for c in form)
 
 
-_FORMS = None
-
-
+@cache
 def _orbit_forms():
     """(CHSH forms, Uffink bracket pairs) over the 128 relabelings, as
     coefficient vectors on the correlator table (E00, E01, E10, E11).
 
-    A relabeling acts linearly on the correlator table, so coefficient j of
-    the image of a linear form is the form evaluated on the relabeled j-th
-    basis box.  |CHSH| and the squared Uffink brackets E00 + E10 and
-    E01 - E11 do not see a form's sign, so forms are kept up to sign: 4 CHSH
-    forms and 4 bracket pairs remain, and evaluating them is exactly
+    A relabeling permutes the 16 table entries (`Relabeling.permutation`),
+    so it acts linearly on the correlator table: coefficient j of the image
+    of a linear form is the form evaluated on the permuted j-th basis table.
+    The j-th basis table carries the signs (1, -1, -1, 1) on block j of the
+    flat layout and 0 elsewhere, so its correlators are 4 at j and 0
+    elsewhere; the tables are pushed through each permutation as plain
+    integer tuples.  |CHSH| and the squared Uffink brackets E00 + E10 and
+    E01 - E11 do not see a form's sign, so forms are kept up to sign: 4
+    CHSH forms and 4 bracket pairs remain, and evaluating them is exactly
     evaluating the whole orbit.
     """
-    global _FORMS
-    if _FORMS is None:
-        basis = [_basis_box(u, v) for u, v in product(BITS, repeat=2)]
-        chsh_forms, uffink_pairs = set(), set()
-        for r in all_relabelings2():
-            images = [tuple(map(int, correlator_table(relabel(b, r)))) for b in basis]
-            chsh_forms.add(_up_to_sign([e[0] + e[1] + e[2] - e[3] for e in images]))
-            brackets = ([e[0] + e[2] for e in images], [e[1] - e[3] for e in images])
-            uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
-        _FORMS = (tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs)))
-    return _FORMS
+    basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
+    chsh_forms, uffink_pairs = set(), set()
+    for r in all_relabelings2():
+        images = [
+            [c // 4 for c in block_correlators([b[i] for i in r.permutation])] for b in basis
+        ]
+        chsh_forms.add(_up_to_sign([e[0] + e[1] + e[2] - e[3] for e in images]))
+        brackets = ([e[0] + e[2] for e in images], [e[1] - e[3] for e in images])
+        uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
+    return tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs))
 
 
 def _dot(c, e):

@@ -12,12 +12,21 @@ A, B, C):
     Box2 flat index =  8*x +  4*y + 2*a + b
 
 Outputs map to dichotomic observables as 0 -> +1, 1 -> -1.
+
+This module is the one place that knows that layout.  Per arity it keeps
+each party's index weights and the (outputs, inputs) decoded for every flat
+index; validation, marginals, correlators and serialization read entries by
+flat index through these, or flip one party's bits on the weights.  A
+relabeling is a permutation of flat indices (`Relabeling.permutation`), so
+applying one is a single pass over the table.  `block_correlators` gives the
+correlators of the last two parties, which `bell` and the wiring sweep share.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from itertools import product, repeat
 
@@ -88,9 +97,22 @@ def index2(a: int, b: int, x: int, y: int) -> int:
     return 8 * x + 4 * y + 2 * a + b
 
 
-# Index weights per party: _IN_W[n][party], _OUT_W[n][party].
-_IN_W = {2: (8, 4), 3: (32, 16, 8)}
-_OUT_W = {2: (2, 1), 3: (4, 2, 1)}
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """The low `width` bits of value, most significant first."""
+    return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
+
+
+# Per arity n (0 to 3 parties): index weights per party, _IN_W[n][party]
+# and _OUT_W[n][party]; the (outputs, inputs) of each flat index; and the
+# flat indices in (outputs, inputs) lexicographic order, in which reports
+# and errors list entries.
+_ARITIES = range(4)
+_IN_W = {n: tuple(1 << (2 * n - 1 - p) for p in range(n)) for n in _ARITIES}
+_OUT_W = {n: tuple(1 << (n - 1 - p) for p in range(n)) for n in _ARITIES}
+_ENTRIES = {
+    n: tuple((_bits(i, n), _bits(i >> n, n)) for i in range(4 ** n)) for n in _ARITIES
+}
+_OUTS_MAJOR = {n: tuple(sorted(range(4 ** n), key=_ENTRIES[n].__getitem__)) for n in _ARITIES}
 
 
 def pack(outs: tuple[int, ...], ins: tuple[int, ...]) -> int:
@@ -100,61 +122,60 @@ def pack(outs: tuple[int, ...], ins: tuple[int, ...]) -> int:
     return sum(ins[p] * iw[p] + outs[p] * ow[p] for p in range(n))
 
 
+def block_correlators(table) -> tuple:
+    """t0 - t1 - t2 + t3 over each consecutive block of four entries.
+
+    The two lowest bits of a flat index are the outputs of the last two
+    parties, so this is their correlator at each assignment of the higher
+    bits: (E00, E01, E10, E11) of a Box2 table.  Exact in the type of the
+    entries.
+    """
+    return tuple(
+        table[i] - table[i + 1] - table[i + 2] + table[i + 3] for i in range(0, len(table), 4)
+    )
+
+
+class _Table:
+    """Shared behaviour of Box3 and Box2: a flat table of 4**n_parties
+    exact entries."""
+
+    def __post_init__(self):
+        size = 4 ** self.n_parties
+        if len(self.table) != size:
+            raise ArityError(f"{type(self).__name__} needs {size} entries, got {len(self.table)}")
+        object.__setattr__(self, "table", exact_values(self.table))
+
+    @classmethod
+    def from_function(cls, fn):
+        """Build from fn(*outputs, *inputs) -> value."""
+        return cls(tuple(fn(*outs, *ins) for outs, ins in _ENTRIES[cls.n_parties]))
+
+
 @dataclass(frozen=True)
-class Box3:
+class Box3(_Table):
     """Tripartite box: 64 exact probabilities P(abc|xyz)."""
 
     table: tuple[Fraction, ...]
 
     n_parties = 3
 
-    def __post_init__(self):
-        if len(self.table) != 64:
-            raise ArityError(f"Box3 needs 64 entries, got {len(self.table)}")
-        object.__setattr__(self, "table", exact_values(self.table))
-
     def prob(self, a: int, b: int, c: int, x: int, y: int, z: int) -> Fraction:
         return self.table[index3(a, b, c, x, y, z)]
 
-    @classmethod
-    def from_function(cls, fn) -> "Box3":
-        """Build from fn(a, b, c, x, y, z) -> value."""
-        tab = [ZERO] * 64
-        for x, y, z, a, b, c in product(BITS, repeat=6):
-            tab[index3(a, b, c, x, y, z)] = fn(a, b, c, x, y, z)
-        return cls(tuple(tab))
-
 
 @dataclass(frozen=True)
-class Box2:
+class Box2(_Table):
     """Bipartite box: 16 exact probabilities P(ab|xy)."""
 
     table: tuple[Fraction, ...]
 
     n_parties = 2
 
-    def __post_init__(self):
-        if len(self.table) != 16:
-            raise ArityError(f"Box2 needs 16 entries, got {len(self.table)}")
-        object.__setattr__(self, "table", exact_values(self.table))
-
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
         return self.table[index2(a, b, x, y)]
 
-    @classmethod
-    def from_function(cls, fn) -> "Box2":
-        """Build from fn(a, b, x, y) -> value."""
-        tab = [ZERO] * 16
-        for x, y, a, b in product(BITS, repeat=4):
-            tab[index2(a, b, x, y)] = fn(a, b, x, y)
-        return cls(tuple(tab))
-
 
 Box = Box3 | Box2
-
-
-def _prob(box: Box, outs: tuple[int, ...], ins: tuple[int, ...]) -> Fraction:
-    return box.table[pack(outs, ins)]
 
 
 @dataclass(frozen=True)
@@ -197,43 +218,32 @@ class ValidationReport:
 
 def validate(box: Box) -> ValidationReport:
     """Check positivity, per-input normalization and no-signalling."""
-    n = box.n_parties
-    negative = []
-    norm = []
-    signalling = []
-    for ins in product(BITS, repeat=n):
-        total = ZERO
-        for outs in product(BITS, repeat=n):
-            v = _prob(box, outs, ins)
-            if v < 0:
-                negative.append((outs, ins, v))
-            total += v
-        if total != 1:
-            norm.append((ins, total))
+    n, t = box.n_parties, box.table
+    entries = _ENTRIES[n]
+    negative = tuple((*entries[i], v) for i, v in enumerate(t) if v < 0)
+    # The 2**n outputs at one input assignment are consecutive.
+    block = 2 ** n
+    norm = tuple(
+        (entries[i][1], total)
+        for i in range(0, 4 ** n, block)
+        if (total := sum(t[i : i + block])) != 1
+    )
     # Party p cannot signal: the marginal over p's output must not depend on
-    # p's input, for every assignment of the other parties.
+    # p's input, for every assignment of the other parties.  Each flat index
+    # with p's bits clear is one such assignment.
+    signalling = []
     for p in range(n):
-        rest = tuple(q for q in range(n) if q != p)
-        for r_outs in product(BITS, repeat=n - 1):
-            for r_ins in product(BITS, repeat=n - 1):
-                vals = []
-                for xp in BITS:
-                    ins = [0] * n
-                    outs = [0] * n
-                    ins[p] = xp
-                    for slot, q in enumerate(rest):
-                        ins[q] = r_ins[slot]
-                        outs[q] = r_outs[slot]
-                    s = ZERO
-                    for op in BITS:
-                        outs[p] = op
-                        s += _prob(box, tuple(outs), tuple(ins))
-                    vals.append(s)
-                if vals[0] != vals[1]:
-                    signalling.append(
-                        (PARTY_NAMES[p], r_outs, r_ins, vals[0], vals[1])
-                    )
-    return ValidationReport(n, tuple(negative), tuple(norm), tuple(signalling))
+        iw, ow = _IN_W[n][p], _OUT_W[n][p]
+        for i in _OUTS_MAJOR[n]:
+            if i & (iw | ow):
+                continue
+            v0, v1 = t[i] + t[i | ow], t[i | iw] + t[i | iw | ow]
+            if v0 != v1:
+                outs, ins = entries[i]
+                signalling.append(
+                    (PARTY_NAMES[p], outs[:p] + outs[p + 1 :], ins[:p] + ins[p + 1 :], v0, v1)
+                )
+    return ValidationReport(n, negative, norm, tuple(signalling))
 
 
 def require_valid(box: Box) -> Box:
@@ -255,43 +265,30 @@ def marginal(box: Box, parties: tuple[int, ...]):
     n = box.n_parties
     if len(set(parties)) != len(parties) or not all(0 <= p < n for p in parties):
         raise ArityError(f"bad party subset {parties} for arity {n}")
-    traced = tuple(q for q in range(n) if q not in parties)
     k = len(parties)
-    tab = {}
-    for k_outs in product(BITS, repeat=k):
-        for k_ins in product(BITS, repeat=k):
-            ref = None
-            for t_ins in product(BITS, repeat=len(traced)):
-                ins = [0] * n
-                outs = [0] * n
-                for slot, p in enumerate(parties):
-                    ins[p] = k_ins[slot]
-                    outs[p] = k_outs[slot]
-                for slot, q in enumerate(traced):
-                    ins[q] = t_ins[slot]
-                s = ZERO
-                for t_outs in product(BITS, repeat=len(traced)):
-                    for slot, q in enumerate(traced):
-                        outs[q] = t_outs[slot]
-                    s += _prob(box, tuple(outs), tuple(ins))
-                if ref is None:
-                    ref = s
-                elif s != ref:
-                    raise SignallingError(
-                        f"marginal over parties {parties} ill defined: traced "
-                        f"inputs {t_ins} change it at outputs {k_outs}, "
-                        f"inputs {k_ins}"
-                    )
-            tab[(k_outs, k_ins)] = ref
+    traced = tuple(q for q in range(n) if q not in parties)
+    # Move the kept parties to the front: a flat index of the moved table
+    # reads (kept inputs, traced inputs, kept outputs, traced outputs), so
+    # summing runs of 2**(n - k) entries leaves sums[kin, tin, kout].
+    order = Relabeling(tuple(parties) + traced, (0,) * n, ((0, 0),) * n).permutation
+    run = 2 ** (n - k)
+    sums = [sum(box.table[j] for j in order[i : i + run]) for i in range(0, 4 ** n, run)]
+    flat = [ZERO] * 4 ** k
+    for i in _OUTS_MAJOR[k]:
+        kin, kout = i >> k, i % 2 ** k
+        vals = [sums[kin << n | tin << k | kout] for tin in range(run)]
+        for tin, s in enumerate(vals):
+            if s != vals[0]:
+                k_outs, k_ins = _ENTRIES[k][i]
+                raise SignallingError(
+                    f"marginal over parties {parties} ill defined: traced "
+                    f"inputs {_bits(tin, n - k)} change it at outputs {k_outs}, "
+                    f"inputs {k_ins}"
+                )
+        flat[i] = vals[0]
     if k == 2:
-        flat = [ZERO] * 16
-        for (outs, ins), v in tab.items():
-            flat[index2(outs[0], outs[1], ins[0], ins[1])] = v
         return Box2(tuple(flat))
     if k == 1:
-        flat = [ZERO] * 4
-        for (outs, ins), v in tab.items():
-            flat[2 * ins[0] + outs[0]] = v
         return tuple(flat)
     raise ArityError(f"keep one or two parties, got {len(parties)}")
 
@@ -305,16 +302,23 @@ def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> F
     n = box.n_parties
     if len(parties) != len(inputs):
         raise ArityError("parties and inputs must have equal length")
+    if not all(0 <= p < n for p in parties):
+        raise ArityError(f"bad parties {parties} for arity {n}")
     ins = [0] * n
     for p, xp in zip(parties, inputs):
         ins[p] = xp
-    total = ZERO
-    for outs in product(BITS, repeat=n):
-        v = _prob(box, outs, tuple(ins))
-        if v:
-            sign = -1 if sum(outs[p] for p in parties) % 2 else 1
-            total += sign * v
-    return total
+    mask = 0
+    for p in parties:
+        mask ^= _OUT_W[n][p]
+    # The outputs at one input assignment are the 2**n entries from its
+    # flat index with output bits 0.
+    start = pack((0,) * n, ins)
+    block = box.table[start : start + 2 ** n]
+    return sum((-v if (j & mask).bit_count() % 2 else v for j, v in enumerate(block)), ZERO)
+
+
+class RelabelingError(BoxError):
+    """Relabeling fields that describe no local symmetry."""
 
 
 @dataclass(frozen=True)
@@ -324,11 +328,44 @@ class Relabeling:
     party_perm[i] is the old party whose role the new slot i takes over;
     input_flips[i] is XORed onto slot i's input; output_flips[i][v] is XORed
     onto slot i's output when its (new) input is v.
+
+    `permutation`, built once with the relabeling, maps each flat index of
+    the relabeled table to the flat index of the old table it reads.
     """
 
     party_perm: tuple[int, ...]
     input_flips: tuple[int, ...]
     output_flips: tuple[tuple[int, int], ...]
+    permutation: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        perm = self.party_perm
+        n = len(perm)
+        if n not in (2, 3) or not _all_in(perm, range(n)) or len(set(perm)) != n:
+            raise RelabelingError(
+                f"party_perm {perm} is not a permutation of 2 or 3 parties"
+            )
+        pairs = self.output_flips
+        if len(self.input_flips) != n or len(pairs) != n or not all(
+            isinstance(f, (tuple, list)) and len(f) == 2 for f in pairs
+        ):
+            raise RelabelingError(
+                f"input_flips {self.input_flips} and output_flips {pairs} "
+                f"need {n} entries each, output flips in pairs"
+            )
+        flips = (*self.input_flips, *(f for pair in pairs for f in pair))
+        if not _all_in(flips, BITS):
+            raise RelabelingError(f"flips must be 0 or 1, got {flips}")
+        iw, ow = _IN_W[n], _OUT_W[n]
+        index = tuple(
+            sum(
+                (ins[s] ^ self.input_flips[s]) * iw[p]
+                + (outs[s] ^ self.output_flips[s][ins[s]]) * ow[p]
+                for s, p in enumerate(perm)
+            )
+            for outs, ins in _ENTRIES[n]
+        )
+        object.__setattr__(self, "permutation", index)
 
     @property
     def n_parties(self) -> int:
@@ -373,40 +410,27 @@ class Relabeling:
         return Relabeling(perm, flips, outs)
 
 
+def _all_in(values, allowed) -> bool:
+    """Every value is an int in `allowed`, so floats never pass as bits."""
+    return all(isinstance(v, int) and v in allowed for v in values)
+
+
 def relabel(box: Box, r: Relabeling) -> Box:
     """Apply a relabeling; preserves validity and the multiset of entries."""
-    n = box.n_parties
-    if r.n_parties != n:
+    if r.n_parties != box.n_parties:
         raise ArityError("relabeling arity does not match box")
-    tab = [ZERO] * len(box.table)
-    for ins in product(BITS, repeat=n):
-        for outs in product(BITS, repeat=n):
-            old_ins = [0] * n
-            old_outs = [0] * n
-            for i in range(n):
-                p = r.party_perm[i]
-                old_ins[p] = ins[i] ^ r.input_flips[i]
-                old_outs[p] = outs[i] ^ r.output_flips[i][ins[i]]
-            tab[pack(outs, ins)] = _prob(box, tuple(old_outs), tuple(old_ins))
-    return type(box)(tuple(tab))
+    return type(box)(tuple(box.table[j] for j in r.permutation))
 
 
-_RELABELINGS2 = None
-
-
+@cache
 def all_relabelings2() -> tuple[Relabeling, ...]:
     """The full 128-element bipartite relabeling group."""
-    global _RELABELINGS2
-    if _RELABELINGS2 is None:
-        out = []
-        for perm in ((0, 1), (1, 0)):
-            for flips in product(BITS, repeat=2):
-                for of in product(BITS, repeat=4):
-                    out.append(
-                        Relabeling(perm, flips, ((of[0], of[1]), (of[2], of[3])))
-                    )
-        _RELABELINGS2 = tuple(out)
-    return _RELABELINGS2
+    return tuple(
+        Relabeling(perm, flips, ((of[0], of[1]), (of[2], of[3])))
+        for perm in ((0, 1), (1, 0))
+        for flips in product(BITS, repeat=2)
+        for of in product(BITS, repeat=4)
+    )
 
 
 def mix(boxes, weights) -> Box:
@@ -570,16 +594,10 @@ _ENTRY_RE = re.compile(r"^([01 ]+)\|([01 ]+)=(.+)$")
 
 def dumps(box: Box) -> str:
     """Serialize in canonical order (ascending flat index, nonzero only)."""
-    n = box.n_parties
-    lines = [f"box{n}"]
-    for ins in product(BITS, repeat=n):
-        for outs in product(BITS, repeat=n):
-            v = _prob(box, outs, ins)
-            if v:
-                lines.append(
-                    "%s | %s = %s"
-                    % (" ".join(map(str, outs)), " ".join(map(str, ins)), v)
-                )
+    lines = [f"box{box.n_parties}"]
+    for v, (outs, ins) in zip(box.table, _ENTRIES[box.n_parties]):
+        if v:
+            lines.append("%s | %s = %s" % (" ".join(map(str, outs)), " ".join(map(str, ins)), v))
     return "\n".join(lines) + "\n"
 
 

@@ -57,6 +57,14 @@ def _box_stem(ref: str) -> str:
     return Path(ref).stem
 
 
+def _write(path, text: str) -> None:
+    """Write an output file; an unwritable path is a usage error (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _require3(box, what: str) -> Box3:
     if not isinstance(box, Box3):
         raise ArityError(f"{what} needs a tripartite box")
@@ -129,7 +137,7 @@ def cmd_wire(args) -> int:
     summary = f"chsh_max = {chsh_v}, uffink_max = {uffink_v}, {_verdict_text(verdict)}"
     text = dumps(eff)
     if args.out is not None:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         print(summary)
     else:
         # Keep stdout parseable as a box file: the summary rides along as a
@@ -189,7 +197,7 @@ def cmd_membership(args) -> int:
         if args.certificate is not None
         else Path(f"{_box_stem(args.box)}.{suffix}.cert")
     )
-    cert_path.write_text(cert_text)
+    _write(cert_path, cert_text)
     print("feasible" if feasible else "infeasible")
     print(f"certificate: {cert_path}")
     return 0
@@ -282,9 +290,8 @@ def cmd_table1(args) -> int:
         if row.cls not in boxes:
             continue
         box = _require3(boxes[row.cls], f"class {row.cls}")
-        require_valid(box)
         if row.encoding is not None:
-            eff = apply_wiring(box, Wiring.parse(row.encoding), check=False)
+            eff = apply_wiring(box, Wiring.parse(row.encoding))
             chsh_v = bell.chsh_max(eff)
             uffink_v = bell.uffink_max(eff)
             wiring_text = row.encoding

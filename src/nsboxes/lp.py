@@ -315,7 +315,7 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
         basis[leave] = ("var", entering)
 
 
-def lp_feasible(problem: LPProblem, check: bool = True) -> LPCertificate:
+def lp_feasible(problem: LPProblem) -> LPCertificate:
     """Decide A x = b, x >= 0 and return a verifiable certificate."""
     col_alive, active_rows, steps, early = _presolve(problem)
     if early is not None:
@@ -327,6 +327,6 @@ def lp_feasible(problem: LPProblem, check: bool = True) -> LPCertificate:
             cert = LPCertificate(False, None, tuple(sorted(farkas.items())))
         else:
             cert = LPCertificate(True, tuple(sorted(point.items())), None)
-    if check and not cert.verify(problem):
+    if not cert.verify(problem):
         raise LPError("certificate failed self-verification")
     return cert

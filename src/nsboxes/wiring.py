@@ -16,6 +16,7 @@ argument most significant.  So alpha is 2 bits (index s'), beta 4 bits
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -29,6 +30,7 @@ from .boxes import (
     ParseError,
     _IN_W,
     _OUT_W,
+    block_correlators,
     require_valid,
 )
 from . import bell
@@ -138,12 +140,11 @@ class Wiring:
             raise ParseError(
                 f"order parties {fields['order']!r} do not match bipartition {bp.name}"
             )
-        try:
-            alpha, beta, gamma = (
-                int(fields[k]) for k in ("alpha", "beta", "gamma")
-            )
-        except ValueError as exc:
-            raise ParseError("alpha, beta, gamma must be integers") from exc
+        # int() would also take "0_2", "+4" or non-ASCII digits.
+        digits = [fields[k] for k in ("alpha", "beta", "gamma")]
+        if not all(re.fullmatch(r"[0-9]+", v) for v in digits):
+            raise ParseError("alpha, beta, gamma must be integers")
+        alpha, beta, gamma = map(int, digits)
         return cls(bp, 0 if first == bp.pair[0] else 1, alpha, beta, gamma)
 
 
@@ -192,7 +193,7 @@ def _effective(t0, t1) -> tuple:
     return t0[:4] + t1[:4] + t0[4:] + t1[4:]
 
 
-def apply_wiring(box: Box3, w: Wiring, check: bool = True) -> Box2:
+def apply_wiring(box: Box3, w: Wiring) -> Box2:
     """Effective bipartite box P(a'b'|x'y') of the wiring.
 
     The pair's branch with first output w1 is read at the input triple whose
@@ -200,8 +201,7 @@ def apply_wiring(box: Box3, w: Wiring, check: bool = True) -> Box2:
     correct sequential probability, with the 0 * (0/0) = 0 convention built
     in (a zero-probability branch contributes zero to every entry).
     """
-    if check:
-        require_valid(box)
+    require_valid(box)
     first, second = w.actors()
     t0, t1 = (
         _half_table(box.table, w.bipartition.solo, first, second, h) for h in _halves(w)
@@ -239,33 +239,10 @@ def _sweep(table, key):
                 yield Wiring(bp, ordering, *abg), k0, k1
 
 
-def _column(t) -> tuple[int, int]:
-    """(E_0s', E_1s'): the correlator column of a half-table."""
-    return (t[0] - t[1] - t[2] + t[3], t[4] - t[5] - t[6] + t[7])
-
-
-_WIRING_CACHE: dict[tuple[int, str], tuple[Wiring, ...]] = {}
-
-
-def enumerate_wirings(bp: Bipartition, kind: str = "all") -> list[Wiring]:
+def enumerate_wirings(bp: Bipartition) -> list[Wiring]:
     """All wirings on a bipartition in canonical (ordering, alpha, beta,
     gamma) order; 32768 in total, 8192 of them type I."""
-    if kind not in ("all", "typeI", "typeII"):
-        raise ParseError(f"kind must be all, typeI or typeII, got {kind!r}")
-    key = (bp.solo, kind)
-    if key not in _WIRING_CACHE:
-        out = []
-        for ordering, alpha, beta, gamma in product(
-            BITS, range(4), range(16), range(256)
-        ):
-            w = Wiring(bp, ordering, alpha, beta, gamma)
-            if kind == "typeI" and not w.is_type_i:
-                continue
-            if kind == "typeII" and w.is_type_i:
-                continue
-            out.append(w)
-        _WIRING_CACHE[key] = tuple(out)
-    return list(_WIRING_CACHE[key])
+    return [Wiring(bp, *abg) for abg in product(BITS, range(4), range(16), range(256))]
 
 
 # name -> orbit maximum of a correlator table.  chsh_max is linear in the
@@ -304,7 +281,8 @@ def search_max_all(
     require_valid(box)
     scale, table = _integer_table(box)
     best: dict[str, tuple[Wiring, int]] = {}
-    for w, c0, c1 in _sweep(table, _column):
+    # A half-table's block correlators are its column (E_0s', E_1s').
+    for w, c0, c1 in _sweep(table, block_correlators):
         e = (c0[0], c1[0], c0[1], c1[1])
         for f in functionals:
             v = _FUNCTIONALS[f](e)

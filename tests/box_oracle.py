@@ -1,0 +1,147 @@
+"""Entry-by-entry box operations, the reference that the flat-index versions
+in nsboxes.boxes and nsboxes.bell are tested against.
+
+Each function loops over (outputs, inputs) assignments with
+itertools.product and rebuilds the flat index of every entry it reads;
+nothing is shared with the library but the index convention and the error
+and report types.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from nsboxes import ArityError, Box2, SignallingError, ValidationReport
+
+BITS = (0, 1)
+PARTY_NAMES = "ABC"
+ZERO = Fraction(0)
+
+
+def pack(outs, ins):
+    """Flat index: inputs most significant, parties in order A, B, C."""
+    index = 0
+    for bit in (*ins, *outs):
+        index = 2 * index + bit
+    return index
+
+
+def prob(box, outs, ins):
+    return box.table[pack(outs, ins)]
+
+
+def validate(box):
+    n = box.n_parties
+    negative, norm, signalling = [], [], []
+    for ins in product(BITS, repeat=n):
+        total = ZERO
+        for outs in product(BITS, repeat=n):
+            v = prob(box, outs, ins)
+            if v < 0:
+                negative.append((outs, ins, v))
+            total += v
+        if total != 1:
+            norm.append((ins, total))
+    for p in range(n):
+        rest = tuple(q for q in range(n) if q != p)
+        for r_outs in product(BITS, repeat=n - 1):
+            for r_ins in product(BITS, repeat=n - 1):
+                vals = []
+                for xp in BITS:
+                    ins, outs = [0] * n, [0] * n
+                    ins[p] = xp
+                    for slot, q in enumerate(rest):
+                        ins[q], outs[q] = r_ins[slot], r_outs[slot]
+                    s = ZERO
+                    for op in BITS:
+                        outs[p] = op
+                        s += prob(box, tuple(outs), tuple(ins))
+                    vals.append(s)
+                if vals[0] != vals[1]:
+                    signalling.append((PARTY_NAMES[p], r_outs, r_ins, vals[0], vals[1]))
+    return ValidationReport(n, tuple(negative), tuple(norm), tuple(signalling))
+
+
+def marginal(box, parties):
+    n = box.n_parties
+    if len(set(parties)) != len(parties) or not all(0 <= p < n for p in parties):
+        raise ArityError(f"bad party subset {parties} for arity {n}")
+    traced = tuple(q for q in range(n) if q not in parties)
+    k = len(parties)
+    tab = {}
+    for k_outs in product(BITS, repeat=k):
+        for k_ins in product(BITS, repeat=k):
+            ref = None
+            for t_ins in product(BITS, repeat=len(traced)):
+                ins, outs = [0] * n, [0] * n
+                for slot, p in enumerate(parties):
+                    ins[p], outs[p] = k_ins[slot], k_outs[slot]
+                for slot, q in enumerate(traced):
+                    ins[q] = t_ins[slot]
+                s = ZERO
+                for t_outs in product(BITS, repeat=len(traced)):
+                    for slot, q in enumerate(traced):
+                        outs[q] = t_outs[slot]
+                    s += prob(box, tuple(outs), tuple(ins))
+                if ref is None:
+                    ref = s
+                elif s != ref:
+                    raise SignallingError(
+                        f"marginal over parties {parties} ill defined: traced "
+                        f"inputs {t_ins} change it at outputs {k_outs}, "
+                        f"inputs {k_ins}"
+                    )
+            tab[k_outs, k_ins] = ref
+    if k == 2:
+        flat = [ZERO] * 16
+        for (outs, ins), v in tab.items():
+            flat[pack(outs, ins)] = v
+        return Box2(tuple(flat))
+    if k == 1:
+        flat = [ZERO] * 4
+        for (outs, ins), v in tab.items():
+            flat[2 * ins[0] + outs[0]] = v
+        return tuple(flat)
+    raise ArityError(f"keep one or two parties, got {len(parties)}")
+
+
+def correlator(box, parties, inputs):
+    n = box.n_parties
+    ins = [0] * n
+    for p, xp in zip(parties, inputs):
+        ins[p] = xp
+    total = ZERO
+    for outs in product(BITS, repeat=n):
+        sign = -1 if sum(outs[p] for p in parties) % 2 else 1
+        total += sign * prob(box, outs, tuple(ins))
+    return total
+
+
+def relabel_table(table, r):
+    """Table of the relabeled box, each new entry read at its old index."""
+    n = len(r.party_perm)
+    tab = [None] * len(table)
+    for ins in product(BITS, repeat=n):
+        for outs in product(BITS, repeat=n):
+            old_ins, old_outs = [0] * n, [0] * n
+            for i in range(n):
+                p = r.party_perm[i]
+                old_ins[p] = ins[i] ^ r.input_flips[i]
+                old_outs[p] = outs[i] ^ r.output_flips[i][ins[i]]
+            tab[pack(outs, ins)] = table[pack(old_outs, old_ins)]
+    return tuple(tab)
+
+
+def dumps(box):
+    n = box.n_parties
+    lines = [f"box{n}"]
+    for ins in product(BITS, repeat=n):
+        for outs in product(BITS, repeat=n):
+            v = prob(box, outs, ins)
+            if v:
+                lines.append("%s | %s = %s" % (" ".join(map(str, outs)), " ".join(map(str, ins)), v))
+    return "\n".join(lines) + "\n"
+
+
+def correlator_table(box):
+    """(E00, E01, E10, E11) of a bipartite box."""
+    return tuple(correlator(box, (0, 1), xy) for xy in product(BITS, repeat=2))

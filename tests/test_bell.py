@@ -26,6 +26,7 @@ from nsboxes import (
     uffink,
     uffink_max,
 )
+from nsboxes.bell import _orbit_forms
 
 SEED = 48611
 
@@ -96,6 +97,17 @@ def test_orbit_max_invariant_under_relabeling():
         out = relabel(box, r)
         assert chsh_max(out) == chsh_max(box)
         assert uffink_max(out) == uffink_max(box)
+
+
+def test_orbit_forms_pinned():
+    chsh_forms, uffink_pairs = _orbit_forms()
+    assert chsh_forms == ((1, -1, -1, -1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
+    assert uffink_pairs == (
+        ((0, 0, 1, -1), (1, 1, 0, 0)),
+        ((0, 0, 1, 1), (1, -1, 0, 0)),
+        ((0, 1, 0, -1), (1, 0, 1, 0)),
+        ((0, 1, 0, 1), (1, 0, -1, 0)),
+    )
 
 
 def test_uniform_box_scores_zero():

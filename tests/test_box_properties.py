@@ -1,0 +1,171 @@
+"""Flat-index box operations against the entry-by-entry oracle, and the
+relabelling group laws on index permutations."""
+
+import random
+from fractions import Fraction
+from itertools import permutations, product
+
+from hypothesis import given, settings, strategies as st
+
+import box_oracle as oracle
+from nsboxes import (
+    Box2,
+    Box3,
+    BoxError,
+    Relabeling,
+    all_relabelings2,
+    builtin,
+    correlator,
+    correlator_table,
+    dumps,
+    loads,
+    marginal,
+    mix,
+    relabel,
+    validate,
+)
+
+SEED = 90210
+BITS = (0, 1)
+
+RELABELINGS3 = tuple(
+    Relabeling(perm, flips, (of[0:2], of[2:4], of[4:6]))
+    for perm in permutations(range(3))
+    for flips in product(BITS, repeat=3)
+    for of in product(BITS, repeat=6)
+)
+
+
+def seeded_boxes():
+    """Valid boxes (builtins, relabelled extremal boxes mixed with
+    deterministic ones) and invalid ones: random rational tables and uniform
+    tables with one entry shifted or two entries traded."""
+    rng = random.Random(SEED)
+    valid = [builtin(n) for n in ("class3", "class4", "class44", "pr", "uniform3", "uniform2")]
+    for _ in range(20):
+        vertex = relabel(rng.choice(valid[:3]), rng.choice(RELABELINGS3))
+        det = builtin("deterministic(%d,%d,%d)" % tuple(rng.randrange(4) for _ in range(3)))
+        w = Fraction(rng.randrange(1, 10), 10)
+        valid.append(mix([vertex, det], [w, 1 - w]))
+    for _ in range(10):
+        w = Fraction(rng.randrange(1, 10), 10)
+        pr = relabel(builtin("pr"), rng.choice(all_relabelings2()))
+        valid.append(mix([pr, builtin("uniform2")], [w, 1 - w]))
+    invalid = []
+    for cls in (Box3, Box2):
+        size = 64 if cls is Box3 else 16
+        uniform = Fraction(1, 8 if cls is Box3 else 4)
+        for _ in range(30):
+            table = [uniform] * size
+            kind = rng.randrange(3)
+            if kind == 0:
+                table = [Fraction(rng.randrange(-2, 5), rng.randrange(1, 9)) for _ in range(size)]
+            elif kind == 1:
+                i, j = rng.sample(range(size), 2)
+                d = Fraction(rng.randrange(1, 5), 16)
+                table[i] += d
+                table[j] -= d
+            else:
+                table[rng.randrange(size)] += Fraction(1, 32)
+            invalid.append(cls(tuple(table)))
+    return valid, invalid
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the BoxError it raises."""
+    try:
+        result = fn(*args)
+    except BoxError as exc:
+        return type(exc), str(exc)
+    return result.table if isinstance(result, Box2) else result
+
+
+def test_box_operations_match_oracle():
+    valid, invalid = seeded_boxes()
+    reports = [oracle.validate(b) for b in invalid]
+    for field in ("negative_entries", "normalization_failures", "signalling_failures"):
+        assert sum(1 for r in reports if getattr(r, field)) >= 10, field
+    rng = random.Random(SEED + 1)
+    for box in valid + invalid:
+        n = box.n_parties
+        report = validate(box)
+        assert report == oracle.validate(box)
+        assert report.is_valid == (box in valid)
+        assert dumps(box) == oracle.dumps(box)
+        subsets = [ps for k in range(n + 1) for ps in permutations(range(n), k)]
+        for parties in subsets + [(0, 0), (n,), (-1,)]:
+            assert outcome(marginal, box, parties) == outcome(oracle.marginal, box, parties)
+        for parties in subsets:
+            for inputs in product(BITS, repeat=len(parties)):
+                assert correlator(box, parties, inputs) == oracle.correlator(box, parties, inputs)
+        rels = all_relabelings2() if n == 2 else rng.sample(RELABELINGS3, 40)
+        for r in rels:
+            assert relabel(box, r).table == oracle.relabel_table(box.table, r)
+        if n == 2:
+            assert correlator_table(box) == oracle.correlator_table(box)
+
+
+def test_bipartite_relabeling_group_laws():
+    rels = all_relabelings2()
+    perms = {r.permutation for r in rels}
+    assert len(perms) == 128
+    assert all(sorted(p) == list(range(16)) for p in perms)
+    for r in rels:
+        inverse = r.inverse().permutation
+        assert all(inverse[j] == i for i, j in enumerate(r.permutation))
+        for s in rels:
+            composed = r.compose(s).permutation
+            assert composed == tuple(s.permutation[j] for j in r.permutation)
+            assert composed in perms
+
+
+def test_tripartite_relabeling_group_laws_on_a_sample():
+    perms = {r.permutation for r in RELABELINGS3}
+    assert len(perms) == 3072
+    for r in RELABELINGS3:
+        inverse = r.inverse().permutation
+        assert all(inverse[j] == i for i, j in enumerate(r.permutation))
+    rng = random.Random(SEED + 2)
+    for _ in range(500):
+        r, s = rng.choice(RELABELINGS3), rng.choice(RELABELINGS3)
+        composed = r.compose(s).permutation
+        assert composed == tuple(s.permutation[j] for j in r.permutation)
+        assert composed in perms
+
+
+def deterministic2(ta, tb):
+    return Box2.from_function(
+        lambda a, b, x, y: int(a == (ta >> x) & 1 and b == (tb >> y) & 1)
+    )
+
+
+def mixtures(vertices):
+    """Convex mixtures of up to four vertices with weights r / sum(r)."""
+    def mixed(boxes, raw):
+        raw = raw[: len(boxes)]
+        return mix(boxes, [Fraction(r, sum(raw)) for r in raw])
+
+    return st.builds(
+        mixed,
+        st.lists(vertices, min_size=1, max_size=4),
+        st.lists(st.integers(1, 9), min_size=4, max_size=4),
+    )
+
+
+valid_boxes = mixtures(
+    st.builds(relabel, st.just(builtin("pr")), st.sampled_from(all_relabelings2()))
+    | st.builds(deterministic2, st.integers(0, 3), st.integers(0, 3))
+) | mixtures(
+    st.builds(
+        relabel,
+        st.sampled_from([builtin(n) for n in ("class3", "class4", "class44", "deterministic(1,2,0)")]),
+        st.sampled_from(RELABELINGS3),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(valid_boxes)
+def test_dumps_loads_round_trip(box):
+    assert validate(box).is_valid
+    assert loads(dumps(box)) == box

@@ -5,14 +5,17 @@ import pytest
 
 from nsboxes import (
     CLASS4_CONSTRAINTS,
+    ArityError,
     Box2,
     Box3,
+    BoxError,
     ConstraintSet,
     ContradictionError,
     InexactValueError,
     InvalidBoxError,
     ParseError,
     Relabeling,
+    RelabelingError,
     SignallingError,
     UnknownBuiltinError,
     all_relabelings2,
@@ -132,6 +135,13 @@ def test_pr_box_correlators():
         for y in (0, 1):
             expected = Fraction(-1) if x == y == 1 else Fraction(1)
             assert correlator(pr, (0, 1), (x, y)) == expected
+
+
+def test_correlator_rejects_parties_outside_the_box():
+    # -1 used to wrap round to party B, 2 to raise a bare IndexError
+    for parties in ((-1,), (2,), (0, 3)):
+        with pytest.raises(ArityError):
+            correlator(builtin("pr"), parties, (0,) * len(parties))
 
 
 def test_deterministic_builtin_follows_truth_tables():
@@ -285,6 +295,38 @@ def test_relabeling_group_structure():
         lhs = relabel(box, r.compose(s))
         rhs = relabel(relabel(box, s), r)
         assert lhs.table == rhs.table
+
+
+def test_relabeling_rejects_non_permutation():
+    # relabelling PR by this would give a local box with chsh_max 0
+    for perm in ((0, 0), (0, 2), (1,), (0, 1, 2, 3), (0.0, 1.0)):
+        n = len(perm)
+        with pytest.raises(RelabelingError):
+            Relabeling(perm, (0,) * n, ((0, 0),) * n)
+    assert issubclass(RelabelingError, BoxError)
+
+
+def test_relabeling_rejects_mismatched_field_lengths():
+    for flips, outs in (
+        ((0,), ((0, 0), (0, 0))),
+        ((0, 0, 0), ((0, 0), (0, 0))),
+        ((0, 0), ((0, 0),)),
+        ((0, 0), ((0, 0), (0, 0, 1))),
+        ((0, 0), ((0, 0), 1)),
+    ):
+        with pytest.raises(RelabelingError):
+            Relabeling((1, 0), flips, outs)
+
+
+def test_relabeling_rejects_flips_outside_bits():
+    for flips, outs in (
+        ((0, 2), ((0, 0), (0, 0))),
+        ((0, -1), ((0, 0), (0, 0))),
+        ((0, 0), ((0, 2), (0, 0))),
+        ((0, 1.0), ((0, 0), (0, 0))),
+    ):
+        with pytest.raises(RelabelingError):
+            Relabeling((1, 0), flips, outs)
 
 
 def test_relabel_preserves_validity_and_entry_multiset():

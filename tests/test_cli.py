@@ -122,6 +122,32 @@ def test_wire_rejects_bad_encoding(capsys):
     assert code == 2
 
 
+def test_wire_rejects_non_ascii_digits(capsys):
+    wiring = "bp=B|AC order=C,A alpha=\u0662 beta=4 gamma=170"
+    code, out, err = run(capsys, "wire", "builtin:class3", "--wiring", wiring)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_wire_unwritable_out_path(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.box", tmp_path):
+        code, out, err = run(
+            capsys, "wire", "builtin:class3", "--wiring", CLASS3_WIRING, "--out", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_membership_unwritable_certificate_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.cert"
+    for model in (("local",), ("ns",), ("tobl", "--bipartition", "A|BC")):
+        code, out, err = run(
+            capsys, "membership", "builtin:class4", "--certificate", str(path), "--model", *model
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_search_class44(capsys):
     code, out, _ = run(capsys, "search", "builtin:class44")
     assert code == 0
@@ -240,6 +266,14 @@ def test_membership_tobl_class4(tmp_path, capsys):
     body = cert.read_text().splitlines()
     assert body[0] == "feasible"
     assert len(body) == 5  # four quarter weights
+
+
+def test_table1_validates_each_row_once(capsys, monkeypatch):
+    calls = []
+    validate = boxes.validate
+    monkeypatch.setattr(boxes, "validate", lambda box: calls.append(box) or validate(box))
+    code, out, _ = run(capsys, "table1")
+    assert (code, len(out.splitlines()), len(calls)) == (0, 4, 3)
 
 
 def test_table_rows_load():

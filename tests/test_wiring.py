@@ -65,6 +65,11 @@ def test_wiring_parse_rejects_malformed():
         "bp=A|BC order=B,C alpha=x beta=15 gamma=102",
         "bp=A|BC bp=A|BC order=B,C alpha=2 beta=15 gamma=102",
         "bp=B|AC order=C,A alpha=2 beta=4 gamma=170 gamme=3 foo=bar",
+        # int() accepts these; only ASCII decimal digits are integers here.
+        "bp=A|BC order=B,C alpha=0_2 beta=15 gamma=1_0_2",
+        "bp=A|BC order=B,C alpha=\u0662 beta=15 gamma=102",
+        "bp=A|BC order=B,C alpha=2 beta=+15 gamma=102",
+        "bp=A|BC order=B,C alpha=2 beta=15 gamma=\uff11\uff10\uff12",
     ):
         with pytest.raises(ParseError):
             Wiring.parse(bad)
@@ -72,11 +77,11 @@ def test_wiring_parse_rejects_malformed():
 
 def test_enumeration_counts():
     for bp in BIPARTITIONS:
-        assert len(enumerate_wirings(bp)) == 2 * 4 * 16 * 256
-        assert len(enumerate_wirings(bp, "typeI")) == 2 * 4 * 4 * 256
-        assert len(enumerate_wirings(bp, "typeII")) == 32768 - 8192
-    with pytest.raises(ParseError):
-        enumerate_wirings(BIPARTITIONS[0], "typeIII")
+        wirings = enumerate_wirings(bp)
+        assert len(wirings) == 2 * 4 * 16 * 256
+        type_i = [w for w in wirings if w.is_type_i]
+        assert len(type_i) == 2 * 4 * 4 * 256
+        assert len(wirings) - len(type_i) == 32768 - 8192
 
 
 def test_type_i_detection():
@@ -135,7 +140,7 @@ def test_fixed_input_path_agrees_on_type_i():
     rng = random.Random(SEED + 2)
     for name in ("class3", "class4", "class44"):
         box = builtin(name)
-        wirings = enumerate_wirings(rng.choice(BIPARTITIONS), "typeI")
+        wirings = [w for w in enumerate_wirings(rng.choice(BIPARTITIONS)) if w.is_type_i]
         for w in rng.sample(wirings, 60):
             assert oracle.wire_fixed_inputs(box.table, w) == apply_wiring(box, w).table
 
