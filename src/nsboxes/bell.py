@@ -43,16 +43,6 @@ def uffink(box: Box2) -> Fraction:
     return (e[0] + e[2]) ** 2 + (e[1] - e[3]) ** 2
 
 
-def chsh_max(box: Box2) -> Fraction:
-    """Maximum of |CHSH| over the full relabeling orbit of the box."""
-    return chsh_max_of_correlators(correlator_table(box))
-
-
-def uffink_max(box: Box2) -> Fraction:
-    """Maximum of the Uffink form over the full relabeling orbit of the box."""
-    return uffink_max_of_correlators(correlator_table(box))
-
-
 def _up_to_sign(form) -> tuple[int, ...]:
     """The form, negated if needed so its first nonzero is positive."""
     lead = next(c for c in form if c)
@@ -91,15 +81,15 @@ def _dot(c, e):
     return c[0] * e[0] + c[1] * e[1] + c[2] * e[2] + c[3] * e[3]
 
 
-def chsh_max_of_correlators(e):
-    """chsh_max from the correlator table (E00, E01, E10, E11) alone, exact
-    in the type of its entries (integers for a scaled table)."""
+def chsh_max(box: Box2) -> Fraction:
+    """Maximum of |CHSH| over the full relabeling orbit of the box."""
+    e = correlator_table(box)
     return max(abs(_dot(c, e)) for c in _orbit_forms()[0])
 
 
-def uffink_max_of_correlators(e):
-    """uffink_max from the correlator table alone, exact in the type of its
-    entries."""
+def uffink_max(box: Box2) -> Fraction:
+    """Maximum of the Uffink form over the full relabeling orbit of the box."""
+    e = correlator_table(box)
     return max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1])
 
 
@@ -147,12 +137,8 @@ class GyniWeights:
     @classmethod
     def uniform_even_parity(cls) -> "GyniWeights":
         """1/4 on each input triple of even parity, the canonical game."""
-        return cls(
-            tuple(
-                Fraction(1, 4) if (x1 ^ x2 ^ x3) == 0 else ZERO
-                for x1, x2, x3 in product(BITS, repeat=3)
-            )
-        )
+        q = (Fraction(1, 4) if x1 ^ x2 ^ x3 == 0 else ZERO for x1, x2, x3 in product(BITS, repeat=3))
+        return cls(tuple(q))
 
 
 def gyni_value(box: Box3, weights: GyniWeights) -> Fraction:
@@ -167,12 +153,7 @@ def gyni_value(box: Box3, weights: GyniWeights) -> Fraction:
 
 def gyni_bound(weights: GyniWeights) -> Fraction:
     """No-signalling bound: max over input triples of q(x) + q(complement x)."""
-    best = ZERO
-    for i in range(8):
-        s = weights.q[i] + weights.q[7 - i]
-        if s > best:
-            best = s
-    return best
+    return max(weights.q[i] + weights.q[7 - i] for i in range(8))
 
 
 def k_value(box: Box3) -> Fraction:

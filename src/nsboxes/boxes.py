@@ -266,6 +266,8 @@ def marginal(box: Box, parties: tuple[int, ...]):
     if len(set(parties)) != len(parties) or not all(0 <= p < n for p in parties):
         raise ArityError(f"bad party subset {parties} for arity {n}")
     k = len(parties)
+    if k not in (1, 2):
+        raise ArityError(f"keep one or two parties, got {k}")
     traced = tuple(q for q in range(n) if q not in parties)
     # Move the kept parties to the front: a flat index of the moved table
     # reads (kept inputs, traced inputs, kept outputs, traced outputs), so
@@ -286,11 +288,7 @@ def marginal(box: Box, parties: tuple[int, ...]):
                     f"inputs {k_ins}"
                 )
         flat[i] = vals[0]
-    if k == 2:
-        return Box2(tuple(flat))
-    if k == 1:
-        return tuple(flat)
-    raise ArityError(f"keep one or two parties, got {len(parties)}")
+    return Box2(tuple(flat)) if k == 2 else tuple(flat)
 
 
 def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> Fraction:
@@ -370,10 +368,6 @@ class Relabeling:
     @property
     def n_parties(self) -> int:
         return len(self.party_perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "Relabeling":
-        return cls(tuple(range(n)), (0,) * n, ((0, 0),) * n)
 
     def inverse(self) -> "Relabeling":
         n = self.n_parties

@@ -47,7 +47,15 @@ def _load_box(ref: str):
     path = Path(ref)
     if not path.is_file():
         raise ParseError(f"no such box file: {ref}")
-    return loads(path.read_text(), check=False)
+    return loads(_read_text(path), check=False)
+
+
+def _read_text(path: Path) -> str:
+    """A file's text; a file that is not UTF-8 is a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _box_stem(ref: str) -> str:
@@ -119,7 +127,7 @@ def cmd_eval(args) -> int:
         qpath = Path(args.q)
         if not qpath.is_file():
             raise ParseError(f"no such weights file: {args.q}")
-        weights = bell.parse_gyni_weights(qpath.read_text())
+        weights = bell.parse_gyni_weights(_read_text(qpath))
     value = bell.gyni_value(box, weights)
     bound = bell.gyni_bound(weights)
     print(f"value = {value}")
@@ -264,7 +272,7 @@ def _collect_boxes(boxes_dir: str | None) -> dict[int, Box3]:
         m = _CLASS_FILE_RE.match(path.name)
         if not m:
             continue
-        found[int(m.group(1))] = loads(path.read_text(), check=False)
+        found[int(m.group(1))] = loads(_read_text(path), check=False)
     return found
 
 

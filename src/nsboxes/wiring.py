@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -30,7 +31,6 @@ from .boxes import (
     ParseError,
     _IN_W,
     _OUT_W,
-    block_correlators,
     require_valid,
 )
 from . import bell
@@ -60,11 +60,7 @@ class Bipartition:
         return self.pair if ordering == 0 else self.pair[::-1]
 
 
-BIPARTITIONS = (
-    Bipartition(0, (1, 2)),
-    Bipartition(1, (0, 2)),
-    Bipartition(2, (0, 1)),
-)
+BIPARTITIONS = (Bipartition(0, (1, 2)), Bipartition(1, (0, 2)), Bipartition(2, (0, 1)))
 
 
 _FIELDS = {"bp", "order", "alpha", "beta", "gamma"}
@@ -101,10 +97,7 @@ class Wiring:
 
     @property
     def is_type_i(self) -> bool:
-        return all(
-            (self.beta >> (2 * s)) & 1 == (self.beta >> (2 * s + 1)) & 1
-            for s in BITS
-        )
+        return all((self.beta >> 2 * s & 1) == (self.beta >> 2 * s + 1 & 1) for s in BITS)
 
     def encode(self) -> str:
         first, second = self.actors()
@@ -170,14 +163,6 @@ def _half_table(table, solo: int, first: int, second: int, half: int) -> tuple:
     return tuple(out)
 
 
-def _halves(w: Wiring) -> tuple[int, int]:
-    """The halves of w at s' = 0 and s' = 1, packed as in _half_table."""
-    return tuple(
-        ((w.alpha >> s) & 1) << 6 | ((w.beta >> (2 * s)) & 3) << 4 | (w.gamma >> (4 * s)) & 15
-        for s in BITS
-    )
-
-
 def _joined(h0: int, h1: int) -> tuple[int, int, int]:
     """(alpha, beta, gamma) of the wiring whose halves are h0 and h1; in
     canonical order their bits interleave as (a1, a0, b1, b0, g1, g0)."""
@@ -186,11 +171,6 @@ def _joined(h0: int, h1: int) -> tuple[int, int, int]:
         ((h1 >> 4) & 3) << 2 | (h0 >> 4) & 3,
         (h1 & 15) << 4 | h0 & 15,
     )
-
-
-def _effective(t0, t1) -> tuple:
-    """Box2 table (flat index 8*x' + 4*y' + 2*a' + b') from its two halves."""
-    return t0[:4] + t1[:4] + t0[4:] + t1[4:]
 
 
 def apply_wiring(box: Box3, w: Wiring) -> Box2:
@@ -203,40 +183,105 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     """
     require_valid(box)
     first, second = w.actors()
+    # the halves at s' = 0 and 1, packed as in _half_table
     t0, t1 = (
-        _half_table(box.table, w.bipartition.solo, first, second, h) for h in _halves(w)
+        _half_table(
+            box.table, w.bipartition.solo, first, second,
+            (w.alpha >> s & 1) << 6 | (w.beta >> 2 * s & 3) << 4 | w.gamma >> 4 * s & 15,
+        )
+        for s in BITS
     )
-    return Box2(_effective(t0, t1))
+    # flat index 8*x' + 4*y' + 2*a' + b'
+    return Box2(t0[:4] + t1[:4] + t0[4:] + t1[4:])
 
 
-def _integer_table(box: Box3) -> tuple[int, tuple[int, ...]]:
-    """(D, D * table) with D the lcm of the table's denominators."""
-    scale = lcm(*(v.denominator for v in box.table))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in box.table)
+def _columns(table, solo: int, first: int, second: int) -> list[tuple]:
+    """The correlator column (E_0s', E_1s') of each of the 128 halves in
+    order, equal to block_correlators(_half_table(...)) of the half.
 
-
-def _sweep(table, key):
-    """Every wiring that is the first, in canonical order, to give its pair
-    of half keys, as (wiring, key at s' = 0, key at s' = 1).
-
-    The halves at s' = 0 and s' = 1 range over the same 128 half-tables and
-    are chosen independently, so the first wiring for a key pair joins the
-    first half giving each key.  Pairs come per (bipartition, ordering) in
-    canonical order, and within one in the order of their first wirings.
+    E_x' sums d = P(a'=0, w1, w2 | x', alpha, beta(w1)) - P(a'=1, ...) over
+    (w1, w2), negated where gamma(w1, w2) = 1; the two terms of one w1 are
+    summed once per pair of gamma bits.
     """
-    for bp in BIPARTITIONS:
-        for ordering in BITS:
-            first, second = bp.actors(ordering)
-            first_half = {}
-            for h in range(128):
-                first_half.setdefault(key(_half_table(table, bp.solo, first, second, h)), h)
-            pairs = sorted(
-                (_joined(h0, h1), k0, k1)
-                for k0, h0 in first_half.items()
-                for k1, h1 in first_half.items()
-            )
-            for abg, k0, k1 in pairs:
-                yield Wiring(bp, ordering, *abg), k0, k1
+    iw, ow = _IN_W[3], _OUT_W[3]
+    sums = {}
+    for xp, i1, w1, i2 in product(BITS, repeat=4):
+        j = xp * iw[solo] + i1 * iw[first] + i2 * iw[second] + w1 * ow[first]
+        d0, d1 = (table[k] - table[k + ow[solo]] for k in (j, j + ow[second]))
+        sums[xp, i1, w1, i2] = (d0 + d1, d1 - d0, d0 - d1, -d0 - d1)
+    cols = []
+    for i1, b1, b0 in product(BITS, repeat=3):
+        (p0, q0), (p1, q1) = ((sums[xp, i1, 0, b0], sums[xp, i1, 1, b1]) for xp in BITS)
+        cols += [(p0[g & 3] + q0[g >> 2], p1[g & 3] + q1[g >> 2]) for g in range(16)]
+    return cols
+
+
+@cache
+def _column_forms() -> dict:
+    """bell's orbit forms on the columns c0 = (E00, E10) and c1 = (E01, E11):
+    name -> (degree, separable forms, coupled pairs).  A separable form is
+    A(c0) + B(c1), each side the vectors u whose (u . c)**degree it sums:
+    each CHSH form with either sign, and each Uffink bracket pair in which
+    no bracket reads both columns.  A coupled pair is ((p0, q0), (p1, q1))."""
+    split = lambda c: ((c[0], c[2]), (c[1], c[3]))
+    chsh_forms, uffink_pairs = bell._orbit_forms()
+    linear = [tuple((u,) for u in split([s * x for x in c])) for c in chsh_forms for s in (1, -1)]
+    separable, coupled = [], []
+    for pair in uffink_pairs:
+        brackets = [split(b) for b in pair]
+        sides = tuple(zip(*brackets))
+        if any(all(map(any, b)) for b in brackets):
+            coupled.append(sides)
+        else:
+            separable.append(tuple(tuple(filter(any, side)) for side in sides))
+    return {"chsh_max": (1, linear, []), "uffink_max": (2, separable, coupled)}
+
+
+def _hull(points) -> list:
+    """Vertices of the convex hull of distinct integer points (monotone
+    chain; points inside an edge are dropped)."""
+    pts, vertices = sorted(points), []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2:]
+                if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                    break
+                chain.pop()
+            chain.append(p)
+        vertices += chain[:-1]
+    return vertices or pts
+
+
+def _block_max(first_half: dict, degree: int, separable, coupled) -> tuple:
+    """(maximum over one block's wirings, first (alpha, beta, gamma) giving
+    it), from first_half: each distinct column -> the first half giving it.
+
+    A separable form's maximisers are a product set of halves, whose first
+    wiring joins the first maximising half of each side.  A coupled pair is
+    ||M0 c0 + M1 c1||**2 with M0, M1 invertible, strictly convex in each
+    column, so it is maximal only on pairs of hull vertices of the columns.
+    """
+    cols, heads = list(first_half), list(first_half.values())
+
+    @cache
+    def peak(us):
+        values = [0] * len(cols)
+        for a, b in us:
+            values = [v + (a * x + b * y) ** degree for v, (x, y) in zip(values, cols)]
+        return max(values), heads[values.index(max(values))]
+
+    found = [(v0 + v1, h0, h1) for (v0, h0), (v1, h1) in (map(peak, f) for f in separable)]
+    hull = _hull(cols) if coupled else []
+    for sides in coupled:
+        c0s, c1s = (
+            [(p[0] * x + p[1] * y, q[0] * x + q[1] * y, first_half[x, y]) for x, y in hull]
+            for p, q in sides
+        )
+        found += [((a + c) ** 2 + (b + d) ** 2, h0, h1) for a, b, h0 in c0s for c, d, h1 in c1s]
+    top = max(v for v, _, _ in found)
+    return top, min(_joined(h0, h1) for v, h0, h1 in found if v == top)
 
 
 def enumerate_wirings(bp: Bipartition) -> list[Wiring]:
@@ -245,60 +290,34 @@ def enumerate_wirings(bp: Bipartition) -> list[Wiring]:
     return [Wiring(bp, *abg) for abg in product(BITS, range(4), range(16), range(256))]
 
 
-# name -> orbit maximum of a correlator table.  chsh_max is linear in the
-# table and uffink_max quadratic: on a table scaled by D they scale by D**degree.
-_FUNCTIONALS = {
-    "chsh_max": bell.chsh_max_of_correlators,
-    "uffink_max": bell.uffink_max_of_correlators,
-}
-_DEGREE = {"chsh_max": 1, "uffink_max": 2}
-
-
-def search_max(box: Box3, functional: str) -> tuple[Wiring, Fraction]:
-    """Exact maximum of a relabeling-invariant functional over all wirings.
-
-    Returns the lexicographically first maximizing wiring in the canonical
-    (bipartition, ordering, alpha, beta, gamma) enumeration order.
-    """
-    result = search_max_all(box, (functional,))
-    return result[functional]
-
-
 def search_max_all(
     box: Box3, functionals: tuple[str, ...] = ("chsh_max", "uffink_max")
 ) -> dict[str, tuple[Wiring, Fraction]]:
-    """Run several functionals over one wiring sweep; same tie-break as
-    search_max for each.
+    """Exact maximum of each named orbit functional over all 98,304 wirings,
+    with the first maximising wiring in canonical (bipartition, ordering,
+    alpha, beta, gamma) order.
 
-    Both orbit maxima depend only on the correlator table, whose column at
-    y' = s' is fixed by the half of the wiring at s'.  So the functionals run
-    once per pair of distinct columns, in integers scaled by the lcm D of
-    the box's denominators, and no effective box is built.
+    Both maxima depend only on the correlator table, whose column at y' = s'
+    is fixed by the wiring's half at s', so each (bipartition, ordering)
+    scores its distinct columns, in integers scaled by the lcm of the box's
+    denominators; a later block must do strictly better to win.
     """
+    forms = _column_forms()
     for f in functionals:
-        if f not in _FUNCTIONALS:
+        if f not in forms:
             raise ParseError(f"unknown functional {f!r}")
     require_valid(box)
-    scale, table = _integer_table(box)
-    best: dict[str, tuple[Wiring, int]] = {}
-    # A half-table's block correlators are its column (E_0s', E_1s').
-    for w, c0, c1 in _sweep(table, block_correlators):
-        e = (c0[0], c1[0], c0[1], c1[1])
-        for f in functionals:
-            v = _FUNCTIONALS[f](e)
-            if f not in best or v > best[f][1]:
-                best[f] = (w, v)
-    return {
-        f: (w, Fraction(v, scale ** _DEGREE[f])) for f, (w, v) in best.items()
-    }
-
-
-def distinct_effective_boxes(box: Box3) -> dict[tuple[Fraction, ...], Wiring]:
-    """Map each distinct effective table over all wirings of all bipartitions
-    to the first wiring producing it (canonical enumeration order)."""
-    require_valid(box)
-    scale, table = _integer_table(box)
-    seen: dict[tuple[int, ...], Wiring] = {}
-    for w, t0, t1 in _sweep(table, tuple):
-        seen.setdefault(_effective(t0, t1), w)
-    return {tuple(Fraction(v, scale) for v in t): w for t, w in seen.items()}
+    scale = lcm(*(v.denominator for v in box.table))
+    table = [v.numerator * (scale // v.denominator) for v in box.table]
+    best: dict[str, tuple[int, Wiring]] = {}
+    for bp in BIPARTITIONS:
+        for ordering in BITS:
+            first_half = {}
+            for h, col in enumerate(_columns(table, bp.solo, *bp.actors(ordering))):
+                first_half.setdefault(col, h)
+            for f in functionals:
+                v, abg = _block_max(first_half, *forms[f])
+                if f not in best or v > best[f][0]:
+                    best[f] = (v, Wiring(bp, ordering, *abg))
+    # on a table scaled by D, chsh_max scales by D and uffink_max by D**2
+    return {f: (w, Fraction(v, scale ** forms[f][0])) for f, (v, w) in best.items()}

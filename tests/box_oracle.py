@@ -65,8 +65,10 @@ def marginal(box, parties):
     n = box.n_parties
     if len(set(parties)) != len(parties) or not all(0 <= p < n for p in parties):
         raise ArityError(f"bad party subset {parties} for arity {n}")
-    traced = tuple(q for q in range(n) if q not in parties)
     k = len(parties)
+    if k not in (1, 2):
+        raise ArityError(f"keep one or two parties, got {k}")
+    traced = tuple(q for q in range(n) if q not in parties)
     tab = {}
     for k_outs in product(BITS, repeat=k):
         for k_ins in product(BITS, repeat=k):
@@ -96,12 +98,10 @@ def marginal(box, parties):
         for (outs, ins), v in tab.items():
             flat[pack(outs, ins)] = v
         return Box2(tuple(flat))
-    if k == 1:
-        flat = [ZERO] * 4
-        for (outs, ins), v in tab.items():
-            flat[2 * ins[0] + outs[0]] = v
-        return tuple(flat)
-    raise ArityError(f"keep one or two parties, got {len(parties)}")
+    flat = [ZERO] * 4
+    for (outs, ins), v in tab.items():
+        flat[2 * ins[0] + outs[0]] = v
+    return tuple(flat)
 
 
 def correlator(box, parties, inputs):

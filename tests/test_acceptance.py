@@ -16,7 +16,6 @@ from nsboxes import (
     chsh_max,
     class4_tobl_model,
     correlator_table,
-    distinct_effective_boxes,
     gyni_bound,
     gyni_value,
     is_local,
@@ -32,6 +31,7 @@ from nsboxes import (
     verify_model,
 )
 from nsboxes.cli import load_table_rows
+from wiring_oracle import distinct_effective_boxes
 
 SEED = 60601
 

@@ -240,6 +240,16 @@ def test_marginal_raises_when_traced_input_matters():
         marginal(box, (0,))
 
 
+def test_marginal_party_count_checked_before_signalling():
+    # Per-input totals that differ would make any traced marginal signal;
+    # keeping no party is still the first thing reported.
+    table = list(builtin("uniform2").table)
+    table[0] += Fraction(1, 32)
+    box = Box2(tuple(table))
+    with pytest.raises(ArityError, match="keep one or two parties, got 0"):
+        marginal(box, ())
+
+
 def test_mix_linearity_against_marginal():
     b1 = builtin("class4")
     b2 = builtin("uniform3")

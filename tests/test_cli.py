@@ -337,3 +337,22 @@ def test_usage_errors_exit_two(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_box_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin.box"
+    bad.write_bytes(b"box2\n\xff\xfe\n")
+    weights = tmp_path / "latin.q"
+    weights.write_bytes(b"0 0 0 = 1\n\xff\xfe\n")
+    boxes_dir = tmp_path / "classes"
+    boxes_dir.mkdir()
+    (boxes_dir / "class3.box").write_bytes(b"box3\n\xff\xfe\n")
+    for argv in (
+        ("validate", str(bad)),
+        ("search", str(bad)),
+        ("eval", "builtin:class4", "--functional", "gyni", "--q", str(weights)),
+        ("table1", "--boxes", str(boxes_dir)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and "not UTF-8" in err, argv

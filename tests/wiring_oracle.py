@@ -1,14 +1,20 @@
-"""Naive per-wiring evaluation of the wiring map, the reference that the
-factored half-table kernel in nsboxes.wiring is tested against.
+"""References that the wiring kernel and the wiring search in nsboxes.wiring
+are tested against.
 
 sources() follows the definition of a wiring entry by entry; nothing is
-shared with the kernel but the index conventions.
+shared with the kernel but the index conventions.  search_max_all() and
+distinct_effective_boxes() are the per-column-pair sweep: they score every
+pair of distinct half keys of a (bipartition, ordering) with the orbit
+maxima of nsboxes.bell, where the library scores each column once.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from nsboxes import index2, index3
+from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, index2, index3, require_valid
+from nsboxes.boxes import block_correlators
+from nsboxes.wiring import _half_table, _joined
 
 BITS = (0, 1)
 
@@ -57,3 +63,83 @@ def canonical_key(w):
     """Position of w in the canonical (bipartition, ordering, alpha, beta,
     gamma) enumeration order."""
     return (w.bipartition.solo, w.ordering, w.alpha, w.beta, w.gamma)
+
+
+def _integer_table(box):
+    """(D, D * table) with D the lcm of the table's denominators."""
+    scale = lcm(*(v.denominator for v in box.table))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in box.table)
+
+
+def _effective(t0, t1):
+    """Box2 table (flat index 8*x' + 4*y' + 2*a' + b') from its two halves."""
+    return t0[:4] + t1[:4] + t0[4:] + t1[4:]
+
+
+def _sweep(table, key):
+    """Every wiring that is the first, in canonical order, to give its pair
+    of half keys, as (wiring, key at s' = 0, key at s' = 1).
+
+    The halves at s' = 0 and s' = 1 range over the same 128 half-tables and
+    are chosen independently, so the first wiring for a key pair joins the
+    first half giving each key.  Pairs come per (bipartition, ordering) in
+    canonical order, and within one in the order of their first wirings.
+    """
+    for bp in BIPARTITIONS:
+        for ordering in BITS:
+            first, second = bp.actors(ordering)
+            first_half = {}
+            for h in range(128):
+                first_half.setdefault(key(_half_table(table, bp.solo, first, second, h)), h)
+            pairs = sorted(
+                (_joined(h0, h1), k0, k1)
+                for k0, h0 in first_half.items()
+                for k1, h1 in first_half.items()
+            )
+            for abg, k0, k1 in pairs:
+                yield Wiring(bp, ordering, *abg), k0, k1
+
+
+def _dot(c, e):
+    return sum(a * b for a, b in zip(c, e))
+
+
+# name -> (orbit maximum of a correlator table (E00, E01, E10, E11) over the
+# forms of bell._orbit_forms, degree): on a table scaled by D the maximum
+# scales by D**degree.
+FUNCTIONALS = {
+    "chsh_max": (lambda e: max(abs(_dot(c, e)) for c in bell._orbit_forms()[0]), 1),
+    "uffink_max": (
+        lambda e: max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in bell._orbit_forms()[1]),
+        2,
+    ),
+}
+
+
+def search_max_all(box, functionals=("chsh_max", "uffink_max")):
+    """The orbit maxima evaluated once per pair of distinct columns, each
+    pair at its first wiring; strict > keeps the first maximiser."""
+    for f in functionals:
+        if f not in FUNCTIONALS:
+            raise ParseError(f"unknown functional {f!r}")
+    require_valid(box)
+    scale, table = _integer_table(box)
+    best = {}
+    for w, c0, c1 in _sweep(table, block_correlators):
+        e = (c0[0], c1[0], c0[1], c1[1])
+        for f in functionals:
+            v = FUNCTIONALS[f][0](e)
+            if f not in best or v > best[f][1]:
+                best[f] = (w, v)
+    return {f: (w, Fraction(v, scale ** FUNCTIONALS[f][1])) for f, (w, v) in best.items()}
+
+
+def distinct_effective_boxes(box):
+    """Map each distinct effective table over all wirings of all bipartitions
+    to the first wiring producing it (canonical enumeration order)."""
+    require_valid(box)
+    scale, table = _integer_table(box)
+    seen = {}
+    for w, t0, t1 in _sweep(table, tuple):
+        seen.setdefault(_effective(t0, t1), w)
+    return {tuple(Fraction(v, scale) for v in t): w for t, w in seen.items()}
