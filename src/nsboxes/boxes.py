@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from itertools import product, repeat
+from pathlib import Path
 
 BITS = (0, 1)
 PARTY_NAMES = "ABC"
@@ -58,10 +59,6 @@ class InvalidBoxError(BoxError):
 
 class SignallingError(BoxError):
     """A marginal is ill defined because it depends on a traced input."""
-
-
-class ContradictionError(BoxError):
-    """A constraint set admits no output for some input assignment."""
 
 
 class ParseError(BoxError):
@@ -450,130 +447,69 @@ def mix(boxes, weights) -> Box:
     return cls(tuple(tab))
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Parity constraints on outputs, each gated on specific inputs.
-
-    Each constraint is (pairs, parity) with pairs a frozenset of
-    (party, input) tuples; it applies at an input triple when every listed
-    party holds the listed input, and then requires the XOR of the listed
-    parties' outputs to equal parity.
-    """
-
-    constraints: tuple[tuple[frozenset, int], ...]
-
-    def __post_init__(self):
-        frozen = []
-        for pairs, parity in self.constraints:
-            pairs = frozenset((int(p), int(i)) for p, i in pairs)
-            for p, i in pairs:
-                if not (0 <= p < 3 and i in BITS):
-                    raise ArityError(f"bad constraint pair ({p}, {i})")
-            frozen.append((pairs, int(parity) & 1))
-        object.__setattr__(self, "constraints", tuple(frozen))
+def _uniform_over(cls, relation) -> Box:
+    """At each input assignment, uniform weight on the outputs that
+    relation(*outputs, *inputs) allows."""
+    entries = _ENTRIES[cls.n_parties]
+    block = 2 ** cls.n_parties  # the outputs at one input are consecutive
+    tab = []
+    for start in range(0, len(entries), block):
+        allowed = [relation(*outs, *ins) for outs, ins in entries[start : start + block]]
+        w = Fraction(1, sum(allowed))
+        tab.extend(w if ok else ZERO for ok in allowed)
+    return cls(tuple(tab))
 
 
-def build_from_constraints(cs: ConstraintSet) -> Box3:
-    """Uniform distribution over constraint-satisfying outputs per input.
-
-    Inputs with no applicable constraint get the uniform distribution over
-    all eight outputs.  Raises ContradictionError if some input triple has
-    applicable constraints that no output satisfies.
-    """
-    tab = [ZERO] * 64
-    for ins in product(BITS, repeat=3):
-        applicable = [
-            (pairs, parity)
-            for pairs, parity in cs.constraints
-            if all(ins[p] == i for p, i in pairs)
-        ]
-        sat = []
-        for outs in product(BITS, repeat=3):
-            ok = all(
-                sum(outs[p] for p, _ in pairs) % 2 == parity
-                for pairs, parity in applicable
-            )
-            if ok:
-                sat.append(outs)
-        if not sat:
-            raise ContradictionError(
-                f"no output satisfies the constraints applicable at inputs {ins}"
-            )
-        w = Fraction(1, len(sat))
-        for outs in sat:
-            tab[pack(outs, ins)] = w
-    return Box3(tuple(tab))
+def _class4(a, b, c, x, y, z) -> bool:
+    """The one parity of class4 that applies at inputs (x, y, z)."""
+    if x == y == z:
+        return a ^ b ^ c == x
+    if (x, y) == (0, 1):
+        return a == b
+    if (y, z) == (0, 1):
+        return b == c
+    return c == a
 
 
-# The five output-parity relations defining the class4 builtin: in subscript
-# notation a0+b1 = 0, b0+c1 = 0, c0+a1 = 0, a0+b0+c0 = 0, a1+b1+c1 = 1.
-CLASS4_CONSTRAINTS = ConstraintSet(
-    (
-        (frozenset({(0, 0), (1, 1)}), 0),
-        (frozenset({(1, 0), (2, 1)}), 0),
-        (frozenset({(2, 0), (0, 1)}), 0),
-        (frozenset({(0, 0), (1, 0), (2, 0)}), 0),
-        (frozenset({(0, 1), (1, 1), (2, 1)}), 1),
-    )
-)
+# name -> (box type, relation on outputs and inputs)
+_BUILTINS = {
+    "class3": (Box3, lambda a, b, c, x, y, z: a == (b if x == 0 else c if z == 0 else b ^ c ^ y)),
+    "class4": (Box3, _class4),
+    "class44": (Box3, lambda a, b, c, x, y, z: a ^ b ^ c == x & y & z),
+    "pr": (Box2, lambda a, b, x, y: a ^ b == x & y),
+    "uniform3": (Box3, lambda *_: True),
+    "uniform2": (Box2, lambda *_: True),
+}
 
-
-def _class3_entry(a, b, c, x, y, z) -> Fraction:
-    t = 1
-    if x == 0:
-        t += (-1) ** (a + b)
-    if x == 1 and z == 0:
-        t += (-1) ** (a + c)
-    if x == 1 and z == 1:
-        t += (-1) ** (a + b + c) * (1 if y == 0 else -1)
-    return Fraction(t, 8)
-
-
-_DETERMINISTIC_RE = re.compile(r"^deterministic\((\d+),(\d+),(\d+)\)$")
+_DETERMINISTIC_RE = re.compile(r"deterministic\(([0-3]),([0-3]),([0-3])\)")
 
 
 def builtin(name: str) -> Box:
-    """Named reference boxes.
+    """Named reference boxes, each uniform over the outputs its relation
+    allows at every input (sums mod 2, subscripts are inputs).
 
-    class3         correlations switch with A's input between an AB and an
-                   AC/ABC pattern (extremal tripartite no-signalling box)
-    class4         uniform over outputs satisfying the five parity relations
-                   of CLASS4_CONSTRAINTS (extremal, wiring-local)
-    class44        a + b + c = x*y*z, entries 0 or 1/4 (extremal)
-    pr             bipartite a + b = x*y, entries 0 or 1/2
-    uniform3       all 64 entries 1/8
-    uniform2       all 16 entries 1/4
+    class3         a = b at x = 0, a = c at x = 1, z = 0, a+b+c = y at
+                   x = z = 1 (extremal tripartite no-signalling box)
+    class4         a0+b1 = 0, b0+c1 = 0, c0+a1 = 0, a0+b0+c0 = 0,
+                   a1+b1+c1 = 1; exactly one applies at each input
+                   (extremal, wiring-local)
+    class44        a + b + c = x*y*z (extremal)
+    pr             bipartite a + b = x*y
+    uniform3       every output (entries 1/8)
+    uniform2       every output (entries 1/4)
     deterministic(ta,tb,tc)
-                   product box with per-party response truth tables 0..3
+                   outputs equal the per-party responses, truth tables
+                   0..3 written as one ASCII digit each
     """
     name = name.strip()
-    if name == "class3":
-        return Box3.from_function(_class3_entry)
-    if name == "class4":
-        return build_from_constraints(CLASS4_CONSTRAINTS)
-    if name == "class44":
-        return Box3.from_function(
-            lambda a, b, c, x, y, z: Fraction(1, 4) if (a ^ b ^ c) == (x & y & z) else ZERO
-        )
-    if name == "pr":
-        return Box2.from_function(
-            lambda a, b, x, y: Fraction(1, 2) if (a ^ b) == (x & y) else ZERO
-        )
-    if name == "uniform3":
-        return Box3((Fraction(1, 8),) * 64)
-    if name == "uniform2":
-        return Box2((Fraction(1, 4),) * 16)
-    m = _DETERMINISTIC_RE.match(name)
+    if name in _BUILTINS:
+        return _uniform_over(*_BUILTINS[name])
+    m = _DETERMINISTIC_RE.fullmatch(name)
     if m:
-        tts = tuple(int(g) for g in m.groups())
-        if any(t > 3 for t in tts):
-            raise UnknownBuiltinError(f"response truth tables must be 0..3: {name}")
-        return Box3.from_function(
-            lambda a, b, c, x, y, z: (
-                ONE
-                if (a, b, c) == tuple((tts[p] >> i) & 1 for p, i in enumerate((x, y, z)))
-                else ZERO
-            )
+        ta, tb, tc = map(int, m.groups())
+        return _uniform_over(
+            Box3,
+            lambda a, b, c, x, y, z: (a, b, c) == ((ta >> x) & 1, (tb >> y) & 1, (tc >> z) & 1),
         )
     raise UnknownBuiltinError(f"unknown builtin box {name!r}")
 
@@ -636,9 +572,16 @@ def loads(text: str, check: bool = True) -> Box:
     return box
 
 
+def _read_text(path) -> str:
+    """A file's text; a file that is not UTF-8 is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def load(path, check: bool = True) -> Box:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), check=check)
+    return loads(_read_text(path), check=check)
 
 
 def dump(box: Box, path) -> None:

@@ -27,9 +27,10 @@ from .boxes import (
     BoxError,
     ParseError,
     UnknownBuiltinError,
+    _read_text,
     builtin,
     dumps,
-    loads,
+    load,
     require_valid,
     validate,
 )
@@ -47,15 +48,7 @@ def _load_box(ref: str):
     path = Path(ref)
     if not path.is_file():
         raise ParseError(f"no such box file: {ref}")
-    return loads(_read_text(path), check=False)
-
-
-def _read_text(path: Path) -> str:
-    """A file's text; a file that is not UTF-8 is a ParseError."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return load(path, check=False)
 
 
 def _box_stem(ref: str) -> str:
@@ -272,7 +265,7 @@ def _collect_boxes(boxes_dir: str | None) -> dict[int, Box3]:
         m = _CLASS_FILE_RE.match(path.name)
         if not m:
             continue
-        found[int(m.group(1))] = loads(_read_text(path), check=False)
+        found[int(m.group(1))] = load(path, check=False)
     return found
 
 

@@ -350,43 +350,25 @@ def _tt2(fn) -> int:
 def class4_tobl_model(bp: Bipartition) -> ToblModel:
     """The uniform two-bit-seed model for the class4 builtin.
 
-    For solo party A and seed (l0, l1): a = l0 + (l0+l1)x; when B sends,
-    b = l0 + l1 + l1*y and c = l1 + (l0+y)z; when C sends, c = l1 + (l0+1)z
-    and b = l0 + (l1+z)(y+1).  The other bipartitions are the cyclic images
-    (class4 is invariant under the party cycle).
+    For seed (l0, l1) the solo party outputs l0 + (l0+l1)s on input s.  A
+    route whose sender precedes its receiver on the cycle A -> B -> C -> A
+    has sender output l0 + l1 + l1*s and receiver output l1 + (l0+s)r, for
+    sender input s and receiver input r; a route the other way has l1 +
+    (l0+1)s and l0 + (l1+s)(r+1).  (class4 is invariant under the cycle.)
     """
     entries = []
-    w = Fraction(1, 4)
     for l0, l1 in product(BITS, repeat=2):
-        if bp.solo == 0:  # pair (B, C), routes B->C and C->B
-            solo_tt = _tt1(lambda x: l0 ^ ((l0 ^ l1) & x))
-            r1 = (
-                _tt1(lambda y: l0 ^ l1 ^ (l1 & y)),
-                _tt2(lambda y, z: l1 ^ ((l0 ^ y) & z)),
-            )
-            r2 = (
-                _tt1(lambda z: l1 ^ ((l0 ^ 1) & z)),
-                _tt2(lambda y, z: l0 ^ ((l1 ^ z) & (y ^ 1))),
-            )
-        elif bp.solo == 1:  # pair (A, C), routes A->C and C->A
-            solo_tt = _tt1(lambda y: l0 ^ ((l0 ^ l1) & y))
-            r1 = (
-                _tt1(lambda x: l1 ^ ((l0 ^ 1) & x)),
-                _tt2(lambda x, z: l0 ^ ((l1 ^ x) & (z ^ 1))),
-            )
-            r2 = (
-                _tt1(lambda z: l0 ^ l1 ^ (l1 & z)),
-                _tt2(lambda x, z: l1 ^ ((l0 ^ z) & x)),
-            )
-        else:  # pair (A, B), routes A->B and B->A
-            solo_tt = _tt1(lambda z: l0 ^ ((l0 ^ l1) & z))
-            r1 = (
-                _tt1(lambda x: l0 ^ l1 ^ (l1 & x)),
-                _tt2(lambda x, y: l1 ^ ((l0 ^ x) & y)),
-            )
-            r2 = (
-                _tt1(lambda y: l1 ^ ((l0 ^ 1) & y)),
-                _tt2(lambda x, y: l0 ^ ((l1 ^ y) & (x ^ 1))),
-            )
-        entries.append((lambda_index(solo_tt, r1, r2), w))
+        routes = []
+        for k in (0, 1):  # route k + 1: pair[k] sends
+            sender, receiver = bp.pair[k], bp.pair[1 - k]
+            if receiver == (sender + 1) % 3:
+                f = lambda s: l0 ^ l1 ^ (l1 & s)
+                g = lambda s, r: l1 ^ ((l0 ^ s) & r)
+            else:
+                f = lambda s: l1 ^ ((l0 ^ 1) & s)
+                g = lambda s, r: l0 ^ ((l1 ^ s) & (r ^ 1))
+            # g's truth table takes the pair's inputs in pair order
+            routes.append((_tt1(f), _tt2(lambda i, j: g(i, j) if k == 0 else g(j, i))))
+        solo_tt = _tt1(lambda s: l0 ^ ((l0 ^ l1) & s))
+        entries.append((lambda_index(solo_tt, *routes), Fraction(1, 4)))
     return ToblModel(bp, tuple(sorted(entries)))

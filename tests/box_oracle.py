@@ -1,5 +1,6 @@
 """Entry-by-entry box operations, the reference that the flat-index versions
-in nsboxes.boxes and nsboxes.bell are tested against.
+in nsboxes.boxes and nsboxes.bell are tested against, and the builtin boxes
+rebuilt from their defining formulas.
 
 Each function loops over (outputs, inputs) assignments with
 itertools.product and rebuilds the flat index of every entry it reads;
@@ -7,10 +8,11 @@ nothing is shared with the library but the index convention and the error
 and report types.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
-from nsboxes import ArityError, Box2, SignallingError, ValidationReport
+from nsboxes import ArityError, Box2, Box3, SignallingError, ValidationReport
 
 BITS = (0, 1)
 PARTY_NAMES = "ABC"
@@ -145,3 +147,79 @@ def dumps(box):
 def correlator_table(box):
     """(E00, E01, E10, E11) of a bipartite box."""
     return tuple(correlator(box, (0, 1), xy) for xy in product(BITS, repeat=2))
+
+
+def from_entries(cls, fn):
+    """Box whose entry at (outputs, inputs) is fn(*outputs, *inputs)."""
+    n = cls.n_parties
+    tab = [ZERO] * 4 ** n
+    for ins in product(BITS, repeat=n):
+        for outs in product(BITS, repeat=n):
+            tab[pack(outs, ins)] = Fraction(fn(*outs, *ins))
+    return cls(tuple(tab))
+
+
+def class3_entry(a, b, c, x, y, z):
+    t = 1
+    if x == 0:
+        t += (-1) ** (a + b)
+    if x == 1 and z == 0:
+        t += (-1) ** (a + c)
+    if x == 1 and z == 1:
+        t += (-1) ** (a + b + c) * (1 if y == 0 else -1)
+    return Fraction(t, 8)
+
+
+# The five gated parities of class4, in subscript notation a0+b1 = 0,
+# b0+c1 = 0, c0+a1 = 0, a0+b0+c0 = 0, a1+b1+c1 = 1: ((party, input), ...)
+# and the parity of those parties' outputs when each holds its input.
+CLASS4_PARITIES = (
+    (((0, 0), (1, 1)), 0),
+    (((1, 0), (2, 1)), 0),
+    (((2, 0), (0, 1)), 0),
+    (((0, 0), (1, 0), (2, 0)), 0),
+    (((0, 1), (1, 1), (2, 1)), 1),
+)
+
+
+def from_parities(parities):
+    """Uniform at each input over the outputs meeting every parity that
+    applies there."""
+    tab = [ZERO] * 64
+    for ins in product(BITS, repeat=3):
+        applicable = [
+            (gates, parity) for gates, parity in parities if all(ins[p] == i for p, i in gates)
+        ]
+        sat = [
+            outs
+            for outs in product(BITS, repeat=3)
+            if all(sum(outs[p] for p, _ in gates) % 2 == parity for gates, parity in applicable)
+        ]
+        for outs in sat:
+            tab[pack(outs, ins)] = Fraction(1, len(sat))
+    return Box3(tuple(tab))
+
+
+_FORMULAS = {
+    "class3": (Box3, class3_entry),
+    "class44": (Box3, lambda a, b, c, x, y, z: Fraction(1, 4) if (a + b + c) % 2 == x * y * z else 0),
+    "pr": (Box2, lambda a, b, x, y: Fraction(1, 2) if (a + b) % 2 == x * y else 0),
+    "uniform3": (Box3, lambda *_: Fraction(1, 8)),
+    "uniform2": (Box2, lambda *_: Fraction(1, 4)),
+}
+
+
+def builtin(name):
+    """The builtin box of that name, rebuilt from its defining formula."""
+    if name == "class4":
+        return from_parities(CLASS4_PARITIES)
+    m = re.fullmatch(r"deterministic\((\d),(\d),(\d)\)", name)
+    if m:
+        # product of per-party response functions: bit i of a truth table
+        # is the output on input i
+        tts = tuple(map(int, m.groups()))
+        return from_entries(
+            Box3,
+            lambda *e: all(e[p] == (tts[p] >> e[3 + p]) & 1 for p in range(3)),
+        )
+    return from_entries(*_FORMULAS[name])

@@ -1,16 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import box_oracle
 from nsboxes import (
-    CLASS4_CONSTRAINTS,
     ArityError,
     Box2,
     Box3,
     BoxError,
-    ConstraintSet,
-    ContradictionError,
     InexactValueError,
     InvalidBoxError,
     ParseError,
@@ -19,12 +18,12 @@ from nsboxes import (
     SignallingError,
     UnknownBuiltinError,
     all_relabelings2,
-    build_from_constraints,
     builtin,
     correlator,
     dumps,
     index2,
     index3,
+    load,
     loads,
     marginal,
     mix,
@@ -33,6 +32,10 @@ from nsboxes import (
 )
 
 SEED = 20240917
+
+BUILTIN_NAMES = ["class3", "class4", "class44", "pr", "uniform3", "uniform2"] + [
+    f"deterministic({ta},{tb},{tc})" for ta, tb, tc in product(range(4), repeat=3)
+]
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -68,8 +71,26 @@ def test_builtin_tables_are_normalized_and_nonsignalling():
 def test_unknown_builtin():
     with pytest.raises(UnknownBuiltinError):
         builtin("class5")
-    with pytest.raises(UnknownBuiltinError):
-        builtin("deterministic(4,0,0)")
+    # one ASCII digit 0..3 per truth table: no other digit, no padding, no sign
+    for name in (
+        "deterministic(4,0,0)",
+        "deterministic(\u0663,0,0)",
+        "deterministic(0003,0,0)",
+        "deterministic(00,0,0)",
+        "deterministic(+1,0,0)",
+        "deterministic(1,0)",
+        "deterministic(1,0,0)x",
+    ):
+        with pytest.raises(UnknownBuiltinError):
+            builtin(name)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_equals_oracle(name):
+    box = builtin(name)
+    oracle = box_oracle.builtin(name)
+    assert type(box) is type(oracle)
+    assert box.table == oracle.table
 
 
 def test_class3_defining_entries():
@@ -194,6 +215,13 @@ def test_loads_rejects_garbage():
         loads("box2\n0 0 | 0 0 = 1\n")  # other inputs unnormalized
     with pytest.raises(ParseError):
         loads("box2\n01 0 | 0 0 = 1/2\n", check=False)  # bits are 0 or 1
+
+
+def test_load_rejects_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.box"
+    path.write_bytes(b"box2\n\xff\xfe\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load(path)
 
 
 def test_round_trip_all_builtins():
@@ -367,30 +395,6 @@ def test_class4_fixed_by_cyclic_permutation():
     box = builtin("class4")
     cyc = Relabeling((1, 2, 0), (0, 0, 0), ((0, 0), (0, 0), (0, 0)))
     assert relabel(box, cyc).table == box.table
-
-
-def test_build_from_constraints_reproduces_class4():
-    assert build_from_constraints(CLASS4_CONSTRAINTS).table == builtin("class4").table
-
-
-def test_build_from_constraints_single_parity():
-    cs = ConstraintSet(((frozenset({(0, 0), (1, 0), (2, 0)}), 0),))
-    box = build_from_constraints(cs)
-    # applies only at inputs (0,0,0); elsewhere uniform
-    assert box.prob(0, 0, 0, 0, 0, 0) == QUARTER
-    assert box.prob(0, 0, 1, 0, 0, 0) == 0
-    assert box.prob(0, 0, 1, 1, 0, 0) == EIGHTH
-
-
-def test_build_from_constraints_contradiction():
-    cs = ConstraintSet(
-        (
-            (frozenset({(0, 0)}), 0),
-            (frozenset({(0, 0)}), 1),
-        )
-    )
-    with pytest.raises(ContradictionError):
-        build_from_constraints(cs)
 
 
 def test_random_mixtures_stay_valid():

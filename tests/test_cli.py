@@ -44,6 +44,11 @@ def test_missing_file(capsys):
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "validate", "builtin:classx")
     assert code == 2
+    # an Arabic-Indic three or a padded digit is not the truth table 3
+    for name in ("deterministic(\u0663,0,0)", "deterministic(0003,0,0)"):
+        code, out, err = run(capsys, "validate", f"builtin:{name}")
+        assert (code, out) == (2, ""), name
+        assert "unknown builtin box" in err
 
 
 def test_eval_k(capsys):

@@ -126,9 +126,15 @@ def test_is_tobl_rejects_bipartite_input():
 
 def test_class4_model_verifies_on_every_bipartition():
     box = builtin("class4")
+    lambdas = {
+        "A|BC": (546, 7309, 9681, 15230),
+        "B|AC": (2312, 4852, 9303, 16299),
+        "C|AB": (546, 7309, 9681, 15230),
+    }
     for bp in BIPARTITIONS:
         model = class4_tobl_model(bp)
         assert model.bipartition == bp
+        assert tuple(idx for idx, _ in model.weights) == lambdas[bp.name]
         assert len(model.weights) == 4
         assert all(w == Fraction(1, 4) for _, w in model.weights)
         assert verify_model(model, box)
