@@ -21,6 +21,7 @@ from .boxes import (
     ZERO,
     ArityError,
     ParseError,
+    _require3,
     all_relabelings2,
     block_correlators,
     correlator,
@@ -143,6 +144,7 @@ class GyniWeights:
 
 def gyni_value(box: Box3, weights: GyniWeights) -> Fraction:
     """Probability that each party outputs its right neighbour's input."""
+    _require3(box, "gyni_value")
     total = ZERO
     for x1, x2, x3 in product(BITS, repeat=3):
         w = weights.q[4 * x1 + 2 * x2 + x3]

@@ -243,6 +243,13 @@ def validate(box: Box) -> ValidationReport:
     return ValidationReport(n, negative, norm, tuple(signalling))
 
 
+def _require3(box, what: str) -> Box3:
+    """Raise ArityError unless box is tripartite."""
+    if not isinstance(box, Box3):
+        raise ArityError(f"{what} needs a tripartite box")
+    return box
+
+
 def require_valid(box: Box) -> Box:
     """Raise InvalidBoxError unless box passes full validation."""
     report = validate(box)

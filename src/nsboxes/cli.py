@@ -28,6 +28,7 @@ from .boxes import (
     ParseError,
     UnknownBuiltinError,
     _read_text,
+    _require3,
     builtin,
     dumps,
     load,
@@ -66,12 +67,6 @@ def _write(path, text: str) -> None:
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _require3(box, what: str) -> Box3:
-    if not isinstance(box, Box3):
-        raise ArityError(f"{what} needs a tripartite box")
-    return box
-
-
 def _require2(box, what: str) -> Box2:
     if not isinstance(box, Box2):
         raise ArityError(f"{what} needs a bipartite box")
@@ -96,6 +91,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.q is not None and args.functional != "gyni":
+        raise _Usage("--q applies to --functional gyni only")
     box = _load_box(args.box)
     require_valid(box)
     functional = args.functional
@@ -169,6 +166,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_membership(args) -> int:
+    if args.bipartition is not None and args.model != "tobl":
+        raise _Usage("--bipartition applies to --model tobl only")
     box = _load_box(args.box)
     if args.model == "ns":
         report = validate(box)

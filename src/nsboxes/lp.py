@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .boxes import InexactValueError
@@ -51,6 +52,17 @@ class LPProblem:
                     raise LPError(f"column {col} out of range")
                 if isinstance(coeff, float):
                     raise InexactValueError(f"inexact float coefficient {coeff!r} in column {col}")
+
+    @cached_property
+    def columns(self) -> dict:
+        """Column index: column -> list of its (row, coefficient) pairs with
+        nonzero coefficient, rows ascending.  Built once; do not mutate."""
+        index: dict[int, list] = {}
+        for r, (entries, _) in enumerate(self.rows):
+            for col, coeff in entries:
+                if coeff:
+                    index.setdefault(col, []).append((r, coeff))
+        return index
 
 
 @dataclass(frozen=True)
@@ -123,30 +135,13 @@ def _lift_farkas(problem: LPProblem, steps: list, farkas: dict) -> dict:
     the step removed keeps a nonpositive aggregate.  Restored multipliers
     pair with zero right-hand sides, so y^T b is untouched.
     """
-    if not steps:
-        return farkas
-    # Column access over the full matrix, restricted to columns that some
-    # step removed (the only ones whose aggregates change).
-    removed = set()
-    for _, _, live in steps:
-        removed.update(col for col, _ in live)
-    col_entries: dict[int, list] = {c: [] for c in removed}
-    for r, (entries, _) in enumerate(problem.rows):
-        for col, coeff in entries:
-            if coeff and col in removed:
-                col_entries[col].append((r, coeff))
     for row, sign, live in reversed(steps):
-        m = ZERO
-        for col, coeff in live:
-            t = ZERO
-            for r, c in col_entries[col]:
-                yv = farkas.get(r)
-                if yv is not None:
-                    t += yv * c
-            need = t / abs(coeff)
-            if need > m:
-                m = need
-        if m:
+        m = max(
+            (sum((farkas[r] * c for r, c in problem.columns[col] if r in farkas), ZERO) / abs(coeff)
+             for col, coeff in live),
+            default=ZERO,
+        )
+        if m > 0:
             farkas[row] = -sign * m
     return farkas
 
@@ -157,18 +152,10 @@ def _presolve(problem: LPProblem):
     Returns (col_alive, active_rows, steps) or an infeasibility certificate
     when a row with no live columns has nonzero right-hand side.
     """
-    n = problem.num_vars
     m = len(problem.rows)
-    col_alive = [True] * n
+    col_alive = [True] * problem.num_vars
     row_alive = [True] * m
-    live_count = [0] * m
-    for i, (entries, _) in enumerate(problem.rows):
-        live_count[i] = sum(1 for _, coeff in entries if coeff)
-    rows_by_col: dict[int, list] = {}
-    for i, (entries, _) in enumerate(problem.rows):
-        for col, coeff in entries:
-            if coeff:
-                rows_by_col.setdefault(col, []).append(i)
+    live_count = [sum(1 for _, coeff in entries if coeff) for entries, _ in problem.rows]
     steps: list = []
     queue = deque(range(m))
     queued = [True] * m
@@ -197,7 +184,7 @@ def _presolve(problem: LPProblem):
         row_alive[i] = False
         for col, _ in live:
             col_alive[col] = False
-            for r in rows_by_col[col]:
+            for r, _ in problem.columns[col]:
                 if row_alive[r]:
                     live_count[r] -= 1
                     if not queued[r]:
@@ -211,108 +198,54 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
     """Phase-1 revised simplex on the reduced system.
 
     Returns (point, None) on feasibility or (None, farkas) where both use the
-    original row and column ids.  Bland's rule (lowest-index entering column,
-    lowest-label leaving variable) guarantees termination; artificials never
-    re-enter, which just restricts later iterations to a smaller problem with
-    the same feasibility answer.
+    original row and column ids.  A basic variable is labelled by its column
+    id, or by num_vars + pos for the artificial of row pos, so int order is
+    Bland's order, structurals first.  Bland's rule (lowest-index entering
+    column, lowest-label leaving variable) guarantees termination;
+    artificials never re-enter, which just restricts later iterations to a
+    smaller problem with the same feasibility answer.
     """
+    n = problem.num_vars
     m = len(active_rows)
-    if m == 0:
-        return {}, None
     # Row signs flip so the right-hand side is nonnegative.
-    sign = [ONE] * m
-    b = []
-    for pos, i in enumerate(active_rows):
-        rhs = Fraction(problem.rows[i][1])
-        if rhs < 0:
-            sign[pos] = -ONE
-            rhs = -rhs
-        b.append(rhs)
-    row_pos = {i: pos for pos, i in enumerate(active_rows)}
+    sign = [-ONE if problem.rows[i][1] < 0 else ONE for i in active_rows]
+    xb = [s * problem.rows[i][1] for s, i in zip(sign, active_rows)]
     cols: dict[int, list] = {}
-    for i in active_rows:
-        pos = row_pos[i]
+    for pos, i in enumerate(active_rows):
         for col, coeff in problem.rows[i][0]:
             if coeff and col_alive[col]:
                 cols.setdefault(col, []).append((pos, sign[pos] * coeff))
     col_ids = sorted(cols)
-
     binv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-    basis: list = [("art", pos) for pos in range(m)]  # ("var", col) once replaced
-    xb = b[:]
+    basis = [n + pos for pos in range(m)]
 
     while True:
-        art_rows = [i for i in range(m) if basis[i][0] == "art"]
-        obj = sum((xb[i] for i in art_rows), ZERO)
-        if obj == 0:
-            point = {}
-            for i in range(m):
-                kind, ident = basis[i]
-                if kind == "var" and xb[i]:
-                    point[ident] = xb[i]
-            return point, None
+        art_rows = [i for i in range(m) if basis[i] >= n]
+        if not any(xb[i] for i in art_rows):
+            return {basis[i]: xb[i] for i in range(m) if basis[i] < n and xb[i]}, None
         # Duals of the phase-1 objective (artificial cost 1, structural 0).
-        y = [ZERO] * m
-        for i in art_rows:
-            row = binv[i]
-            for j in range(m):
-                if row[j]:
-                    y[j] += row[j]
-        entering = None
-        for col in col_ids:
-            reduced = ZERO
-            for pos, coeff in cols[col]:
-                yv = y[pos]
-                if yv:
-                    reduced -= yv * coeff
-            if reduced < 0:
-                entering = col
-                break
+        y = [sum((binv[i][j] for i in art_rows if binv[i][j]), ZERO) for j in range(m)]
+        entering = next(
+            (col for col in col_ids if sum(y[pos] * coeff for pos, coeff in cols[col] if y[pos]) > 0),
+            None,
+        )
         if entering is None:
-            farkas = {}
-            for pos, i in enumerate(active_rows):
-                yv = sign[pos] * y[pos]
-                if yv:
-                    farkas[i] = yv
-            return None, farkas
-        d = [ZERO] * m
-        for pos, coeff in cols[entering]:
-            col_binv = [binv[i][pos] for i in range(m)]
-            for i in range(m):
-                if col_binv[i]:
-                    d[i] += coeff * col_binv[i]
-        leave = None
-        best = None
-        for i in range(m):
-            if d[i] > 0:
-                ratio = xb[i] / d[i]
-                if best is None or ratio < best:
-                    best = ratio
-                    leave = i
-                elif ratio == best:
-                    # Bland tie-break on variable labels, structurals first.
-                    cur = basis[leave]
-                    cand = basis[i]
-                    cur_key = (0, cur[1]) if cur[0] == "var" else (1, cur[1])
-                    cand_key = (0, cand[1]) if cand[0] == "var" else (1, cand[1])
-                    if cand_key < cur_key:
-                        leave = i
+            return None, {i: s * yv for i, s, yv in zip(active_rows, sign, y) if yv}
+        d = [sum((coeff * row[pos] for pos, coeff in cols[entering] if row[pos]), ZERO) for row in binv]
+        leave = min(((xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > 0), default=None)
         if leave is None:
             raise LPError("phase-1 objective unbounded; inconsistent state")
-        piv = d[leave]
-        lrow = binv[leave]
+        theta, _, r = leave
+        piv = d[r]
         if piv != 1:
-            lrow = [v / piv for v in lrow]
-            binv[leave] = lrow
-        theta = xb[leave] / piv
+            binv[r] = [v / piv for v in binv[r]]
+        lrow = binv[r]
         for i in range(m):
-            if i != leave and d[i]:
-                di = d[i]
-                irow = binv[i]
-                binv[i] = [iv - di * lv if lv else iv for iv, lv in zip(irow, lrow)]
-                xb[i] -= di * theta
-        xb[leave] = theta
-        basis[leave] = ("var", entering)
+            if i != r and d[i]:
+                binv[i] = [iv - d[i] * lv if lv else iv for iv, lv in zip(binv[i], lrow)]
+                xb[i] -= d[i] * theta
+        xb[r] = theta
+        basis[r] = entering
 
 
 def lp_feasible(problem: LPProblem) -> LPCertificate:

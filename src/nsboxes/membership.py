@@ -27,7 +27,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import product
 
-from .boxes import BITS, ONE, ZERO, ArityError, Box3, pack, require_valid
+from .boxes import BITS, ONE, ZERO, Box3, _require3, pack, require_valid
 from .lp import LPCertificate, LPError, LPProblem, lp_feasible
 from .wiring import Bipartition
 
@@ -50,11 +50,7 @@ def local_problem(box) -> LPProblem:
             outs = tuple(_bit(tts[p], ins[p]) for p in range(n))
             rows_entries[pack(outs, ins)].append((col, 1))
         rows_entries[size].append((col, 1))
-    rows = [
-        (tuple(rows_entries[i]), box.table[i]) for i in range(size)
-    ]
-    rows.append((tuple(rows_entries[size]), ONE))
-    return LPProblem(num_cols, tuple(rows))
+    return LPProblem(num_cols, tuple(zip(map(tuple, rows_entries), box.table + (ONE,))))
 
 
 def is_local(box) -> LPCertificate:
@@ -231,11 +227,12 @@ def _lift_tobl(pre: _ToblPresolve, bp: Bipartition, y: dict) -> dict:
 
     def lift(route, partner):
         for j in reversed([j for j in pre.steps if j // 64 == route]):
-            m = ZERO
-            for st, k in enumerate(pre.z[route]):
-                if k == j and partner[st // 64] is not None:
-                    m = max(m, _strategy_sum(y, routes[route][st]) + partner[st // 64] + base)
-            if m:
+            m = max(
+                (_strategy_sum(y, routes[route][st]) + partner[st // 64] + base
+                 for st, k in enumerate(pre.z[route]) if k == j and partner[st // 64] is not None),
+                default=ZERO,
+            )
+            if m > 0:
                 y[j] = -m
 
     # Steps lift in reverse row order, so those on route 1 (rows 64..127)
@@ -248,23 +245,31 @@ def _lift_tobl(pre: _ToblPresolve, bp: Bipartition, y: dict) -> dict:
     return y
 
 
+def _reading(bp: Bipartition, point) -> tuple | None:
+    """The 129 row sums of tobl_problem at a sparse point, given as (lambda
+    index, weight) pairs; None when a weight is negative or an index lies
+    outside 0..16383."""
+    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
+    reading = [ZERO] * 129
+    for col, v in point:
+        if v < 0 or not 0 <= col < 16384:
+            return None
+        sigma, f2 = divmod(col, 64)
+        for r in routes[0][sigma] + routes[1][sigma // 64 * 64 + f2] + (128,):
+            reading[r] += v
+    return tuple(reading)
+
+
 def _verify_tobl(cert: LPCertificate, pre: _ToblPresolve, table, bp: Bipartition) -> bool:
     """cert.verify(tobl_problem(box, bp)) on route strategies; a point must
     also stay on the columns the presolve left."""
-    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
     rhs = tuple(table) * 2 + (ONE,)
     if cert.feasible:
-        reading = [ZERO] * 129
-        for col, v in cert.point_dict().items():
-            if v < 0 or not 0 <= col < 16384:
-                return False
-            sigma, f2 = divmod(col, 64)
-            tau = sigma // 64 * 64 + f2
-            if pre.z[0][sigma] < _NEVER or pre.z[1][tau] < _NEVER:
-                return False
-            for r in routes[0][sigma] + routes[1][tau] + (128,):
-                reading[r] += v
-        return tuple(reading) == rhs
+        point = cert.point_dict()
+        return _reading(bp, point.items()) == rhs and all(
+            pre.z[0][col // 64] == _NEVER and pre.z[1][col // 4096 * 64 + col % 64] == _NEVER
+            for col in point
+        )
     y = cert.farkas_dict()
     if any(not 0 <= r < 129 for r in y):
         return False
@@ -272,6 +277,7 @@ def _verify_tobl(cert: LPCertificate, pre: _ToblPresolve, table, bp: Bipartition
         return False
     # All 16384 column aggregates are nonpositive iff, per solo truth
     # table, the largest u0 plus the largest u1 plus y[128] is.
+    routes = (_route_rows(bp, 0), _route_rows(bp, 1))
     best = [
         [max(_strategy_sum(y, routes[route][st]) for st in _block(s)) for s in range(4)]
         for route in (0, 1)
@@ -289,9 +295,7 @@ def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:
     verification run on the 2 x 256 route strategies, and the simplex on
     the columns the presolve leaves.
     """
-    if not isinstance(box, Box3):
-        raise ArityError("time-ordered decompositions are defined for Box3")
-    require_valid(box)
+    require_valid(_require3(box, "is_tobl"))
     pre = _tobl_presolve(box.table, bp)
     if pre.detected is not None:
         farkas = _lift_tobl(pre, bp, {pre.detected: ONE})
@@ -315,25 +319,16 @@ class ToblModel:
 
     def induced_box(self, route: int) -> Box3:
         """Box reproduced by reading every strategy triple along one route."""
-        rows = _route_rows(self.bipartition, route)
-        tab = [ZERO] * 64
-        for idx, w in self.weights:
-            solo_tt, r1, r2 = decode_lambda(idx)
-            f, g = r1 if route == 0 else r2
-            for row in rows[solo_tt * 64 + f * 16 + g]:
-                tab[row - 64 * route] += w
-        return Box3(tuple(tab))
+        reading = _reading(self.bipartition, self.weights)
+        if reading is None:
+            raise ValueError("model weights must be nonnegative on lambda indices 0..16383")
+        return Box3(reading[64 * route:64 * route + 64])
 
 
 def verify_model(model: ToblModel, box: Box3) -> bool:
-    """Both directional readings must reproduce the box exactly."""
-    ws = [w for _, w in model.weights]
-    if any(w < 0 for w in ws) or sum(ws) != 1:
-        return False
-    return (
-        model.induced_box(0).table == box.table
-        and model.induced_box(1).table == box.table
-    )
+    """Nonnegative weights summing to 1 whose two directional readings both
+    reproduce the box exactly."""
+    return _reading(model.bipartition, model.weights) == box.table * 2 + (ONE,)
 
 
 def _tt1(fn) -> int:

@@ -31,6 +31,7 @@ from .boxes import (
     ParseError,
     _IN_W,
     _OUT_W,
+    _require3,
     require_valid,
 )
 from . import bell
@@ -42,6 +43,11 @@ class Bipartition:
 
     solo: int
     pair: tuple[int, int]
+
+    def __post_init__(self):
+        if sorted((self.solo, *self.pair)) != [0, 1, 2] or self.pair[0] > self.pair[1]:
+            raise ParseError(f"bipartition needs parties 0, 1, 2 with the pair ascending, "
+                             f"got solo {self.solo!r} and pair {self.pair!r}")
 
     @property
     def name(self) -> str:
@@ -181,7 +187,7 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     correct sequential probability, with the 0 * (0/0) = 0 convention built
     in (a zero-probability branch contributes zero to every entry).
     """
-    require_valid(box)
+    require_valid(_require3(box, "apply_wiring"))
     first, second = w.actors()
     # the halves at s' = 0 and 1, packed as in _half_table
     t0, t1 = (
@@ -306,7 +312,7 @@ def search_max_all(
     for f in functionals:
         if f not in forms:
             raise ParseError(f"unknown functional {f!r}")
-    require_valid(box)
+    require_valid(_require3(box, "search_max_all"))
     scale = lcm(*(v.denominator for v in box.table))
     table = [v.numerator * (scale // v.denominator) for v in box.table]
     best: dict[str, tuple[int, Wiring]] = {}

@@ -188,6 +188,11 @@ def test_gyni_class4_meets_bound_exactly():
     assert gyni_value(builtin("class4"), w) == Fraction(1, 4)
 
 
+def test_gyni_rejects_bipartite_box():
+    with pytest.raises(ArityError):
+        gyni_value(builtin("pr"), GyniWeights.uniform_even_parity())
+
+
 def test_gyni_never_beats_bound_on_class4():
     rng = random.Random(SEED + 2)
     box = builtin("class4")

@@ -333,7 +333,7 @@ def test_table1_missing_directory(tmp_path, capsys):
     assert code == 2
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "builtin:pr", "--functional", "nonsense"])
     assert exc.value.code == 2
@@ -342,6 +342,17 @@ def test_usage_errors_exit_two(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+    # an option the chosen functional or model would ignore
+    cert = tmp_path / "c.cert"
+    for argv in (
+        ("eval", "builtin:pr", "--functional", "chsh", "--q", "/nonexistent"),
+        ("membership", "builtin:pr", "--model", "local", "--bipartition", "X|YZ", "--certificate", str(cert)),
+        ("membership", "builtin:pr", "--model", "ns", "--bipartition", "A|BC", "--certificate", str(cert)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "only" in err, argv
+    assert not cert.exists()
 
 
 def test_box_file_that_is_not_utf8(tmp_path, capsys):

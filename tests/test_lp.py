@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsboxes import InexactValueError
+from nsboxes import BIPARTITIONS, InexactValueError, builtin, is_local, is_tobl
 from nsboxes.lp import LPCertificate, LPError, LPProblem, _presolve, lp_feasible
 
 F = Fraction
@@ -286,19 +287,90 @@ def test_farkas_witnesses_lifted_through_presolve_cascades():
     assert lifted_early >= 10
 
 
+# Beale's degenerate LP (the form in Bertsimas and Tsitsiklis, Example 3.6),
+# which cycles under the largest-coefficient rule: minimise
+# -3/4 x3 + 20 x4 - 1/2 x5 + 6 x6 over slacks x0, x1, x2.  Its optimum is
+# -5/4, so "objective + x7 = t" is feasible exactly for t >= -5/4.
+BEALE = [
+    (((0, 1), (3, F(1, 4)), (4, -8), (5, -1), (6, 9)), 0),
+    (((1, 1), (3, F(1, 2)), (4, -12), (5, F(-1, 2)), (6, 3)), 0),
+    (((2, 1), (5, 1)), 1),
+]
+BEALE_OBJECTIVE = ((3, F(-3, 4)), (4, 20), (5, F(-1, 2)), (6, 6), (7, 1))
+
+
 def test_beale_cycling_example_terminates_under_bland():
-    # Beale's degenerate LP (the form in Bertsimas and Tsitsiklis, Example
-    # 3.6), which cycles under the largest-coefficient rule: minimise
-    # -3/4 x3 + 20 x4 - 1/2 x5 + 6 x6 over slacks x0, x1, x2.  Its optimum is
-    # -5/4, so "objective + x7 = t" is feasible exactly for t >= -5/4.
-    beale = [
-        (((0, 1), (3, F(1, 4)), (4, -8), (5, -1), (6, 9)), 0),
-        (((1, 1), (3, F(1, 2)), (4, -12), (5, F(-1, 2)), (6, 3)), 0),
-        (((2, 1), (5, 1)), 1),
-    ]
-    objective = ((3, F(-3, 4)), (4, 20), (5, F(-1, 2)), (6, 6), (7, 1))
     for target, feasible in ((F(-5, 4), True), (F(-5, 4) - F(1, 100), False), (F(0), True)):
-        problem, cert = solve(8, beale + [(objective, target)])
+        problem, cert = solve(8, BEALE + [(BEALE_OBJECTIVE, target)])
         assert cert.feasible is feasible
         assert basis_feasible(problem) is feasible
         assert cert.verify(problem)
+
+
+# The first 20 systems of this stream whose phase-1 ratio test ties, seven of
+# them between a structural and an artificial variable; Bland's leaving rule
+# alone decides their pivot paths.
+TIE_SEED = 1
+TIE_CASES = (59, 140, 148, 164, 206, 257, 436, 458, 472, 509, 511, 530, 547, 548, 597, 630, 700, 785, 841, 846)
+
+# First 16 hex digits of the sha256 of each certificate's to_text().  They
+# pin the pivot path: a change to the entering or leaving rule changes
+# some certificate even where both answers still verify.
+PINNED_CERTIFICATES = {
+    "tobl class3 A|BC": "3938a0bfd9cc7d61",
+    "tobl class3 B|AC": "e8747fd4eae209ac",
+    "tobl class3 C|AB": "da3c82ed5dcda3bf",
+    "tobl class4 A|BC": "62834348313c418a",
+    "tobl class4 B|AC": "8c0928e375f87c1b",
+    "tobl class4 C|AB": "62834348313c418a",
+    "tobl class44 A|BC": "ef31febc608397b1",
+    "tobl class44 B|AC": "9401dcbe435a2a5f",
+    "tobl class44 C|AB": "2b361b24ff0659a2",
+    "local class3": "e8747fd4eae209ac",
+    "local class4": "525322b10f621ffa",
+    "local class44": "2f207a5468e60354",
+    "local pr": "9f9e5fc86b9e31e7",
+    "beale -5/4": "3cb512894ed9f393",
+    "beale -63/50": "d0dca4845633fda8",
+    "beale 0": "34aec28f0116eadb",
+    "tie 59": "dd471834e9f6c1a7",
+    "tie 140": "cda46f926695a301",
+    "tie 148": "c874958f3bb7ebd7",
+    "tie 164": "6b9bc4859dcc47b4",
+    "tie 206": "e639075ae35be507",
+    "tie 257": "99d3f6f1c927363e",
+    "tie 436": "8e113382c8746357",
+    "tie 458": "54a9350690c9082e",
+    "tie 472": "3104cccd1b4ff04a",
+    "tie 509": "29f5ca95a1b34070",
+    "tie 511": "160d2fe4914c294c",
+    "tie 530": "34aec28f0116eadb",
+    "tie 547": "9992514c76b0c884",
+    "tie 548": "6a4cd126d72f7aaf",
+    "tie 597": "f0f7c22df6fd4c7f",
+    "tie 630": "ad2405fb573477d2",
+    "tie 700": "664c9102eb5f6df2",
+    "tie 785": "5aa3fd0f6fbc064b",
+    "tie 841": "677c1cbfddbb9dfe",
+    "tie 846": "77b18e2997a8e65f",
+}
+
+
+def pinned_certificates():
+    certs = {}
+    for name in ("class3", "class4", "class44"):
+        for bp in BIPARTITIONS:
+            certs[f"tobl {name} {bp.name}"] = is_tobl(builtin(name), bp)
+    for name in ("class3", "class4", "class44", "pr"):
+        certs[f"local {name}"] = is_local(builtin(name))
+    for target in (F(-5, 4), F(-5, 4) - F(1, 100), F(0)):
+        certs[f"beale {target}"] = lp_feasible(LPProblem(8, tuple(BEALE + [(BEALE_OBJECTIVE, target)])))
+    rng = random.Random(TIE_SEED)
+    systems = [small_system(rng) for _ in range(max(TIE_CASES) + 1)]
+    for k in TIE_CASES:
+        certs[f"tie {k}"] = lp_feasible(systems[k])
+    return {key: hashlib.sha256(cert.to_text().encode()).hexdigest()[:16] for key, cert in certs.items()}
+
+
+def test_certificates_pinned():
+    assert pinned_certificates() == PINNED_CERTIFICATES

@@ -153,6 +153,17 @@ def test_verify_model_rejects_bad_weights():
     assert not verify_model(unnormalized, builtin("class4"))
 
 
+def test_verify_model_rejects_indices_outside_lambda_range():
+    # shifted by -16384, decode_lambda would wrap each index onto a real
+    # strategy triple; by +16384 it would index past the route strategies
+    base = class4_tobl_model(BIPARTITIONS[0])
+    for shift in (-16384, 16384):
+        shifted = ToblModel(base.bipartition, tuple((idx + shift, w) for idx, w in base.weights))
+        assert not verify_model(shifted, builtin("class4"))
+        with pytest.raises(ValueError):
+            shifted.induced_box(0)
+
+
 def test_lp_weights_for_class4_form_a_valid_model():
     # the solver's own feasible point, read back as a model, must also verify
     box = builtin("class4")

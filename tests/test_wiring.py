@@ -6,6 +6,7 @@ import pytest
 import wiring_oracle as oracle
 from nsboxes import (
     BIPARTITIONS,
+    ArityError,
     Bipartition,
     Box2,
     ParseError,
@@ -44,6 +45,20 @@ def test_bipartition_names():
     assert Bipartition.from_name("B|AC") is BIPARTITIONS[1]
     with pytest.raises(ParseError):
         Bipartition.from_name("A|CB")
+
+
+def test_bipartition_rejects_malformed_fields():
+    assert [Bipartition(bp.solo, bp.pair) for bp in BIPARTITIONS] == list(BIPARTITIONS)
+    for solo, pair in ((0, (1, 1)), (0, (2, 1)), (3, (1, 2)), (0, (1,)), (0, (1, 2, 0)), (1, (1, 2))):
+        with pytest.raises(ParseError):
+            Bipartition(solo, pair)
+
+
+def test_wiring_entry_points_reject_bipartite_boxes():
+    with pytest.raises(ArityError):
+        apply_wiring(builtin("pr"), Wiring.parse(CLASS3_WIRING))
+    with pytest.raises(ArityError):
+        search_max_all(builtin("pr"))
 
 
 def test_wiring_encode_parse_round_trip():
