@@ -70,7 +70,8 @@ class UnknownBuiltinError(BoxError):
 
 
 class InexactValueError(BoxError):
-    """A float was given where an exact value is needed."""
+    """A value that is not exact was given where an exact one is needed: a
+    float anywhere, and in an LPProblem anything but an int or a Fraction."""
 
 
 def exact_values(values) -> tuple[Fraction, ...]:

@@ -1,15 +1,19 @@
 """Exact rational linear feasibility with verifiable certificates.
 
-Problems are systems  A x = b, x >= 0  with sparse rows and Fraction data.
-lp_feasible answers with either a feasible point or a Farkas witness y
-satisfying  y^T A <= 0 componentwise and y^T b > 0; both certificate kinds
+Problems are systems  A x = b, x >= 0  with sparse rows and int or Fraction
+data.  lp_feasible answers with either a feasible point or a Farkas witness
+y satisfying  y^T A <= 0 componentwise and y^T b > 0; both certificate kinds
 re-verify by direct substitution into the original system.
 
 The solver presolves rows with zero right-hand side whose live coefficients
 all share one sign (every column they touch is forced to zero), then runs a
-phase-1 revised simplex with Bland's rule on what remains.  Farkas witnesses
-found on the reduced system are lifted back through the presolve steps, so
-certificates always refer to the caller's row and column indices.
+phase-1 revised simplex with Bland's rule on what remains.  The simplex
+works on integers: the reduced system is scaled once by the lcm of its
+denominators, and the basis inverse is kept as integers times its
+determinant, updated fraction-free, with only the columns of basic
+structural variables stored.  Farkas witnesses found on the reduced system
+are lifted back through the presolve steps, so certificates always refer to
+the caller's row and column indices.
 """
 
 from __future__ import annotations
@@ -30,14 +34,21 @@ class LPError(Exception):
     """Inconsistent solver state; indicates a bug, not bad input."""
 
 
+def _is_exact(value) -> bool:
+    """True for an int or a Fraction, False for a bool and anything else."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 @dataclass(frozen=True)
 class LPProblem:
     """Equality-constrained feasibility problem over nonnegative variables.
 
     rows is a tuple of (entries, rhs) with entries a tuple of (column,
-    coefficient) pairs; coefficients may be int or Fraction, zero
-    coefficients are allowed and ignored.  A float coefficient or rhs
-    raises InexactValueError.
+    coefficient) pairs; zero coefficients are allowed and ignored.  A
+    column outside 0..num_vars-1, or listed twice in one row, raises
+    LPError.  Coefficients and right-hand sides must be int or Fraction;
+    anything else (a float, a bool, a str, a Decimal) raises
+    InexactValueError.
     """
 
     num_vars: int
@@ -45,13 +56,17 @@ class LPProblem:
 
     def __post_init__(self):
         for entries, rhs in self.rows:
-            if isinstance(rhs, float):
-                raise InexactValueError(f"inexact float right-hand side {rhs!r}")
+            if not _is_exact(rhs):
+                raise InexactValueError(f"right-hand side {rhs!r} is not an int or a Fraction")
+            seen = set()
             for col, coeff in entries:
                 if not 0 <= col < self.num_vars:
                     raise LPError(f"column {col} out of range")
-                if isinstance(coeff, float):
-                    raise InexactValueError(f"inexact float coefficient {coeff!r} in column {col}")
+                if col in seen:
+                    raise LPError(f"column {col} listed twice in one row")
+                seen.add(col)
+                if not _is_exact(coeff):
+                    raise InexactValueError(f"coefficient {coeff!r} in column {col} is not an int or a Fraction")
 
     @cached_property
     def columns(self) -> dict:
@@ -63,6 +78,13 @@ class LPProblem:
                 if coeff:
                     index.setdefault(col, []).append((r, coeff))
         return index
+
+
+def _integer_scaled(values: dict) -> tuple[int, dict]:
+    """(scale, {key: value * scale}) for scale the lcm of the denominators of
+    the int or Fraction values: the scaled values are ints of the same signs."""
+    scale = lcm(*(v.denominator for v in values.values()))
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -99,10 +121,9 @@ class LPCertificate:
         y = {r: Fraction(v) for r, v in self.farkas_dict().items()}
         if any(not 0 <= r < len(problem.rows) for r in y):
             return False
-        # Scaling y by the lcm of its denominators keeps every sign below,
-        # and keeps the column sums in integers when the coefficients are.
-        scale = lcm(*(v.denominator for v in y.values()))
-        y = {r: v.numerator * (scale // v.denominator) for r, v in y.items()}
+        # Scaling y to integers keeps every sign below, and keeps the
+        # column sums in integers when the coefficients are.
+        _, y = _integer_scaled(y)
         col_sums: dict = {}
         rhs_sum = ZERO
         for r, yv in y.items():
@@ -195,7 +216,7 @@ def _presolve(problem: LPProblem):
 
 
 def _phase1(problem: LPProblem, col_alive, active_rows):
-    """Phase-1 revised simplex on the reduced system.
+    """Phase-1 revised simplex on the reduced system, in integers.
 
     Returns (point, None) on feasibility or (None, farkas) where both use the
     original row and column ids.  A basic variable is labelled by its column
@@ -204,47 +225,77 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
     column, lowest-label leaving variable) guarantees termination;
     artificials never re-enter, which just restricts later iterations to a
     smaller problem with the same feasibility answer.
+
+    The updates are fraction-free (Bareiss, Math. Comp. 22, 1968).  Rows are
+    signed so the right-hand side is nonnegative, then all scaled by one lcm
+    of the denominators: one scale leaves each artificial's phase-1 cost, the
+    duals and every ratio as they are, where a scale per row would not.
+    With det the determinant of the basis, det * x_B and det * B^-1 are
+    integers.  A pivot on row r with entry piv maps every other row v_i to
+    (piv * v_i - d_i * v_r) // det, an exact division, keeps row r, and
+    makes piv the new det.  Column j of B^-1 stays e_j while position j
+    holds its artificial, so only the columns of positions holding a
+    structural are stored, and a pivot costs O(m k) for k basic structurals.
     """
     n = problem.num_vars
     m = len(active_rows)
-    # Row signs flip so the right-hand side is nonnegative.
-    sign = [-ONE if problem.rows[i][1] < 0 else ONE for i in active_rows]
-    xb = [s * problem.rows[i][1] for s, i in zip(sign, active_rows)]
+    sign = [-1 if problem.rows[i][1] < 0 else 1 for i in active_rows]
+    rhs = [s * problem.rows[i][1] for s, i in zip(sign, active_rows)]
     cols: dict[int, list] = {}
     for pos, i in enumerate(active_rows):
         for col, coeff in problem.rows[i][0]:
             if coeff and col_alive[col]:
                 cols.setdefault(col, []).append((pos, sign[pos] * coeff))
+    scale = lcm(*(v.denominator for v in rhs), *(c.denominator for e in cols.values() for _, c in e))
+    xb = [v.numerator * (scale // v.denominator) for v in rhs]
+    cols = {col: [(pos, c.numerator * (scale // c.denominator)) for pos, c in e] for col, e in cols.items()}
     col_ids = sorted(cols)
-    binv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
+    det = 1
+    inv: dict[int, list] = {}  # position -> its column of det * B^-1, structural positions only
     basis = [n + pos for pos in range(m)]
 
     while True:
         art_rows = [i for i in range(m) if basis[i] >= n]
         if not any(xb[i] for i in art_rows):
-            return {basis[i]: xb[i] for i in range(m) if basis[i] < n and xb[i]}, None
-        # Duals of the phase-1 objective (artificial cost 1, structural 0).
-        y = [sum((binv[i][j] for i in art_rows if binv[i][j]), ZERO) for j in range(m)]
+            return {basis[i]: Fraction(xb[i], det) for i in range(m) if basis[i] < n and xb[i]}, None
+        # det * duals of the phase-1 objective (artificial cost 1, structural 0).
+        y = [det] * m
+        for j, column in inv.items():
+            y[j] = sum(column[i] for i in art_rows)
         entering = next(
             (col for col in col_ids if sum(y[pos] * coeff for pos, coeff in cols[col] if y[pos]) > 0),
             None,
         )
         if entering is None:
-            return None, {i: s * yv for i, s, yv in zip(active_rows, sign, y) if yv}
-        d = [sum((coeff * row[pos] for pos, coeff in cols[entering] if row[pos]), ZERO) for row in binv]
-        leave = min(((xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > 0), default=None)
-        if leave is None:
+            return None, {i: Fraction(s * yv, det) for i, s, yv in zip(active_rows, sign, y) if yv}
+        d = [0] * m
+        for pos, coeff in cols[entering]:
+            column = inv.get(pos)
+            if column is None:
+                d[pos] += det * coeff
+            else:
+                d = [di + coeff * v for di, v in zip(d, column)]
+        # Leaving row: least ratio xb[i] / d[i] over d[i] > 0, then least label.
+        r = -1
+        for i, di in enumerate(d):
+            if di > 0:
+                if r < 0:
+                    r = i
+                    continue
+                here, best = xb[i] * d[r], xb[r] * di
+                if here < best or here == best and basis[i] < basis[r]:
+                    r = i
+        if r < 0:
             raise LPError("phase-1 objective unbounded; inconsistent state")
-        theta, _, r = leave
         piv = d[r]
-        if piv != 1:
-            binv[r] = [v / piv for v in binv[r]]
-        lrow = binv[r]
-        for i in range(m):
-            if i != r and d[i]:
-                binv[i] = [iv - d[i] * lv if lv else iv for iv, lv in zip(binv[i], lrow)]
-                xb[i] -= d[i] * theta
-        xb[r] = theta
+        if r not in inv:
+            inv[r] = [0] * m
+            inv[r][r] = det
+        for column in (xb, *inv.values()):
+            vr = column[r]
+            column[:] = [(piv * v - di * vr) // det for v, di in zip(column, d)]
+            column[r] = vr
+        det = piv
         basis[r] = entering
 
 

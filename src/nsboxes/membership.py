@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 
 from .boxes import BITS, ONE, ZERO, Box3, _require3, pack, require_valid
-from .lp import LPCertificate, LPError, LPProblem, lp_feasible
+from .lp import LPCertificate, LPError, LPProblem, _integer_scaled, lp_feasible
 from .wiring import Bipartition
 
 
@@ -152,8 +152,9 @@ def _tobl_presolve(table, bp: Bipartition) -> _ToblPresolve:
     their products are the columns left.
     """
     routes = (_route_rows(bp, 0), _route_rows(bp, 1))
+    zero = [not v for v in table] * 2
     z = tuple(
-        tuple(min((r for r in hits if not table[r % 64]), default=_NEVER) for hits in strategies)
+        tuple(min((r for r in hits if zero[r]), default=_NEVER) for hits in strategies)
         for strategies in routes
     )
     clean = tuple(
@@ -179,7 +180,7 @@ def _tobl_presolve(table, bp: Bipartition) -> _ToblPresolve:
             for r in hits:
                 if k > last[r]:
                     last[r] = k
-    nonzero = [r for r in range(129) if r == 128 or table[r % 64]]
+    nonzero = [r for r in range(128) if not zero[r]] + [128]
     # First pass in row order: a row whose columns all went before it
     # arrives empty.  The lp presolve stops there, but the steps after it
     # remove only columns that miss that row, so lifting through them adds
@@ -210,8 +211,8 @@ def _tobl_presolve(table, bp: Bipartition) -> _ToblPresolve:
     return _ToblPresolve(z, clean, tuple(steps), detected, True)
 
 
-def _strategy_sum(y: dict, hits) -> Fraction:
-    return sum((y[r] for r in hits if r in y), ZERO)
+def _strategy_sum(y: dict, hits):
+    return sum(y[r] for r in hits if r in y)
 
 
 def _lift_tobl(pre: _ToblPresolve, bp: Bipartition, y: dict) -> dict:
@@ -220,28 +221,31 @@ def _lift_tobl(pre: _ToblPresolve, bp: Bipartition, y: dict) -> dict:
     Column (sigma, tau) aggregates u0(sigma) + u1(tau) + y[128], u being
     the witness summed over a strategy's rows.  So the largest aggregate
     over a step's columns is, per solo truth table, the largest u among the
-    strategies the step removes plus the largest u of their partners.
+    strategies the step removes plus the largest u of their partners.  The
+    sums run on the witness scaled once to integers.
     """
     routes = (_route_rows(bp, 0), _route_rows(bp, 1))
-    base = y.get(128, ZERO)
+    scale, w = _integer_scaled(y)
+    base = w.get(128, 0)
 
     def lift(route, partner):
         for j in reversed([j for j in pre.steps if j // 64 == route]):
             m = max(
-                (_strategy_sum(y, routes[route][st]) + partner[st // 64] + base
+                (_strategy_sum(w, routes[route][st]) + partner[st // 64] + base
                  for st, k in enumerate(pre.z[route]) if k == j and partner[st // 64] is not None),
-                default=ZERO,
+                default=0,
             )
             if m > 0:
-                y[j] = -m
+                w[j] = -m
+                y[j] = Fraction(-m, scale)
 
     # Steps lift in reverse row order, so those on route 1 (rows 64..127)
     # come first.  Their columns pair with clean route-0 strategies, which no
     # step touches; the columns of route-0 steps pair with every route-1
     # strategy, whose rows are all lifted by then.
-    lift(1, [max((_strategy_sum(y, routes[0][st]) for st in clean0), default=None)
+    lift(1, [max((_strategy_sum(w, routes[0][st]) for st in clean0), default=None)
              for clean0, _ in pre.clean])
-    lift(0, [max(_strategy_sum(y, routes[1][tau]) for tau in _block(s)) for s in range(4)])
+    lift(0, [max(_strategy_sum(w, routes[1][tau]) for tau in _block(s)) for s in range(4)])
     return y
 
 
@@ -273,16 +277,17 @@ def _verify_tobl(cert: LPCertificate, pre: _ToblPresolve, table, bp: Bipartition
     y = cert.farkas_dict()
     if any(not 0 <= r < 129 for r in y):
         return False
-    if sum(v * rhs[r] for r, v in y.items()) <= 0:
+    _, w = _integer_scaled(y)
+    if sum(v * rhs[r] for r, v in w.items()) <= 0:
         return False
     # All 16384 column aggregates are nonpositive iff, per solo truth
     # table, the largest u0 plus the largest u1 plus y[128] is.
     routes = (_route_rows(bp, 0), _route_rows(bp, 1))
     best = [
-        [max(_strategy_sum(y, routes[route][st]) for st in _block(s)) for s in range(4)]
+        [max(_strategy_sum(w, routes[route][st]) for st in _block(s)) for s in range(4)]
         for route in (0, 1)
     ]
-    base = y.get(128, ZERO)
+    base = w.get(128, 0)
     return all(b0 + b1 + base <= 0 for b0, b1 in zip(*best))
 
 

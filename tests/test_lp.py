@@ -1,13 +1,26 @@
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsboxes import BIPARTITIONS, InexactValueError, builtin, is_local, is_tobl
-from nsboxes.lp import LPCertificate, LPError, LPProblem, _presolve, lp_feasible
+import lp_oracle
+from nsboxes import (
+    BIPARTITIONS,
+    InexactValueError,
+    Relabeling,
+    builtin,
+    is_local,
+    is_tobl,
+    local_problem,
+    mix,
+    relabel,
+)
+from nsboxes.lp import LPCertificate, LPError, LPProblem, _phase1, _presolve, lp_feasible
+from nsboxes.membership import _one_way_problem, _tobl_presolve
 
 F = Fraction
 
@@ -192,14 +205,24 @@ def test_degenerate_single_variable_chain():
     assert all(v == F(1, n) for _, v in cert.point)
 
 
-def test_float_coefficient_rejected():
+@pytest.mark.parametrize(
+    "value", [0.5, True, "1", Decimal(1), 1j], ids=["float", "bool", "str", "Decimal", "complex"]
+)
+def test_inexact_values_rejected(value):
+    # Only int and Fraction are exact: a bool is not taken as 0 or 1, and a
+    # str is not parsed.
     with pytest.raises(InexactValueError):
-        LPProblem(2, ((((0, 1), (1, 0.5)), F(1)),))
+        LPProblem(2, ((((0, 1), (1, value)), F(1)),))
+    with pytest.raises(InexactValueError):
+        LPProblem(2, ((((0, 1), (1, 1)), value),))
 
 
-def test_float_rhs_rejected():
-    with pytest.raises(InexactValueError):
-        LPProblem(2, ((((0, 1), (1, 1)), 0.1),))
+def test_column_repeated_in_a_row_rejected():
+    # x0 + x0 = 0, x0 + x1 = 1 is feasible at x1 = 1, but the presolve
+    # counts the live entries of a row, so a repeated column used to empty
+    # the second row while x1 was still live.
+    with pytest.raises(LPError):
+        LPProblem(2, ((((0, 1), (0, 1)), 0), (((0, 1), (1, 1)), 1)))
 
 
 def basis_feasible(problem):
@@ -374,3 +397,93 @@ def pinned_certificates():
 
 def test_certificates_pinned():
     assert pinned_certificates() == PINNED_CERTIFICATES
+
+
+def rescaled(rng, problem):
+    """The same feasibility question with each column scaled by a positive
+    fraction and each row by a nonzero one, so coefficients and right-hand
+    sides get assorted denominators that differ from row to row."""
+    col_scale = [F(rng.randrange(1, 12), rng.randrange(1, 12)) for _ in range(problem.num_vars)]
+    rows = []
+    for entries, rhs in problem.rows:
+        r = F(rng.choice((1, -1)) * rng.randrange(1, 12), rng.randrange(1, 12))
+        rows.append((tuple((col, r * coeff * col_scale[col]) for col, coeff in entries), r * rhs))
+    return LPProblem(problem.num_vars, tuple(rows))
+
+
+def phase1_agrees_with_oracle(problem):
+    """_phase1 and the dense Fraction phase 1 give equal dicts; returns
+    "feasible" or "farkas", or None when the presolve decides alone."""
+    col_alive, active_rows, _, early = _presolve(problem)
+    if early is not None:
+        return None
+    got = _phase1(problem, col_alive, active_rows)
+    assert got == lp_oracle.phase1(problem, col_alive, active_rows)
+    return "feasible" if got[1] is None else "farkas"
+
+
+def test_phase1_matches_fraction_oracle_on_generic_systems():
+    # The stream of TIE_CASES as it is (integers, negative right-hand sides,
+    # ratio-test ties) and rescaled: one lcm for all rows keeps the pivot
+    # path, where a scale per row or a skipped row update would not.
+    rng = random.Random(TIE_SEED)
+    scale_rng = random.Random(TIE_SEED + 1)
+    outcomes = {}
+    for k in range(max(TIE_CASES) + 1):
+        problem = small_system(rng)
+        for kind, system in (("integer", problem), ("fractional", rescaled(scale_rng, problem))):
+            outcome = phase1_agrees_with_oracle(system)
+            outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+    assert all(outcomes[kind, outcome] >= 150 for kind in ("integer", "fractional")
+               for outcome in ("feasible", "farkas")), outcomes
+
+
+def relabelled(rng, name):
+    return relabel(
+        builtin(name),
+        Relabeling(
+            tuple(rng.sample((0, 1, 2), 3)),
+            tuple(rng.randrange(2) for _ in range(3)),
+            tuple((rng.randrange(2), rng.randrange(2)) for _ in range(3)),
+        ),
+    )
+
+
+def six_digit_mixture(rng):
+    """A relabelled extremal box mixed with 0-2 deterministic boxes, with
+    weights of 6-digit numerators as in the benchmark's mixed workload."""
+    boxes = [relabelled(rng, rng.choice(("class3", "class4", "class44")))]
+    boxes += [builtin("deterministic({},{},{})".format(*(rng.randrange(4) for _ in range(3))))
+              for _ in range(rng.randrange(3))]
+    raw = [rng.randint(lo, 2 * lo) for lo in (200_000, 50_000, 50_000)[:len(boxes)]]
+    return mix(boxes, [F(r, sum(raw)) for r in raw])
+
+
+# The one-way cases are kept to reduced LPs of at most MAX_ONE_WAY_COLUMNS
+# columns, as the dense oracle takes seconds on a few hundred.
+MIX_SEED = 7
+MAX_ONE_WAY_COLUMNS = 80
+
+
+def test_phase1_matches_fraction_oracle_on_membership_lps():
+    rng = random.Random(MIX_SEED)
+    one_way = local = 0
+    outcomes = set()
+    while one_way < 10 or local < 10:
+        box = six_digit_mixture(rng)
+        bp = rng.choice(BIPARTITIONS)
+        if local < 10:
+            # Noise gives full support, so the presolve leaves the LP whole.
+            a, b = rng.randint(100_000, 999_999), rng.randint(100_000, 999_999)
+            noisy = mix((box, builtin("uniform3")), (F(a, a + b), F(b, a + b)))
+            outcome = phase1_agrees_with_oracle(local_problem(noisy))
+            local += outcome is not None
+            outcomes.add(("local", outcome))
+        pre = _tobl_presolve(box.table, bp)
+        if one_way < 10 and pre.detected is None:
+            problem = _one_way_problem(box.table, bp, pre.clean)
+            if len(problem.columns) <= MAX_ONE_WAY_COLUMNS:
+                outcome = phase1_agrees_with_oracle(problem)
+                one_way += outcome is not None
+                outcomes.add(("one-way", outcome))
+    assert {("local", "feasible"), ("local", "farkas"), ("one-way", "feasible")} <= outcomes
