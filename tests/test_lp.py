@@ -205,8 +205,18 @@ def test_degenerate_single_variable_chain():
     assert all(v == F(1, n) for _, v in cert.point)
 
 
+def test_float_coefficient_rejected():
+    with pytest.raises(InexactValueError):
+        LPProblem(2, ((((0, 1), (1, 0.5)), F(1)),))
+
+
+def test_float_rhs_rejected():
+    with pytest.raises(InexactValueError):
+        LPProblem(2, ((((0, 1), (1, 1)), 0.1),))
+
+
 @pytest.mark.parametrize(
-    "value", [0.5, True, "1", Decimal(1), 1j], ids=["float", "bool", "str", "Decimal", "complex"]
+    "value", [True, "1", Decimal(1), 1j], ids=["bool", "str", "Decimal", "complex"]
 )
 def test_inexact_values_rejected(value):
     # Only int and Fraction are exact: a bool is not taken as 0 or 1, and a
