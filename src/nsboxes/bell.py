@@ -83,15 +83,26 @@ def _dot(c, e):
 
 
 def chsh_max(box: Box2) -> Fraction:
-    """Maximum of |CHSH| over the full relabeling orbit of the box."""
-    e = correlator_table(box)
-    return max(abs(_dot(c, e)) for c in _orbit_forms()[0])
+    """Maximum of |CHSH| over the full relabeling orbit of the box.
+
+    The forms are evaluated in ints on the correlators of the box's integer
+    view (`Box2.scaled`), which are `scale` times the box's; the maximum is
+    returned as Fraction(m, scale).
+    """
+    scale, t = box.scaled
+    e = block_correlators(t)
+    return Fraction(max(abs(_dot(c, e)) for c in _orbit_forms()[0]), scale)
 
 
 def uffink_max(box: Box2) -> Fraction:
-    """Maximum of the Uffink form over the full relabeling orbit of the box."""
-    e = correlator_table(box)
-    return max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1])
+    """Maximum of the Uffink form over the full relabeling orbit of the box.
+
+    Evaluated in ints like chsh_max; the form is quadratic, so the maximum
+    is returned as Fraction(m, scale**2).
+    """
+    scale, t = box.scaled
+    e = block_correlators(t)
+    return Fraction(max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1]), scale ** 2)
 
 
 @dataclass(frozen=True)

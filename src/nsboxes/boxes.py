@@ -2,8 +2,12 @@
 
 A tripartite box stores the 64 probabilities P(abc|xyz) with every party
 holding one input bit and one output bit; a bipartite box stores the 16
-probabilities P(ab|xy).  All values are `fractions.Fraction`, nothing in this
-package ever touches floating point.
+probabilities P(ab|xy).  Tables hold `fractions.Fraction`s; each box also
+keeps, built on first use, one integer view of its table, `(scale, ints)`
+with `scale` the lcm of the denominators (`Box3.scaled`).  Validation, the
+orbit maxima in `bell` and the wiring search read that view, so they add and
+compare ints, and turn a result back into a `Fraction` only at the end.
+Nothing in this package ever touches floating point.
 
 Index conventions used everywhere (inputs most significant, parties in order
 A, B, C):
@@ -26,9 +30,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
+from math import lcm
 from pathlib import Path
 
 BITS = (0, 1)
@@ -70,21 +75,43 @@ class UnknownBuiltinError(BoxError):
 
 
 class InexactValueError(BoxError):
-    """A value that is not exact was given where an exact one is needed: a
-    float anywhere, and in an LPProblem anything but an int or a Fraction."""
+    """A value that is not an exact number was given where one is needed:
+    anything but an int, a Fraction, a Decimal or a string that Fraction()
+    parses, floats and bools included, and in an LPProblem anything but an
+    int or a Fraction."""
+
+
+def _exact(v) -> Fraction:
+    """Fraction(v) for an int, a Fraction, a Decimal or a string Fraction()
+    parses; InexactValueError, chained from Fraction's error, otherwise."""
+    if isinstance(v, float):
+        raise InexactValueError(f"inexact float value {v!r}; pass a Fraction, an int or a string")
+    if isinstance(v, bool):
+        raise InexactValueError(f"bool value {v!r} is not a number; pass a Fraction, an int or a string")
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InexactValueError(f"{v!r} is not an exact number: {exc}") from exc
 
 
 def exact_values(values) -> tuple[Fraction, ...]:
-    """Fractions of ints, Fractions or decimal strings.
+    """Fractions of ints, Fractions, Decimals or decimal strings; a Fraction
+    passes through as it is.
 
-    Floats are refused: Fraction(0.1) is the binary expansion
-    3602879701896397/36028797018963968, not 1/10.
+    Anything else raises InexactValueError, floats included: Fraction(0.1) is
+    the binary expansion 3602879701896397/36028797018963968, not 1/10.
+    Bools are refused too, so True never stands for 1.
     """
+    return tuple(v if type(v) is Fraction else _exact(v) for v in values)
+
+
+def integer_scaled(values) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints) with scale the lcm of the denominators of the int or
+    Fraction values and ints[i] = values[i] * scale: ints of the same signs
+    and order, whose sums compare as the values' sums times scale."""
     values = tuple(values)
-    if any(map(isinstance, values, repeat(float))):
-        bad = next(v for v in values if isinstance(v, float))
-        raise InexactValueError(f"inexact float value {bad!r}; pass a Fraction, an int or a string")
-    return tuple(map(Fraction, values))
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def index3(a: int, b: int, c: int, x: int, y: int, z: int) -> int:
@@ -142,6 +169,12 @@ class _Table:
         if len(self.table) != size:
             raise ArityError(f"{type(self).__name__} needs {size} entries, got {len(self.table)}")
         object.__setattr__(self, "table", exact_values(self.table))
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The table as integer_scaled gives it, (scale, ints), built on
+        first use.  Equality and hashing still read `table` only."""
+        return integer_scaled(self.table)
 
     @classmethod
     def from_function(cls, fn):
@@ -215,16 +248,22 @@ class ValidationReport:
 
 
 def validate(box: Box) -> ValidationReport:
-    """Check positivity, per-input normalization and no-signalling."""
-    n, t = box.n_parties, box.table
+    """Check positivity, per-input normalization and no-signalling.
+
+    The checks run on the box's integer view, where a per-input total is
+    `scale` rather than 1; a failure reports the table's own entry, or a
+    sum as Fraction(sum, scale), the same value the table's sum has.
+    """
+    n = box.n_parties
+    scale, t = box.scaled
     entries = _ENTRIES[n]
-    negative = tuple((*entries[i], v) for i, v in enumerate(t) if v < 0)
+    negative = tuple((*entries[i], box.table[i]) for i, v in enumerate(t) if v < 0)
     # The 2**n outputs at one input assignment are consecutive.
     block = 2 ** n
     norm = tuple(
-        (entries[i][1], total)
+        (entries[i][1], Fraction(total, scale))
         for i in range(0, 4 ** n, block)
-        if (total := sum(t[i : i + block])) != 1
+        if (total := sum(t[i : i + block])) != scale
     )
     # Party p cannot signal: the marginal over p's output must not depend on
     # p's input, for every assignment of the other parties.  Each flat index
@@ -239,7 +278,8 @@ def validate(box: Box) -> ValidationReport:
             if v0 != v1:
                 outs, ins = entries[i]
                 signalling.append(
-                    (PARTY_NAMES[p], outs[:p] + outs[p + 1 :], ins[:p] + ins[p + 1 :], v0, v1)
+                    (PARTY_NAMES[p], outs[:p] + outs[p + 1 :], ins[:p] + ins[p + 1 :],
+                     Fraction(v0, scale), Fraction(v1, scale))
                 )
     return ValidationReport(n, negative, norm, tuple(signalling))
 

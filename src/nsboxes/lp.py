@@ -22,9 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .boxes import InexactValueError
+from .boxes import InexactValueError, integer_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,10 +80,10 @@ class LPProblem:
 
 
 def _integer_scaled(values: dict) -> tuple[int, dict]:
-    """(scale, {key: value * scale}) for scale the lcm of the denominators of
-    the int or Fraction values: the scaled values are ints of the same signs."""
-    scale = lcm(*(v.denominator for v in values.values()))
-    return scale, {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+    """(scale, {key: value * scale}), boxes.integer_scaled on a dict's
+    values: ints of the same signs."""
+    scale, ints = integer_scaled(values.values())
+    return scale, dict(zip(values, ints))
 
 
 @dataclass(frozen=True)
@@ -246,9 +245,9 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
         for col, coeff in problem.rows[i][0]:
             if coeff and col_alive[col]:
                 cols.setdefault(col, []).append((pos, sign[pos] * coeff))
-    scale = lcm(*(v.denominator for v in rhs), *(c.denominator for e in cols.values() for _, c in e))
-    xb = [v.numerator * (scale // v.denominator) for v in rhs]
-    cols = {col: [(pos, c.numerator * (scale // c.denominator)) for pos, c in e] for col, e in cols.items()}
+    _, ints = integer_scaled([*rhs, *(c for e in cols.values() for _, c in e)])
+    xb, coeffs = list(ints[:m]), iter(ints[m:])
+    cols = {col: [(pos, next(coeffs)) for pos, _ in e] for col, e in cols.items()}
     col_ids = sorted(cols)
     det = 1
     inv: dict[int, list] = {}  # position -> its column of det * B^-1, structural positions only

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .boxes import (
     BITS,
@@ -305,16 +304,15 @@ def search_max_all(
 
     Both maxima depend only on the correlator table, whose column at y' = s'
     is fixed by the wiring's half at s', so each (bipartition, ordering)
-    scores its distinct columns, in integers scaled by the lcm of the box's
-    denominators; a later block must do strictly better to win.
+    scores its distinct columns, in the integers of the box's integer view
+    (`Box3.scaled`); a later block must do strictly better to win.
     """
     forms = _column_forms()
     for f in functionals:
         if f not in forms:
             raise ParseError(f"unknown functional {f!r}")
     require_valid(_require3(box, "search_max_all"))
-    scale = lcm(*(v.denominator for v in box.table))
-    table = [v.numerator * (scale // v.denominator) for v in box.table]
+    scale, table = box.scaled
     best: dict[str, tuple[int, Wiring]] = {}
     for bp in BIPARTITIONS:
         for ordering in BITS:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import box_oracle
 from nsboxes import (
     ArityError,
     Box2,
@@ -31,10 +32,6 @@ from nsboxes.bell import _orbit_forms
 SEED = 48611
 
 HALF = Fraction(1, 2)
-
-
-def brute_force_orbit_max(box, functional):
-    return max(functional(relabel(box, r)) for r in all_relabelings2())
 
 
 def random_ns_box2(rng):
@@ -80,12 +77,30 @@ def test_chsh_fixed_form_is_not_the_orbit_max():
     assert uffink_max(box) == 8
 
 
+def oracle_orbit_maxima(box):
+    """(max CHSH, max Uffink) over the 128 relabelled tables, each built and
+    scored entry by entry in Fractions by the box oracle."""
+    correlators = [
+        box_oracle.correlator_table(Box2(box_oracle.relabel_table(box.table, r))) for r in all_relabelings2()
+    ]
+    return (
+        max(e[0] + e[1] + e[2] - e[3] for e in correlators),
+        max((e[0] + e[2]) ** 2 + (e[1] - e[3]) ** 2 for e in correlators),
+    )
+
+
 def test_orbit_max_matches_brute_force_on_random_boxes():
+    # no-signalling mixtures, and unnormalized tables with negative entries
+    # and denominators up to 10**6
     rng = random.Random(SEED)
-    for _ in range(40):
-        box = random_ns_box2(rng)
-        assert chsh_max(box) == brute_force_orbit_max(box, chsh)
-        assert uffink_max(box) == brute_force_orbit_max(box, uffink)
+    boxes = [random_ns_box2(rng) for _ in range(40)]
+    boxes += [
+        Box2(tuple(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(16)))
+        for _ in range(30)
+    ]
+    assert sum(1 for b in boxes if min(b.table) < 0) >= 10
+    for box in boxes:
+        assert (chsh_max(box), uffink_max(box)) == oracle_orbit_maxima(box)
 
 
 def test_orbit_max_invariant_under_relabeling():

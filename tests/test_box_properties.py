@@ -3,6 +3,7 @@ relabelling group laws on index permutations."""
 
 import random
 from fractions import Fraction
+from math import lcm
 from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,60 @@ def test_box_operations_match_oracle():
             assert relabel(box, r).table == oracle.relabel_table(box.table, r)
         if n == 2:
             assert correlator_table(box) == oracle.correlator_table(box)
+
+
+def large_denominator_boxes():
+    """Mixtures of three valid boxes of one arity with 6-digit weights, so
+    denominators are large and coprime, each left valid or made invalid: an
+    entry set negative, two entries at one input traded (signalling, sums
+    kept), or one entry shifted (unnormalized and signalling)."""
+    rng = random.Random(SEED + 3)
+    valid, _ = seeded_boxes()
+    boxes = []
+    for k in range(80):
+        pool = [b for b in valid if b.n_parties == 2 + k % 2]
+        raw = [rng.randint(100_000, 999_999) for _ in range(3)]
+        table = list(mix(rng.sample(pool, 3), [Fraction(r, sum(raw)) for r in raw]).table)
+        d = Fraction(rng.randint(1, 999_999), rng.randint(100_000, 999_999))
+        i = rng.randrange(len(table))
+        kind = k // 2 % 4
+        if kind == 1:
+            table[i] = -d
+        elif kind == 2:
+            j = i ^ rng.randrange(1, 2 ** (2 + k % 2))  # same inputs, other outputs
+            table[i] += d
+            table[j] -= d
+        elif kind == 3:
+            table[i] += d
+        boxes.append(type(pool[0])(tuple(table)))
+    return boxes
+
+
+def test_validate_matches_oracle_on_large_denominators():
+    boxes = large_denominator_boxes()
+    reports = [validate(b) for b in boxes]
+    for box, report in zip(boxes, reports):
+        expected = oracle.validate(box)
+        assert report == expected
+        assert report.lines() == expected.lines()
+    for field in ("negative_entries", "normalization_failures", "signalling_failures"):
+        assert sum(1 for r in reports if getattr(r, field)) >= 10, field
+    assert sum(1 for r in reports if r.is_valid) >= 10
+
+
+def test_integer_view_is_the_table_scaled_by_the_lcm():
+    valid, invalid = seeded_boxes()
+    for box in valid + invalid + large_denominator_boxes():
+        scale, ints = box.scaled
+        assert scale == lcm(*(v.denominator for v in box.table))
+        assert len(ints) == len(box.table)
+        assert all(type(m) is int and Fraction(m, scale) == v for m, v in zip(ints, box.table))
+        # equality and hashing read the table only, built view or not
+        twin = type(box)(box.table)
+        assert "scaled" not in vars(twin)
+        assert twin == box and hash(twin) == hash(box)
+        assert twin.scaled == box.scaled
+        assert twin == type(box)(box.table) and hash(twin) == hash(type(box)(box.table))
 
 
 def test_bipartite_relabeling_group_laws():

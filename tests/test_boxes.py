@@ -10,6 +10,7 @@ from nsboxes import (
     Box2,
     Box3,
     BoxError,
+    GyniWeights,
     InexactValueError,
     InvalidBoxError,
     ParseError,
@@ -310,6 +311,26 @@ def test_box3_rejects_floats():
     with pytest.raises(InexactValueError):
         Box3.from_function(lambda a, b, c, x, y, z: 0.125)
     assert Box3(("1/8",) * 64).table == builtin("uniform3").table
+
+
+# Each value that is not an exact number, with the error Fraction() raises
+# on it (None where the value is refused before Fraction() sees it).
+NOT_EXACT = {1j: TypeError, None: TypeError, "abc": ValueError, "1/0": ZeroDivisionError, True: None}
+EXACT_ENTRY_POINTS = {
+    "Box2": lambda v: Box2((v,) * 16),
+    "Box3": lambda v: Box3((v,) * 64),
+    "mix": lambda v: mix([builtin("pr")], [v]),
+    "GyniWeights": lambda v: GyniWeights((v,) * 8),
+}
+
+
+@pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+@pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
+def test_values_that_are_not_exact_numbers_raise_typed_errors(entry, value):
+    with pytest.raises(InexactValueError) as exc:
+        EXACT_ENTRY_POINTS[entry](value)
+    cause = NOT_EXACT[value]
+    assert type(exc.value.__cause__) is cause if cause else exc.value.__cause__ is None
 
 
 def test_mix_rejects_float_weights():

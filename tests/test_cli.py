@@ -1,3 +1,8 @@
+import contextlib
+import hashlib
+import io
+from itertools import product
+
 import pytest
 
 from nsboxes import boxes, builtin, dump, loads
@@ -5,6 +10,7 @@ from nsboxes.cli import load_table_rows, main
 
 CLASS3_WIRING = "bp=B|AC order=C,A alpha=2 beta=4 gamma=170"
 PARITY_WIRING = "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"
+BITS = (0, 1)
 
 
 def run(capsys, *argv):
@@ -372,3 +378,97 @@ def test_box_file_that_is_not_utf8(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and "not UTF-8" in err, argv
+
+
+# Invalid box files, one per failure kind and one with all three.
+INVALID_BOXES = {
+    # correlator 3 at x = y = 0 with uniform marginals
+    "negative": "box2\n"
+    + "".join(f"{a} {b} | 0 0 = {'1' if a == b else '-1/2'}\n" for a, b in product(BITS, repeat=2))
+    + "".join(f"{a} {b} | {x} {y} = 1/4\n" for x, y, a, b in product(BITS, repeat=4) if x or y),
+    # every entry 1/2: each input sums to 2
+    "normalization": "box2\n" + "".join(f"{a} {b} | {x} {y} = 1/2\n" for x, y, a, b in product(BITS, repeat=4)),
+    # b copies x
+    "signalling": "box2\n" + "".join(f"{a} {x} | {x} {y} = 1/2\n" for x, y, a in product(BITS, repeat=3)),
+    # uniform3 with P(000|000) = -1/7 and P(111|111) = 2/9
+    "all": "box3\n"
+    + "".join(
+        f"{a} {b} {c} | {x} {y} {z} = {({0: '-1/7', 6: '2/9'}).get(x + y + z + a + b + c, '1/8')}\n"
+        for x, y, z, a, b, c in product(BITS, repeat=6)
+    ),
+}
+
+# First 16 hex digits of the sha256 of each command's exit code and stdout.
+# Validation, the wiring kernel and the orbit maxima must print exactly
+# these whatever arithmetic they run on.
+PINNED_OUTPUTS = {
+    "validate negative": "c75bc02834c19dd3",
+    "validate normalization": "288203b004d135bd",
+    "validate signalling": "551cd8523df2bdfb",
+    "validate all": "ee0a5628d842bff0",
+    "wire class3 0": "7558f4f1b6390497",
+    "wire class3 1": "e364466b6036172d",
+    "wire class3 2": "87722681da941f47",
+    "wire class3 3": "7e283fd69802038c",
+    "wire class3 4": "7b4fbdbd1d017011",
+    "wire class3 5": "5744fd48f366bddf",
+    "wire class3 6": "1c0903cd1219449e",
+    "wire class3 7": "4ec8831d43314028",
+    "wire class3 8": "67f2a12c552315b3",
+    "wire class3 9": "7558f4f1b6390497",
+    "wire class3 10": "87722681da941f47",
+    "wire class3 11": "8cff6bda2e55f2e7",
+    "wire class4 0": "e9b8ff2efd7b5256",
+    "wire class4 1": "926c13fde3f6e21a",
+    "wire class4 2": "73a7a117cb911db0",
+    "wire class4 3": "69c64a7f16554c2f",
+    "wire class4 4": "1553c3ecd142a44b",
+    "wire class4 5": "bad2ed8f664089de",
+    "wire class4 6": "fe3bca409883383a",
+    "wire class4 7": "089dfd10d5975c46",
+    "wire class4 8": "67f2a12c552315b3",
+    "wire class4 9": "35a03a318c6b1290",
+    "wire class4 10": "67f2a12c552315b3",
+    "wire class4 11": "36e19cc21b501051",
+    "wire class44 0": "7558f4f1b6390497",
+    "wire class44 1": "73a7a117cb911db0",
+    "wire class44 2": "fc76191aceaa3e6c",
+    "wire class44 3": "a2bbf19e68ca7fd7",
+    "wire class44 4": "4ec8831d43314028",
+    "wire class44 5": "a2bbf19e68ca7fd7",
+    "wire class44 6": "e364466b6036172d",
+    "wire class44 7": "a2bbf19e68ca7fd7",
+    "wire class44 8": "fc76191aceaa3e6c",
+    "wire class44 9": "a2bbf19e68ca7fd7",
+    "wire class44 10": "fc76191aceaa3e6c",
+    "wire class44 11": "fc76191aceaa3e6c",
+    "eval pr chsh-max": "452e39c241ac7c3d",
+    "eval pr uffink-max": "42751d2ee956ba67",
+    "table1": "1f976219a05581da",
+}
+
+
+def pinned_outputs(tmp_path):
+    argvs = {}
+    for kind, text in INVALID_BOXES.items():
+        path = tmp_path / f"{kind}.box"
+        path.write_text(text)
+        argvs[f"validate {kind}"] = ("validate", str(path))
+    wirings = dict.fromkeys(row.encoding for row in load_table_rows() if row.encoding)
+    for name in ("class3", "class4", "class44"):
+        for k, encoding in enumerate(wirings):
+            argvs[f"wire {name} {k}"] = ("wire", f"builtin:{name}", "--wiring", encoding)
+    for functional in ("chsh-max", "uffink-max"):
+        argvs[f"eval pr {functional}"] = ("eval", "builtin:pr", "--functional", functional)
+    argvs["table1"] = ("table1",)
+    digests = {}
+    for key, argv in argvs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        digests[key] = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()[:16]
+    return digests
+
+
+def test_outputs_pinned(tmp_path):
+    assert pinned_outputs(tmp_path) == PINNED_OUTPUTS
