@@ -1,15 +1,34 @@
 """Exact rational linear feasibility with verifiable certificates.
 
-Problems are systems  A x = b, x >= 0  with sparse rows and int or Fraction
-data.  lp_feasible answers with either a feasible point or a Farkas witness
-y satisfying  y^T A <= 0 componentwise and y^T b > 0; both certificate kinds
-re-verify by direct substitution into the original system.
+Problems are systems  A x = b, x >= 0  with sparse columns and int or
+Fraction data.  lp_feasible answers with either a feasible point or a Farkas
+witness y satisfying  y^T A <= 0 componentwise and y^T b > 0; both
+certificate kinds re-verify by direct substitution into the original system.
 
-The solver presolves rows with zero right-hand side whose live coefficients
-all share one sign (every column they touch is forced to zero), then runs a
-phase-1 revised simplex with Bland's rule on what remains.  The simplex
-works on integers: the reduced system is scaled once by the lcm of its
-denominators, and the basis inverse is kept as integers times its
+Columns come in product families.  A family is a base column id and left
+and right strategies, each a sparse list of (row, coefficient) pairs, rows
+ascending; column base + i * len(rights) + j has the entries lefts[i] +
+rights[j].  Every left row of a family precedes its right rows (Family
+raises LPError otherwise), so a row meets a family on one side only.  A
+problem built from rows (LPProblem) is one family whose left strategies are
+its columns and whose one right strategy is empty.  FamilyProblem takes
+families as they are and expands its rows only when they are read.
+
+The solver works on strategies, never on expanded columns.  The presolve
+removes rows with zero right-hand side whose live coefficients share one
+sign, forcing every column they touch to zero: in each family the row
+meets, it kills the live strategies on the row's side, so a family's live
+columns are always its live lefts times its live rights.  A step kills its
+columns in ascending column id, and rows those columns touch are queued
+again in that order.  A phase-1 revised simplex with Bland's rule solves
+what remains.  A column's reduced cost is u_L(i) + u_R(j), u being the
+duals summed over a strategy's rows, so Bland's lowest improving column is
+the first family, then the first left i with u_L(i) + max over live j of
+u_R(j) > 0, then the first such j.  The Farkas lift and the check of a
+witness take the same per-family maxima.
+
+The simplex works on integers: the reduced system is scaled once by the lcm
+of its denominators, and the basis inverse is kept as integers times its
 determinant, updated fraction-free, with only the columns of basic
 structural variables stored.  Farkas witnesses found on the reduced system
 are lifted back through the presolve steps, so certificates always refer to
@@ -18,24 +37,134 @@ the caller's row and column indices.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .boxes import InexactValueError, integer_scaled
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 class LPError(Exception):
-    """Inconsistent solver state; indicates a bug, not bad input."""
+    """Inconsistent solver state or malformed problem structure."""
 
 
 def _is_exact(value) -> bool:
     """True for an int or a Fraction, False for a bool and anything else."""
     return type(value) is int or isinstance(value, Fraction)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Columns base + i * len(rights) + j with the entries lefts[i] +
+    rights[j].  Each strategy is a tuple of (row, coefficient) pairs, rows
+    strictly ascending, coefficients nonzero; every left row precedes every
+    right row.  A breach raises LPError, and a coefficient that is not an
+    int or a Fraction raises InexactValueError."""
+
+    base: int
+    lefts: tuple
+    rights: tuple
+
+    def __post_init__(self):
+        for strategy in chain(self.lefts, self.rights):
+            prev = -1
+            for row, coeff in strategy:
+                if row <= prev:
+                    raise LPError(f"rows of a strategy must ascend, got {row} after {prev}")
+                prev = row
+                if not _is_exact(coeff):
+                    raise InexactValueError(f"coefficient {coeff!r} in row {row} is not an int or a Fraction")
+                if not coeff:
+                    raise LPError(f"zero coefficient in row {row}")
+        last_left = max((s[-1][0] for s in self.lefts if s), default=-1)
+        if any(s and s[0][0] <= last_left for s in self.rights):
+            raise LPError("every left row of a family must precede its right rows")
+
+
+@dataclass(frozen=True)
+class ColumnFamilies:
+    """The columns of a problem with num_rows rows: families ascending by
+    base, not overlapping, inside 0..num_vars-1.  A column no family holds
+    has no entries."""
+
+    num_vars: int
+    num_rows: int
+    families: tuple
+
+    def __post_init__(self):
+        end = 0
+        for fam in self.families:
+            if fam.base < end:
+                raise LPError(f"family at column {fam.base} overlaps the one before it")
+            end = fam.base + len(fam.lefts) * len(fam.rights)
+            for strategy in chain(fam.lefts, fam.rights):
+                if strategy and strategy[-1][0] >= self.num_rows:  # Family keeps rows ascending from 0
+                    raise LPError(f"row out of range in the family at column {fam.base}")
+        if end > self.num_vars:
+            raise LPError(f"column {end - 1} out of range")
+
+    @cached_property
+    def index(self) -> tuple:
+        """(by_row, row_masks).  by_row[r] holds (family, side, ((strategy,
+        coefficient), ...), mask) for each family side whose strategies
+        touch row r, families ascending, side 0 left and 1 right, the mask
+        having bit t set for each strategy t listed.  row_masks[f][side][t]
+        has bit r set for each row r that strategy touches."""
+        by_row: list[list] = [[] for _ in range(self.num_rows)]
+        row_masks = []
+        for f, fam in enumerate(self.families):
+            masks = []
+            for side, strategies in enumerate((fam.lefts, fam.rights)):
+                touching: dict[int, list] = {}
+                side_masks = []
+                for t, strategy in enumerate(strategies):
+                    rows, pairs = 0, {}  # pairs: one shared (t, coefficient) tuple per coefficient
+                    for row, coeff in strategy:
+                        rows |= 1 << row
+                        pair = pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff))
+                        entry = touching.setdefault(row, [[], 0])
+                        entry[0].append(pair)
+                        entry[1] |= 1 << t
+                    side_masks.append(rows)
+                masks.append(tuple(side_masks))
+                for row, (entries, mask) in touching.items():
+                    by_row[row].append((f, side, tuple(entries), mask))
+            row_masks.append(tuple(masks))
+        return tuple(map(tuple, by_row)), tuple(row_masks)
+
+    def row_sums(self, point) -> tuple | None:
+        """A x at a sparse point of (column, value) pairs; None when a value
+        is negative or a column lies outside 0..num_vars-1."""
+        sums = [0] * self.num_rows
+        for col, v in point:
+            if v < 0 or not 0 <= col < self.num_vars:
+                return None
+            for fam in self.families:
+                if 0 <= col - fam.base < len(fam.lefts) * len(fam.rights):
+                    i, j = divmod(col - fam.base, len(fam.rights))
+                    for row, coeff in fam.lefts[i] + fam.rights[j]:
+                        sums[row] += coeff * v
+                    break
+        return tuple(sums)
+
+    def strategy_sums(self, y: dict) -> list:
+        """u[f] = (left sums, right sums): each strategy's sum of y[row] *
+        coefficient over its rows."""
+        u = [([0] * len(fam.lefts), [0] * len(fam.rights)) for fam in self.families]
+        for row, v in y.items():
+            self.add_row(u, row, v)
+        return u
+
+    def add_row(self, u: list, row: int, v) -> None:
+        """Add v times row's coefficients to the strategy sums u."""
+        for f, side, entries, _ in self.index[0][row]:
+            sums = u[f][side]
+            for t, coeff in entries:
+                sums[t] += v * coeff
 
 
 @dataclass(frozen=True)
@@ -68,32 +197,69 @@ class LPProblem:
                     raise InexactValueError(f"coefficient {coeff!r} in column {col} is not an int or a Fraction")
 
     @cached_property
-    def columns(self) -> dict:
-        """Column index: column -> list of its (row, coefficient) pairs with
-        nonzero coefficient, rows ascending.  Built once; do not mutate."""
-        index: dict[int, list] = {}
-        for r, (entries, _) in enumerate(self.rows):
-            for col, coeff in entries:
+    def rhs(self) -> tuple:
+        return tuple(rhs for _, rhs in self.rows)
+
+    @cached_property
+    def columns(self) -> ColumnFamilies:
+        """One family at base 0: its left strategies are the columns, each
+        with its nonzero entries, and its one right strategy is empty."""
+        entries: list[list] = [[] for _ in range(self.num_vars)]
+        for row, (row_entries, _) in enumerate(self.rows):
+            for col, coeff in row_entries:
                 if coeff:
-                    index.setdefault(col, []).append((r, coeff))
-        return index
+                    entries[col].append((row, coeff))
+        return ColumnFamilies(self.num_vars, len(self.rows), (Family(0, tuple(map(tuple, entries)), ((),)),))
 
 
-def _integer_scaled(values: dict) -> tuple[int, dict]:
-    """(scale, {key: value * scale}), boxes.integer_scaled on a dict's
-    values: ints of the same signs."""
-    scale, ints = integer_scaled(values.values())
-    return scale, dict(zip(values, ints))
+@dataclass(frozen=True)
+class FamilyProblem:
+    """A x = b, x >= 0 with the columns given as families and b as rhs, one
+    value per row (int or Fraction, else InexactValueError)."""
+
+    columns: ColumnFamilies
+    rhs: tuple
+
+    def __post_init__(self):
+        if len(self.rhs) != self.columns.num_rows:
+            raise LPError(f"{len(self.rhs)} right-hand sides for {self.columns.num_rows} rows")
+        for v in self.rhs:
+            if not _is_exact(v):
+                raise InexactValueError(f"right-hand side {v!r} is not an int or a Fraction")
+
+    @property
+    def num_vars(self) -> int:
+        return self.columns.num_vars
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The expanded rows, in LPProblem's form, columns ascending."""
+        entries: list[list] = [[] for _ in self.rhs]
+        for fam in self.columns.families:
+            col = fam.base
+            for left in fam.lefts:
+                for right in fam.rights:
+                    pairs: dict = {}  # one shared (col, coeff) tuple per coefficient
+                    for row, coeff in left + right:
+                        entries[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (col, coeff)))
+                    col += 1
+        return tuple(zip(map(tuple, entries), self.rhs))
 
 
 @dataclass(frozen=True)
 class LPCertificate:
     """Either a feasible point (sparse, by column) or a Farkas witness
-    (sparse, by row).  verify() re-checks exactly against a problem."""
+    (sparse, by row).  Values must be int or Fraction (InexactValueError
+    otherwise).  verify() re-checks exactly against a problem."""
 
     feasible: bool
     point: tuple | None
     farkas: tuple | None
+
+    def __post_init__(self):
+        for key, v in chain(self.point or (), self.farkas or ()):
+            if not _is_exact(v):
+                raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
 
     def point_dict(self) -> dict:
         return dict(self.point or ())
@@ -101,39 +267,21 @@ class LPCertificate:
     def farkas_dict(self) -> dict:
         return dict(self.farkas or ())
 
-    def verify(self, problem: LPProblem) -> bool:
+    def verify(self, problem: LPProblem | FamilyProblem) -> bool:
         if self.feasible:
-            x = self.point_dict()
-            if any(v < 0 for v in x.values()):
-                return False
-            if any(not 0 <= c < problem.num_vars for c in x):
-                return False
-            for entries, rhs in problem.rows:
-                total = ZERO
-                for col, coeff in entries:
-                    xv = x.get(col)
-                    if xv is not None and coeff:
-                        total += coeff * xv
-                if total != rhs:
-                    return False
-            return True
-        y = {r: Fraction(v) for r, v in self.farkas_dict().items()}
-        if any(not 0 <= r < len(problem.rows) for r in y):
+            return problem.columns.row_sums(self.point_dict().items()) == tuple(problem.rhs)
+        y = self.farkas_dict()
+        if any(not 0 <= r < len(problem.rhs) for r in y):
             return False
         # Scaling y to integers keeps every sign below, and keeps the
-        # column sums in integers when the coefficients are.
-        _, y = _integer_scaled(y)
-        col_sums: dict = {}
-        rhs_sum = ZERO
-        for r, yv in y.items():
-            entries, rhs = problem.rows[r]
-            rhs_sum += yv * rhs
-            for col, coeff in entries:
-                if coeff:
-                    col_sums[col] = col_sums.get(col, 0) + yv * coeff
-        if rhs_sum <= 0:
+        # strategy sums in integers when the coefficients are.
+        _, w = _integer_scaled(y)
+        if sum(v * problem.rhs[r] for r, v in w.items()) <= 0:
             return False
-        return all(s <= 0 for s in col_sums.values())
+        # Every column aggregate is nonpositive iff, per family, the largest
+        # left sum plus the largest right sum is.
+        u = problem.columns.strategy_sums(w)
+        return all(max(left) + max(right) <= 0 for left, right in u if left and right)
 
     def to_text(self) -> str:
         if self.feasible:
@@ -147,74 +295,107 @@ class LPCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _lift_farkas(problem: LPProblem, steps: list, farkas: dict) -> dict:
+def _integer_scaled(values: dict) -> tuple[int, dict]:
+    """(scale, {key: value * scale}), boxes.integer_scaled on a dict's
+    values: ints of the same signs."""
+    scale, ints = integer_scaled(values.values())
+    return scale, dict(zip(values, ints))
+
+
+# live[f][side]: the int with bit t set while strategy t of family f is
+# live.  steps: (row, sign, parts) in elimination order, parts the (family,
+# side, ((strategy, coefficient), ...), mask) the row met live, mask being
+# the live strategies on the other side then.  detected: a row left with no
+# live column and a nonzero right-hand side, or None; active_rows: the rows
+# left, when none is.
+_Presolve = namedtuple("_Presolve", "live active_rows steps detected")
+
+
+def _presolve(problem) -> _Presolve:
+    """Fix to zero every column touched by a same-sign zero-rhs row."""
+    columns, rhs = problem.columns, problem.rhs
+    by_row, row_masks = columns.index
+    m = len(rhs)
+    live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
+    row_alive = [True] * m
+    waiting = 0  # bit r: row r is alive and not queued
+    steps: list = []
+    queue = deque(range(m))
+    while queue:
+        i = queue.popleft()
+        if not row_alive[i]:
+            continue
+        waiting |= 1 << i
+        parts = [(f, side, entries, hit) for f, side, entries, mask in by_row[i]
+                 if (hit := mask & live[f][side]) and live[f][1 - side]]
+        if not parts:
+            if rhs[i] != 0:
+                return _Presolve(live, None, steps, i)
+            row_alive[i] = False
+            waiting ^= 1 << i
+            continue
+        if rhs[i] != 0:
+            continue
+        parts = [(f, side, tuple(e for e in entries if hit >> e[0] & 1), live[f][1 - side])
+                 for f, side, entries, hit in parts]
+        coeffs = [c for _, _, ts, _ in parts for _, c in ts]
+        sign = 1 if coeffs[0] > 0 else -1
+        if any(c * sign < 0 for c in coeffs):
+            continue
+        steps.append((i, sign, tuple(parts)))
+        row_alive[i] = False
+        waiting ^= 1 << i
+        for f, side, ts, other_live in parts:
+            dead = [t for t, _ in ts]
+            for t in dead:
+                live[f][side] ^= 1 << t
+            others = [o for o in range(other_live.bit_length()) if other_live >> o & 1]
+            lefts, rights = (dead, others) if side == 0 else (others, dead)
+            masks = row_masks[f]
+            # Columns (a, b) die in ascending id, a over lefts and b over
+            # rights, so their rows first appear in this order.
+            for rows in chain((masks[0][lefts[0]],), (masks[1][b] for b in rights),
+                              (masks[0][a] for a in lefts[1:])):
+                hit = rows & waiting
+                waiting ^= hit
+                while hit:
+                    low = hit & -hit
+                    queue.append(low.bit_length() - 1)
+                    hit ^= low
+    return _Presolve(live, [i for i in range(m) if row_alive[i]], steps, None)
+
+
+def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
     """Extend a witness of the reduced system to the full system.
 
-    steps holds (row, sign, live_entries) in elimination order; each restored
-    row gets the multiplier -sign * M with M large enough that every column
-    the step removed keeps a nonpositive aggregate.  Restored multipliers
-    pair with zero right-hand sides, so y^T b is untouched.
+    Each restored step row gets the multiplier -sign * M with M large enough
+    that every column the step removed keeps a nonpositive aggregate: per
+    family, the strategy sum of a removed strategy plus the largest sum on
+    the other side, among the strategies live at that step, over the
+    strategy's coefficient in the row.  Restored multipliers pair with zero
+    right-hand sides, so y^T b is untouched.  The sums run on the witness
+    scaled once to integers.
     """
-    for row, sign, live in reversed(steps):
-        m = max(
-            (sum((farkas[r] * c for r, c in problem.columns[col] if r in farkas), ZERO) / abs(coeff)
-             for col, coeff in live),
-            default=ZERO,
-        )
-        if m > 0:
-            farkas[row] = -sign * m
+    columns = problem.columns
+    scale, w = _integer_scaled(farkas)
+    u = columns.strategy_sums(w)
+    for row, sign, parts in reversed(pre.steps):
+        top = 0
+        for f, side, ts, other_live in parts:
+            other = max(v for o, v in enumerate(u[f][1 - side]) if other_live >> o & 1)
+            for t, coeff in ts:
+                agg = u[f][side][t] + other
+                agg = agg if abs(coeff) == 1 else Fraction(agg) / abs(coeff)
+                if agg > top:
+                    top = agg
+        if top > 0:
+            w[row] = -sign * top
+            farkas[row] = Fraction(-sign * top, scale)
+            columns.add_row(u, row, w[row])
     return farkas
 
 
-def _presolve(problem: LPProblem):
-    """Fix to zero every column touched by a same-sign zero-rhs row.
-
-    Returns (col_alive, active_rows, steps) or an infeasibility certificate
-    when a row with no live columns has nonzero right-hand side.
-    """
-    m = len(problem.rows)
-    col_alive = [True] * problem.num_vars
-    row_alive = [True] * m
-    live_count = [sum(1 for _, coeff in entries if coeff) for entries, _ in problem.rows]
-    steps: list = []
-    queue = deque(range(m))
-    queued = [True] * m
-    while queue:
-        i = queue.popleft()
-        queued[i] = False
-        if not row_alive[i]:
-            continue
-        entries, rhs = problem.rows[i]
-        if live_count[i] == 0:
-            if rhs != 0:
-                farkas = {i: ONE if rhs > 0 else -ONE}
-                return None, None, None, _lift_farkas(problem, steps, farkas)
-            row_alive[i] = False
-            continue
-        if rhs != 0:
-            continue
-        live = [(col, coeff) for col, coeff in entries if coeff and col_alive[col]]
-        if all(coeff > 0 for _, coeff in live):
-            sign = 1
-        elif all(coeff < 0 for _, coeff in live):
-            sign = -1
-        else:
-            continue
-        steps.append((i, sign, tuple(live)))
-        row_alive[i] = False
-        for col, _ in live:
-            col_alive[col] = False
-            for r, _ in problem.columns[col]:
-                if row_alive[r]:
-                    live_count[r] -= 1
-                    if not queued[r]:
-                        queue.append(r)
-                        queued[r] = True
-    active_rows = [i for i in range(m) if row_alive[i]]
-    return col_alive, active_rows, steps, None
-
-
-def _phase1(problem: LPProblem, col_alive, active_rows):
+def _phase1(problem, pre: _Presolve):
     """Phase-1 revised simplex on the reduced system, in integers.
 
     Returns (point, None) on feasibility or (None, farkas) where both use the
@@ -237,21 +418,28 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
     structural are stored, and a pivot costs O(m k) for k basic structurals.
     """
     n = problem.num_vars
-    m = len(active_rows)
-    sign = [-1 if problem.rows[i][1] < 0 else 1 for i in active_rows]
-    rhs = [s * problem.rows[i][1] for s, i in zip(sign, active_rows)]
-    cols: dict[int, list] = {}
-    for pos, i in enumerate(active_rows):
-        for col, coeff in problem.rows[i][0]:
-            if coeff and col_alive[col]:
-                cols.setdefault(col, []).append((pos, sign[pos] * coeff))
-    _, ints = integer_scaled([*rhs, *(c for e in cols.values() for _, c in e)])
-    xb, coeffs = list(ints[:m]), iter(ints[m:])
-    cols = {col: [(pos, next(coeffs)) for pos, _ in e] for col, e in cols.items()}
-    col_ids = sorted(cols)
+    active = pre.active_rows
+    m = len(active)
+    pos = {row: p for p, row in enumerate(active)}
+    sign = [-1 if problem.rhs[i] < 0 else 1 for i in active]
+    rhs = [s * problem.rhs[i] for s, i in zip(sign, active)]
+    # Families with live columns: (base, len(rights), lefts, rights), each
+    # side its live strategies as (id, [(position, signed coefficient)]).
+    fams = []
+    for fam, live in zip(problem.columns.families, pre.live):
+        sides = [[(t, [(pos[r], sign[pos[r]] * c) for r, c in strategy if r in pos])
+                  for t, strategy in enumerate(strategies) if side_live >> t & 1]
+                 for strategies, side_live in zip((fam.lefts, fam.rights), live)]
+        if all(sides):
+            fams.append((fam.base, len(fam.rights), *sides))
+    coeffs = [c for *_, lefts, rights in fams for _, e in lefts + rights for _, c in e]
+    _, ints = integer_scaled([*rhs, *coeffs])
+    xb, scaled = list(ints[:m]), iter(ints[m:])
+    fams = [(base, width, *([(t, [(p, next(scaled)) for p, _ in e]) for t, e in side] for side in sides))
+            for base, width, *sides in fams]
     det = 1
     inv: dict[int, list] = {}  # position -> its column of det * B^-1, structural positions only
-    basis = [n + pos for pos in range(m)]
+    basis = [n + p for p in range(m)]
 
     while True:
         art_rows = [i for i in range(m) if basis[i] >= n]
@@ -261,17 +449,26 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
         y = [det] * m
         for j, column in inv.items():
             y[j] = sum(column[i] for i in art_rows)
-        entering = next(
-            (col for col in col_ids if sum(y[pos] * coeff for pos, coeff in cols[col] if y[pos]) > 0),
-            None,
-        )
+        entering = None
+        for base, width, lefts, rights in fams:
+            ur = [sum(y[p] * c for p, c in e) for _, e in rights]
+            top = max(ur)
+            for t, e in lefts:
+                ul = sum(y[p] * c for p, c in e)
+                if ul + top > 0:
+                    b = next(b for b, v in enumerate(ur) if ul + v > 0)
+                    entering = base + t * width + rights[b][0], e + rights[b][1]
+                    break
+            if entering is not None:
+                break
         if entering is None:
-            return None, {i: Fraction(s * yv, det) for i, s, yv in zip(active_rows, sign, y) if yv}
+            return None, {i: Fraction(s * yv, det) for i, s, yv in zip(active, sign, y) if yv}
+        label, entries = entering
         d = [0] * m
-        for pos, coeff in cols[entering]:
-            column = inv.get(pos)
+        for p, coeff in entries:
+            column = inv.get(p)
             if column is None:
-                d[pos] += det * coeff
+                d[p] += det * coeff
             else:
                 d = [di + coeff * v for di, v in zip(d, column)]
         # Leaving row: least ratio xb[i] / d[i] over d[i] > 0, then least label.
@@ -295,21 +492,20 @@ def _phase1(problem: LPProblem, col_alive, active_rows):
             column[:] = [(piv * v - di * vr) // det for v, di in zip(column, d)]
             column[r] = vr
         det = piv
-        basis[r] = entering
+        basis[r] = label
 
 
-def lp_feasible(problem: LPProblem) -> LPCertificate:
+def lp_feasible(problem: LPProblem | FamilyProblem) -> LPCertificate:
     """Decide A x = b, x >= 0 and return a verifiable certificate."""
-    col_alive, active_rows, steps, early = _presolve(problem)
-    if early is not None:
-        cert = LPCertificate(False, None, tuple(sorted(early.items())))
+    pre = _presolve(problem)
+    if pre.detected is None:
+        point, farkas = _phase1(problem, pre)
     else:
-        point, farkas = _phase1(problem, col_alive, active_rows)
-        if farkas is not None:
-            farkas = _lift_farkas(problem, steps, farkas)
-            cert = LPCertificate(False, None, tuple(sorted(farkas.items())))
-        else:
-            cert = LPCertificate(True, tuple(sorted(point.items())), None)
+        point, farkas = None, {pre.detected: ONE if problem.rhs[pre.detected] > 0 else -ONE}
+    if farkas is None:
+        cert = LPCertificate(True, tuple(sorted(point.items())), None)
+    else:
+        cert = LPCertificate(False, None, tuple(sorted(_lift_farkas(problem, pre, farkas).items())))
     if not cert.verify(problem):
         raise LPError("certificate failed self-verification")
     return cert

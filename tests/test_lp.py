@@ -18,9 +18,19 @@ from nsboxes import (
     local_problem,
     mix,
     relabel,
+    tobl_problem,
 )
-from nsboxes.lp import LPCertificate, LPError, LPProblem, _phase1, _presolve, lp_feasible
-from nsboxes.membership import _one_way_problem, _tobl_presolve
+from nsboxes.lp import (
+    ColumnFamilies,
+    Family,
+    FamilyProblem,
+    LPCertificate,
+    LPError,
+    LPProblem,
+    _phase1,
+    _presolve,
+    lp_feasible,
+)
 
 F = Fraction
 
@@ -308,14 +318,14 @@ def test_farkas_witnesses_lifted_through_presolve_cascades():
     lifted_phase1 = lifted_early = 0
     for _ in range(300):
         problem = small_system(rng)
-        _, _, steps, early = _presolve(problem)
+        pre = _presolve(problem)
         cert = lp_feasible(problem)
         assert cert.feasible == basis_feasible(problem)
         assert cert.verify(problem)
-        if early is not None:
-            lifted_early += len(early) > 1
+        if pre.detected is not None:
+            lifted_early += len(cert.farkas) > 1
         elif not cert.feasible:
-            lifted_phase1 += not {row for row, _, _ in steps}.isdisjoint(cert.farkas_dict())
+            lifted_phase1 += not {row for row, _, _ in pre.steps}.isdisjoint(cert.farkas_dict())
     assert lifted_phase1 >= 10
     assert lifted_early >= 10
 
@@ -421,14 +431,41 @@ def rescaled(rng, problem):
     return LPProblem(problem.num_vars, tuple(rows))
 
 
+def live_columns(problem, pre):
+    """The columns the presolve left: per family, its live left strategies
+    times its live right strategies."""
+    return {
+        fam.base + i * len(fam.rights) + j
+        for fam, (left_live, right_live) in zip(problem.columns.families, pre.live)
+        for i in range(len(fam.lefts)) if left_live >> i & 1
+        for j in range(len(fam.rights)) if right_live >> j & 1
+    }
+
+
+def expanded(problem, keep=None):
+    """The LPProblem of a problem's column families, over the columns in
+    keep only when given."""
+    entries = [[] for _ in problem.rhs]
+    for fam in problem.columns.families:
+        for i, left in enumerate(fam.lefts):
+            for j, right in enumerate(fam.rights):
+                col = fam.base + i * len(fam.rights) + j
+                if keep is None or col in keep:
+                    for row, coeff in left + right:
+                        entries[row].append((col, coeff))
+    return LPProblem(problem.num_vars, tuple(zip(map(tuple, entries), problem.rhs)))
+
+
 def phase1_agrees_with_oracle(problem):
-    """_phase1 and the dense Fraction phase 1 give equal dicts; returns
-    "feasible" or "farkas", or None when the presolve decides alone."""
-    col_alive, active_rows, _, early = _presolve(problem)
-    if early is not None:
+    """_phase1 and the dense Fraction phase 1, run on the columns the
+    presolve left, give equal dicts; returns "feasible" or "farkas", or None
+    when the presolve decides alone."""
+    pre = _presolve(problem)
+    if pre.detected is not None:
         return None
-    got = _phase1(problem, col_alive, active_rows)
-    assert got == lp_oracle.phase1(problem, col_alive, active_rows)
+    got = _phase1(problem, pre)
+    reduced = expanded(problem, live_columns(problem, pre))
+    assert got == lp_oracle.phase1(reduced, [True] * problem.num_vars, pre.active_rows)
     return "feasible" if got[1] is None else "farkas"
 
 
@@ -443,6 +480,7 @@ def test_phase1_matches_fraction_oracle_on_generic_systems():
         problem = small_system(rng)
         for kind, system in (("integer", problem), ("fractional", rescaled(scale_rng, problem))):
             outcome = phase1_agrees_with_oracle(system)
+            assert lp_feasible(system).to_text() == lp_oracle.solve(system)[0].to_text()
             outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
     assert all(outcomes[kind, outcome] >= 150 for kind in ("integer", "fractional")
                for outcome in ("feasible", "farkas")), outcomes
@@ -489,11 +527,106 @@ def test_phase1_matches_fraction_oracle_on_membership_lps():
             outcome = phase1_agrees_with_oracle(local_problem(noisy))
             local += outcome is not None
             outcomes.add(("local", outcome))
-        pre = _tobl_presolve(box.table, bp)
+        problem = tobl_problem(box, bp)
+        pre = _presolve(problem)
         if one_way < 10 and pre.detected is None:
-            problem = _one_way_problem(box.table, bp, pre.clean)
-            if len(problem.columns) <= MAX_ONE_WAY_COLUMNS:
+            if len(live_columns(problem, pre)) <= MAX_ONE_WAY_COLUMNS:
                 outcome = phase1_agrees_with_oracle(problem)
                 one_way += outcome is not None
                 outcomes.add(("one-way", outcome))
     assert {("local", "feasible"), ("local", "farkas"), ("one-way", "feasible")} <= outcomes
+
+
+def coefficient(rng, sign):
+    return F(sign * rng.randrange(1, 4), rng.randrange(1, 4))
+
+
+def family_system(rng):
+    """2-3 families of 1-4 strategies per side over 3-6 rows: each family
+    splits the rows into left rows below a cut and right rows above it.
+    Each family row gets one sign for all its coefficients or, one time in
+    three, signs drawn per entry, so zero rows are same-sign, mixed-sign,
+    or same-sign once other steps remove their mixed entries.  About a
+    third of the right-hand sides are zero."""
+    m = rng.randrange(3, 7)
+    families = []
+    base = 0
+    for _ in range(rng.randrange(2, 4)):
+        cut = rng.randrange(1, m)
+        sides = []
+        for rows in (range(cut), range(cut, m)):
+            signs = {r: rng.choice((1, -1)) for r in rows}
+            mixed = {r for r in rows if rng.random() < 1 / 3}
+            sides.append(tuple(
+                tuple((r, coefficient(rng, rng.choice((1, -1)) if r in mixed else signs[r]))
+                      for r in rows if rng.random() < 0.5)
+                for _ in range(rng.randrange(1, 5))
+            ))
+        families.append(Family(base, *sides))
+        base += len(sides[0]) * len(sides[1]) + rng.randrange(2)
+    rhs = tuple(F(0) if rng.random() < 1 / 3 else F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m))
+    return FamilyProblem(ColumnFamilies(base, m, tuple(families)), rhs)
+
+
+FAMILY_SEED = 4242
+
+
+def test_family_systems_match_row_form_oracle_on_their_expansion():
+    # The one-way LP has only +1 coefficients; these families put
+    # mixed-sign fractional rows inside a family, and rows that families
+    # share on different sides.
+    rng = random.Random(FAMILY_SEED)
+    outcomes = {}
+    spanning = requeued_steps = 0
+    for _ in range(400):
+        problem = family_system(rng)
+        rows = LPProblem(problem.num_vars, problem.rows)
+        cert = lp_feasible(problem)
+        want, outcome = lp_oracle.solve(rows)
+        assert cert.to_text() == want.to_text()
+        assert cert.verify(problem) and cert.verify(rows)
+        assert lp_feasible(rows).to_text() == cert.to_text()
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        steps = _presolve(problem).steps
+        spanning += any(len(parts) > 1 for _, _, parts in steps)
+        # The first pass takes rows in order; a step on a row at or below
+        # the one before it was taken when that row was queued again.
+        requeued_steps += any(b <= a for (a, *_), (b, *_) in zip(steps, steps[1:]))
+    assert all(outcomes.get(k, 0) >= 10 for k in ("arrival", "re-queue", "phase-1 farkas", "feasible")), outcomes
+    assert spanning >= 10
+    assert requeued_steps >= 10
+
+
+def test_family_structure_is_validated():
+    with pytest.raises(LPError):  # a left row after a right row
+        Family(0, (((2, 1),),), (((1, 1),),))
+    with pytest.raises(LPError):  # rows not ascending
+        Family(0, (((1, 1), (0, 1)),), ((),))
+    with pytest.raises(LPError):
+        Family(0, (((0, 0),),), ((),))
+    with pytest.raises(InexactValueError):
+        Family(0, (((0, 0.5),),), ((),))
+    fam = Family(0, (((0, 1),), ((1, 1),)), (((2, 1),),))
+    with pytest.raises(LPError):  # overlapping families
+        ColumnFamilies(4, 3, (fam, Family(1, (((0, 1),),), ((),))))
+    with pytest.raises(LPError):  # row out of range
+        ColumnFamilies(2, 2, (fam,))
+    with pytest.raises(LPError):  # column out of range
+        ColumnFamilies(1, 3, (fam,))
+    columns = ColumnFamilies(2, 3, (fam,))
+    with pytest.raises(LPError):
+        FamilyProblem(columns, (F(1), F(1)))
+    with pytest.raises(InexactValueError):
+        FamilyProblem(columns, (F(1), F(1), 1.0))
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, True, "1", Decimal(1), 1j], ids=["float", "bool", "str", "Decimal", "complex"]
+)
+def test_inexact_certificate_values_rejected(value):
+    # x0 + x1 = 1 would verify at (1/2, 1/2); a float or a bool must not
+    # stand in for an exact value, in a point or in a Farkas witness.
+    with pytest.raises(InexactValueError):
+        LPCertificate(True, ((0, value), (1, F(1, 2))), None)
+    with pytest.raises(InexactValueError):
+        LPCertificate(False, None, ((0, value),))

@@ -1,19 +1,22 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import lp_oracle
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
     Box2,
+    InexactValueError,
+    LPProblem,
     Relabeling,
     ToblModel,
     all_relabelings2,
     builtin,
     chsh_max,
     class4_tobl_model,
-    decode_lambda,
     is_local,
     is_tobl,
     lambda_index,
@@ -25,9 +28,15 @@ from nsboxes import (
     verify_model,
 )
 from nsboxes.lp import LPCertificate
-from nsboxes.membership import _tobl_presolve, _verify_tobl
 
 SEED = 31415
+
+
+def decode_lambda(idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """lambda_index inverted: (solo_tt, (f1, g1), (f2, g2))."""
+    solo_tt, rest = divmod(idx, 4096)
+    r1, r2 = divmod(rest, 64)
+    return solo_tt, divmod(r1, 16), divmod(r2, 16)
 
 
 def random_ns_box2(rng):
@@ -191,9 +200,9 @@ def test_tobl_problem_shape():
 EXTREMAL = ("class3", "class4", "class44")
 
 # Between them, the first ONE_WAY_CASES cases from this seed reach every
-# branch of the factored path (asserted below).  The seed was picked for
-# that among seeds whose cases each leave at most 64 columns after presolve,
-# which keeps the expanded oracle to about 2 s for all four.
+# outcome of the one-way LP (asserted below).  The seed was picked for that
+# among seeds whose cases each leave at most 64 columns after presolve,
+# which keeps the oracle's dense phase 1 short.
 ONE_WAY_SEED = 1479
 ONE_WAY_CASES = 4
 
@@ -219,30 +228,38 @@ def seeded_one_way_cases():
 
 
 def test_factored_tobl_matches_expanded_lp():
-    # The factored path must return the expanded solver's certificate byte
-    # for byte, through each of its branches.
+    # is_tobl solves the one-way LP on its column families; the row-form
+    # oracle on the expanded 16384 columns must give the same certificate
+    # byte for byte, through each outcome.
     cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
     cases += seeded_one_way_cases()
     outcomes = set()
     for box, bp in cases:
-        cert = is_tobl(box, bp)
-        assert cert.to_text() == lp_feasible(tobl_problem(box, bp)).to_text(), bp.name
-        pre = _tobl_presolve(box.table, bp)
-        if pre.detected is not None:
-            outcomes.add("re-queue" if pre.requeued else "arrival")
-        else:
-            outcomes.add("feasible" if cert.feasible else "phase-1 farkas")
+        problem = tobl_problem(box, bp)
+        want, outcome = lp_oracle.solve(LPProblem(problem.num_vars, problem.rows))
+        assert is_tobl(box, bp).to_text() == want.to_text(), bp.name
+        outcomes.add(outcome)
     assert outcomes == {"arrival", "re-queue", "phase-1 farkas", "feasible"}
+
+
+def test_one_way_solve_never_expands_rows():
+    # The expansion holds 16384 x 17 entries; the solver and the check work
+    # on the families and leave the rows unbuilt.
+    for name in ("class4", "class44"):
+        problem = tobl_problem(builtin(name), BIPARTITIONS[0])
+        cert = lp_feasible(problem)
+        assert cert.verify(problem)
+        assert "rows" not in vars(problem)
 
 
 def test_factored_verification_rejects_tampered_certificates():
     bp = BIPARTITIONS[1]
     for name in ("class4", "class44"):
         box = builtin(name)
-        pre = _tobl_presolve(box.table, bp)
         problem = tobl_problem(box, bp)
+        rows = LPProblem(problem.num_vars, problem.rows)
         cert = is_tobl(box, bp)
-        assert _verify_tobl(cert, pre, box.table, bp)
+        assert cert.verify(problem) and cert.verify(rows)
         if cert.feasible:
             (col, w), *rest = cert.point
             forged = [
@@ -257,5 +274,16 @@ def test_factored_verification_rejects_tampered_certificates():
                 LPCertificate(False, None, ((row, y + 1), *rest)),
             ]
         for bad in forged:
-            assert not _verify_tobl(bad, pre, box.table, bp)
             assert not bad.verify(problem)
+            assert not bad.verify(rows)
+
+
+@pytest.mark.parametrize(
+    "value", [0.25, True, "1/4", Decimal("0.25")], ids=["float", "bool", "str", "Decimal"]
+)
+def test_inexact_model_weights_rejected(value):
+    # With float weights 0.25 the class4 model would verify while
+    # induced_box raised; a weight must be an int or a Fraction.
+    base = class4_tobl_model(BIPARTITIONS[0])
+    with pytest.raises(InexactValueError):
+        ToblModel(base.bipartition, tuple((idx, value) for idx, _ in base.weights))
