@@ -172,8 +172,8 @@ def gyni_bound(weights: GyniWeights) -> Fraction:
 def k_value(box: Box3) -> Fraction:
     """15/2 + <A1B1C1>/2 - 2(<A0B0C0> + <A0B1> + <B0C1> + <A1C0>).
 
-    Nonnegative on every local deterministic box; its minimum over the
-    no-signalling set is -1.
+    Nonnegative on every quantum box (sos_identity_check); its minimum over
+    the no-signalling set is -1.
     """
     c = lambda parties, ins: correlator(box, parties, ins)
     return (
@@ -189,31 +189,44 @@ def k_value(box: Box3) -> Fraction:
     )
 
 
-def sos_identity_check() -> bool:
-    """Verify the sum-of-squares decomposition of the k expression.
+def _times(p: dict, q: dict) -> dict:
+    """Product of polynomials in +-1 observables: a monomial is one word of
+    inputs per party (A, B, C), reduced by X_x^2 = 1; parties commute."""
+    out: dict = {}
+    for u, a in p.items():
+        for v, b in q.items():
+            mono = []
+            for w, y in zip(u, v):
+                for t in y:
+                    w = w[:-1] if w[-1:] == t else w + t
+                mono.append(w)
+            out[tuple(mono)] = out.get(tuple(mono), 0) + a * b
+    return {m: c for m, c in out.items() if c}
 
-    With alpha = A1C0, beta = A0B1, gamma = A0B0C0, delta = B0C1 evaluated on
-    all 64 sign assignments of the six observables, the three-square form
-    ((alpha*beta + gamma*delta)/2 - 1)^2 + 2((alpha + beta)/2 - 1)^2
-    + 2((gamma + delta)/2 - 1)^2 must equal the k expression term for term,
-    with every square nonnegative.
-    """
-    for a0, a1, b0, b1, c0, c1 in product((1, -1), repeat=6):
-        alpha = a1 * c0
-        beta = a0 * b1
-        gamma = a0 * b0 * c0
-        delta = b0 * c1
-        t1 = (Fraction(alpha * beta + gamma * delta, 2) - 1) ** 2
-        t2 = 2 * (Fraction(alpha + beta, 2) - 1) ** 2
-        t3 = 2 * (Fraction(gamma + delta, 2) - 1) ** 2
-        k = (
-            Fraction(15, 2)
-            + Fraction(a1 * b1 * c1, 2)
-            - 2 * (a0 * b0 * c0 + a0 * b1 + b0 * c1 + a1 * c0)
-        )
-        if t1 + t2 + t3 != k or t1 < 0 or t2 < 0 or t3 < 0:
-            return False
-    return True
+
+def _sos_residual(alpha_first: bool = False) -> dict:
+    """k - X1'X1 - 2 X2'X2 - 2 X3'X3 in noncommuting observables, X' the adjoint
+    (each word reversed), with alpha = A1C0, beta = A0B1, gamma = A0B0C0,
+    delta = B0C1, X1 = (beta alpha + gamma delta)/2 - 1 (alpha beta when
+    alpha_first), X2 = (alpha + beta)/2 - 1 and X3 = (gamma + delta)/2 - 1."""
+    one, a, b, g, d = ("", "", ""), ("1", "", "0"), ("0", "1", ""), ("0", "0", "0"), ("", "0", "1")
+    (x1,) = _times({a: 1}, {b: 1}) if alpha_first else _times({b: 1}, {a: 1})
+    (gd,) = _times({g: 1}, {d: 1})
+    out = {one: Fraction(15, 2), ("1", "1", "1"): Fraction(1, 2), a: -2, b: -2, g: -2, d: -2}
+    for c, x, y in ((1, x1, gd), (2, a, b), (2, g, d)):
+        sq = {x: Fraction(1, 2), y: Fraction(1, 2), one: -1}
+        adjoint = {tuple(w[::-1] for w in m): v for m, v in sq.items()}
+        for m, v in _times(adjoint, sq).items():
+            out[m] = out.get(m, 0) - c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def sos_identity_check() -> bool:
+    """Verify k = X1'X1 + 2 X2'X2 + 2 X3'X3 (_sos_residual) as an identity of
+    operators: A_x^2 = 1, observables of different parties commute, those
+    of one party need not.  Each term is then positive semidefinite, so
+    k_value is nonnegative on every quantum box."""
+    return not _sos_residual()
 
 
 # Weight file format: one line per input triple, "x1 x2 x3 = num/den",

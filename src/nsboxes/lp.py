@@ -19,8 +19,11 @@ removes rows with zero right-hand side whose live coefficients share one
 sign, forcing every column they touch to zero: in each family the row
 meets, it kills the live strategies on the row's side, so a family's live
 columns are always its live lefts times its live rights.  A step kills its
-columns in ascending column id, and rows those columns touch are queued
-again in that order.  A phase-1 revised simplex with Bland's rule solves
+columns in ascending column id, and the waiting rows (alive, not queued)
+those columns touch are queued again in that order.  Per family, the order
+comes from the waiting rows alone: a row touched by the first left comes
+first, then a row by its lowest touching right, then by its lowest other
+left, ties by row.  A phase-1 revised simplex with Bland's rule solves
 what remains.  A column's reduced cost is u_L(i) + u_R(j), u being the
 duals summed over a strategy's rows, so Bland's lowest improving column is
 the first family, then the first left i with u_L(i) + max over live j of
@@ -109,32 +112,24 @@ class ColumnFamilies:
 
     @cached_property
     def index(self) -> tuple:
-        """(by_row, row_masks).  by_row[r] holds (family, side, ((strategy,
-        coefficient), ...), mask) for each family side whose strategies
-        touch row r, families ascending, side 0 left and 1 right, the mask
-        having bit t set for each strategy t listed.  row_masks[f][side][t]
-        has bit r set for each row r that strategy touches."""
+        """by_row[r] holds (family, side, ((strategy, coefficient), ...),
+        mask) for each family side whose strategies touch row r, families
+        ascending, side 0 left and 1 right, the mask having bit t set for
+        each strategy t listed."""
         by_row: list[list] = [[] for _ in range(self.num_rows)]
-        row_masks = []
         for f, fam in enumerate(self.families):
-            masks = []
             for side, strategies in enumerate((fam.lefts, fam.rights)):
                 touching: dict[int, list] = {}
-                side_masks = []
                 for t, strategy in enumerate(strategies):
-                    rows, pairs = 0, {}  # pairs: one shared (t, coefficient) tuple per coefficient
+                    pairs = {}  # one shared (t, coefficient) tuple per coefficient
                     for row, coeff in strategy:
-                        rows |= 1 << row
                         pair = pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff))
                         entry = touching.setdefault(row, [[], 0])
                         entry[0].append(pair)
                         entry[1] |= 1 << t
-                    side_masks.append(rows)
-                masks.append(tuple(side_masks))
                 for row, (entries, mask) in touching.items():
                     by_row[row].append((f, side, tuple(entries), mask))
-            row_masks.append(tuple(masks))
-        return tuple(map(tuple, by_row)), tuple(row_masks)
+        return tuple(map(tuple, by_row))
 
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
@@ -161,7 +156,7 @@ class ColumnFamilies:
 
     def add_row(self, u: list, row: int, v) -> None:
         """Add v times row's coefficients to the strategy sums u."""
-        for f, side, entries, _ in self.index[0][row]:
+        for f, side, entries, _ in self.index[row]:
             sums = u[f][side]
             for t, coeff in entries:
                 sums[t] += v * coeff
@@ -314,7 +309,7 @@ _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 def _presolve(problem) -> _Presolve:
     """Fix to zero every column touched by a same-sign zero-rhs row."""
     columns, rhs = problem.columns, problem.rhs
-    by_row, row_masks = columns.index
+    by_row = columns.index
     m = len(rhs)
     live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
     row_alive = [True] * m
@@ -336,32 +331,34 @@ def _presolve(problem) -> _Presolve:
             continue
         if rhs[i] != 0:
             continue
-        parts = [(f, side, tuple(e for e in entries if hit >> e[0] & 1), live[f][1 - side])
-                 for f, side, entries, hit in parts]
-        coeffs = [c for _, _, ts, _ in parts for _, c in ts]
+        coeffs = [c for _, _, entries, hit in parts for t, c in entries if hit >> t & 1]
         sign = 1 if coeffs[0] > 0 else -1
         if any(c * sign < 0 for c in coeffs):
             continue
-        steps.append((i, sign, tuple(parts)))
+        steps.append((i, sign, tuple(
+            (f, side, tuple(e for e in entries if hit >> e[0] & 1), live[f][1 - side])
+            for f, side, entries, hit in parts)))
         row_alive[i] = False
         waiting ^= 1 << i
-        for f, side, ts, other_live in parts:
-            dead = [t for t, _ in ts]
-            for t in dead:
-                live[f][side] ^= 1 << t
-            others = [o for o in range(other_live.bit_length()) if other_live >> o & 1]
-            lefts, rights = (dead, others) if side == 0 else (others, dead)
-            masks = row_masks[f]
-            # Columns (a, b) die in ascending id, a over lefts and b over
-            # rights, so their rows first appear in this order.
-            for rows in chain((masks[0][lefts[0]],), (masks[1][b] for b in rights),
-                              (masks[0][a] for a in lefts[1:])):
-                hit = rows & waiting
-                waiting ^= hit
-                while hit:
-                    low = hit & -hit
-                    queue.append(low.bit_length() - 1)
-                    hit ^= low
+        for f, side, _, hit in parts:
+            live[f][side] ^= hit
+            # The columns (a, b) die in ascending id, a over the lefts and b
+            # over the rights, so a waiting row first appears with the first
+            # left, else with its lowest right, else with its lowest left.
+            sides = (hit, live[f][1]) if side == 0 else (live[f][0], hit)
+            first = sides[0] & -sides[0]
+            keyed = []
+            rest = waiting
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = low.bit_length() - 1
+                for g, s, _, mask in by_row[row]:
+                    if g == f and (touch := mask & sides[s]):
+                        keyed.append((s or (0 if touch & first else 2), touch & -touch, row))
+                        waiting ^= low
+                        break
+            queue.extend(row for *_, row in sorted(keyed))
     return _Presolve(live, [i for i in range(m) if row_alive[i]], steps, None)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 
 from .boxes import BITS, ONE, Box3, _require3, pack, require_valid
-from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, LPProblem, lp_feasible
+from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, lp_feasible
 from .wiring import Bipartition
 
 
@@ -36,21 +36,28 @@ def _bit(tt: int, i: int) -> int:
     return (tt >> i) & 1
 
 
-def local_problem(box) -> LPProblem:
-    """LP whose feasibility is locality: deterministic vertex weights matching
-    every table entry plus normalization.  Vertex index is the big-endian
-    stack of the per-party response truth tables."""
-    n = box.n_parties
-    size = len(box.table)
-    rows_entries: list[list] = [[] for _ in range(size + 1)]
-    num_cols = 4**n
-    for col in range(num_cols):
+@cache
+def _local_columns(n: int) -> ColumnFamilies:
+    """local_problem's columns for n parties: one family whose lefts are the
+    4**n deterministic vertices, each hitting its 2**n table rows and the
+    normalization row, and whose one right is empty.  Vertex index is the
+    big-endian stack of the per-party response truth tables."""
+    size = 4**n
+    vertices = []
+    for col in range(size):
         tts = [(col >> (2 * (n - 1 - p))) & 3 for p in range(n)]
-        for ins in product(BITS, repeat=n):
-            outs = tuple(_bit(tts[p], ins[p]) for p in range(n))
-            rows_entries[pack(outs, ins)].append((col, 1))
-        rows_entries[size].append((col, 1))
-    return LPProblem(num_cols, tuple(zip(map(tuple, rows_entries), box.table + (ONE,))))
+        rows = sorted(pack(tuple(_bit(tts[p], ins[p]) for p in range(n)), ins)
+                      for ins in product(BITS, repeat=n))
+        vertices.append(tuple((row, 1) for row in rows) + ((size, 1),))
+    return ColumnFamilies(size, size + 1, (Family(0, tuple(vertices), ((),)),))
+
+
+def local_problem(box) -> FamilyProblem:
+    """LP whose feasibility is locality: deterministic vertex weights matching
+    every table entry plus normalization.  The columns are one family, built
+    once per party count (_local_columns); only the right-hand side, the
+    table and then 1, comes from the box."""
+    return FamilyProblem(_local_columns(box.n_parties), tuple(box.table) + (ONE,))
 
 
 def is_local(box) -> LPCertificate:

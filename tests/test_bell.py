@@ -27,7 +27,7 @@ from nsboxes import (
     uffink,
     uffink_max,
 )
-from nsboxes.bell import _orbit_forms
+from nsboxes.bell import _orbit_forms, _sos_residual
 
 SEED = 48611
 
@@ -189,6 +189,15 @@ def test_k_value_of_uniform_box():
 
 def test_sos_identity():
     assert sos_identity_check()
+
+
+def test_sos_identity_fails_in_the_commuting_order():
+    # alpha beta in the first square holds only when A0 and A1 commute:
+    # k - (squares) = (A1 - A0A1A0) B1C1 / 2 as operators.
+    assert _sos_residual(alpha_first=True) == {
+        ("1", "1", "1"): Fraction(1, 2),
+        ("010", "1", "1"): Fraction(-1, 2),
+    }
 
 
 def test_gyni_uniform_even_parity_weights():

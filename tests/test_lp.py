@@ -588,6 +588,7 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
         assert lp_feasible(rows).to_text() == cert.to_text()
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
         steps = _presolve(problem).steps
+        assert [(r, s) for r, s, _ in steps] == [(r, s) for r, s, _ in lp_oracle.presolve(rows)[2]]
         spanning += any(len(parts) > 1 for _, _, parts in steps)
         # The first pass takes rows in order; a step on a row at or below
         # the one before it was taken when that row was queued again.
@@ -595,6 +596,30 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
     assert all(outcomes.get(k, 0) >= 10 for k in ("arrival", "re-queue", "phase-1 farkas", "feasible")), outcomes
     assert spanning >= 10
     assert requeued_steps >= 10
+
+
+def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
+    # Row 3 kills family 0's one right, so columns 0 = (left 0, right 0) and
+    # 1 = (left 1, right 0) die in that order: waiting row 2 (right 0's)
+    # comes back before waiting row 1 (left 1's), and each is then a step.
+    problem = FamilyProblem(ColumnFamilies(5, 4, (
+        Family(0, (((0, 1),), ((1, -1),)), (((2, -1), (3, 1)),)),
+        Family(2, (((2, 1),),), ((),)),
+        Family(3, (((1, 1),),), ((),)),
+        Family(4, (((0, 1),),), ((),)),
+    )), (1, 0, 0, 0))
+    steps = [(r, s) for r, s, _ in _presolve(problem).steps]
+    assert steps == [(3, 1), (2, 1), (1, 1)]
+    assert steps == [(r, s) for r, s, _ in lp_oracle.presolve(LPProblem(5, problem.rows))[2]]
+    assert lp_feasible(problem).point == ((4, 1),)
+
+
+@pytest.mark.parametrize("name", ["class3", "class4", "class44", "pr", "uniform3"])
+def test_local_presolve_requeues_rows_as_the_row_form_oracle(name):
+    problem = local_problem(builtin(name))
+    rows = LPProblem(problem.num_vars, problem.rows)
+    steps = _presolve(problem).steps
+    assert [(r, s) for r, s, _ in steps] == [(r, s) for r, s, _ in lp_oracle.presolve(rows)[2]]
 
 
 def test_family_structure_is_validated():

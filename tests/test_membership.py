@@ -27,6 +27,7 @@ from nsboxes import (
     tobl_problem,
     verify_model,
 )
+from nsboxes import membership
 from nsboxes.lp import LPCertificate
 
 SEED = 31415
@@ -250,6 +251,29 @@ def test_one_way_solve_never_expands_rows():
         cert = lp_feasible(problem)
         assert cert.verify(problem)
         assert "rows" not in vars(problem)
+
+
+def test_local_columns_are_built_once_per_party_count():
+    for names, vertices in ((("pr", "uniform2"), 16),
+                            (("class3", "class44", "uniform3", "deterministic(1,2,3)"), 64)):
+        first, *rest = (local_problem(builtin(name)).columns for name in names)
+        assert (first.num_vars, first.num_rows, len(first.families[0].lefts)) == (vertices, vertices + 1, vertices)
+        assert all(columns is first for columns in rest)
+
+
+def test_local_solve_never_expands_rows(monkeypatch):
+    solved = []
+
+    def spy(problem):
+        solved.append(problem)
+        return lp_feasible(problem)
+
+    monkeypatch.setattr(membership, "lp_feasible", spy)
+    for name in ("pr", "class44", "uniform3"):
+        cert = is_local(builtin(name))
+        assert cert.verify(solved[-1])
+        assert "rows" not in vars(solved[-1])
+    assert len(solved) == 3
 
 
 def test_factored_verification_rejects_tampered_certificates():
