@@ -77,8 +77,8 @@ class UnknownBuiltinError(BoxError):
 class InexactValueError(BoxError):
     """A value that is not an exact number was given where one is needed:
     anything but an int, a Fraction, a Decimal or a string that Fraction()
-    parses, floats and bools included, and in an LPProblem anything but an
-    int or a Fraction."""
+    parses, floats and bools included, and in an LP problem or certificate
+    anything but an int or a Fraction."""
 
 
 def _exact(v) -> Fraction:
@@ -373,7 +373,8 @@ class Relabeling:
     onto slot i's output when its (new) input is v.
 
     `permutation`, built once with the relabeling, maps each flat index of
-    the relabeled table to the flat index of the old table it reads.
+    the relabeled table to the flat index of the old table it reads; the
+    relabelings compose and invert as these permutations do.
     """
 
     party_perm: tuple[int, ...]
@@ -413,40 +414,6 @@ class Relabeling:
     @property
     def n_parties(self) -> int:
         return len(self.party_perm)
-
-    def inverse(self) -> "Relabeling":
-        n = self.n_parties
-        inv = [0] * n
-        for i, p in enumerate(self.party_perm):
-            inv[p] = i
-        flips = tuple(self.input_flips[inv[j]] for j in range(n))
-        outs = tuple(
-            (
-                self.output_flips[inv[j]][0 ^ flips[j]],
-                self.output_flips[inv[j]][1 ^ flips[j]],
-            )
-            for j in range(n)
-        )
-        return Relabeling(tuple(inv), flips, outs)
-
-    def compose(self, inner: "Relabeling") -> "Relabeling":
-        """Relabeling equivalent to applying `inner` first, then self."""
-        n = self.n_parties
-        perm = tuple(inner.party_perm[self.party_perm[j]] for j in range(n))
-        flips = tuple(
-            self.input_flips[j] ^ inner.input_flips[self.party_perm[j]]
-            for j in range(n)
-        )
-        outs = tuple(
-            (
-                self.output_flips[j][0]
-                ^ inner.output_flips[self.party_perm[j]][0 ^ self.input_flips[j]],
-                self.output_flips[j][1]
-                ^ inner.output_flips[self.party_perm[j]][1 ^ self.input_flips[j]],
-            )
-            for j in range(n)
-        )
-        return Relabeling(perm, flips, outs)
 
 
 def _all_in(values, allowed) -> bool:
@@ -621,9 +588,12 @@ def loads(text: str, check: bool = True) -> Box:
 
 
 def _read_text(path) -> str:
-    """A file's text; a file that is not UTF-8 is a ParseError."""
+    """A file's text; a file that cannot be read (a directory, no
+    permission) or is not UTF-8 is a ParseError."""
     try:
         return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 

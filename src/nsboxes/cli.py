@@ -374,10 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, UnknownBuiltinError) as exc:
+    except (_Usage, ParseError, UnknownBuiltinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoxError, LPError) as exc:

@@ -10,9 +10,9 @@ and right strategies, each a sparse list of (row, coefficient) pairs, rows
 ascending; column base + i * len(rights) + j has the entries lefts[i] +
 rights[j].  Every left row of a family precedes its right rows (Family
 raises LPError otherwise), so a row meets a family on one side only.  A
-problem built from rows (LPProblem) is one family whose left strategies are
-its columns and whose one right strategy is empty.  FamilyProblem takes
-families as they are and expands its rows only when they are read.
+problem is a FamilyProblem, which expands its rows only when they are read;
+LPProblem builds one from rows, as one family whose left strategies are the
+columns and whose one right strategy is empty.
 
 The solver works on strategies, never on expanded columns.  The presolve
 removes rows with zero right-hand side whose live coefficients share one
@@ -163,51 +163,6 @@ class ColumnFamilies:
 
 
 @dataclass(frozen=True)
-class LPProblem:
-    """Equality-constrained feasibility problem over nonnegative variables.
-
-    rows is a tuple of (entries, rhs) with entries a tuple of (column,
-    coefficient) pairs; zero coefficients are allowed and ignored.  A
-    column outside 0..num_vars-1, or listed twice in one row, raises
-    LPError.  Coefficients and right-hand sides must be int or Fraction;
-    anything else (a float, a bool, a str, a Decimal) raises
-    InexactValueError.
-    """
-
-    num_vars: int
-    rows: tuple
-
-    def __post_init__(self):
-        for entries, rhs in self.rows:
-            if not _is_exact(rhs):
-                raise InexactValueError(f"right-hand side {rhs!r} is not an int or a Fraction")
-            seen = set()
-            for col, coeff in entries:
-                if not 0 <= col < self.num_vars:
-                    raise LPError(f"column {col} out of range")
-                if col in seen:
-                    raise LPError(f"column {col} listed twice in one row")
-                seen.add(col)
-                if not _is_exact(coeff):
-                    raise InexactValueError(f"coefficient {coeff!r} in column {col} is not an int or a Fraction")
-
-    @cached_property
-    def rhs(self) -> tuple:
-        return tuple(rhs for _, rhs in self.rows)
-
-    @cached_property
-    def columns(self) -> ColumnFamilies:
-        """One family at base 0: its left strategies are the columns, each
-        with its nonzero entries, and its one right strategy is empty."""
-        entries: list[list] = [[] for _ in range(self.num_vars)]
-        for row, (row_entries, _) in enumerate(self.rows):
-            for col, coeff in row_entries:
-                if coeff:
-                    entries[col].append((row, coeff))
-        return ColumnFamilies(self.num_vars, len(self.rows), (Family(0, tuple(map(tuple, entries)), ((),)),))
-
-
-@dataclass(frozen=True)
 class FamilyProblem:
     """A x = b, x >= 0 with the columns given as families and b as rhs, one
     value per row (int or Fraction, else InexactValueError)."""
@@ -228,7 +183,7 @@ class FamilyProblem:
 
     @cached_property
     def rows(self) -> tuple:
-        """The expanded rows, in LPProblem's form, columns ascending."""
+        """The expanded rows as LPProblem takes them, nonzero entries, columns ascending."""
         entries: list[list] = [[] for _ in self.rhs]
         for fam in self.columns.families:
             col = fam.base
@@ -241,10 +196,40 @@ class FamilyProblem:
         return tuple(zip(map(tuple, entries), self.rhs))
 
 
+def LPProblem(num_vars: int, rows) -> FamilyProblem:
+    """A x = b, x >= 0 given by rows, as the FamilyProblem of one family
+    whose left strategies are the columns and whose one right is empty.
+    rows is a tuple of (entries, rhs) with entries a tuple of (column,
+    coefficient) pairs; zero coefficients are allowed and dropped.  A
+    column outside 0..num_vars-1, or listed twice in one row, raises
+    LPError.  Coefficients and right-hand sides must be int or Fraction;
+    anything else (a float, a bool, a str, a Decimal) raises
+    InexactValueError.
+    """
+    columns: list[list] = [[] for _ in range(num_vars)]
+    for row, (entries, rhs) in enumerate(rows):
+        if not _is_exact(rhs):
+            raise InexactValueError(f"right-hand side {rhs!r} is not an int or a Fraction")
+        seen = set()
+        for col, coeff in entries:
+            if not 0 <= col < num_vars:
+                raise LPError(f"column {col} out of range")
+            if col in seen:
+                raise LPError(f"column {col} listed twice in one row")
+            seen.add(col)
+            if not _is_exact(coeff):
+                raise InexactValueError(f"coefficient {coeff!r} in column {col} is not an int or a Fraction")
+            if coeff:
+                columns[col].append((row, coeff))
+    family = Family(0, tuple(map(tuple, columns)), ((),))
+    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), tuple(rhs for _, rhs in rows))
+
+
 @dataclass(frozen=True)
 class LPCertificate:
     """Either a feasible point (sparse, by column) or a Farkas witness
-    (sparse, by row).  Values must be int or Fraction (InexactValueError
+    (sparse, by row).  Each column or row is an int (a bool is not) listed
+    once, else LPError; values must be int or Fraction (InexactValueError
     otherwise).  verify() re-checks exactly against a problem."""
 
     feasible: bool
@@ -252,9 +237,16 @@ class LPCertificate:
     farkas: tuple | None
 
     def __post_init__(self):
-        for key, v in chain(self.point or (), self.farkas or ()):
-            if not _is_exact(v):
-                raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
+        for kind, pairs in (("column", self.point or ()), ("row", self.farkas or ())):
+            seen = set()
+            for key, v in pairs:
+                if type(key) is not int:
+                    raise LPError(f"certificate {kind} {key!r} is not an int")
+                if key in seen:
+                    raise LPError(f"certificate {kind} {key} listed twice")
+                seen.add(key)
+                if not _is_exact(v):
+                    raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
 
     def point_dict(self) -> dict:
         return dict(self.point or ())
@@ -262,7 +254,7 @@ class LPCertificate:
     def farkas_dict(self) -> dict:
         return dict(self.farkas or ())
 
-    def verify(self, problem: LPProblem | FamilyProblem) -> bool:
+    def verify(self, problem: FamilyProblem) -> bool:
         if self.feasible:
             return problem.columns.row_sums(self.point_dict().items()) == tuple(problem.rhs)
         y = self.farkas_dict()
@@ -492,7 +484,7 @@ def _phase1(problem, pre: _Presolve):
         basis[r] = label
 
 
-def lp_feasible(problem: LPProblem | FamilyProblem) -> LPCertificate:
+def lp_feasible(problem: FamilyProblem) -> LPCertificate:
     """Decide A x = b, x >= 0 and return a verifiable certificate."""
     pre = _presolve(problem)
     if pre.detected is None:

@@ -21,7 +21,6 @@ from nsboxes import (
     is_local,
     is_tobl,
     k_value,
-    mix,
     relabel,
     search_max_all,
     sos_identity_check,
@@ -31,31 +30,12 @@ from nsboxes import (
     verify_model,
 )
 from nsboxes.cli import load_table_rows
+from random_boxes import random_ns_box2
 from wiring_oracle import distinct_effective_boxes
 
 SEED = 60601
 
 ROW_ENCODINGS = {row.cls: row.encoding for row in load_table_rows()}
-
-
-def random_ns_box2(rng):
-    """Convex mixture of bipartite no-signalling extreme points."""
-    rels = all_relabelings2()
-    vertices = []
-    for _ in range(rng.randrange(1, 6)):
-        if rng.random() < 0.4:
-            vertices.append(relabel(builtin("pr"), rng.choice(rels)))
-        else:
-            ta, tb = rng.randrange(4), rng.randrange(4)
-            fn = lambda a, b, x, y: (
-                Fraction(1)
-                if a == (ta >> x) & 1 and b == (tb >> y) & 1
-                else Fraction(0)
-            )
-            vertices.append(Box2.from_function(fn))
-    raw = [Fraction(rng.randrange(1, 10)) for _ in vertices]
-    total = sum(raw)
-    return mix(vertices, tuple(v / total for v in raw))
 
 
 def test_criterion_1_class3_wiring_values():

@@ -20,7 +20,6 @@ from nsboxes import (
     gyni_value,
     ic_witness,
     k_value,
-    mix,
     parse_gyni_weights,
     relabel,
     sos_identity_check,
@@ -28,31 +27,11 @@ from nsboxes import (
     uffink_max,
 )
 from nsboxes.bell import _orbit_forms, _sos_residual
+from random_boxes import random_ns_box2
 
 SEED = 48611
 
 HALF = Fraction(1, 2)
-
-
-def random_ns_box2(rng):
-    """Random point of the bipartite no-signalling polytope: a convex mixture
-    of deterministic vertices and relabelled PR boxes."""
-    rels = all_relabelings2()
-    vertices = []
-    for _ in range(rng.randrange(1, 6)):
-        if rng.random() < 0.4:
-            vertices.append(relabel(builtin("pr"), rng.choice(rels)))
-        else:
-            ta, tb = rng.randrange(4), rng.randrange(4)
-            fn = lambda a, b, x, y: (
-                Fraction(1)
-                if a == (ta >> x) & 1 and b == (tb >> y) & 1
-                else Fraction(0)
-            )
-            vertices.append(Box2.from_function(fn))
-    raw = [Fraction(rng.randrange(1, 10)) for _ in vertices]
-    total = sum(raw)
-    return mix(vertices, tuple(v / total for v in raw))
 
 
 def test_correlator_table_of_pr():

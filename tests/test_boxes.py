@@ -344,16 +344,17 @@ def test_relabeling_group_structure():
     rng = random.Random(SEED)
     rels = all_relabelings2()
     assert len(rels) == 128
+    by_permutation = {r.permutation: r for r in rels}
     box = builtin("pr")
     for _ in range(25):
         r = rng.choice(rels)
         s = rng.choice(rels)
-        # inverse really inverts
-        assert relabel(relabel(box, r), r.inverse()).table == box.table
-        # compose(inner) applies inner first
-        lhs = relabel(box, r.compose(s))
-        rhs = relabel(relabel(box, s), r)
-        assert lhs.table == rhs.table
+        # relabelling by s, then by r, reads the table through s after r
+        composed = tuple(s.permutation[j] for j in r.permutation)
+        assert relabel(relabel(box, s), r).table == tuple(box.table[j] for j in composed)
+        # the inverse permutation is a relabelling, and it undoes r
+        undo = by_permutation[tuple(sorted(range(16), key=r.permutation.__getitem__))]
+        assert relabel(relabel(box, r), undo).table == box.table
 
 
 def test_relabeling_rejects_non_permutation():

@@ -380,6 +380,23 @@ def test_box_file_that_is_not_utf8(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and "not UTF-8" in err, argv
 
 
+def test_unreadable_box_file_is_a_parse_error(tmp_path, capsys):
+    # table1 picks up class3.box by name, so a directory under that name
+    # must be a ParseError, not an IsADirectoryError traceback.  A file
+    # without read permission takes the same path; it is not shown here,
+    # as root may read it anyway.
+    dump(builtin("class44"), tmp_path / "class44.box")
+    (tmp_path / "class3.box").mkdir()
+    code, out, err = run(capsys, "table1", "--boxes", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ") and "class3.box" in err
+    # the existence checks keep their own messages
+    code, _, err = run(capsys, "validate", str(tmp_path / "class3.box"))
+    assert code == 2 and err.startswith("error: no such box file: ")
+    code, _, err = run(capsys, "eval", "builtin:class4", "--functional", "gyni", "--q", str(tmp_path / "class3.box"))
+    assert code == 2 and err.startswith("error: no such weights file: ")
+
+
 # Invalid box files, one per failure kind and one with all three.
 INVALID_BOXES = {
     # correlator 3 at x = y = 0 with uniform marginals

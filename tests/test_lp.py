@@ -655,3 +655,38 @@ def test_inexact_certificate_values_rejected(value):
         LPCertificate(True, ((0, value), (1, F(1, 2))), None)
     with pytest.raises(InexactValueError):
         LPCertificate(False, None, ((0, value),))
+
+
+def test_row_problem_is_one_family():
+    # LPProblem builds the FamilyProblem whose one family's lefts are the
+    # columns; its rows read back as the nonzero entries, columns ascending.
+    problem = LPProblem(3, ((((2, F(1)), (0, 0), (1, F(-2))), F(1)), (((0, 3),), 0)))
+    assert isinstance(problem, FamilyProblem)
+    (fam,) = problem.columns.families
+    assert (fam.base, fam.lefts, fam.rights) == (0, (((1, 3),), ((0, F(-2)),), ((0, F(1)),)), ((),))
+    assert problem.rhs == (F(1), 0)
+    assert problem.rows == ((((1, F(-2)), (2, F(1))), F(1)), (((0, 3),), 0))
+    assert problem == LPProblem(3, problem.rows)
+    assert problem != LPProblem(3, ((((1, F(-2)), (2, F(1))), F(2)), (((0, 3),), 0)))
+
+
+@pytest.mark.parametrize("key", [True, 0.0, "0", None], ids=["bool", "float", "str", "None"])
+def test_certificate_keys_must_be_ints(key):
+    # A bool would pass for a column (True as column 1), and the others
+    # would reach verify and raise a bare TypeError there.
+    with pytest.raises(LPError):
+        LPCertificate(True, ((key, F(1, 2)), (2, F(1, 2))), None)
+    with pytest.raises(LPError):
+        LPCertificate(False, None, ((key, F(1)),))
+
+
+def test_certificate_keys_listed_once():
+    # verify reads the pairs through dict(), which keeps the last value of a
+    # repeated key: ((0, 0), (0, 1)) would verify on x0 + x1 = 1 while its
+    # text lists column 0 twice.
+    problem, _ = solve(2, [(((0, 1), (1, 1)), 1)])
+    assert LPCertificate(True, ((0, 1),), None).verify(problem)
+    with pytest.raises(LPError):
+        LPCertificate(True, ((0, 0), (0, 1)), None)
+    with pytest.raises(LPError):
+        LPCertificate(False, None, ((0, -1), (0, 1)))

@@ -8,12 +8,10 @@ import lp_oracle
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
-    Box2,
     InexactValueError,
     LPProblem,
     Relabeling,
     ToblModel,
-    all_relabelings2,
     builtin,
     chsh_max,
     class4_tobl_model,
@@ -28,7 +26,8 @@ from nsboxes import (
     verify_model,
 )
 from nsboxes import membership
-from nsboxes.lp import LPCertificate
+from nsboxes.lp import LPCertificate, LPError
+from random_boxes import random_ns_box2
 
 SEED = 31415
 
@@ -38,25 +37,6 @@ def decode_lambda(idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
     solo_tt, rest = divmod(idx, 4096)
     r1, r2 = divmod(rest, 64)
     return solo_tt, divmod(r1, 16), divmod(r2, 16)
-
-
-def random_ns_box2(rng):
-    rels = all_relabelings2()
-    vertices = []
-    for _ in range(rng.randrange(1, 6)):
-        if rng.random() < 0.4:
-            vertices.append(relabel(builtin("pr"), rng.choice(rels)))
-        else:
-            ta, tb = rng.randrange(4), rng.randrange(4)
-            fn = lambda a, b, x, y: (
-                Fraction(1)
-                if a == (ta >> x) & 1 and b == (tb >> y) & 1
-                else Fraction(0)
-            )
-            vertices.append(Box2.from_function(fn))
-    raw = [Fraction(rng.randrange(1, 10)) for _ in vertices]
-    total = sum(raw)
-    return mix(vertices, tuple(v / total for v in raw))
 
 
 def test_lambda_index_round_trip():
@@ -161,6 +141,17 @@ def test_verify_model_rejects_bad_weights():
     base = class4_tobl_model(BIPARTITIONS[0])
     unnormalized = ToblModel(base.bipartition, base.weights[:3])
     assert not verify_model(unnormalized, builtin("class4"))
+
+
+def test_model_lists_each_index_once():
+    # With its last weight listed twice the class4 model's weights sum to
+    # 5/4, yet read through dict() they would verify.
+    base = class4_tobl_model(BIPARTITIONS[0])
+    with pytest.raises(LPError):
+        ToblModel(base.bipartition, base.weights + base.weights[-1:])
+    for key in (True, 0.0, "0", None):
+        with pytest.raises(LPError):
+            ToblModel(base.bipartition, ((key, Fraction(1, 4)), *base.weights[1:]))
 
 
 def test_verify_model_rejects_indices_outside_lambda_range():
