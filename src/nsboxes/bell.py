@@ -1,10 +1,11 @@
 """Bell-type functionals and information-causality witnesses.
 
-Correlators use the 0 -> +1, 1 -> -1 output convention.  The fixed CHSH form
-is E00 + E01 + E10 - E11 and the quadratic Uffink form is
-(E00 + E10)^2 + (E01 - E11)^2; the *_max variants take the maximum of the
-fixed form over the full 128-element bipartite relabeling group (party swap,
-input flips, per-input output flips), so they are relabeling invariants.
+Correlators use the 0 -> +1, 1 -> -1 output convention.  The fixed CHSH
+and Uffink forms and the information-causality bounds on them are defined
+below (_CHSH, _UFFINK, _ic_bounds_broken); the *_max variants take the
+maximum of the fixed form over the full 128-element bipartite relabeling
+group (party swap, input flips, per-input output flips), so they are
+relabeling invariants.
 """
 
 from __future__ import annotations
@@ -29,19 +30,36 @@ from .boxes import (
 )
 
 
+# Coefficient vectors on the correlator table (E00, E01, E10, E11): the CHSH
+# form E00 + E01 + E10 - E11, and the two brackets of the Uffink form
+# (E00 + E10)^2 + (E01 - E11)^2.
+_CHSH = (1, 1, 1, -1)
+_UFFINK = ((1, 0, 1, 0), (0, 1, 0, -1))
+
+
+def _ic_bounds_broken(chsh_value: Fraction, uffink_value: Fraction) -> tuple[bool, bool]:
+    """Whether chsh_value (squared) and uffink_value each break the bound
+    that information causality sets on it; either one witnesses a
+    violation."""
+    return chsh_value * chsh_value > 8, uffink_value > 4
+
+
 def correlator_table(box: Box2) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(E00, E01, E10, E11) with Exy indexed by 2*x + y."""
     return block_correlators(box.table)
 
 
+def _dot(c, e):
+    return c[0] * e[0] + c[1] * e[1] + c[2] * e[2] + c[3] * e[3]
+
+
 def chsh(box: Box2) -> Fraction:
-    e = correlator_table(box)
-    return e[0] + e[1] + e[2] - e[3]
+    return _dot(_CHSH, correlator_table(box))
 
 
 def uffink(box: Box2) -> Fraction:
     e = correlator_table(box)
-    return (e[0] + e[2]) ** 2 + (e[1] - e[3]) ** 2
+    return sum(_dot(b, e) ** 2 for b in _UFFINK)
 
 
 def _up_to_sign(form) -> tuple[int, ...]:
@@ -61,10 +79,9 @@ def _orbit_forms():
     The j-th basis table carries the signs (1, -1, -1, 1) on block j of the
     flat layout and 0 elsewhere, so its correlators are 4 at j and 0
     elsewhere; the tables are pushed through each permutation as plain
-    integer tuples.  |CHSH| and the squared Uffink brackets E00 + E10 and
-    E01 - E11 do not see a form's sign, so forms are kept up to sign: 4
-    CHSH forms and 4 bracket pairs remain, and evaluating them is exactly
-    evaluating the whole orbit.
+    integer tuples.  |CHSH| and the squared Uffink brackets do not see a
+    form's sign, so forms are kept up to sign: 4 CHSH forms and 4 bracket
+    pairs remain, and evaluating them is exactly evaluating the whole orbit.
     """
     basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
     chsh_forms, uffink_pairs = set(), set()
@@ -72,14 +89,10 @@ def _orbit_forms():
         images = [
             [c // 4 for c in block_correlators([b[i] for i in r.permutation])] for b in basis
         ]
-        chsh_forms.add(_up_to_sign([e[0] + e[1] + e[2] - e[3] for e in images]))
-        brackets = ([e[0] + e[2] for e in images], [e[1] - e[3] for e in images])
+        chsh_forms.add(_up_to_sign([_dot(_CHSH, e) for e in images]))
+        brackets = ([_dot(b, e) for e in images] for b in _UFFINK)
         uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
     return tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs))
-
-
-def _dot(c, e):
-    return c[0] * e[0] + c[1] * e[1] + c[2] * e[2] + c[3] * e[3]
 
 
 def chsh_max(box: Box2) -> Fraction:
@@ -109,8 +122,9 @@ def uffink_max(box: Box2) -> Fraction:
 class IcVerdict:
     """Information-causality verdict for a bipartite box.
 
-    witness is 'chsh' when chsh_max^2 > 8, else 'uffink' when uffink_max > 4,
-    else None; value carries the witnessing functional's value.
+    witness is 'chsh' when chsh_max breaks its bound (_ic_bounds_broken),
+    else 'uffink' when uffink_max breaks its bound, else None; value carries
+    the witnessing functional's value.
     """
 
     violated: bool
@@ -119,9 +133,10 @@ class IcVerdict:
 
     @classmethod
     def from_values(cls, chsh_value: Fraction, uffink_value: Fraction) -> "IcVerdict":
-        if chsh_value * chsh_value > 8:
+        chsh_broken, uffink_broken = _ic_bounds_broken(chsh_value, uffink_value)
+        if chsh_broken:
             return cls(True, "chsh", chsh_value)
-        if uffink_value > 4:
+        if uffink_broken:
             return cls(True, "uffink", uffink_value)
         return cls(False, None, None)
 

@@ -114,14 +114,6 @@ def integer_scaled(values) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def index3(a: int, b: int, c: int, x: int, y: int, z: int) -> int:
-    return 32 * x + 16 * y + 8 * z + 4 * a + 2 * b + c
-
-
-def index2(a: int, b: int, x: int, y: int) -> int:
-    return 8 * x + 4 * y + 2 * a + b
-
-
 def _bits(value: int, width: int) -> tuple[int, ...]:
     """The low `width` bits of value, most significant first."""
     return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
@@ -191,7 +183,7 @@ class Box3(_Table):
     n_parties = 3
 
     def prob(self, a: int, b: int, c: int, x: int, y: int, z: int) -> Fraction:
-        return self.table[index3(a, b, c, x, y, z)]
+        return self.table[pack((a, b, c), (x, y, z))]
 
 
 @dataclass(frozen=True)
@@ -203,7 +195,7 @@ class Box2(_Table):
     n_parties = 2
 
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
-        return self.table[index2(a, b, x, y)]
+        return self.table[pack((a, b), (x, y))]
 
 
 Box = Box3 | Box2

@@ -206,12 +206,10 @@ def cmd_membership(args) -> int:
 @dataclass(frozen=True)
 class TableRow:
     """One row of the bundled violation table; recorded values stay verbatim
-    strings ('-' where absent) so the report echoes them untouched."""
+    strings ('-' where absent) so the report echoes them untouched.  The
+    TSV's formula, aprime and bprime columns are not read."""
 
     cls: int
-    formula: str
-    aprime: str
-    bprime: str
     encoding: str | None
     chsh: str
     uffink: str
@@ -229,18 +227,8 @@ def load_table_rows() -> tuple[TableRow, ...]:
         if header is None:
             header = fields
             continue
-        cls, formula, aprime, bprime, encoding, chsh, uffink = fields
-        rows.append(
-            TableRow(
-                int(cls),
-                formula,
-                aprime,
-                bprime,
-                None if encoding == "-" else encoding,
-                chsh,
-                uffink,
-            )
-        )
+        cls, _formula, _aprime, _bprime, encoding, chsh, uffink = fields
+        rows.append(TableRow(int(cls), None if encoding == "-" else encoding, chsh, uffink))
     return tuple(rows)
 
 
@@ -249,7 +237,11 @@ _CLASS_FILE_RE = re.compile(r"^class(\d+)\.box$")
 _TABLE_HEADER = "class\twiring\tchsh\tuffink\tpaper_chsh\tpaper_uffink\tflag"
 
 
-def _collect_boxes(boxes_dir: str | None) -> dict[int, Box3]:
+def _collect_boxes(boxes_dir: str | None, classes) -> dict[int, Box3]:
+    """The boxes to report, by class: the builtins, or each classNN.box in
+    boxes_dir.  A file whose class has no row in `classes`, or that names
+    the same class as another file (class07.box and class7.box), is a
+    ParseError."""
     if boxes_dir is None:
         return {
             3: builtin("class3"),
@@ -259,13 +251,18 @@ def _collect_boxes(boxes_dir: str | None) -> dict[int, Box3]:
     root = Path(boxes_dir)
     if not root.is_dir():
         raise _Usage(f"no such directory: {boxes_dir}")
-    found = {}
+    paths = {}
     for path in sorted(root.iterdir()):
         m = _CLASS_FILE_RE.match(path.name)
         if not m:
             continue
-        found[int(m.group(1))] = load(path, check=False)
-    return found
+        cls = int(m.group(1))
+        if cls not in classes:
+            raise ParseError(f"{path}: table1.tsv has no class {cls}")
+        if cls in paths:
+            raise ParseError(f"{paths[cls]} and {path} both name class {cls}")
+        paths[cls] = path
+    return {cls: load(path, check=False) for cls, path in paths.items()}
 
 
 def _flag(computed: Fraction, recorded: str, threshold_exceeded: bool) -> str:
@@ -282,34 +279,34 @@ def _flag(computed: Fraction, recorded: str, threshold_exceeded: bool) -> str:
     return ">" if computed > ref else "<"
 
 
+def _table1_line(row: TableRow, box: Box3) -> str:
+    if row.encoding is not None:
+        eff = apply_wiring(box, Wiring.parse(row.encoding))
+        chsh_v = bell.chsh_max(eff)
+        uffink_v = bell.uffink_max(eff)
+        wiring_text = row.encoding
+    else:
+        results = search_max_all(box)
+        chsh_v = results["chsh_max"][1]
+        uffink_v = results["uffink_max"][1]
+        wiring_text = "search"
+    chsh_broken, uffink_broken = bell._ic_bounds_broken(chsh_v, uffink_v)
+    flags = {_flag(chsh_v, row.chsh, chsh_broken), _flag(uffink_v, row.uffink, uffink_broken)}
+    flags.discard("ok")
+    flag = "ok" if not flags else ("!=" if len(flags) == 2 else flags.pop())
+    return f"{row.cls}\t{wiring_text}\t{chsh_v}\t{uffink_v}\t{row.chsh}\t{row.uffink}\t{flag}"
+
+
 def cmd_table1(args) -> int:
     rows = load_table_rows()
-    boxes = _collect_boxes(args.boxes)
-    print(_TABLE_HEADER)
+    boxes = _collect_boxes(args.boxes, {row.cls for row in rows})
+    # Every row is built before any is printed, so a box that fails leaves
+    # stdout empty.
+    lines = [_TABLE_HEADER]
     for row in rows:
-        if row.cls not in boxes:
-            continue
-        box = _require3(boxes[row.cls], f"class {row.cls}")
-        if row.encoding is not None:
-            eff = apply_wiring(box, Wiring.parse(row.encoding))
-            chsh_v = bell.chsh_max(eff)
-            uffink_v = bell.uffink_max(eff)
-            wiring_text = row.encoding
-        else:
-            results = search_max_all(box)
-            chsh_v = results["chsh_max"][1]
-            uffink_v = results["uffink_max"][1]
-            wiring_text = "search"
-        flags = {
-            _flag(chsh_v, row.chsh, chsh_v * chsh_v > 8),
-            _flag(uffink_v, row.uffink, uffink_v > 4),
-        }
-        flags.discard("ok")
-        flag = "ok" if not flags else ("!=" if len(flags) == 2 else flags.pop())
-        print(
-            f"{row.cls}\t{wiring_text}\t{chsh_v}\t{uffink_v}"
-            f"\t{row.chsh}\t{row.uffink}\t{flag}"
-        )
+        if row.cls in boxes:
+            lines.append(_table1_line(row, _require3(boxes[row.cls], f"class {row.cls}")))
+    print("\n".join(lines))
     return 0
 
 

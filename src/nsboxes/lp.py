@@ -48,8 +48,6 @@ from itertools import chain
 
 from .boxes import InexactValueError, integer_scaled
 
-ONE = Fraction(1)
-
 
 class LPError(Exception):
     """Inconsistent solver state or malformed problem structure."""
@@ -248,16 +246,10 @@ class LPCertificate:
                 if not _is_exact(v):
                     raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
 
-    def point_dict(self) -> dict:
-        return dict(self.point or ())
-
-    def farkas_dict(self) -> dict:
-        return dict(self.farkas or ())
-
     def verify(self, problem: FamilyProblem) -> bool:
         if self.feasible:
-            return problem.columns.row_sums(self.point_dict().items()) == tuple(problem.rhs)
-        y = self.farkas_dict()
+            return problem.columns.row_sums(self.point or ()) == tuple(problem.rhs)
+        y = dict(self.farkas or ())
         if any(not 0 <= r < len(problem.rhs) for r in y):
             return False
         # Scaling y to integers keeps every sign below, and keeps the
@@ -490,7 +482,7 @@ def lp_feasible(problem: FamilyProblem) -> LPCertificate:
     if pre.detected is None:
         point, farkas = _phase1(problem, pre)
     else:
-        point, farkas = None, {pre.detected: ONE if problem.rhs[pre.detected] > 0 else -ONE}
+        point, farkas = None, {pre.detected: Fraction(1 if problem.rhs[pre.detected] > 0 else -1)}
     if farkas is None:
         cert = LPCertificate(True, tuple(sorted(point.items())), None)
     else:

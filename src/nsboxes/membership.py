@@ -22,7 +22,6 @@ where route 1 has pair[0] sending and route 2 has pair[1] sending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
@@ -119,31 +118,6 @@ def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:
     return lp_feasible(tobl_problem(box, bp))
 
 
-@dataclass(frozen=True)
-class ToblModel:
-    """Sparse weights over strategy-triple lambda indices for a bipartition.
-    A weight that is not an int or a Fraction raises InexactValueError."""
-
-    bipartition: Bipartition
-    weights: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        LPCertificate(True, self.weights, None)  # raises on an inexact weight
-
-    def induced_box(self, route: int) -> Box3:
-        """Box reproduced by reading every strategy triple along one route."""
-        reading = _tobl_columns(self.bipartition).row_sums(self.weights)
-        if reading is None:
-            raise ValueError("model weights must be nonnegative on lambda indices 0..16383")
-        return Box3(reading[64 * route:64 * route + 64])
-
-
-def verify_model(model: ToblModel, box: Box3) -> bool:
-    """Nonnegative weights summing to 1 whose two directional readings both
-    reproduce the box exactly."""
-    return LPCertificate(True, model.weights, None).verify(tobl_problem(box, model.bipartition))
-
-
 def _tt1(fn) -> int:
     return fn(0) | (fn(1) << 1)
 
@@ -155,8 +129,11 @@ def _tt2(fn) -> int:
     return tt
 
 
-def class4_tobl_model(bp: Bipartition) -> ToblModel:
-    """The uniform two-bit-seed model for the class4 builtin.
+def class4_tobl_model(bp: Bipartition) -> LPCertificate:
+    """The uniform two-bit-seed model for the class4 builtin, as a feasible
+    certificate of tobl_problem(builtin("class4"), bp): weight 1/4 on the
+    lambda index of each seed's strategy triple.  It checks as every
+    is_tobl certificate does, with cert.verify(tobl_problem(box, bp)).
 
     For seed (l0, l1) the solo party outputs l0 + (l0+l1)s on input s.  A
     route whose sender precedes its receiver on the cycle A -> B -> C -> A
@@ -179,4 +156,4 @@ def class4_tobl_model(bp: Bipartition) -> ToblModel:
             routes.append((_tt1(f), _tt2(lambda i, j: g(i, j) if k == 0 else g(j, i))))
         solo_tt = _tt1(lambda s: l0 ^ ((l0 ^ l1) & s))
         entries.append((lambda_index(solo_tt, *routes), Fraction(1, 4)))
-    return ToblModel(bp, tuple(sorted(entries)))
+    return LPCertificate(True, tuple(sorted(entries)), None)

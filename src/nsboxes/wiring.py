@@ -96,16 +96,12 @@ class Wiring:
             if not 0 <= value < width:
                 raise ParseError(f"{field} truth table out of range: {value}")
 
-    def actors(self) -> tuple[int, int]:
-        """(first, second) acting parties of the pair."""
-        return self.bipartition.actors(self.ordering)
-
     @property
     def is_type_i(self) -> bool:
         return all((self.beta >> 2 * s & 1) == (self.beta >> 2 * s + 1 & 1) for s in BITS)
 
     def encode(self) -> str:
-        first, second = self.actors()
+        first, second = self.bipartition.actors(self.ordering)
         return (
             f"bp={self.bipartition.name} "
             f"order={PARTY_NAMES[first]},{PARTY_NAMES[second]} "
@@ -187,7 +183,7 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     in (a zero-probability branch contributes zero to every entry).
     """
     require_valid(_require3(box, "apply_wiring"))
-    first, second = w.actors()
+    first, second = w.bipartition.actors(w.ordering)
     # the halves at s' = 0 and 1, packed as in _half_table
     t0, t1 = (
         _half_table(

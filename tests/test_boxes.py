@@ -22,8 +22,6 @@ from nsboxes import (
     builtin,
     correlator,
     dumps,
-    index2,
-    index3,
     load,
     loads,
     marginal,
@@ -31,6 +29,7 @@ from nsboxes import (
     relabel,
     validate,
 )
+from nsboxes.boxes import pack
 
 SEED = 20240917
 
@@ -44,13 +43,41 @@ EIGHTH = Fraction(1, 8)
 
 
 def test_flat_index_layout():
-    assert index3(0, 0, 0, 0, 0, 0) == 0
-    assert index3(0, 0, 1, 0, 0, 0) == 1
-    assert index3(1, 1, 1, 1, 1, 1) == 63
-    assert index3(0, 0, 0, 1, 0, 0) == 32
-    assert index2(0, 0, 0, 0) == 0
-    assert index2(1, 1, 1, 1) == 15
-    assert index2(0, 1, 1, 0) == 9
+    assert pack((0, 0, 0), (0, 0, 0)) == 0
+    assert pack((0, 0, 1), (0, 0, 0)) == 1
+    assert pack((1, 1, 1), (1, 1, 1)) == 63
+    assert pack((0, 0, 0), (1, 0, 0)) == 32
+    assert pack((0, 0), (0, 0)) == 0
+    assert pack((1, 1), (1, 1)) == 15
+    assert pack((0, 1), (1, 0)) == 9
+    # prob reads the entry at the documented flat index
+    box3, box2 = Box3(tuple(range(64))), Box2(tuple(range(16)))
+    for a, b, c, x, y, z in product((0, 1), repeat=6):
+        assert box3.prob(a, b, c, x, y, z) == 32 * x + 16 * y + 8 * z + 4 * a + 2 * b + c
+    for a, b, x, y in product((0, 1), repeat=4):
+        assert box2.prob(a, b, x, y) == 8 * x + 4 * y + 2 * a + b
+
+
+def test_public_names_resolve():
+    import nsboxes
+    from nsboxes import boxes, lp, membership
+
+    assert len(set(nsboxes.__all__)) == len(nsboxes.__all__)
+    for name in nsboxes.__all__:
+        assert hasattr(nsboxes, name), name
+    # removed second spellings: of pack, of an LP certificate, of
+    # Bipartition.actors, of dict() and of boxes.ONE
+    for owner, names in (
+        (nsboxes, ("ToblModel", "verify_model", "index2", "index3")),
+        (boxes, ("index2", "index3")),
+        (membership, ("ToblModel", "verify_model")),
+        (nsboxes.Wiring, ("actors",)),
+        (nsboxes.LPCertificate, ("point_dict", "farkas_dict")),
+        (lp, ("ONE",)),
+    ):
+        for name in names:
+            assert not hasattr(owner, name), name
+            assert name not in nsboxes.__all__, name
 
 
 def test_builtin_tables_are_normalized_and_nonsignalling():

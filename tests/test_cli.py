@@ -328,6 +328,30 @@ def test_table1_directory_mode(tmp_path, capsys):
     assert row44[0] == "44" and row44[6] == "ok"
 
 
+def test_table1_prints_nothing_before_a_failing_row(tmp_path, capsys):
+    # class 2 comes first and is fine; class 3 then fails, and no row of
+    # the report may have been printed by then
+    dump(builtin("class44"), tmp_path / "class2.box")
+    dump(builtin("pr"), tmp_path / "class3.box")
+    code, out, err = run(capsys, "table1", "--boxes", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == "error: class 3 needs a tripartite box\n"
+
+
+def test_table1_rejects_files_that_name_no_row_or_one_class_twice(tmp_path, capsys):
+    dump(builtin("class44"), tmp_path / "class44.box")
+    dump(builtin("uniform3"), tmp_path / "class07.box")
+    dump(builtin("class44"), tmp_path / "class7.box")
+    code, out, err = run(capsys, "table1", "--boxes", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "class07.box" in err and "class7.box" in err
+    (tmp_path / "class07.box").unlink()
+    dump(builtin("class44"), tmp_path / "class99.box")
+    code, out, err = run(capsys, "table1", "--boxes", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "class99.box" in err and "no class 99" in err
+
+
 def test_table1_empty_directory(tmp_path, capsys):
     code, out, _ = run(capsys, "table1", "--boxes", str(tmp_path))
     assert code == 0

@@ -157,6 +157,10 @@ def test_verify_rejects_tampered_certificates():
     problem2, cert2 = solve(2, [(((0, 1), (1, 1)), -1)])
     flipped = LPCertificate(False, (), tuple((i, -v) for i, v in cert2.farkas))
     assert not flipped.verify(problem2)
+    # a column or row outside the problem, next to a valid certificate
+    for outside in (-1, 2):
+        assert not LPCertificate(True, tuple(sorted(((0, 1), (outside, 1)))), None).verify(problem)
+        assert not LPCertificate(False, None, cert2.farkas + ((outside + 2, 1),)).verify(problem2)
 
 
 def random_problem(rng, feasible):
@@ -325,7 +329,7 @@ def test_farkas_witnesses_lifted_through_presolve_cascades():
         if pre.detected is not None:
             lifted_early += len(cert.farkas) > 1
         elif not cert.feasible:
-            lifted_phase1 += not {row for row, _, _ in pre.steps}.isdisjoint(cert.farkas_dict())
+            lifted_phase1 += not {row for row, _, _ in pre.steps}.isdisjoint(dict(cert.farkas))
     assert lifted_phase1 >= 10
     assert lifted_early >= 10
 

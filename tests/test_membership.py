@@ -11,7 +11,6 @@ from nsboxes import (
     InexactValueError,
     LPProblem,
     Relabeling,
-    ToblModel,
     builtin,
     chsh_max,
     class4_tobl_model,
@@ -23,7 +22,6 @@ from nsboxes import (
     mix,
     relabel,
     tobl_problem,
-    verify_model,
 )
 from nsboxes import membership
 from nsboxes.lp import LPCertificate, LPError
@@ -123,55 +121,60 @@ def test_class4_model_verifies_on_every_bipartition():
     }
     for bp in BIPARTITIONS:
         model = class4_tobl_model(bp)
-        assert model.bipartition == bp
-        assert tuple(idx for idx, _ in model.weights) == lambdas[bp.name]
-        assert len(model.weights) == 4
-        assert all(w == Fraction(1, 4) for _, w in model.weights)
-        assert verify_model(model, box)
-        assert model.induced_box(0).table == model.induced_box(1).table
+        assert model.feasible and model.farkas is None
+        assert tuple(idx for idx, _ in model.point) == lambdas[bp.name]
+        assert all(w == Fraction(1, 4) for _, w in model.point)
+        problem = tobl_problem(box, bp)
+        assert model.verify(problem)
+        # both directional readings reproduce the box
+        reading = problem.columns.row_sums(model.point)
+        assert reading[:64] == reading[64:128] == box.table
 
 
 def test_verify_model_rejects_wrong_box():
-    model = class4_tobl_model(BIPARTITIONS[0])
-    assert not verify_model(model, builtin("class44"))
-    assert not verify_model(model, builtin("uniform3"))
+    bp = BIPARTITIONS[0]
+    model = class4_tobl_model(bp)
+    assert not model.verify(tobl_problem(builtin("class44"), bp))
+    assert not model.verify(tobl_problem(builtin("uniform3"), bp))
 
 
 def test_verify_model_rejects_bad_weights():
-    base = class4_tobl_model(BIPARTITIONS[0])
-    unnormalized = ToblModel(base.bipartition, base.weights[:3])
-    assert not verify_model(unnormalized, builtin("class4"))
+    bp = BIPARTITIONS[0]
+    unnormalized = LPCertificate(True, class4_tobl_model(bp).point[:3], None)
+    assert not unnormalized.verify(tobl_problem(builtin("class4"), bp))
 
 
 def test_model_lists_each_index_once():
     # With its last weight listed twice the class4 model's weights sum to
     # 5/4, yet read through dict() they would verify.
-    base = class4_tobl_model(BIPARTITIONS[0])
+    point = class4_tobl_model(BIPARTITIONS[0]).point
     with pytest.raises(LPError):
-        ToblModel(base.bipartition, base.weights + base.weights[-1:])
+        LPCertificate(True, point + point[-1:], None)
     for key in (True, 0.0, "0", None):
         with pytest.raises(LPError):
-            ToblModel(base.bipartition, ((key, Fraction(1, 4)), *base.weights[1:]))
+            LPCertificate(True, ((key, Fraction(1, 4)), *point[1:]), None)
 
 
 def test_verify_model_rejects_indices_outside_lambda_range():
     # shifted by -16384, decode_lambda would wrap each index onto a real
     # strategy triple; by +16384 it would index past the route strategies
-    base = class4_tobl_model(BIPARTITIONS[0])
+    bp = BIPARTITIONS[0]
+    problem = tobl_problem(builtin("class4"), bp)
     for shift in (-16384, 16384):
-        shifted = ToblModel(base.bipartition, tuple((idx + shift, w) for idx, w in base.weights))
-        assert not verify_model(shifted, builtin("class4"))
-        with pytest.raises(ValueError):
-            shifted.induced_box(0)
+        shifted = tuple((idx + shift, w) for idx, w in class4_tobl_model(bp).point)
+        assert not LPCertificate(True, shifted, None).verify(problem)
+        assert problem.columns.row_sums(shifted) is None
 
 
 def test_lp_weights_for_class4_form_a_valid_model():
-    # the solver's own feasible point, read back as a model, must also verify
+    # the solver's feasible point and the two-bit-seed model are two
+    # certificates of one problem, with the same reading
     box = builtin("class4")
     for bp in BIPARTITIONS:
-        cert = is_tobl(box, bp)
-        model = ToblModel(bp, cert.point)
-        assert verify_model(model, box)
+        problem = tobl_problem(box, bp)
+        cert, model = is_tobl(box, bp), class4_tobl_model(bp)
+        assert cert.verify(problem) and model.verify(problem)
+        assert problem.columns.row_sums(cert.point) == problem.columns.row_sums(model.point)
 
 
 def test_local_box_is_tobl_everywhere():
@@ -297,8 +300,8 @@ def test_factored_verification_rejects_tampered_certificates():
     "value", [0.25, True, "1/4", Decimal("0.25")], ids=["float", "bool", "str", "Decimal"]
 )
 def test_inexact_model_weights_rejected(value):
-    # With float weights 0.25 the class4 model would verify while
-    # induced_box raised; a weight must be an int or a Fraction.
-    base = class4_tobl_model(BIPARTITIONS[0])
+    # With float weights 0.25 the class4 model would verify; a weight must
+    # be an int or a Fraction.
+    point = class4_tobl_model(BIPARTITIONS[0]).point
     with pytest.raises(InexactValueError):
-        ToblModel(base.bipartition, tuple((idx, value) for idx, _ in base.weights))
+        LPCertificate(True, tuple((idx, value) for idx, _ in point), None)

@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, index2, index3, require_valid
-from nsboxes.boxes import block_correlators
+from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, require_valid
+from nsboxes.boxes import block_correlators, pack
 from nsboxes.wiring import _half_table, _joined
 
 BITS = (0, 1)
@@ -23,7 +23,7 @@ def sources(w):
     """For each of the 16 effective entries, the flat tripartite indices
     whose probabilities are summed into it."""
     solo = w.bipartition.solo
-    first, second = w.actors()
+    first, second = w.bipartition.actors(w.ordering)
     out = [[] for _ in range(16)]
     for sp, w1, w2, xp, ap in product(BITS, repeat=5):
         ins, outs = [0] * 3, [0] * 3
@@ -31,7 +31,7 @@ def sources(w):
         ins[first], outs[first] = (w.alpha >> sp) & 1, w1
         ins[second], outs[second] = (w.beta >> (2 * sp + w1)) & 1, w2
         bout = (w.gamma >> (4 * sp + 2 * w1 + w2)) & 1
-        out[index2(ap, bout, xp, sp)].append(index3(*outs, *ins))
+        out[pack((ap, bout), (xp, sp))].append(pack(tuple(outs), tuple(ins)))
     return out
 
 
@@ -46,7 +46,7 @@ def wire_fixed_inputs(table, w):
     if not w.is_type_i:
         raise ValueError("fixed-input evaluation needs a type-I wiring")
     solo = w.bipartition.solo
-    first, second = w.actors()
+    first, second = w.bipartition.actors(w.ordering)
     acc = [Fraction(0)] * 16
     for sp, xp in product(BITS, repeat=2):
         ins = [0] * 3
@@ -55,7 +55,7 @@ def wire_fixed_inputs(table, w):
             outs = [0] * 3
             outs[solo], outs[first], outs[second] = ap, w1, w2
             bout = (w.gamma >> (4 * sp + 2 * w1 + w2)) & 1
-            acc[index2(ap, bout, xp, sp)] += table[index3(*outs, *ins)]
+            acc[pack((ap, bout), (xp, sp))] += table[pack(tuple(outs), tuple(ins))]
     return tuple(acc)
 
 
