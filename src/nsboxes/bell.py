@@ -219,13 +219,13 @@ def _times(p: dict, q: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _sos_residual(alpha_first: bool = False) -> dict:
+def _sos_residual() -> dict:
     """k - X1'X1 - 2 X2'X2 - 2 X3'X3 in noncommuting observables, X' the adjoint
     (each word reversed), with alpha = A1C0, beta = A0B1, gamma = A0B0C0,
-    delta = B0C1, X1 = (beta alpha + gamma delta)/2 - 1 (alpha beta when
-    alpha_first), X2 = (alpha + beta)/2 - 1 and X3 = (gamma + delta)/2 - 1."""
+    delta = B0C1, X1 = (beta alpha + gamma delta)/2 - 1, X2 = (alpha +
+    beta)/2 - 1 and X3 = (gamma + delta)/2 - 1."""
     one, a, b, g, d = ("", "", ""), ("1", "", "0"), ("0", "1", ""), ("0", "0", "0"), ("", "0", "1")
-    (x1,) = _times({a: 1}, {b: 1}) if alpha_first else _times({b: 1}, {a: 1})
+    (x1,) = _times({b: 1}, {a: 1})
     (gd,) = _times({g: 1}, {d: 1})
     out = {one: Fraction(15, 2), ("1", "1", "1"): Fraction(1, 2), a: -2, b: -2, g: -2, d: -2}
     for c, x, y in ((1, x1, gd), (2, a, b), (2, g, d)):

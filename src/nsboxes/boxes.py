@@ -300,7 +300,7 @@ def marginal(box: Box, parties: tuple[int, ...]):
     exists.
     """
     n = box.n_parties
-    if len(set(parties)) != len(parties) or not all(0 <= p < n for p in parties):
+    if len(set(parties)) != len(parties) or not _all_in(parties, range(n)):
         raise ArityError(f"bad party subset {parties} for arity {n}")
     k = len(parties)
     if k not in (1, 2):
@@ -337,8 +337,10 @@ def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> F
     n = box.n_parties
     if len(parties) != len(inputs):
         raise ArityError("parties and inputs must have equal length")
-    if not all(0 <= p < n for p in parties):
+    if len(set(parties)) != len(parties) or not _all_in(parties, range(n)):
         raise ArityError(f"bad parties {parties} for arity {n}")
+    if not _all_in(inputs, BITS):
+        raise ArityError(f"inputs must be 0 or 1, got {inputs}")
     ins = [0] * n
     for p, xp in zip(parties, inputs):
         ins[p] = xp
@@ -409,8 +411,8 @@ class Relabeling:
 
 
 def _all_in(values, allowed) -> bool:
-    """Every value is an int in `allowed`, so floats never pass as bits."""
-    return all(isinstance(v, int) and v in allowed for v in values)
+    """Every value is an int in `allowed`: floats and bools never pass."""
+    return all(type(v) is int and v in allowed for v in values)
 
 
 def relabel(box: Box, r: Relabeling) -> Box:

@@ -232,7 +232,8 @@ def load_table_rows() -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-_CLASS_FILE_RE = re.compile(r"^class(\d+)\.box$")
+# ASCII digits only, as in Wiring.parse (\d takes any script's digits).
+_CLASS_FILE_RE = re.compile(r"class([0-9]+)\.box")
 
 _TABLE_HEADER = "class\twiring\tchsh\tuffink\tpaper_chsh\tpaper_uffink\tflag"
 
@@ -253,7 +254,7 @@ def _collect_boxes(boxes_dir: str | None, classes) -> dict[int, Box3]:
         raise _Usage(f"no such directory: {boxes_dir}")
     paths = {}
     for path in sorted(root.iterdir()):
-        m = _CLASS_FILE_RE.match(path.name)
+        m = _CLASS_FILE_RE.fullmatch(path.name)
         if not m:
             continue
         cls = int(m.group(1))

@@ -30,6 +30,7 @@ from .boxes import (
     ParseError,
     _IN_W,
     _OUT_W,
+    _all_in,
     _require3,
     require_valid,
 )
@@ -44,7 +45,8 @@ class Bipartition:
     pair: tuple[int, int]
 
     def __post_init__(self):
-        if sorted((self.solo, *self.pair)) != [0, 1, 2] or self.pair[0] > self.pair[1]:
+        parties = (self.solo, *self.pair)
+        if not _all_in(parties, range(3)) or sorted(parties) != [0, 1, 2] or parties[1] > parties[2]:
             raise ParseError(f"bipartition needs parties 0, 1, 2 with the pair ascending, "
                              f"got solo {self.solo!r} and pair {self.pair!r}")
 
@@ -86,15 +88,16 @@ class Wiring:
     gamma: int
 
     def __post_init__(self):
-        if self.ordering not in BITS:
-            raise ParseError(f"ordering must be 0 or 1, got {self.ordering}")
+        # boxes._all_in's test written out: enumerate_wirings builds 98,304
+        # wirings, and a generator per field more than doubles their cost.
         for field, value, width in (
+            ("ordering", self.ordering, 2),
             ("alpha", self.alpha, 4),
             ("beta", self.beta, 16),
             ("gamma", self.gamma, 256),
         ):
-            if not 0 <= value < width:
-                raise ParseError(f"{field} truth table out of range: {value}")
+            if not (type(value) is int and 0 <= value < width):
+                raise ParseError(f"{field} must be an int in range({width}), got {value!r}")
 
     @property
     def is_type_i(self) -> bool:
@@ -142,26 +145,14 @@ class Wiring:
         return cls(bp, 0 if first == bp.pair[0] else 1, alpha, beta, gamma)
 
 
-def _half_table(table, solo: int, first: int, second: int, half: int) -> tuple:
-    """The 8 entries (flat index 4*x' + 2*a' + b') of the effective box at
-    one effective input y' = s'.
-
-    They depend only on the half of the wiring that s' selects: bit 6 of
-    `half` is alpha(s'), bits 4-5 are beta(s', .) indexed by w1 and bits 0-3
-    are gamma(s', ., .) indexed by 2*w1 + w2.  Entries come out in the type
-    of the table's, so an integer-scaled table gives integers.
-    """
+def _branch(table, solo: int, first: int, second: int, xp: int, i1: int, w1: int, i2: int):
+    """The four entries P(a', w2) at (a', w2) = 00, 01, 10, 11 of one branch:
+    solo input x', first actor input i1 and output w1, second actor input
+    i2.  Entries come out in the type of the table's."""
     iw, ow = _IN_W[3], _OUT_W[3]
-    out = [0] * 8
-    for w1 in BITS:
-        base = (half >> 6) * iw[first] + ((half >> (4 + w1)) & 1) * iw[second] + w1 * ow[first]
-        for w2 in BITS:
-            bout = (half >> (2 * w1 + w2)) & 1
-            base2 = base + w2 * ow[second]
-            for xp in BITS:
-                for ap in BITS:
-                    out[4 * xp + 2 * ap + bout] += table[base2 + xp * iw[solo] + ap * ow[solo]]
-    return tuple(out)
+    j = xp * iw[solo] + i1 * iw[first] + i2 * iw[second] + w1 * ow[first]
+    a, w = ow[solo], ow[second]
+    return table[j], table[j + w], table[j + a], table[j + a + w]
 
 
 def _joined(h0: int, h1: int) -> tuple[int, int, int]:
@@ -183,33 +174,30 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     in (a zero-probability branch contributes zero to every entry).
     """
     require_valid(_require3(box, "apply_wiring"))
-    first, second = w.bipartition.actors(w.ordering)
-    # the halves at s' = 0 and 1, packed as in _half_table
-    t0, t1 = (
-        _half_table(
-            box.table, w.bipartition.solo, first, second,
-            (w.alpha >> s & 1) << 6 | (w.beta >> 2 * s & 3) << 4 | w.gamma >> 4 * s & 15,
-        )
-        for s in BITS
-    )
-    # flat index 8*x' + 4*y' + 2*a' + b'
-    return Box2(t0[:4] + t1[:4] + t0[4:] + t1[4:])
+    roles = (w.bipartition.solo, *w.bipartition.actors(w.ordering))
+    out = [0] * 16
+    for sp, xp, w1 in product(BITS, repeat=3):
+        i1, i2 = w.alpha >> sp & 1, w.beta >> 2 * sp + w1 & 1
+        for k, p in enumerate(_branch(box.table, *roles, xp, i1, w1, i2)):
+            ap, w2 = divmod(k, 2)
+            # flat index 8*x' + 4*y' + 2*a' + b'
+            out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += p
+    return Box2(tuple(out))
 
 
 def _columns(table, solo: int, first: int, second: int) -> list[tuple]:
-    """The correlator column (E_0s', E_1s') of each of the 128 halves in
-    order, equal to block_correlators(_half_table(...)) of the half.
+    """The correlator column (E_0s', E_1s') at y' = s' of each of the 128
+    halves h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) in order.
 
-    E_x' sums d = P(a'=0, w1, w2 | x', alpha, beta(w1)) - P(a'=1, ...) over
-    (w1, w2), negated where gamma(w1, w2) = 1; the two terms of one w1 are
-    summed once per pair of gamma bits.
+    E_x' sums d = P(a'=0, w2) - P(a'=1, w2) of the branch (x', alpha, w1,
+    beta(w1)) over (w1, w2), negated where gamma(w1, w2) = 1; the two terms
+    of one w1 are summed once per pair of gamma bits.
     """
-    iw, ow = _IN_W[3], _OUT_W[3]
     sums = {}
-    for xp, i1, w1, i2 in product(BITS, repeat=4):
-        j = xp * iw[solo] + i1 * iw[first] + i2 * iw[second] + w1 * ow[first]
-        d0, d1 = (table[k] - table[k + ow[solo]] for k in (j, j + ow[second]))
-        sums[xp, i1, w1, i2] = (d0 + d1, d1 - d0, d0 - d1, -d0 - d1)
+    for key in product(BITS, repeat=4):
+        p00, p01, p10, p11 = _branch(table, solo, first, second, *key)
+        d0, d1 = p00 - p10, p01 - p11
+        sums[key] = (d0 + d1, d1 - d0, d0 - d1, -d0 - d1)
     cols = []
     for i1, b1, b0 in product(BITS, repeat=3):
         (p0, q0), (p1, q1) = ((sums[xp, i1, 0, b0], sums[xp, i1, 1, b1]) for xp in BITS)

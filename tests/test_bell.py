@@ -26,7 +26,7 @@ from nsboxes import (
     uffink,
     uffink_max,
 )
-from nsboxes.bell import _orbit_forms, _sos_residual
+from nsboxes.bell import _orbit_forms, _sos_residual, _times
 from random_boxes import random_ns_box2
 
 SEED = 48611
@@ -172,8 +172,18 @@ def test_sos_identity():
 
 def test_sos_identity_fails_in_the_commuting_order():
     # alpha beta in the first square holds only when A0 and A1 commute:
-    # k - (squares) = (A1 - A0A1A0) B1C1 / 2 as operators.
-    assert _sos_residual(alpha_first=True) == {
+    # k - (squares) = (A1 - A0A1A0) B1C1 / 2 as operators.  Only X1 differs
+    # from _sos_residual's, so the residual is X1'X1 (beta alpha) minus
+    # X1'X1 (alpha beta) plus _sos_residual's.
+    one, a, b, g, d = ("", "", ""), ("1", "", "0"), ("0", "1", ""), ("0", "0", "0"), ("", "0", "1")
+    (gd,) = _times({g: 1}, {d: 1})
+    residual = dict(_sos_residual())
+    for sign, (x,) in ((1, _times({b: 1}, {a: 1})), (-1, _times({a: 1}, {b: 1}))):
+        sq = {x: Fraction(1, 2), gd: Fraction(1, 2), one: -1}
+        adjoint = {tuple(w[::-1] for w in m): v for m, v in sq.items()}
+        for m, v in _times(adjoint, sq).items():
+            residual[m] = residual.get(m, 0) + sign * v
+    assert {m: v for m, v in residual.items() if v} == {
         ("1", "1", "1"): Fraction(1, 2),
         ("010", "1", "1"): Fraction(-1, 2),
     }

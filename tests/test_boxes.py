@@ -193,6 +193,15 @@ def test_correlator_rejects_parties_outside_the_box():
             correlator(builtin("pr"), parties, (0,) * len(parties))
 
 
+def test_correlator_rejects_inputs_that_are_not_bits_and_repeated_parties():
+    # these used to return 0, 0 and 1 on class44
+    box = builtin("class44")
+    for parties, inputs in (((0,), (2,)), ((0,), (-1,)), ((0,), (1.0,)), ((0,), (True,)),
+                            ((0, 0), (0, 1)), ((1, 2, 1), (0, 0, 0))):
+        with pytest.raises(ArityError):
+            correlator(box, parties, inputs)
+
+
 def test_deterministic_builtin_follows_truth_tables():
     box = builtin("deterministic(2,1,3)")
     # party A: tt 2 -> a = x; party B: tt 1 -> b = 1 - y; party C: tt 3 -> c = 1.
@@ -294,6 +303,13 @@ def test_marginal_raises_when_traced_input_matters():
     box = Box2.from_function(fn)
     with pytest.raises(SignallingError):
         marginal(box, (0,))
+
+
+def test_marginal_rejects_parties_that_are_not_ints():
+    # (0.0, 1) used to fail inside the relabelling with a RelabelingError
+    for parties in ((0.0, 1), (True,), (0, 1.0)):
+        with pytest.raises(ArityError):
+            marginal(builtin("class3"), parties)
 
 
 def test_marginal_party_count_checked_before_signalling():
@@ -411,6 +427,8 @@ def test_relabeling_rejects_flips_outside_bits():
         ((0, -1), ((0, 0), (0, 0))),
         ((0, 0), ((0, 2), (0, 0))),
         ((0, 1.0), ((0, 0), (0, 0))),
+        ((0, True), ((0, 0), (0, 0))),
+        ((0, 0), ((False, 0), (0, 0))),
     ):
         with pytest.raises(RelabelingError):
             Relabeling((1, 0), flips, outs)

@@ -318,6 +318,9 @@ def test_table1_directory_mode(tmp_path, capsys):
     # a wrong table for class 3 must be flagged, not corrected
     dump(builtin("uniform3"), tmp_path / "class3.box")
     (tmp_path / "README.txt").write_text("ignored\n")
+    # neither names a class file: an Arabic-Indic three, a trailing newline
+    dump(builtin("class44"), tmp_path / "class\u0663.box")
+    dump(builtin("class44"), tmp_path / "class3.box\n")
     code, out, _ = run(capsys, "table1", "--boxes", str(tmp_path))
     assert code == 0
     lines = out.splitlines()

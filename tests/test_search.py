@@ -13,10 +13,10 @@ from itertools import combinations, permutations
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
-from nsboxes import BIPARTITIONS, Relabeling, builtin, mix, relabel, search_max_all
+from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, relabel, search_max_all
 from nsboxes.bell import _orbit_forms
 from nsboxes.boxes import block_correlators
-from nsboxes.wiring import _column_forms, _columns, _half_table, _hull
+from nsboxes.wiring import _column_forms, _columns, _hull, _joined
 
 SEED = 91207
 FUNCTIONAL_SETS = (("chsh_max", "uffink_max"), ("chsh_max",), ("uffink_max",))
@@ -71,9 +71,20 @@ def test_column_kernel_equals_half_table_correlators():
                 for ordering in (0, 1):
                     first, second = bp.actors(ordering)
                     assert _columns(table, bp.solo, first, second) == [
-                        block_correlators(_half_table(table, bp.solo, first, second, h))
+                        block_correlators(oracle.half_table(table, bp.solo, first, second, h))
                         for h in range(128)
                     ]
+
+
+def test_oracle_half_tables_join_to_the_wired_box():
+    rng = random.Random(SEED + 1)
+    for box in [builtin(n) for n in VERTEX_NAMES] + seeded_boxes(rng, 2):
+        for _ in range(40):
+            bp, ordering = rng.choice(BIPARTITIONS), rng.randrange(2)
+            h0, h1 = rng.randrange(128), rng.randrange(128)
+            halves = (oracle.half_table(box.table, bp.solo, *bp.actors(ordering), h) for h in (h0, h1))
+            w = Wiring(bp, ordering, *_joined(h0, h1))
+            assert oracle._effective(*halves) == oracle.wire(box.table, w), w.encode()
 
 
 def _join(u, v):

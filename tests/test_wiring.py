@@ -49,9 +49,24 @@ def test_bipartition_names():
 
 def test_bipartition_rejects_malformed_fields():
     assert [Bipartition(bp.solo, bp.pair) for bp in BIPARTITIONS] == list(BIPARTITIONS)
-    for solo, pair in ((0, (1, 1)), (0, (2, 1)), (3, (1, 2)), (0, (1,)), (0, (1, 2, 0)), (1, (1, 2))):
+    for solo, pair in (
+        (0, (1, 1)), (0, (2, 1)), (3, (1, 2)), (0, (1,)), (0, (1, 2, 0)), (1, (1, 2)),
+        # equal to 0, 1, 2 but not ints: .name would index with them
+        (0.0, (1, 2)), (True, (0, 2)), (2, (0, 1.0)),
+    ):
         with pytest.raises(ParseError):
             Bipartition(solo, pair)
+
+
+def test_wiring_rejects_fields_that_are_not_ints():
+    # floats and bools in range used to be kept, and encode() printed them
+    bp = BIPARTITIONS[0]
+    for fields in (
+        (0, 1.5, 0, 0), (0, 0, 2.0, 0), (0, 0, 0, True),
+        (True, 0, 0, 0), (0.0, 0, 0, 0), (False, 0, 0, 0),
+    ):
+        with pytest.raises(ParseError):
+            Wiring(bp, *fields)
 
 
 def test_wiring_entry_points_reject_bipartite_boxes():

@@ -2,10 +2,12 @@
 are tested against.
 
 sources() follows the definition of a wiring entry by entry; nothing is
-shared with the kernel but the index conventions.  search_max_all() and
-distinct_effective_boxes() are the per-column-pair sweep: they score every
-pair of distinct half keys of a (bipartition, ordering) with the orbit
-maxima of nsboxes.bell, where the library scores each column once.
+shared with the kernel but the index conventions.  half_table() is the
+effective box at one y' from the half of the wiring that y' selects, summed
+entry by entry.  search_max_all() and distinct_effective_boxes() are the
+per-column-pair sweep over half_table(): they score every pair of distinct
+half keys of a (bipartition, ordering) with the orbit maxima of
+nsboxes.bell, where the library scores each column once.
 """
 
 from fractions import Fraction
@@ -13,8 +15,8 @@ from itertools import product
 from math import lcm
 
 from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, require_valid
-from nsboxes.boxes import block_correlators, pack
-from nsboxes.wiring import _half_table, _joined
+from nsboxes.boxes import _IN_W, _OUT_W, block_correlators, pack
+from nsboxes.wiring import _joined
 
 BITS = (0, 1)
 
@@ -76,6 +78,28 @@ def _effective(t0, t1):
     return t0[:4] + t1[:4] + t0[4:] + t1[4:]
 
 
+def half_table(table, solo, first, second, half):
+    """The 8 entries (flat index 4*x' + 2*a' + b') of the effective box at
+    one effective input y' = s'.
+
+    They depend only on the half of the wiring that s' selects: bit 6 of
+    `half` is alpha(s'), bits 4-5 are beta(s', .) indexed by w1 and bits 0-3
+    are gamma(s', ., .) indexed by 2*w1 + w2.  Entries come out in the type
+    of the table's, so an integer-scaled table gives integers.
+    """
+    iw, ow = _IN_W[3], _OUT_W[3]
+    out = [0] * 8
+    for w1 in BITS:
+        base = (half >> 6) * iw[first] + ((half >> (4 + w1)) & 1) * iw[second] + w1 * ow[first]
+        for w2 in BITS:
+            bout = (half >> (2 * w1 + w2)) & 1
+            base2 = base + w2 * ow[second]
+            for xp in BITS:
+                for ap in BITS:
+                    out[4 * xp + 2 * ap + bout] += table[base2 + xp * iw[solo] + ap * ow[solo]]
+    return tuple(out)
+
+
 def _sweep(table, key):
     """Every wiring that is the first, in canonical order, to give its pair
     of half keys, as (wiring, key at s' = 0, key at s' = 1).
@@ -90,7 +114,7 @@ def _sweep(table, key):
             first, second = bp.actors(ordering)
             first_half = {}
             for h in range(128):
-                first_half.setdefault(key(_half_table(table, bp.solo, first, second, h)), h)
+                first_half.setdefault(key(half_table(table, bp.solo, first, second, h)), h)
             pairs = sorted(
                 (_joined(h0, h1), k0, k1)
                 for k0, h0 in first_half.items()
