@@ -22,8 +22,8 @@ from .boxes import (
     ZERO,
     ArityError,
     ParseError,
+    Relabeling,
     _require3,
-    all_relabelings2,
     block_correlators,
     correlator,
     exact_values,
@@ -68,6 +68,12 @@ def _up_to_sign(form) -> tuple[int, ...]:
     return tuple(c if lead > 0 else -c for c in form)
 
 
+def _generators2() -> tuple[Relabeling, ...]:
+    """The party swap, the two input flips and the four per-input output flips."""
+    units = (tuple(int(i == k) for i in range(7)) for k in range(7))
+    return tuple(Relabeling((u[0], 1 - u[0]), u[1:3], (u[3:5], u[5:])) for u in units)
+
+
 @cache
 def _orbit_forms():
     """(CHSH forms, Uffink bracket pairs) over the 128 relabelings, as
@@ -78,21 +84,22 @@ def _orbit_forms():
     of a linear form is the form evaluated on the permuted j-th basis table.
     The j-th basis table carries the signs (1, -1, -1, 1) on block j of the
     flat layout and 0 elsewhere, so its correlators are 4 at j and 0
-    elsewhere; the tables are pushed through each permutation as plain
-    integer tuples.  |CHSH| and the squared Uffink brackets do not see a
-    form's sign, so forms are kept up to sign: 4 CHSH forms and 4 bracket
-    pairs remain, and evaluating them is exactly evaluating the whole orbit.
+    elsewhere.  Only the seven generators of the group (_generators2) are
+    built; each orbit is closed under their actions, every element being a
+    nonempty word in them.  |CHSH| and the squared Uffink brackets do not
+    see a form's sign, so forms are kept up to sign, which a linear action
+    respects: 4 CHSH forms and 4 bracket pairs remain, and evaluating them
+    is exactly evaluating the whole orbit.
     """
     basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
-    chsh_forms, uffink_pairs = set(), set()
-    for r in all_relabelings2():
-        images = [
-            [c // 4 for c in block_correlators([b[i] for i in r.permutation])] for b in basis
-        ]
-        chsh_forms.add(_up_to_sign([_dot(_CHSH, e) for e in images]))
-        brackets = ([_dot(b, e) for e in images] for b in _UFFINK)
-        uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
-    return tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs))
+    pushed = ([[b[i] for i in r.permutation] for b in basis] for r in _generators2())
+    actions = [[[c // 4 for c in block_correlators(t)] for t in tables] for tables in pushed]
+    image = lambda m, forms: tuple(sorted(_up_to_sign([_dot(f, e) for e in m]) for f in forms))
+    orbits = [[tuple(sorted(map(_up_to_sign, forms)))] for forms in ((_CHSH,), _UFFINK)]
+    for orbit in orbits:
+        for v in orbit:  # a worklist: the loop also visits what it appends
+            orbit += {image(m, v) for m in actions}.difference(orbit)
+    return tuple(f for (f,) in sorted(orbits[0])), tuple(sorted(orbits[1]))
 
 
 def chsh_max(box: Box2) -> Fraction:

@@ -45,7 +45,7 @@ class Bipartition:
     pair: tuple[int, int]
 
     def __post_init__(self):
-        parties = (self.solo, *self.pair)
+        parties = (self.solo, *self.pair) if type(self.pair) is tuple else ()
         if not _all_in(parties, range(3)) or sorted(parties) != [0, 1, 2] or parties[1] > parties[2]:
             raise ParseError(f"bipartition needs parties 0, 1, 2 with the pair ascending, "
                              f"got solo {self.solo!r} and pair {self.pair!r}")
@@ -88,6 +88,8 @@ class Wiring:
     gamma: int
 
     def __post_init__(self):
+        if type(self.bipartition) is not Bipartition:
+            raise ParseError(f"bipartition must be a Bipartition, got {self.bipartition!r}")
         # boxes._all_in's test written out: enumerate_wirings builds 98,304
         # wirings, and a generator per field more than doubles their cost.
         for field, value, width in (

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 import box_oracle
+import nsboxes
+import nsboxes.bell
+import nsboxes.boxes
 from nsboxes import (
     ArityError,
     Box2,
@@ -26,7 +29,8 @@ from nsboxes import (
     uffink,
     uffink_max,
 )
-from nsboxes.bell import _orbit_forms, _sos_residual, _times
+from nsboxes.bell import _CHSH, _UFFINK, _dot, _generators2, _orbit_forms, _sos_residual, _times, _up_to_sign
+from nsboxes.boxes import block_correlators
 from random_boxes import random_ns_box2
 
 SEED = 48611
@@ -91,6 +95,49 @@ def test_orbit_max_invariant_under_relabeling():
         out = relabel(box, r)
         assert chsh_max(out) == chsh_max(box)
         assert uffink_max(out) == uffink_max(box)
+
+
+def oracle_orbit_forms():
+    """(CHSH forms, Uffink bracket pairs) up to sign, pushing the four basis
+    tables through every one of the 128 relabelings."""
+    basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
+    chsh_forms, uffink_pairs = set(), set()
+    for r in all_relabelings2():
+        images = [[c // 4 for c in block_correlators([b[i] for i in r.permutation])] for b in basis]
+        chsh_forms.add(_up_to_sign([_dot(_CHSH, e) for e in images]))
+        brackets = ([_dot(b, e) for e in images] for b in _UFFINK)
+        uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
+    return tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs))
+
+
+def test_seven_generators_generate_the_bipartite_group():
+    generators = [r.permutation for r in _generators2()]
+    assert len(set(generators)) == 7
+    group, todo = set(generators), list(generators)
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(p[i] for i in g)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    assert group == {r.permutation for r in all_relabelings2()}
+    assert len(group) == 128
+
+
+def test_orbit_forms_equal_the_oracle_without_building_the_group(monkeypatch):
+    expected = oracle_orbit_forms()
+
+    def refuse():
+        raise AssertionError("_orbit_forms built all 128 relabelings")
+
+    for module in (nsboxes, nsboxes.boxes, nsboxes.bell):
+        monkeypatch.setattr(module, "all_relabelings2", refuse, raising=False)
+    _orbit_forms.cache_clear()
+    try:
+        assert _orbit_forms() == expected
+    finally:
+        _orbit_forms.cache_clear()
 
 
 def test_orbit_forms_pinned():

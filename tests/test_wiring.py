@@ -53,9 +53,20 @@ def test_bipartition_rejects_malformed_fields():
         (0, (1, 1)), (0, (2, 1)), (3, (1, 2)), (0, (1,)), (0, (1, 2, 0)), (1, (1, 2)),
         # equal to 0, 1, 2 but not ints: .name would index with them
         (0.0, (1, 2)), (True, (0, 2)), (2, (0, 1.0)),
+        # a pair that is not a tuple: 5 raised a bare TypeError on unpacking,
+        # and a list was accepted into a frozen dataclass it cannot hash
+        (0, 5), (0, [1, 2]), (0, None),
     ):
         with pytest.raises(ParseError):
             Bipartition(solo, pair)
+
+
+def test_wiring_rejects_a_bipartition_that_is_not_one():
+    # a name used to be accepted, and encode() and apply_wiring then raised a
+    # bare AttributeError
+    for bp in ("A|BC", (0, (1, 2)), None):
+        with pytest.raises(ParseError):
+            Wiring(bp, 0, 0, 0, 0)
 
 
 def test_wiring_rejects_fields_that_are_not_ints():
