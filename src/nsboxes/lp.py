@@ -30,12 +30,15 @@ the first family, then the first left i with u_L(i) + max over live j of
 u_R(j) > 0, then the first such j.  The Farkas lift and the check of a
 witness take the same per-family maxima.
 
-The simplex works on integers: the reduced system is scaled once by the lcm
-of its denominators, and the basis inverse is kept as integers times its
-determinant, updated fraction-free, with only the columns of basic
-structural variables stored.  Farkas witnesses found on the reduced system
-are lifted back through the presolve steps, so certificates always refer to
-the caller's row and column indices.
+Everything from the presolve to the check works on integers.  The presolve
+reads a row's signs from the index's sign masks and its right-hand side
+from the integer view (FamilyProblem.scaled).  The simplex scales the live
+coefficients apart from it (see _phase1) and keeps the basis inverse as
+integers times its determinant, updated fraction-free, with only the
+columns of basic structural variables stored.  Farkas witnesses found on
+the reduced system are lifted back through the presolve steps, so
+certificates always refer to the caller's row and column indices.  verify
+checks a certificate scaled once to integers.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 from .boxes import InexactValueError, integer_scaled
 
@@ -62,9 +65,9 @@ def _is_exact(value) -> bool:
 class Family:
     """Columns base + i * len(rights) + j with the entries lefts[i] +
     rights[j].  Each strategy is a tuple of (row, coefficient) pairs, rows
-    strictly ascending, coefficients nonzero; every left row precedes every
-    right row.  A breach raises LPError, and a coefficient that is not an
-    int or a Fraction raises InexactValueError."""
+    strictly ascending ints (a bool is not one), coefficients nonzero;
+    every left row precedes every right row.  A breach raises LPError, and
+    a coefficient that is not an int or a Fraction raises InexactValueError."""
 
     base: int
     lefts: tuple
@@ -74,6 +77,8 @@ class Family:
         for strategy in chain(self.lefts, self.rights):
             prev = -1
             for row, coeff in strategy:
+                if type(row) is not int:
+                    raise LPError(f"row {row!r} is not an int")
                 if row <= prev:
                     raise LPError(f"rows of a strategy must ascend, got {row} after {prev}")
                 prev = row
@@ -111,9 +116,9 @@ class ColumnFamilies:
     @cached_property
     def index(self) -> tuple:
         """by_row[r] holds (family, side, ((strategy, coefficient), ...),
-        mask) for each family side whose strategies touch row r, families
-        ascending, side 0 left and 1 right, the mask having bit t set for
-        each strategy t listed."""
+        mask, positive) for each family side whose strategies touch row r,
+        families ascending, side 0 left and 1 right, with bit t of mask set
+        for each strategy t listed, and of positive where its coefficient > 0."""
         by_row: list[list] = [[] for _ in range(self.num_rows)]
         for f, fam in enumerate(self.families):
             for side, strategies in enumerate((fam.lefts, fam.rights)):
@@ -122,11 +127,12 @@ class ColumnFamilies:
                     pairs = {}  # one shared (t, coefficient) tuple per coefficient
                     for row, coeff in strategy:
                         pair = pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff))
-                        entry = touching.setdefault(row, [[], 0])
+                        entry = touching.setdefault(row, [[], 0, 0])
                         entry[0].append(pair)
                         entry[1] |= 1 << t
-                for row, (entries, mask) in touching.items():
-                    by_row[row].append((f, side, tuple(entries), mask))
+                        entry[2] |= (coeff > 0) << t
+                for row, (entries, mask, positive) in touching.items():
+                    by_row[row].append((f, side, tuple(entries), mask, positive))
         return tuple(map(tuple, by_row))
 
     def row_sums(self, point) -> tuple | None:
@@ -154,7 +160,7 @@ class ColumnFamilies:
 
     def add_row(self, u: list, row: int, v) -> None:
         """Add v times row's coefficients to the strategy sums u."""
-        for f, side, entries, _ in self.index[row]:
+        for f, side, entries, *_ in self.index[row]:
             sums = u[f][side]
             for t, coeff in entries:
                 sums[t] += v * coeff
@@ -180,6 +186,11 @@ class FamilyProblem:
         return self.columns.num_vars
 
     @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The right-hand side as integer_scaled gives it, (beta, beta * b)."""
+        return integer_scaled(self.rhs)
+
+    @cached_property
     def rows(self) -> tuple:
         """The expanded rows as LPProblem takes them, nonzero entries, columns ascending."""
         entries: list[list] = [[] for _ in self.rhs]
@@ -199,10 +210,10 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
     whose left strategies are the columns and whose one right is empty.
     rows is a tuple of (entries, rhs) with entries a tuple of (column,
     coefficient) pairs; zero coefficients are allowed and dropped.  A
-    column outside 0..num_vars-1, or listed twice in one row, raises
-    LPError.  Coefficients and right-hand sides must be int or Fraction;
-    anything else (a float, a bool, a str, a Decimal) raises
-    InexactValueError.
+    column that is not an int (a bool is not), lies outside 0..num_vars-1
+    or is listed twice in one row raises LPError.  Coefficients and
+    right-hand sides must be int or Fraction; anything else (a float, a
+    bool, a str, a Decimal) raises InexactValueError.
     """
     columns: list[list] = [[] for _ in range(num_vars)]
     for row, (entries, rhs) in enumerate(rows):
@@ -210,6 +221,8 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
             raise InexactValueError(f"right-hand side {rhs!r} is not an int or a Fraction")
         seen = set()
         for col, coeff in entries:
+            if type(col) is not int:
+                raise LPError(f"column {col!r} is not an int")
             if not 0 <= col < num_vars:
                 raise LPError(f"column {col} out of range")
             if col in seen:
@@ -247,15 +260,21 @@ class LPCertificate:
                     raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
 
     def verify(self, problem: FamilyProblem) -> bool:
+        """Check exactly, on values scaled once to integers (which keeps
+        every sign) and on the right-hand side's integer view B = beta * b.
+        A point X = rho * x must be nonnegative with beta * (A X) = rho * B
+        row by row; a witness w needs w^T B > 0 and, per family, a
+        nonpositive largest column aggregate."""
+        beta, b = problem.scaled
         if self.feasible:
-            return problem.columns.row_sums(self.point or ()) == tuple(problem.rhs)
+            rho, x = _integer_scaled(dict(self.point or ()))
+            sums = problem.columns.row_sums(x.items())
+            return sums is not None and all(beta * s == rho * v for s, v in zip(sums, b))
         y = dict(self.farkas or ())
-        if any(not 0 <= r < len(problem.rhs) for r in y):
+        if any(not 0 <= r < len(b) for r in y):
             return False
-        # Scaling y to integers keeps every sign below, and keeps the
-        # strategy sums in integers when the coefficients are.
         _, w = _integer_scaled(y)
-        if sum(v * problem.rhs[r] for r, v in w.items()) <= 0:
+        if sum(v * b[r] for r, v in w.items()) <= 0:
             return False
         # Every column aggregate is nonpositive iff, per family, the largest
         # left sum plus the largest right sum is.
@@ -283,16 +302,19 @@ def _integer_scaled(values: dict) -> tuple[int, dict]:
 
 # live[f][side]: the int with bit t set while strategy t of family f is
 # live.  steps: (row, sign, parts) in elimination order, parts the (family,
-# side, ((strategy, coefficient), ...), mask) the row met live, mask being
-# the live strategies on the other side then.  detected: a row left with no
-# live column and a nonzero right-hand side, or None; active_rows: the rows
-# left, when none is.
+# side, ((strategy, coefficient), ...), hit, other) the row met live: its
+# index entries there, the mask hit of the strategies the step killed, and
+# the mask other of the live strategies on the other side then.  detected:
+# a row left with no live column and a nonzero right-hand side, or None;
+# active_rows: the rows left, when none is.
 _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 
 
 def _presolve(problem) -> _Presolve:
-    """Fix to zero every column touched by a same-sign zero-rhs row."""
-    columns, rhs = problem.columns, problem.rhs
+    """Fix to zero every column touched by a same-sign zero-rhs row: its
+    live coefficients are positive where each part's positive mask covers
+    its hit mask, negative where no part's positive mask meets it."""
+    columns, (_, rhs) = problem.columns, problem.scaled
     by_row = columns.index
     m = len(rhs)
     live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
@@ -305,26 +327,28 @@ def _presolve(problem) -> _Presolve:
         if not row_alive[i]:
             continue
         waiting |= 1 << i
-        parts = [(f, side, entries, hit) for f, side, entries, mask in by_row[i]
+        parts = [(f, side, entries, hit, positive & hit)
+                 for f, side, entries, mask, positive in by_row[i]
                  if (hit := mask & live[f][side]) and live[f][1 - side]]
         if not parts:
-            if rhs[i] != 0:
+            if rhs[i]:
                 return _Presolve(live, None, steps, i)
             row_alive[i] = False
             waiting ^= 1 << i
             continue
-        if rhs[i] != 0:
+        if rhs[i]:
             continue
-        coeffs = [c for _, _, entries, hit in parts for t, c in entries if hit >> t & 1]
-        sign = 1 if coeffs[0] > 0 else -1
-        if any(c * sign < 0 for c in coeffs):
+        if all(positive == hit for *_, hit, positive in parts):
+            sign = 1
+        elif not any(positive for *_, positive in parts):
+            sign = -1
+        else:
             continue
-        steps.append((i, sign, tuple(
-            (f, side, tuple(e for e in entries if hit >> e[0] & 1), live[f][1 - side])
-            for f, side, entries, hit in parts)))
+        steps.append((i, sign, tuple((f, side, entries, hit, live[f][1 - side])
+                                     for f, side, entries, hit, _ in parts)))
         row_alive[i] = False
         waiting ^= 1 << i
-        for f, side, _, hit in parts:
+        for f, side, _, hit, _ in parts:
             live[f][side] ^= hit
             # The columns (a, b) die in ascending id, a over the lefts and b
             # over the rights, so a waiting row first appears with the first
@@ -337,7 +361,7 @@ def _presolve(problem) -> _Presolve:
                 low = rest & -rest
                 rest ^= low
                 row = low.bit_length() - 1
-                for g, s, _, mask in by_row[row]:
+                for g, s, _, mask, _ in by_row[row]:
                     if g == f and (touch := mask & sides[s]):
                         keyed.append((s or (0 if touch & first else 2), touch & -touch, row))
                         waiting ^= low
@@ -362,13 +386,17 @@ def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
     u = columns.strategy_sums(w)
     for row, sign, parts in reversed(pre.steps):
         top = 0
-        for f, side, ts, other_live in parts:
-            other = max(v for o, v in enumerate(u[f][1 - side]) if other_live >> o & 1)
-            for t, coeff in ts:
-                agg = u[f][side][t] + other
-                agg = agg if abs(coeff) == 1 else Fraction(agg) / abs(coeff)
-                if agg > top:
-                    top = agg
+        for f, side, entries, hit, other_live in parts:
+            sums = u[f][1 - side]
+            # bin(other_live)[:1:-1] lists its bits low to high, bit o for sums[o]
+            other = max(sums if other_live + 1 == 1 << len(sums)
+                        else compress(sums, map("1".__eq__, bin(other_live)[:1:-1])))
+            for t, coeff in entries:
+                if hit >> t & 1:
+                    agg = u[f][side][t] + other
+                    agg = agg if abs(coeff) == 1 else Fraction(agg) / abs(coeff)
+                    if agg > top:
+                        top = agg
         if top > 0:
             w[row] = -sign * top
             farkas[row] = Fraction(-sign * top, scale)
@@ -388,11 +416,16 @@ def _phase1(problem, pre: _Presolve):
     smaller problem with the same feasibility answer.
 
     The updates are fraction-free (Bareiss, Math. Comp. 22, 1968).  Rows are
-    signed so the right-hand side is nonnegative, then all scaled by one lcm
-    of the denominators: one scale leaves each artificial's phase-1 cost, the
-    duals and every ratio as they are, where a scale per row would not.
-    With det the determinant of the basis, det * x_B and det * B^-1 are
-    integers.  A pivot on row r with entry piv maps every other row v_i to
+    signed so the right-hand side is nonnegative; it starts as its integer
+    view beta * b (problem.scaled), and the live coefficients are scaled by
+    the lcm alpha of their denominators only when one is not an int.  The
+    artificial columns stay the identity, so the duals c_B^T B^-1 do not
+    change, each reduced cost is multiplied by alpha > 0 and every ratio
+    x_B[i] / d[i] by beta / alpha: the pivots, ties and witness are kept,
+    and the point found, beta / alpha times the caller's, is returned
+    times alpha / beta.  A scale per row would change the duals and the
+    ratios.  With det the determinant of the basis, det * x_B and det *
+    B^-1 are integers.  A pivot on row r with entry piv maps every other row v_i to
     (piv * v_i - d_i * v_r) // det, an exact division, keeps row r, and
     makes piv the new det.  Column j of B^-1 stays e_j while position j
     holds its artificial, so only the columns of positions holding a
@@ -402,8 +435,9 @@ def _phase1(problem, pre: _Presolve):
     active = pre.active_rows
     m = len(active)
     pos = {row: p for p, row in enumerate(active)}
-    sign = [-1 if problem.rhs[i] < 0 else 1 for i in active]
-    rhs = [s * problem.rhs[i] for s, i in zip(sign, active)]
+    beta, b = problem.scaled
+    sign = [-1 if b[i] < 0 else 1 for i in active]
+    xb = [s * b[i] for s, i in zip(sign, active)]
     # Families with live columns: (base, len(rights), lefts, rights), each
     # side its live strategies as (id, [(position, signed coefficient)]).
     fams = []
@@ -414,10 +448,12 @@ def _phase1(problem, pre: _Presolve):
         if all(sides):
             fams.append((fam.base, len(fam.rights), *sides))
     coeffs = [c for *_, lefts, rights in fams for _, e in lefts + rights for _, c in e]
-    _, ints = integer_scaled([*rhs, *coeffs])
-    xb, scaled = list(ints[:m]), iter(ints[m:])
-    fams = [(base, width, *([(t, [(p, next(scaled)) for p, _ in e]) for t, e in side] for side in sides))
-            for base, width, *sides in fams]
+    alpha = 1
+    if any(type(c) is not int for c in coeffs):
+        alpha, ints = integer_scaled(coeffs)
+        scaled = iter(ints)
+        fams = [(base, width, *([(t, [(p, next(scaled)) for p, _ in e]) for t, e in side] for side in sides))
+                for base, width, *sides in fams]
     det = 1
     inv: dict[int, list] = {}  # position -> its column of det * B^-1, structural positions only
     basis = [n + p for p in range(m)]
@@ -425,7 +461,8 @@ def _phase1(problem, pre: _Presolve):
     while True:
         art_rows = [i for i in range(m) if basis[i] >= n]
         if not any(xb[i] for i in art_rows):
-            return {basis[i]: Fraction(xb[i], det) for i in range(m) if basis[i] < n and xb[i]}, None
+            return {basis[i]: Fraction(xb[i] * alpha, det * beta)
+                    for i in range(m) if basis[i] < n and xb[i]}, None
         # det * duals of the phase-1 objective (artificial cost 1, structural 0).
         y = [det] * m
         for j, column in inv.items():

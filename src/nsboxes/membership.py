@@ -26,7 +26,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import product
 
-from .boxes import BITS, ONE, Box3, _require3, pack, require_valid
+from .boxes import BITS, ONE, Box3, ParseError, _require3, pack, require_valid
 from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, lp_feasible
 from .wiring import Bipartition
 
@@ -106,7 +106,10 @@ def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     index), 64..127 route-2, 128 normalization.  Column lambda_index(...)
     hits the 8 rows of each of its two route strategies and row 128, each
     with coefficient 1.  The columns are four families, built once per
-    bipartition (_tobl_columns); the rows are expanded only when read."""
+    bipartition (_tobl_columns); the rows are expanded only when read.  A
+    bp that is not a Bipartition raises ParseError."""
+    if type(bp) is not Bipartition:
+        raise ParseError(f"bipartition must be a Bipartition, got {bp!r}")
     return FamilyProblem(_tobl_columns(bp), tuple(box.table) * 2 + (ONE,))
 
 

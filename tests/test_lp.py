@@ -161,6 +161,15 @@ def test_verify_rejects_tampered_certificates():
     for outside in (-1, 2):
         assert not LPCertificate(True, tuple(sorted(((0, 1), (outside, 1)))), None).verify(problem)
         assert not LPCertificate(False, None, cert2.farkas + ((outside + 2, 1),)).verify(problem2)
+    # Right-hand sides of denominators 3, 6 and 7, lcm 42: the points
+    # x = (1/3 - t, t, 1/6 - t, t - 1/42) solve the rows, and are
+    # nonnegative for 1/42 <= t <= 1/6.
+    problem3, cert3 = solve(4, [(((0, 1), (1, 1)), F(1, 3)), (((1, 1), (2, 1)), F(1, 6)),
+                                (((2, 1), (3, 1)), F(1, 7))])
+    assert cert3.feasible and cert3.verify(problem3)
+    (col, v), *rest = cert3.point
+    assert not LPCertificate(True, ((col, v + F(1, 84)), *rest), None).verify(problem3)
+    assert not LPCertificate(True, ((0, F(1, 3)), (2, F(1, 6)), (3, F(-1, 42))), None).verify(problem3)
 
 
 def random_problem(rng, feasible):
@@ -602,6 +611,38 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
     assert requeued_steps >= 10
 
 
+def scaled_system(problem, rhs_factor, coeff_factor):
+    """problem with its right-hand side times rhs_factor and every
+    coefficient times coeff_factor."""
+    families = tuple(
+        Family(fam.base, *(tuple(tuple((r, c * coeff_factor) for r, c in strategy) for strategy in side)
+                           for side in (fam.lefts, fam.rights)))
+        for fam in problem.columns.families
+    )
+    return FamilyProblem(ColumnFamilies(problem.num_vars, problem.columns.num_rows, families),
+                         tuple(v * rhs_factor for v in problem.rhs))
+
+
+@pytest.mark.parametrize("k", [3, F(7, 2), F(1, 6)], ids=["3", "7/2", "1/6"])
+def test_solution_scales_with_b_and_inversely_with_a(k):
+    # Phase 1 scales b and A by separate factors: b times k must give k
+    # times the point, A times k the point over k, and both the same
+    # pivots, so the same witness.
+    rng = random.Random(FAMILY_SEED + 1)
+    outcomes = set()
+    for _ in range(100):
+        problem = family_system(rng)
+        cert = lp_feasible(problem)
+        outcomes.add(cert.feasible)
+        for rhs_factor, coeff_factor, point_factor in ((k, 1, k), (1, k, 1 / F(k))):
+            got = lp_feasible(scaled_system(problem, rhs_factor, coeff_factor))
+            if cert.feasible:
+                assert got.point == tuple((col, v * point_factor) for col, v in cert.point)
+            else:
+                assert got.farkas == cert.farkas
+    assert outcomes == {True, False}
+
+
 def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
     # Row 3 kills family 0's one right, so columns 0 = (left 0, right 0) and
     # 1 = (left 1, right 0) die in that order: waiting row 2 (right 0's)
@@ -682,6 +723,18 @@ def test_certificate_keys_must_be_ints(key):
         LPCertificate(True, ((key, F(1, 2)), (2, F(1, 2))), None)
     with pytest.raises(LPError):
         LPCertificate(False, None, ((key, F(1)),))
+
+
+@pytest.mark.parametrize(
+    "index", [True, 1.0, 0.5, "1", None], ids=["bool", "integral float", "float", "str", "None"]
+)
+def test_lp_indices_must_be_ints(index):
+    # True used to be read as column or row 1, and the others raised a bare
+    # TypeError when the problem was built or solved.
+    with pytest.raises(LPError):
+        LPProblem(2, ((((index, 1),), 1),))
+    with pytest.raises(LPError):
+        Family(0, (((index, 1),),), ((),))
 
 
 def test_certificate_keys_listed_once():

@@ -10,6 +10,7 @@ from nsboxes import (
     ArityError,
     InexactValueError,
     LPProblem,
+    ParseError,
     Relabeling,
     builtin,
     chsh_max,
@@ -110,6 +111,15 @@ def test_class44_tobl_infeasible_with_farkas():
 def test_is_tobl_rejects_bipartite_input():
     with pytest.raises(ArityError):
         is_tobl(builtin("pr"), BIPARTITIONS[0])
+
+
+def test_tobl_rejects_a_bipartition_that_is_not_one():
+    # a name used to raise a bare AttributeError from the column builder
+    for bp in ("A|BC", (0, (1, 2)), None):
+        with pytest.raises(ParseError):
+            tobl_problem(builtin("class4"), bp)
+        with pytest.raises(ParseError):
+            is_tobl(builtin("class4"), bp)
 
 
 def test_class4_model_verifies_on_every_bipartition():
