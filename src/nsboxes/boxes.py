@@ -377,16 +377,20 @@ class Relabeling:
     permutation: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        perm = self.party_perm
+        perm, pairs = self.party_perm, self.output_flips
+        # a list field would make the frozen value unhashable
+        fields = (perm, self.input_flips, pairs)
+        if not all(type(f) is tuple for f in fields) or not all(type(f) is tuple for f in pairs):
+            raise RelabelingError(
+                f"relabeling fields and output flip pairs must be tuples, got "
+                f"{perm!r}, {self.input_flips!r} and {pairs!r}"
+            )
         n = len(perm)
         if n not in (2, 3) or not _all_in(perm, range(n)) or len(set(perm)) != n:
             raise RelabelingError(
                 f"party_perm {perm} is not a permutation of 2 or 3 parties"
             )
-        pairs = self.output_flips
-        if len(self.input_flips) != n or len(pairs) != n or not all(
-            isinstance(f, (tuple, list)) and len(f) == 2 for f in pairs
-        ):
+        if len(self.input_flips) != n or len(pairs) != n or not all(len(f) == 2 for f in pairs):
             raise RelabelingError(
                 f"input_flips {self.input_flips} and output_flips {pairs} "
                 f"need {n} entries each, output flips in pairs"

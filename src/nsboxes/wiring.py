@@ -187,33 +187,48 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     return Box2(tuple(out))
 
 
-def _columns(table, solo: int, first: int, second: int) -> list[tuple]:
-    """The correlator column (E_0s', E_1s') at y' = s' of each of the 128
-    halves h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) in order.
+def _distinct_columns(table, solo: int, first: int, second: int) -> dict:
+    """Each distinct correlator column (E_0s', E_1s') of the 128 halves
+    h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) -> the first
+    half giving it, in ascending order of first halves.
 
     E_x' sums d = P(a'=0, w2) - P(a'=1, w2) of the branch (x', alpha, w1,
-    beta(w1)) over (w1, w2), negated where gamma(w1, w2) = 1; the two terms
-    of one w1 are summed once per pair of gamma bits.
+    beta(w1)) over (w1, w2), negated where gamma(w1, w2) = 1.  So for one
+    alpha = i1 the column of h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp
+    is P[b0, gp] + Q[b1, gq]: P holds the 8 points of the w1 = 0 branches
+    and Q those of the w1 = 1 branches, and the block's columns are two
+    Minkowski sums of the deduplicated summands.  The halves giving a
+    point pair form a product set whose bits interleave in h, so its first
+    half joins the first index of each point.
     """
-    sums = {}
-    for key in product(BITS, repeat=4):
-        p00, p01, p10, p11 = _branch(table, solo, first, second, *key)
-        d0, d1 = p00 - p10, p01 - p11
-        sums[key] = (d0 + d1, d1 - d0, d0 - d1, -d0 - d1)
-    cols = []
-    for i1, b1, b0 in product(BITS, repeat=3):
-        (p0, q0), (p1, q1) = ((sums[xp, i1, 0, b0], sums[xp, i1, 1, b1]) for xp in BITS)
-        cols += [(p0[g & 3] + q0[g >> 2], p1[g & 3] + q1[g >> 2]) for g in range(16)]
-    return cols
+    first_half = {}
+    for i1 in BITS:
+        summands = ({}, {})
+        for w1, b in product(BITS, repeat=2):
+            signed = []
+            for xp in BITS:
+                p00, p01, p10, p11 = _branch(table, solo, first, second, xp, i1, w1, b)
+                d0, d1 = p00 - p10, p01 - p11
+                signed.append((d0 + d1, d1 - d0, d0 - d1, -d0 - d1))
+            for g, point in enumerate(zip(*signed)):
+                summands[w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
+        pairs = sorted(
+            (i1 << 6 | hp | hq, (px + qx, py + qy))
+            for (px, py), hp in summands[0].items()
+            for (qx, qy), hq in summands[1].items()
+        )
+        for h, col in pairs:
+            first_half.setdefault(col, h)
+    return first_half
 
 
 @cache
 def _column_forms() -> dict:
     """bell's orbit forms on the columns c0 = (E00, E10) and c1 = (E01, E11):
     name -> (degree, separable forms, coupled pairs).  A separable form is
-    A(c0) + B(c1), each side the vectors u whose (u . c)**degree it sums:
-    each CHSH form with either sign, and each Uffink bracket pair in which
-    no bracket reads both columns.  A coupled pair is ((p0, q0), (p1, q1))."""
+    (u0 . c0)**degree + (u1 . c1)**degree, written ((u0,), (u1,)): each
+    CHSH form with either sign, and each Uffink bracket pair in which no
+    bracket reads both columns.  A coupled pair is ((p0, q0), (p1, q1))."""
     split = lambda c: ((c[0], c[2]), (c[1], c[3]))
     chsh_forms, uffink_pairs = bell._orbit_forms()
     linear = [tuple((u,) for u in split([s * x for x in c])) for c in chsh_forms for s in (1, -1)]
@@ -245,26 +260,53 @@ def _hull(points) -> list:
     return vertices or pts
 
 
-def _block_max(first_half: dict, degree: int, separable, coupled) -> tuple:
-    """(maximum over one block's wirings, first (alpha, beta, gamma) giving
-    it), from first_half: each distinct column -> the first half giving it.
+@cache
+def _directions() -> tuple:
+    """The directions u of the separable forms, each once up to sign."""
+    return tuple(sorted({
+        bell._up_to_sign(u)
+        for _, separable, _ in _column_forms().values()
+        for sides in separable
+        for (u,) in sides
+    }))
 
+
+def _extremes(first_half: dict) -> dict:
+    """u -> ((max, first half), (min, first half)) of u . c over the
+    distinct columns, for each of _directions() and its negation: the one
+    pass over a block's columns that every separable form reads."""
+    cols, heads = list(first_half), list(first_half.values())
+    out = {}
+    for a, b in _directions():
+        values = [a * x + b * y for x, y in cols]
+        hi, lo = max(values), min(values)
+        top, bottom = (hi, heads[values.index(hi)]), (lo, heads[values.index(lo)])
+        out[a, b] = top, bottom
+        out[-a, -b] = (-lo, bottom[1]), (-hi, top[1])
+    return out
+
+
+def _block_max(first_half: dict, extremes: dict, degree: int, separable, coupled) -> tuple:
+    """(maximum over one block's wirings, first (alpha, beta, gamma) giving
+    it), from first_half: each distinct column -> the first half giving it,
+    and its _extremes.
+
+    (u . c)**degree is maximal where u . c is extreme, so on the first half
+    of the larger power of the two extremes, ties going to the smaller half.
     A separable form's maximisers are a product set of halves, whose first
     wiring joins the first maximising half of each side.  A coupled pair is
     ||M0 c0 + M1 c1||**2 with M0, M1 invertible, strictly convex in each
     column, so it is maximal only on pairs of hull vertices of the columns.
     """
-    cols, heads = list(first_half), list(first_half.values())
-
-    @cache
-    def peak(us):
-        values = [0] * len(cols)
-        for a, b in us:
-            values = [v + (a * x + b * y) ** degree for v, (x, y) in zip(values, cols)]
-        return max(values), heads[values.index(max(values))]
-
-    found = [(v0 + v1, h0, h1) for (v0, h0), (v1, h1) in (map(peak, f) for f in separable)]
-    hull = _hull(cols) if coupled else []
+    peak = {}
+    for u, ends in extremes.items():
+        value, head = max((v ** degree, -h) for v, h in ends)
+        peak[u] = value, -head
+    found = []
+    for (u,), (v,) in separable:
+        (v0, h0), (v1, h1) = peak[u], peak[v]
+        found.append((v0 + v1, h0, h1))
+    hull = _hull(first_half) if coupled else []
     for sides in coupled:
         c0s, c1s = (
             [(p[0] * x + p[1] * y, q[0] * x + q[1] * y, first_half[x, y]) for x, y in hull]
@@ -291,7 +333,9 @@ def search_max_all(
     Both maxima depend only on the correlator table, whose column at y' = s'
     is fixed by the wiring's half at s', so each (bipartition, ordering)
     scores its distinct columns, in the integers of the box's integer view
-    (`Box3.scaled`); a later block must do strictly better to win.
+    (`Box3.scaled`): one pass of extremes serves every separable form of
+    both functionals, and the hull the coupled Uffink pairs.  A later block
+    must do strictly better to win.
     """
     forms = _column_forms()
     for f in functionals:
@@ -302,11 +346,10 @@ def search_max_all(
     best: dict[str, tuple[int, Wiring]] = {}
     for bp in BIPARTITIONS:
         for ordering in BITS:
-            first_half = {}
-            for h, col in enumerate(_columns(table, bp.solo, *bp.actors(ordering))):
-                first_half.setdefault(col, h)
+            first_half = _distinct_columns(table, bp.solo, *bp.actors(ordering))
+            extremes = _extremes(first_half)
             for f in functionals:
-                v, abg = _block_max(first_half, *forms[f])
+                v, abg = _block_max(first_half, extremes, *forms[f])
                 if f not in best or v > best[f][0]:
                     best[f] = (v, Wiring(bp, ordering, *abg))
     # on a table scaled by D, chsh_max scales by D and uffink_max by D**2

@@ -434,6 +434,25 @@ def test_relabeling_rejects_flips_outside_bits():
             Relabeling((1, 0), flips, outs)
 
 
+def test_relabeling_rejects_fields_that_are_not_tuples():
+    # a list field used to give a frozen Relabeling that hash() rejected,
+    # and a party_perm of 5 a bare TypeError
+    for perm, flips, outs in (
+        ([1, 0], (0, 0), ((0, 0), (0, 0))),
+        ((1, 0), [0, 0], ((0, 0), (0, 0))),
+        ((1, 0), (0, 0), [(0, 0), (0, 0)]),
+        ((1, 0), (0, 0), ((0, 0), [0, 0])),
+        (5, (0, 0), ((0, 0), (0, 0))),
+        ((1, 0), 0, ((0, 0), (0, 0))),
+        ((1, 0), (0, 0), None),
+        ("10", (0, 0), ((0, 0), (0, 0))),
+    ):
+        with pytest.raises(RelabelingError):
+            Relabeling(perm, flips, outs)
+    r = Relabeling((1, 0), (0, 0), ((0, 0), (0, 0)))
+    assert {r: 1}[Relabeling((1, 0), (0, 0), ((0, 0), (0, 0)))] == 1
+
+
 def test_relabel_preserves_validity_and_entry_multiset():
     rng = random.Random(SEED + 1)
     rels = all_relabelings2()

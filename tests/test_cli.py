@@ -159,13 +159,28 @@ def test_membership_unwritable_certificate_path(tmp_path, capsys):
         assert err.startswith(f"error: cannot write {path}: ")
 
 
-def test_search_class44(capsys):
-    code, out, _ = run(capsys, "search", "builtin:class44")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "chsh_max = 4, uffink_max = 8, IC violated (CHSH)"
-    assert lines[1].startswith("chsh_max wiring: bp=")
-    assert lines[2].startswith("uffink_max wiring: bp=")
+# The values and first maximising wirings of perfbench/reference.json; the
+# tie-heavy uniform3, whose every wiring scores 0, keeps the very first.
+SEARCH_STDOUT = {
+    "class3": "chsh_max = 4, uffink_max = 8, IC violated (CHSH)\n"
+    "chsh_max wiring: bp=A|BC order=C,B alpha=3 beta=6 gamma=85\n"
+    "uffink_max wiring: bp=A|BC order=C,B alpha=3 beta=6 gamma=85\n",
+    "class4": "chsh_max = 2, uffink_max = 4, no witness\n"
+    "chsh_max wiring: bp=A|BC order=B,C alpha=0 beta=0 gamma=20\n"
+    "uffink_max wiring: bp=A|BC order=B,C alpha=0 beta=0 gamma=85\n",
+    "class44": "chsh_max = 4, uffink_max = 8, IC violated (CHSH)\n"
+    "chsh_max wiring: bp=A|BC order=B,C alpha=1 beta=3 gamma=102\n"
+    "uffink_max wiring: bp=A|BC order=B,C alpha=1 beta=3 gamma=102\n",
+    "uniform3": "chsh_max = 0, uffink_max = 0, no witness\n"
+    "chsh_max wiring: bp=A|BC order=B,C alpha=0 beta=0 gamma=0\n"
+    "uffink_max wiring: bp=A|BC order=B,C alpha=0 beta=0 gamma=0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_STDOUT))
+def test_search_stdout_pinned(capsys, name):
+    code, out, _ = run(capsys, "search", f"builtin:{name}")
+    assert (code, out) == (0, SEARCH_STDOUT[name])
 
 
 def test_search_single_functional(capsys):

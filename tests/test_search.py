@@ -16,7 +16,8 @@ import wiring_oracle as oracle
 from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, relabel, search_max_all
 from nsboxes.bell import _orbit_forms
 from nsboxes.boxes import block_correlators
-from nsboxes.wiring import _column_forms, _columns, _hull, _joined
+from nsboxes.wiring import _column_forms, _distinct_columns, _hull, _joined
+from wiring_oracle import columns as _columns
 
 SEED = 91207
 FUNCTIONAL_SETS = (("chsh_max", "uffink_max"), ("chsh_max",), ("uffink_max",))
@@ -74,6 +75,19 @@ def test_column_kernel_equals_half_table_correlators():
                         block_correlators(oracle.half_table(table, bp.solo, first, second, h))
                         for h in range(128)
                     ]
+
+
+def test_distinct_columns_equal_the_first_halves_of_the_128():
+    rng = random.Random(SEED + 3)
+    names = VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")
+    for box in [builtin(n) for n in names] + seeded_boxes(rng, 4):
+        for table in (box.table, oracle._integer_table(box)[1]):
+            for bp in BIPARTITIONS:
+                for ordering in (0, 1):
+                    block = (table, bp.solo, *bp.actors(ordering))
+                    got = list(_distinct_columns(*block).items())
+                    assert got == list(oracle.distinct_columns(*block).items())
+                    assert [h for _, h in got] == sorted(h for _, h in got)
 
 
 def test_oracle_half_tables_join_to_the_wired_box():

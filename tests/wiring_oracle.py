@@ -4,10 +4,13 @@ are tested against.
 sources() follows the definition of a wiring entry by entry; nothing is
 shared with the kernel but the index conventions.  half_table() is the
 effective box at one y' from the half of the wiring that y' selects, summed
-entry by entry.  search_max_all() and distinct_effective_boxes() are the
-per-column-pair sweep over half_table(): they score every pair of distinct
-half keys of a (bipartition, ordering) with the orbit maxima of
-nsboxes.bell, where the library scores each column once.
+entry by entry.  columns() builds the correlator column of each of the 128
+halves from the branch reader, and distinct_columns() dedups them, which
+the library's summand sums must reproduce.  search_max_all() and
+distinct_effective_boxes() are the per-column-pair sweep over half_table():
+they score every pair of distinct half keys of a (bipartition, ordering)
+with the orbit maxima of nsboxes.bell, where the library scores each
+column once.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from math import lcm
 
 from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, require_valid
 from nsboxes.boxes import _IN_W, _OUT_W, block_correlators, pack
-from nsboxes.wiring import _joined
+from nsboxes.wiring import _branch, _joined
 
 BITS = (0, 1)
 
@@ -98,6 +101,35 @@ def half_table(table, solo, first, second, half):
                 for ap in BITS:
                     out[4 * xp + 2 * ap + bout] += table[base2 + xp * iw[solo] + ap * ow[solo]]
     return tuple(out)
+
+
+def columns(table, solo, first, second):
+    """The correlator column (E_0s', E_1s') at y' = s' of each of the 128
+    halves h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) in order.
+
+    E_x' sums d = P(a'=0, w2) - P(a'=1, w2) of the branch (x', alpha, w1,
+    beta(w1)) over (w1, w2), negated where gamma(w1, w2) = 1; the two terms
+    of one w1 are summed once per pair of gamma bits.
+    """
+    sums = {}
+    for key in product(BITS, repeat=4):
+        p00, p01, p10, p11 = _branch(table, solo, first, second, *key)
+        d0, d1 = p00 - p10, p01 - p11
+        sums[key] = (d0 + d1, d1 - d0, d0 - d1, -d0 - d1)
+    cols = []
+    for i1, b1, b0 in product(BITS, repeat=3):
+        (p0, q0), (p1, q1) = ((sums[xp, i1, 0, b0], sums[xp, i1, 1, b1]) for xp in BITS)
+        cols += [(p0[g & 3] + q0[g >> 2], p1[g & 3] + q1[g >> 2]) for g in range(16)]
+    return cols
+
+
+def distinct_columns(table, solo, first, second):
+    """Each distinct column of columns() -> the first half giving it, in
+    ascending order of first halves."""
+    first_half = {}
+    for h, col in enumerate(columns(table, solo, first, second)):
+        first_half.setdefault(col, h)
+    return first_half
 
 
 def _sweep(table, key):
