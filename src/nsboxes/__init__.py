@@ -13,13 +13,10 @@ from .bell import (
     chsh,
     chsh_max,
     correlator_table,
-    dumps_gyni_weights,
     gyni_bound,
     gyni_value,
-    ic_witness,
     k_value,
     parse_gyni_weights,
-    sos_identity_check,
     uffink,
     uffink_max,
 )
@@ -33,31 +30,20 @@ from .boxes import (
     ParseError,
     Relabeling,
     RelabelingError,
-    SignallingError,
     UnknownBuiltinError,
     ValidationReport,
-    all_relabelings2,
     builtin,
     correlator,
     dump,
     dumps,
     load,
     loads,
-    marginal,
     mix,
-    relabel,
     require_valid,
     validate,
 )
 from .lp import LPCertificate, LPError, LPProblem, lp_feasible
-from .membership import (
-    class4_tobl_model,
-    is_local,
-    is_tobl,
-    lambda_index,
-    local_problem,
-    tobl_problem,
-)
+from .membership import is_local, is_tobl, local_problem, tobl_problem
 from .wiring import (
     BIPARTITIONS,
     Bipartition,
@@ -86,40 +72,31 @@ __all__ = [
     "ParseError",
     "Relabeling",
     "RelabelingError",
-    "SignallingError",
     "UnknownBuiltinError",
     "ValidationReport",
     "Wiring",
-    "all_relabelings2",
     "apply_wiring",
     "builtin",
     "chsh",
     "chsh_max",
-    "class4_tobl_model",
     "correlator",
     "correlator_table",
     "dump",
     "dumps",
-    "dumps_gyni_weights",
     "enumerate_wirings",
     "gyni_bound",
     "gyni_value",
-    "ic_witness",
     "is_local",
     "is_tobl",
     "k_value",
-    "lambda_index",
     "load",
     "loads",
     "local_problem",
     "lp_feasible",
-    "marginal",
     "mix",
     "parse_gyni_weights",
-    "relabel",
     "require_valid",
     "search_max_all",
-    "sos_identity_check",
     "tobl_problem",
     "uffink",
     "uffink_max",

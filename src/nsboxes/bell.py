@@ -23,6 +23,7 @@ from .boxes import (
     ArityError,
     ParseError,
     Relabeling,
+    _require2,
     _require3,
     block_correlators,
     correlator,
@@ -46,7 +47,7 @@ def _ic_bounds_broken(chsh_value: Fraction, uffink_value: Fraction) -> tuple[boo
 
 def correlator_table(box: Box2) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(E00, E01, E10, E11) with Exy indexed by 2*x + y."""
-    return block_correlators(box.table)
+    return block_correlators(_require2(box, "correlator_table").table)
 
 
 def _dot(c, e):
@@ -109,7 +110,7 @@ def chsh_max(box: Box2) -> Fraction:
     view (`Box2.scaled`), which are `scale` times the box's; the maximum is
     returned as Fraction(m, scale).
     """
-    scale, t = box.scaled
+    scale, t = _require2(box, "chsh_max").scaled
     e = block_correlators(t)
     return Fraction(max(abs(_dot(c, e)) for c in _orbit_forms()[0]), scale)
 
@@ -120,7 +121,7 @@ def uffink_max(box: Box2) -> Fraction:
     Evaluated in ints like chsh_max; the form is quadratic, so the maximum
     is returned as Fraction(m, scale**2).
     """
-    scale, t = box.scaled
+    scale, t = _require2(box, "uffink_max").scaled
     e = block_correlators(t)
     return Fraction(max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1]), scale ** 2)
 
@@ -148,10 +149,6 @@ class IcVerdict:
         return cls(False, None, None)
 
 
-def ic_witness(box: Box2) -> IcVerdict:
-    return IcVerdict.from_values(chsh_max(box), uffink_max(box))
-
-
 @dataclass(frozen=True)
 class GyniWeights:
     """Nonnegative weights q(x1,x2,x3) summing to 1, flat index 4x1+2x2+x3."""
@@ -159,8 +156,8 @@ class GyniWeights:
     q: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.q) != 8:
-            raise ArityError(f"need 8 weights, got {len(self.q)}")
+        if not isinstance(self.q, (tuple, list)) or len(self.q) != 8:
+            raise ArityError(f"need a tuple of 8 weights, got {self.q!r}")
         q = exact_values(self.q)
         object.__setattr__(self, "q", q)
         if any(v < 0 for v in q):
@@ -194,8 +191,9 @@ def gyni_bound(weights: GyniWeights) -> Fraction:
 def k_value(box: Box3) -> Fraction:
     """15/2 + <A1B1C1>/2 - 2(<A0B0C0> + <A0B1> + <B0C1> + <A1C0>).
 
-    Nonnegative on every quantum box (sos_identity_check); its minimum over
-    the no-signalling set is -1.
+    Nonnegative on every quantum box: k = X1'X1 + 2 X2'X2 + 2 X3'X3 as an
+    identity of operators, which tests/sos_identity.py expands; its minimum
+    over the no-signalling set is -1.
     """
     c = lambda parties, ins: correlator(box, parties, ins)
     return (
@@ -209,46 +207,6 @@ def k_value(box: Box3) -> Fraction:
             + c((0, 2), (1, 0))
         )
     )
-
-
-def _times(p: dict, q: dict) -> dict:
-    """Product of polynomials in +-1 observables: a monomial is one word of
-    inputs per party (A, B, C), reduced by X_x^2 = 1; parties commute."""
-    out: dict = {}
-    for u, a in p.items():
-        for v, b in q.items():
-            mono = []
-            for w, y in zip(u, v):
-                for t in y:
-                    w = w[:-1] if w[-1:] == t else w + t
-                mono.append(w)
-            out[tuple(mono)] = out.get(tuple(mono), 0) + a * b
-    return {m: c for m, c in out.items() if c}
-
-
-def _sos_residual() -> dict:
-    """k - X1'X1 - 2 X2'X2 - 2 X3'X3 in noncommuting observables, X' the adjoint
-    (each word reversed), with alpha = A1C0, beta = A0B1, gamma = A0B0C0,
-    delta = B0C1, X1 = (beta alpha + gamma delta)/2 - 1, X2 = (alpha +
-    beta)/2 - 1 and X3 = (gamma + delta)/2 - 1."""
-    one, a, b, g, d = ("", "", ""), ("1", "", "0"), ("0", "1", ""), ("0", "0", "0"), ("", "0", "1")
-    (x1,) = _times({b: 1}, {a: 1})
-    (gd,) = _times({g: 1}, {d: 1})
-    out = {one: Fraction(15, 2), ("1", "1", "1"): Fraction(1, 2), a: -2, b: -2, g: -2, d: -2}
-    for c, x, y in ((1, x1, gd), (2, a, b), (2, g, d)):
-        sq = {x: Fraction(1, 2), y: Fraction(1, 2), one: -1}
-        adjoint = {tuple(w[::-1] for w in m): v for m, v in sq.items()}
-        for m, v in _times(adjoint, sq).items():
-            out[m] = out.get(m, 0) - c * v
-    return {m: v for m, v in out.items() if v}
-
-
-def sos_identity_check() -> bool:
-    """Verify k = X1'X1 + 2 X2'X2 + 2 X3'X3 (_sos_residual) as an identity of
-    operators: A_x^2 = 1, observables of different parties commute, those
-    of one party need not.  Each term is then positive semidefinite, so
-    k_value is nonnegative on every quantum box."""
-    return not _sos_residual()
 
 
 # Weight file format: one line per input triple, "x1 x2 x3 = num/den",
@@ -279,10 +237,3 @@ def parse_gyni_weights(text: str) -> GyniWeights:
         return GyniWeights(tuple(q))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def dumps_gyni_weights(weights: GyniWeights) -> str:
-    lines = []
-    for x1, x2, x3 in product(BITS, repeat=3):
-        lines.append(f"{x1} {x2} {x3} = {weights.q[4 * x1 + 2 * x2 + x3]}")
-    return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ Outputs map to dichotomic observables as 0 -> +1, 1 -> -1.
 
 This module is the one place that knows that layout.  Per arity it keeps
 each party's index weights and the (outputs, inputs) decoded for every flat
-index; validation, marginals, correlators and serialization read entries by
+index; validation, correlators and serialization read entries by
 flat index through these, or flip one party's bits on the weights.  A
 relabeling is a permutation of flat indices (`Relabeling.permutation`), so
 applying one is a single pass over the table.  `block_correlators` gives the
@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from pathlib import Path
 
@@ -60,10 +59,6 @@ class InvalidBoxError(BoxError):
     def __init__(self, report: "ValidationReport"):
         self.report = report
         super().__init__("; ".join(report.lines()) or "invalid box")
-
-
-class SignallingError(BoxError):
-    """A marginal is ill defined because it depends on a traced input."""
 
 
 class ParseError(BoxError):
@@ -168,12 +163,6 @@ class _Table:
         first use.  Equality and hashing still read `table` only."""
         return integer_scaled(self.table)
 
-    @classmethod
-    def from_function(cls, fn):
-        """Build from fn(*outputs, *inputs) -> value."""
-        return cls(tuple(fn(*outs, *ins) for outs, ins in _ENTRIES[cls.n_parties]))
-
-
 @dataclass(frozen=True)
 class Box3(_Table):
     """Tripartite box: 64 exact probabilities P(abc|xyz)."""
@@ -276,6 +265,13 @@ def validate(box: Box) -> ValidationReport:
     return ValidationReport(n, negative, norm, tuple(signalling))
 
 
+def _require2(box, what: str) -> Box2:
+    """Raise ArityError unless box is bipartite."""
+    if not isinstance(box, Box2):
+        raise ArityError(f"{what} needs a bipartite box")
+    return box
+
+
 def _require3(box, what: str) -> Box3:
     """Raise ArityError unless box is tripartite."""
     if not isinstance(box, Box3):
@@ -289,43 +285,6 @@ def require_valid(box: Box) -> Box:
     if not report.is_valid:
         raise InvalidBoxError(report)
     return box
-
-
-def marginal(box: Box, parties: tuple[int, ...]):
-    """Trace out the complement of `parties`.
-
-    Returns a Box2 when two parties are kept (slots in the order given) or a
-    4-tuple indexed by 2*x + a for a single party.  Raises SignallingError if
-    the traced-out inputs influence the result, in which case no marginal
-    exists.
-    """
-    n = box.n_parties
-    if len(set(parties)) != len(parties) or not _all_in(parties, range(n)):
-        raise ArityError(f"bad party subset {parties} for arity {n}")
-    k = len(parties)
-    if k not in (1, 2):
-        raise ArityError(f"keep one or two parties, got {k}")
-    traced = tuple(q for q in range(n) if q not in parties)
-    # Move the kept parties to the front: a flat index of the moved table
-    # reads (kept inputs, traced inputs, kept outputs, traced outputs), so
-    # summing runs of 2**(n - k) entries leaves sums[kin, tin, kout].
-    order = Relabeling(tuple(parties) + traced, (0,) * n, ((0, 0),) * n).permutation
-    run = 2 ** (n - k)
-    sums = [sum(box.table[j] for j in order[i : i + run]) for i in range(0, 4 ** n, run)]
-    flat = [ZERO] * 4 ** k
-    for i in _OUTS_MAJOR[k]:
-        kin, kout = i >> k, i % 2 ** k
-        vals = [sums[kin << n | tin << k | kout] for tin in range(run)]
-        for tin, s in enumerate(vals):
-            if s != vals[0]:
-                k_outs, k_ins = _ENTRIES[k][i]
-                raise SignallingError(
-                    f"marginal over parties {parties} ill defined: traced "
-                    f"inputs {_bits(tin, n - k)} change it at outputs {k_outs}, "
-                    f"inputs {k_ins}"
-                )
-        flat[i] = vals[0]
-    return Box2(tuple(flat)) if k == 2 else tuple(flat)
 
 
 def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> Fraction:
@@ -419,24 +378,6 @@ def _all_in(values, allowed) -> bool:
     return all(type(v) is int and v in allowed for v in values)
 
 
-def relabel(box: Box, r: Relabeling) -> Box:
-    """Apply a relabeling; preserves validity and the multiset of entries."""
-    if r.n_parties != box.n_parties:
-        raise ArityError("relabeling arity does not match box")
-    return type(box)(tuple(box.table[j] for j in r.permutation))
-
-
-@cache
-def all_relabelings2() -> tuple[Relabeling, ...]:
-    """The full 128-element bipartite relabeling group."""
-    return tuple(
-        Relabeling(perm, flips, ((of[0], of[1]), (of[2], of[3])))
-        for perm in ((0, 1), (1, 0))
-        for flips in product(BITS, repeat=2)
-        for of in product(BITS, repeat=4)
-    )
-
-
 def mix(boxes, weights) -> Box:
     """Convex combination of same-arity boxes; weights must sum to 1."""
     boxes = list(boxes)
@@ -514,6 +455,8 @@ def builtin(name: str) -> Box:
                    outputs equal the per-party responses, truth tables
                    0..3 written as one ASCII digit each
     """
+    if type(name) is not str:
+        raise UnknownBuiltinError(f"builtin box name must be a string, got {name!r}")
     name = name.strip()
     if name in _BUILTINS:
         return _uniform_over(*_BUILTINS[name])

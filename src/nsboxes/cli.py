@@ -21,13 +21,12 @@ from pathlib import Path
 
 from . import bell
 from .boxes import (
-    ArityError,
-    Box2,
     Box3,
     BoxError,
     ParseError,
     UnknownBuiltinError,
     _read_text,
+    _require2,
     _require3,
     builtin,
     dumps,
@@ -65,12 +64,6 @@ def _write(path, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _require2(box, what: str) -> Box2:
-    if not isinstance(box, Box2):
-        raise ArityError(f"{what} needs a bipartite box")
-    return box
 
 
 def _verdict_text(v: bell.IcVerdict) -> str:

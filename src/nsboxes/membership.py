@@ -23,7 +23,6 @@ where route 1 has pair[0] sending and route 2 has pair[1] sending.
 from __future__ import annotations
 
 from functools import cache
-from fractions import Fraction
 from itertools import product
 
 from .boxes import BITS, ONE, Box3, ParseError, _require3, pack, require_valid
@@ -97,15 +96,11 @@ def _tobl_columns(bp: Bipartition) -> ColumnFamilies:
     return ColumnFamilies(16384, 129, families)
 
 
-def lambda_index(solo_tt: int, r1: tuple[int, int], r2: tuple[int, int]) -> int:
-    return solo_tt * 4096 + (r1[0] * 16 + r1[1]) * 64 + (r2[0] * 16 + r2[1])
-
-
 def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     """129-row, 16384-column LP: rows 0..63 are route-1 table equations (flat
-    index), 64..127 route-2, 128 normalization.  Column lambda_index(...)
-    hits the 8 rows of each of its two route strategies and row 128, each
-    with coefficient 1.  The columns are four families, built once per
+    index), 64..127 route-2, 128 normalization.  The column at a strategy
+    triple's lambda index (module docstring) hits the 8 rows of each of its
+    two route strategies and row 128, each with coefficient 1.  The columns are four families, built once per
     bipartition (_tobl_columns); the rows are expanded only when read.  A
     bp that is not a Bipartition raises ParseError."""
     if type(bp) is not Bipartition:
@@ -119,44 +114,3 @@ def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:
     the 2 x 256 route strategies and never expands the 16384 columns."""
     require_valid(_require3(box, "is_tobl"))
     return lp_feasible(tobl_problem(box, bp))
-
-
-def _tt1(fn) -> int:
-    return fn(0) | (fn(1) << 1)
-
-
-def _tt2(fn) -> int:
-    tt = 0
-    for i, j in product(BITS, repeat=2):
-        tt |= fn(i, j) << (2 * i + j)
-    return tt
-
-
-def class4_tobl_model(bp: Bipartition) -> LPCertificate:
-    """The uniform two-bit-seed model for the class4 builtin, as a feasible
-    certificate of tobl_problem(builtin("class4"), bp): weight 1/4 on the
-    lambda index of each seed's strategy triple.  It checks as every
-    is_tobl certificate does, with cert.verify(tobl_problem(box, bp)).
-
-    For seed (l0, l1) the solo party outputs l0 + (l0+l1)s on input s.  A
-    route whose sender precedes its receiver on the cycle A -> B -> C -> A
-    has sender output l0 + l1 + l1*s and receiver output l1 + (l0+s)r, for
-    sender input s and receiver input r; a route the other way has l1 +
-    (l0+1)s and l0 + (l1+s)(r+1).  (class4 is invariant under the cycle.)
-    """
-    entries = []
-    for l0, l1 in product(BITS, repeat=2):
-        routes = []
-        for k in (0, 1):  # route k + 1: pair[k] sends
-            sender, receiver = bp.pair[k], bp.pair[1 - k]
-            if receiver == (sender + 1) % 3:
-                f = lambda s: l0 ^ l1 ^ (l1 & s)
-                g = lambda s, r: l1 ^ ((l0 ^ s) & r)
-            else:
-                f = lambda s: l1 ^ ((l0 ^ 1) & s)
-                g = lambda s, r: l0 ^ ((l1 ^ s) & (r ^ 1))
-            # g's truth table takes the pair's inputs in pair order
-            routes.append((_tt1(f), _tt2(lambda i, j: g(i, j) if k == 0 else g(j, i))))
-        solo_tt = _tt1(lambda s: l0 ^ ((l0 ^ l1) & s))
-        entries.append((lambda_index(solo_tt, *routes), Fraction(1, 4)))
-    return LPCertificate(True, tuple(sorted(entries)), None)

@@ -56,6 +56,8 @@ class Bipartition:
 
     @classmethod
     def from_name(cls, name: str) -> "Bipartition":
+        if type(name) is not str:
+            raise ParseError(f"bipartition name must be a string, got {name!r}")
         for bp in BIPARTITIONS:
             if bp.name == name.strip():
                 return bp
@@ -101,10 +103,6 @@ class Wiring:
             if not (type(value) is int and 0 <= value < width):
                 raise ParseError(f"{field} must be an int in range({width}), got {value!r}")
 
-    @property
-    def is_type_i(self) -> bool:
-        return all((self.beta >> 2 * s & 1) == (self.beta >> 2 * s + 1 & 1) for s in BITS)
-
     def encode(self) -> str:
         first, second = self.bipartition.actors(self.ordering)
         return (
@@ -115,6 +113,8 @@ class Wiring:
 
     @classmethod
     def parse(cls, text: str) -> "Wiring":
+        if type(text) is not str:
+            raise ParseError(f"wiring encoding must be a string, got {text!r}")
         fields = {}
         for token in text.split():
             if "=" not in token:

@@ -1,6 +1,9 @@
 """Entry-by-entry box operations, the reference that the flat-index versions
 in nsboxes.boxes and nsboxes.bell are tested against, and the builtin boxes
-rebuilt from their defining formulas.
+rebuilt from their defining formulas.  marginal and relabel have no
+counterpart in the library: the tests that trace parties out or move a box
+along its orbit use these.  all_relabelings2 builds the whole 128-element
+bipartite relabeling group, which the library never needs.
 
 Each function loops over (outputs, inputs) assignments with
 itertools.product and rebuilds the flat index of every entry it reads;
@@ -10,9 +13,10 @@ and report types.
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
-from nsboxes import ArityError, Box2, Box3, SignallingError, ValidationReport
+from nsboxes import ArityError, Box2, Box3, BoxError, Relabeling, ValidationReport
 
 BITS = (0, 1)
 PARTY_NAMES = "ABC"
@@ -61,6 +65,10 @@ def validate(box):
                 if vals[0] != vals[1]:
                     signalling.append((PARTY_NAMES[p], r_outs, r_ins, vals[0], vals[1]))
     return ValidationReport(n, tuple(negative), tuple(norm), tuple(signalling))
+
+
+class SignallingError(BoxError):
+    """A marginal is ill defined because it depends on a traced input."""
 
 
 def marginal(box, parties):
@@ -131,6 +139,22 @@ def relabel_table(table, r):
                 old_outs[p] = outs[i] ^ r.output_flips[i][ins[i]]
             tab[pack(outs, ins)] = table[pack(old_outs, old_ins)]
     return tuple(tab)
+
+
+def relabel(box, r):
+    """The relabeled box, its table built by relabel_table."""
+    return type(box)(relabel_table(box.table, r))
+
+
+@cache
+def all_relabelings2() -> tuple[Relabeling, ...]:
+    """The full 128-element bipartite relabeling group."""
+    return tuple(
+        Relabeling(perm, flips, ((of[0], of[1]), (of[2], of[3])))
+        for perm in ((0, 1), (1, 0))
+        for flips in product(BITS, repeat=2)
+        for of in product(BITS, repeat=4)
+    )
 
 
 def dumps(box):

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from nsboxes import Box2, all_relabelings2, builtin, mix, relabel
+from box_oracle import all_relabelings2, from_entries, relabel
+from nsboxes import Box2, builtin, mix
 
 
 def random_ns_box2(rng):
@@ -20,7 +21,7 @@ def random_ns_box2(rng):
                 if a == (ta >> x) & 1 and b == (tb >> y) & 1
                 else Fraction(0)
             )
-            vertices.append(Box2.from_function(fn))
+            vertices.append(from_entries(Box2, fn))
     raw = [Fraction(rng.randrange(1, 10)) for _ in vertices]
     total = sum(raw)
     return mix(vertices, tuple(v / total for v in raw))

@@ -11,25 +11,24 @@ from nsboxes import (
     Box2,
     GyniWeights,
     Relabeling,
-    all_relabelings2,
     builtin,
     chsh_max,
-    class4_tobl_model,
     correlator_table,
     gyni_bound,
     gyni_value,
     is_local,
     is_tobl,
     k_value,
-    relabel,
     search_max_all,
-    sos_identity_check,
     tobl_problem,
     uffink_max,
     validate,
 )
+from box_oracle import all_relabelings2, relabel
+from class4_model import class4_tobl_model
 from nsboxes.cli import load_table_rows
 from random_boxes import random_ns_box2
+from sos_identity import sos_identity_check
 from wiring_oracle import distinct_effective_boxes
 
 SEED = 60601

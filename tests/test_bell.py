@@ -5,33 +5,29 @@ import pytest
 
 import box_oracle
 import nsboxes
-import nsboxes.bell
-import nsboxes.boxes
+from box_oracle import all_relabelings2, from_entries, relabel
 from nsboxes import (
     ArityError,
     Box2,
     GyniWeights,
+    IcVerdict,
     InexactValueError,
     ParseError,
-    all_relabelings2,
     builtin,
     chsh,
     chsh_max,
     correlator_table,
-    dumps_gyni_weights,
     gyni_bound,
     gyni_value,
-    ic_witness,
     k_value,
     parse_gyni_weights,
-    relabel,
-    sos_identity_check,
     uffink,
     uffink_max,
 )
-from nsboxes.bell import _CHSH, _UFFINK, _dot, _generators2, _orbit_forms, _sos_residual, _times, _up_to_sign
+from nsboxes.bell import _CHSH, _UFFINK, _dot, _generators2, _orbit_forms, _up_to_sign
 from nsboxes.boxes import block_correlators
 from random_boxes import random_ns_box2
+from sos_identity import _sos_residual, _times, sos_identity_check
 
 SEED = 48611
 
@@ -125,14 +121,11 @@ def test_seven_generators_generate_the_bipartite_group():
     assert len(group) == 128
 
 
-def test_orbit_forms_equal_the_oracle_without_building_the_group(monkeypatch):
+def test_orbit_forms_equal_the_oracle_without_building_the_group():
     expected = oracle_orbit_forms()
-
-    def refuse():
-        raise AssertionError("_orbit_forms built all 128 relabelings")
-
-    for module in (nsboxes, nsboxes.boxes, nsboxes.bell):
-        monkeypatch.setattr(module, "all_relabelings2", refuse, raising=False)
+    # the package has no builder of the whole group to fall back on
+    for module in (nsboxes, nsboxes.bell, nsboxes.boxes, nsboxes.wiring):
+        assert not hasattr(module, "all_relabelings2")
     _orbit_forms.cache_clear()
     try:
         assert _orbit_forms() == expected
@@ -151,11 +144,22 @@ def test_orbit_forms_pinned():
     )
 
 
+@pytest.mark.parametrize("name", ["class3", "class44"])
+@pytest.mark.parametrize(
+    "functional", [chsh, uffink, chsh_max, uffink_max, correlator_table], ids=lambda f: f.__name__
+)
+def test_bipartite_functionals_reject_tripartite_boxes(functional, name):
+    # each used to read the first 16 entries of the 64, or return all 16
+    # block correlators
+    with pytest.raises(ArityError):
+        functional(builtin(name))
+
+
 def test_uniform_box_scores_zero():
     u = builtin("uniform2")
     assert chsh_max(u) == 0
     assert uffink_max(u) == 0
-    assert not ic_witness(u).violated
+    assert not IcVerdict.from_values(chsh_max(u), uffink_max(u)).violated
 
 
 def test_deterministic_boxes_cap_at_classical_bounds():
@@ -166,13 +170,14 @@ def test_deterministic_boxes_cap_at_classical_bounds():
                 if a == (ta >> x) & 1 and b == (tb >> y) & 1
                 else Fraction(0)
             )
-            box = Box2.from_function(fn)
+            box = from_entries(Box2, fn)
             assert chsh_max(box) == 2
             assert uffink_max(box) == 4
 
 
 def test_ic_witness_prefers_chsh():
-    v = ic_witness(builtin("pr"))
+    pr = builtin("pr")
+    v = IcVerdict.from_values(chsh_max(pr), uffink_max(pr))
     assert v.violated and v.witness == "chsh" and v.value == 4
 
 
@@ -191,9 +196,9 @@ def test_ic_witness_uffink_branch():
         e = [Fraction(1), Fraction(1, 3), Fraction(1), Fraction(-1, 3)][2 * x + y]
         return (1 + (1 if a == b else -1) * e) / 4
 
-    box = Box2.from_function(fn)
+    box = from_entries(Box2, fn)
     assert chsh_max(box) ** 2 < 8
-    v = ic_witness(box)
+    v = IcVerdict.from_values(chsh_max(box), uffink_max(box))
     assert v.violated and v.witness == "uffink" and v.value == Fraction(40, 9)
 
 
@@ -268,6 +273,8 @@ def test_gyni_never_beats_bound_on_class4():
 def test_gyni_weights_validation():
     with pytest.raises(ArityError):
         GyniWeights(tuple([Fraction(1)] + [Fraction(0)] * 6))  # wrong length
+    with pytest.raises(ArityError):
+        GyniWeights(Fraction(1, 8) for _ in range(8))  # no length
     with pytest.raises(ValueError):
         GyniWeights(tuple([Fraction(2)] + [Fraction(0)] * 7))  # sum != 1
     with pytest.raises(ValueError):
@@ -284,7 +291,7 @@ def test_gyni_weights_reject_floats():
 
 def test_gyni_weights_text_round_trip():
     w = GyniWeights.uniform_even_parity()
-    text = dumps_gyni_weights(w)
+    text = "".join(f"{x >> 2} {x >> 1 & 1} {x & 1} = {q}\n" for x, q in enumerate(w.q))
     assert parse_gyni_weights(text).q == w.q
     with pytest.raises(ParseError):
         parse_gyni_weights("0 0 = 1/2\n")

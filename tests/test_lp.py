@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
+from box_oracle import relabel
 from nsboxes import (
     BIPARTITIONS,
     InexactValueError,
@@ -17,7 +18,6 @@ from nsboxes import (
     is_tobl,
     local_problem,
     mix,
-    relabel,
     tobl_problem,
 )
 from nsboxes.lp import (

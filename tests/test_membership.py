@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import lp_oracle
+from box_oracle import relabel
+from class4_model import class4_tobl_model, lambda_index
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
@@ -14,14 +16,11 @@ from nsboxes import (
     Relabeling,
     builtin,
     chsh_max,
-    class4_tobl_model,
     is_local,
     is_tobl,
-    lambda_index,
     local_problem,
     lp_feasible,
     mix,
-    relabel,
     tobl_problem,
 )
 from nsboxes import membership

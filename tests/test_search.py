@@ -13,7 +13,8 @@ from itertools import combinations, permutations
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
-from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, relabel, search_max_all
+from box_oracle import relabel
+from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, search_max_all
 from nsboxes.bell import _orbit_forms
 from nsboxes.boxes import block_correlators
 from nsboxes.wiring import _column_forms, _distinct_columns, _hull, _joined

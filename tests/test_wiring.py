@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import wiring_oracle as oracle
+from box_oracle import relabel
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
@@ -11,6 +12,7 @@ from nsboxes import (
     Box2,
     ParseError,
     Relabeling,
+    UnknownBuiltinError,
     Wiring,
     apply_wiring,
     builtin,
@@ -18,7 +20,6 @@ from nsboxes import (
     correlator_table,
     enumerate_wirings,
     mix,
-    relabel,
     search_max_all,
     uffink_max,
     validate,
@@ -59,6 +60,22 @@ def test_bipartition_rejects_malformed_fields():
     ):
         with pytest.raises(ParseError):
             Bipartition(solo, pair)
+
+
+NAME_PARSERS = {
+    "Bipartition.from_name": (Bipartition.from_name, ParseError),
+    "Wiring.parse": (Wiring.parse, ParseError),
+    "builtin": (builtin, UnknownBuiltinError),
+}
+
+
+@pytest.mark.parametrize("value", [5, None, b"A|BC"], ids=repr)
+@pytest.mark.parametrize("parser", NAME_PARSERS)
+def test_names_that_are_not_strings_raise_typed_errors(parser, value):
+    # each used to raise a bare AttributeError or TypeError from str methods
+    parse, error = NAME_PARSERS[parser]
+    with pytest.raises(error):
+        parse(value)
 
 
 def test_wiring_rejects_a_bipartition_that_is_not_one():
@@ -118,7 +135,7 @@ def test_enumeration_counts():
     for bp in BIPARTITIONS:
         wirings = enumerate_wirings(bp)
         assert len(wirings) == 2 * 4 * 16 * 256
-        type_i = [w for w in wirings if w.is_type_i]
+        type_i = [w for w in wirings if oracle.is_type_i(w)]
         assert len(type_i) == 2 * 4 * 4 * 256
         assert len(wirings) - len(type_i) == 32768 - 8192
 
@@ -127,8 +144,8 @@ def test_type_i_detection():
     # beta = 12 is s' regardless of w1; beta = 4 reads w1
     w1 = Wiring.parse("bp=A|BC order=B,C alpha=2 beta=12 gamma=102")
     w2 = Wiring.parse(CLASS3_WIRING)
-    assert w1.is_type_i
-    assert not w2.is_type_i
+    assert oracle.is_type_i(w1)
+    assert not oracle.is_type_i(w2)
 
 
 def test_class3_effective_correlators():
@@ -179,7 +196,7 @@ def test_fixed_input_path_agrees_on_type_i():
     rng = random.Random(SEED + 2)
     for name in ("class3", "class4", "class44"):
         box = builtin(name)
-        wirings = [w for w in enumerate_wirings(rng.choice(BIPARTITIONS)) if w.is_type_i]
+        wirings = [w for w in enumerate_wirings(rng.choice(BIPARTITIONS)) if oracle.is_type_i(w)]
         for w in rng.sample(wirings, 60):
             assert oracle.wire_fixed_inputs(box.table, w) == apply_wiring(box, w).table
 

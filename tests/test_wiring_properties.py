@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
-from nsboxes import BIPARTITIONS, Relabeling, Wiring, apply_wiring, builtin, mix, relabel
+from box_oracle import relabel
+from nsboxes import BIPARTITIONS, Relabeling, Wiring, apply_wiring, builtin, mix
 
 BITS = st.integers(0, 1)
 

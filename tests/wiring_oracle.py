@@ -45,10 +45,15 @@ def wire(table, w):
     return tuple(sum((table[j] for j in js), Fraction(0)) for js in sources(w))
 
 
+def is_type_i(w):
+    """beta ignores its w1 argument: no output feeds an input."""
+    return all((w.beta >> 2 * s & 1) == (w.beta >> 2 * s + 1 & 1) for s in BITS)
+
+
 def wire_fixed_inputs(table, w):
     """Second route for type-I wirings: fix both pair inputs per s', then
     group the plain conditional block by the pair's effective output."""
-    if not w.is_type_i:
+    if not is_type_i(w):
         raise ValueError("fixed-input evaluation needs a type-I wiring")
     solo = w.bipartition.solo
     first, second = w.bipartition.actors(w.ordering)
