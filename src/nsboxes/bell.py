@@ -213,6 +213,8 @@ def k_value(box: Box3) -> Fraction:
 # '#' comments, omitted triples are zero.
 
 def parse_gyni_weights(text: str) -> GyniWeights:
+    if not isinstance(text, str):
+        raise ParseError(f"weights file text must be a string, got {type(text).__name__}")
     q = [ZERO] * 8
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):

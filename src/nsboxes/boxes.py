@@ -153,6 +153,9 @@ class _Table:
 
     def __post_init__(self):
         size = 4 ** self.n_parties
+        if not isinstance(self.table, (tuple, list)):
+            raise ArityError(f"{type(self).__name__} needs a tuple or list of {size} entries, "
+                             f"got {type(self.table).__name__}")
         if len(self.table) != size:
             raise ArityError(f"{type(self).__name__} needs {size} entries, got {len(self.table)}")
         object.__setattr__(self, "table", exact_values(self.table))
@@ -294,6 +297,8 @@ def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> F
     0, which cannot matter for a valid no-signalling box.
     """
     n = box.n_parties
+    if not all(isinstance(s, (tuple, list)) for s in (parties, inputs)):
+        raise ArityError(f"parties and inputs must be tuples or lists, got {parties!r} and {inputs!r}")
     if len(parties) != len(inputs):
         raise ArityError("parties and inputs must have equal length")
     if len(set(parties)) != len(parties) or not _all_in(parties, range(n)):
@@ -380,6 +385,8 @@ def _all_in(values, allowed) -> bool:
 
 def mix(boxes, weights) -> Box:
     """Convex combination of same-arity boxes; weights must sum to 1."""
+    if isinstance(boxes, _Table):
+        raise ArityError("mix needs a list of boxes, got a single box")
     boxes = list(boxes)
     weights = exact_values(weights)
     if not boxes or len(boxes) != len(weights):
@@ -473,56 +480,63 @@ def builtin(name: str) -> Box:
 # File format: header line "box3" or "box2", then one line per nonzero entry,
 #     a b c | x y z = num/den
 # with outputs left of the bar and inputs right of it.  '#' starts a comment,
-# unlisted entries are zero.
+# unlisted entries are zero.  _SPELLING[n][i] is flat index i's bits as
+# dumps writes them; _INDEX[n] maps their tokens, (outputs, inputs), back to i.
 
 _ENTRY_RE = re.compile(r"^([01 ]+)\|([01 ]+)=(.+)$")
+_SPELLING = {
+    n: tuple(" | ".join(" ".join(map(str, bits)) for bits in e) for e in _ENTRIES[n]) for n in (2, 3)
+}
+_INDEX = {
+    n: {tuple(tuple(side.split()) for side in s.split("|")): i for i, s in enumerate(_SPELLING[n])}
+    for n in (2, 3)
+}
 
 
 def dumps(box: Box) -> str:
     """Serialize in canonical order (ascending flat index, nonzero only)."""
     lines = [f"box{box.n_parties}"]
-    for v, (outs, ins) in zip(box.table, _ENTRIES[box.n_parties]):
-        if v:
-            lines.append("%s | %s = %s" % (" ".join(map(str, outs)), " ".join(map(str, ins)), v))
+    lines += ["%s = %s" % (s, v) for s, v in zip(_SPELLING[box.n_parties], box.table) if v]
     return "\n".join(lines) + "\n"
 
 
 def loads(text: str, check: bool = True) -> Box:
-    """Parse the box file format; with check=True require full validity."""
-    header = None
-    entries = {}
+    """Parse the box file format; with check=True require full validity.
+
+    Values are what Fraction() parses; each distinct value text is parsed
+    once per call."""
+    if not isinstance(text, str):
+        raise ParseError(f"box file text must be a string, got {type(text).__name__}")
+    n = None
+    entries, values = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
+        if n is None:
             if line not in ("box2", "box3"):
                 raise ParseError(f"line {lineno}: expected box2 or box3 header")
-            header = line
+            n = int(line[3])
             continue
         m = _ENTRY_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: cannot parse entry {raw!r}")
-        outs, ins = m.group(1).split(), m.group(2).split()
-        n = 3 if header == "box3" else 2
-        if len(outs) != n or len(ins) != n or any(t not in ("0", "1") for t in outs + ins):
+        outs, ins, value = m.groups()
+        i = _INDEX[n].get((tuple(outs.split()), tuple(ins.split())))
+        if i is None:
             raise ParseError(f"line {lineno}: expected {n} output and input bits")
-        outs, ins = tuple(map(int, outs)), tuple(map(int, ins))
-        try:
-            value = Fraction(m.group(3).strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {lineno}: bad value {m.group(3).strip()!r}") from exc
-        key = (outs, ins)
-        if key in entries:
-            raise ParseError(f"line {lineno}: duplicate entry for {key}")
-        entries[key] = value
-    if header is None:
+        value = value.strip()
+        if value not in values:
+            try:
+                values[value] = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"line {lineno}: bad value {value!r}") from exc
+        if i in entries:
+            raise ParseError(f"line {lineno}: duplicate entry for {_ENTRIES[n][i]}")
+        entries[i] = values[value]
+    if n is None:
         raise ParseError("empty box file")
-    n = 3 if header == "box3" else 2
-    tab = [ZERO] * (64 if n == 3 else 16)
-    for (outs, ins), v in entries.items():
-        tab[pack(outs, ins)] = v
-    box = (Box3 if n == 3 else Box2)(tuple(tab))
+    box = (Box3 if n == 3 else Box2)(tuple(entries.get(i, ZERO) for i in range(4 ** n)))
     if check:
         require_valid(box)
     return box

@@ -173,18 +173,20 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     The pair's branch with first output w1 is read at the input triple whose
     second input is beta(s', w1); no-signalling of the source makes this the
     correct sequential probability, with the 0 * (0/0) = 0 convention built
-    in (a zero-probability branch contributes zero to every entry).
+    in (a zero-probability branch contributes zero to every entry).  The
+    sums run on the box's integer view (`Box3.scaled`).
     """
     require_valid(_require3(box, "apply_wiring"))
+    scale, table = box.scaled
     roles = (w.bipartition.solo, *w.bipartition.actors(w.ordering))
     out = [0] * 16
     for sp, xp, w1 in product(BITS, repeat=3):
         i1, i2 = w.alpha >> sp & 1, w.beta >> 2 * sp + w1 & 1
-        for k, p in enumerate(_branch(box.table, *roles, xp, i1, w1, i2)):
+        for k, p in enumerate(_branch(table, *roles, xp, i1, w1, i2)):
             ap, w2 = divmod(k, 2)
             # flat index 8*x' + 4*y' + 2*a' + b'
             out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += p
-    return Box2(tuple(out))
+    return Box2(tuple(Fraction(v, scale) for v in out))
 
 
 def _distinct_columns(table, solo: int, first: int, second: int) -> dict:

@@ -3,7 +3,9 @@ in nsboxes.boxes and nsboxes.bell are tested against, and the builtin boxes
 rebuilt from their defining formulas.  marginal and relabel have no
 counterpart in the library: the tests that trace parties out or move a box
 along its orbit use these.  all_relabelings2 builds the whole 128-element
-bipartite relabeling group, which the library never needs.
+bipartite relabeling group, which the library never needs.  loads is the
+line-by-line box file parser the library's table lookup replaced: a regex
+match, bit checks, pack and one Fraction() per line.
 
 Each function loops over (outputs, inputs) assignments with
 itertools.product and rebuilds the flat index of every entry it reads;
@@ -16,7 +18,16 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from nsboxes import ArityError, Box2, Box3, BoxError, Relabeling, ValidationReport
+from nsboxes import (
+    ArityError,
+    Box2,
+    Box3,
+    BoxError,
+    ParseError,
+    Relabeling,
+    ValidationReport,
+    require_valid,
+)
 
 BITS = (0, 1)
 PARTY_NAMES = "ABC"
@@ -166,6 +177,50 @@ def dumps(box):
             if v:
                 lines.append("%s | %s = %s" % (" ".join(map(str, outs)), " ".join(map(str, ins)), v))
     return "\n".join(lines) + "\n"
+
+
+_ENTRY_RE = re.compile(r"^([01 ]+)\|([01 ]+)=(.+)$")
+
+
+def loads(text: str, check: bool = True):
+    """Parse the box file format; with check=True require full validity."""
+    header = None
+    entries = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            if line not in ("box2", "box3"):
+                raise ParseError(f"line {lineno}: expected box2 or box3 header")
+            header = line
+            continue
+        m = _ENTRY_RE.match(line)
+        if not m:
+            raise ParseError(f"line {lineno}: cannot parse entry {raw!r}")
+        outs, ins = m.group(1).split(), m.group(2).split()
+        n = 3 if header == "box3" else 2
+        if len(outs) != n or len(ins) != n or any(t not in ("0", "1") for t in outs + ins):
+            raise ParseError(f"line {lineno}: expected {n} output and input bits")
+        outs, ins = tuple(map(int, outs)), tuple(map(int, ins))
+        try:
+            value = Fraction(m.group(3).strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {lineno}: bad value {m.group(3).strip()!r}") from exc
+        key = (outs, ins)
+        if key in entries:
+            raise ParseError(f"line {lineno}: duplicate entry for {key}")
+        entries[key] = value
+    if header is None:
+        raise ParseError("empty box file")
+    n = 3 if header == "box3" else 2
+    tab = [ZERO] * (64 if n == 3 else 16)
+    for (outs, ins), v in entries.items():
+        tab[pack(outs, ins)] = v
+    box = (Box3 if n == 3 else Box2)(tuple(tab))
+    if check:
+        require_valid(box)
+    return box
 
 
 def correlator_table(box):

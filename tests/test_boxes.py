@@ -26,7 +26,9 @@ from nsboxes import (
     mix,
     validate,
 )
+from nsboxes.bell import parse_gyni_weights
 from nsboxes.boxes import pack
+from random_boxes import mixture3, odd_lcm_mixtures, pool_weights, random_ns_box2
 
 SEED = 20240917
 
@@ -249,6 +251,101 @@ def test_loads_rejects_garbage():
         loads("box2\n0 0 | 0 0 = 1\n")  # other inputs unnormalized
     with pytest.raises(ParseError):
         loads("box2\n01 0 | 0 0 = 1/2\n", check=False)  # bits are 0 or 1
+
+
+def _parsed(parse, text, check):
+    """(type, table) of the parsed box, or (exception type, message)."""
+    try:
+        box = parse(text, check=check)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(box), box.table
+
+
+def _respelled(box):
+    """dumps(box) with each entry line spelled one of nine other ways the
+    format allows, and comments, blank lines and CRLF endings between."""
+    spellings = (
+        lambda o, i, v: f"{o}|{i}={v}",
+        lambda o, i, v: f"  {o}   |   {i}   =   {v}  ",
+        lambda o, i, v: f"{o.replace(' ', '   ')} | {i}= {v} # trailing comment",
+        lambda o, i, v: f"{o} | {i} = {v} #",
+        lambda o, i, v: f"{o} | {i} = \t{v}\t",
+        lambda o, i, v: f"{o} | {i} = +{v}",
+        lambda o, i, v: f"{o} | {i} = {v.numerator * 10}/{v.denominator * 10}",
+        lambda o, i, v: f"{o} | {i} = {v.numerator}_0/{v.denominator}0",
+        lambda o, i, v: f"{o} | {i} = {float(v)!r}" if v.denominator in (1, 2, 4, 8) else f"{o} | {i} = {v}",
+    )
+    head, *lines = dumps(box).splitlines()
+    out = ["# a comment before the header", "", f"{head}  # the header"]
+    for k, line in enumerate(lines):
+        bits, value = line.split(" = ")
+        o, i = bits.split(" | ")
+        out.append(spellings[k % len(spellings)](o, i, Fraction(value)))
+        if k % 4 == 0:
+            out += ["", "   # comment only", "#"]
+    return "\r\n".join(out) + "\n"
+
+
+def test_loads_matches_line_parser_oracle():
+    rng = random.Random(SEED + 9)
+    boxes = [builtin(n) for n in ("class3", "class4", "class44", "pr", "uniform3", "uniform2")]
+    boxes += odd_lcm_mixtures(rng) + [random_ns_box2(rng) for _ in range(4)]
+    boxes += [mixture3(rng, pool_weights(rng)) for _ in range(4)]
+    texts = [dumps(box) for box in boxes] + [_respelled(box) for box in boxes]
+    texts += [
+        "box2\n0 0 | 0 0 = 1/4\n0 1 | 0 0 = 0.25\n1 0 | 0 0 = +1/4\n1 1 | 0 0 = 1_0/40\n",
+        "box2\n0 0 | 0 0 =  1/4 \n0 1 | 0 0 = \u0661/\u0664\n",  # Arabic-Indic digits
+        "box2\n\n#\n0 0|0 0=1\n",
+    ]
+    malformed = [
+        "box3\n01 0 | 0 0 0 = 1/4\n",
+        "box3\n0 0 | 0 0 = 1/4\n",
+        "box2\n0 0 0 0 = 1/4\n",
+        "box2\n0 0 | 0 0 1/4\n",
+        "box2\n0 0 | 0 0 = 1/0\n",
+        "box2\n0 0 | 0 0 = abc\n",
+        "box2\n0 0 | 0 0 = 1/4 = 1/4\n",
+        "box2\n0 0 | 0 0 =\n",
+        "box2\n0 0 | 0 0 = 1/4\n0  0 | 0 0 = 1/4\n",
+        "box2\n0\t0 | 0 0 = 1/4\n",
+        "box2\n0 2 | 0 0 = 1/4\n",
+        "box2\n| 0 0 = 1/4\n",
+        "box2\nbox2\n",
+        "",
+        "# only a comment\n\n",
+        "box4\n0 0 | 0 0 = 1\n",
+        "box2\n0 0 | 0 0 = -1/4\n",
+        "box2\n0 0 | 0 0 = 1\n",
+    ]
+    for text in texts + malformed:
+        for check in (True, False):
+            assert _parsed(loads, text, check) == _parsed(box_oracle.loads, text, check), text
+    for box in boxes:
+        assert loads(_respelled(box)) == box
+    for text in malformed:
+        assert _parsed(loads, text, True)[0] in (ParseError, InvalidBoxError), text
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: loads(5), ParseError),
+        (lambda: loads(b"box2\n"), ParseError),
+        (lambda: parse_gyni_weights(5), ParseError),
+        (lambda: Box3(5), ArityError),
+        (lambda: Box3(x for x in [1] * 64), ArityError),
+        (lambda: Box2(None), ArityError),
+        (lambda: correlator(builtin("pr"), 5, (0,)), ArityError),
+        (lambda: correlator(builtin("pr"), (0,), 0), ArityError),
+        (lambda: mix(builtin("pr"), [1]), ArityError),
+    ],
+    ids=["loads-int", "loads-bytes", "gyni-weights-int", "box3-int", "box3-generator",
+         "box2-none", "correlator-parties-int", "correlator-inputs-int", "mix-one-box"],
+)
+def test_wrong_argument_types_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_load_rejects_file_that_is_not_utf8(tmp_path):

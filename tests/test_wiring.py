@@ -3,21 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+import box_oracle
 import wiring_oracle as oracle
 from box_oracle import relabel
+from random_boxes import odd_lcm_mixtures, random_relabeling3
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
     Bipartition,
     Box2,
     ParseError,
-    Relabeling,
     UnknownBuiltinError,
     Wiring,
     apply_wiring,
     builtin,
     chsh_max,
     correlator_table,
+    dumps,
     enumerate_wirings,
     mix,
     search_max_all,
@@ -172,12 +174,7 @@ def test_effective_boxes_validate():
 
 def seeded_mixture(rng):
     """class3 under a random relabelling mixed with a deterministic box."""
-    perm = rng.choice([(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)])
-    r = Relabeling(
-        perm,
-        tuple(rng.randrange(2) for _ in range(3)),
-        tuple((rng.randrange(2), rng.randrange(2)) for _ in range(3)),
-    )
+    r = random_relabeling3(rng)
     det = builtin("deterministic(%d,%d,%d)" % tuple(rng.randrange(4) for _ in range(3)))
     weight = Fraction(rng.randrange(1, 10), 10)
     return mix([relabel(builtin("class3"), r), det], [weight, 1 - weight])
@@ -190,6 +187,22 @@ def test_half_table_kernel_matches_oracle():
         for _ in range(60):
             w = random_wiring(rng)
             assert apply_wiring(box, w).table == oracle.wire(box.table, w), w.encode()
+
+
+def test_integer_kernel_matches_oracle_on_odd_scales():
+    # apply_wiring sums the integer view and divides by its scale once; on
+    # scales with odd factors (7, 11, 77 and a sweep-mixed pool mixture's)
+    # the result and its file text must be the oracle's exact sums.
+    rng = random.Random(SEED + 5)
+    for box in odd_lcm_mixtures(rng):
+        scale = box.scaled[0]
+        assert scale & (scale - 1), f"scale {scale} is a power of 2"
+        for _ in range(40):
+            w = random_wiring(rng)
+            eff = apply_wiring(box, w)
+            expected = oracle.wire(box.table, w)
+            assert eff.table == expected, w.encode()
+            assert dumps(eff) == box_oracle.dumps(Box2(expected)), w.encode()
 
 
 def test_fixed_input_path_agrees_on_type_i():
