@@ -23,6 +23,9 @@ from .boxes import (
     ArityError,
     ParseError,
     Relabeling,
+    _WEIGHTS,
+    _read_entries,
+    _require,
     _require2,
     _require3,
     block_correlators,
@@ -141,6 +144,7 @@ class IcVerdict:
 
     @classmethod
     def from_values(cls, chsh_value: Fraction, uffink_value: Fraction) -> "IcVerdict":
+        chsh_value, uffink_value = exact_values((chsh_value, uffink_value))
         chsh_broken, uffink_broken = _ic_bounds_broken(chsh_value, uffink_value)
         if chsh_broken:
             return cls(True, "chsh", chsh_value)
@@ -175,9 +179,10 @@ class GyniWeights:
 def gyni_value(box: Box3, weights: GyniWeights) -> Fraction:
     """Probability that each party outputs its right neighbour's input."""
     _require3(box, "gyni_value")
+    q = _require(weights, "gyni_value", GyniWeights, ParseError).q
     total = ZERO
     for x1, x2, x3 in product(BITS, repeat=3):
-        w = weights.q[4 * x1 + 2 * x2 + x3]
+        w = q[4 * x1 + 2 * x2 + x3]
         if w:
             total += w * box.prob(x2, x3, x1, x1, x2, x3)
     return total
@@ -185,7 +190,8 @@ def gyni_value(box: Box3, weights: GyniWeights) -> Fraction:
 
 def gyni_bound(weights: GyniWeights) -> Fraction:
     """No-signalling bound: max over input triples of q(x) + q(complement x)."""
-    return max(weights.q[i] + weights.q[7 - i] for i in range(8))
+    q = _require(weights, "gyni_bound", GyniWeights, ParseError).q
+    return max(q[i] + q[7 - i] for i in range(8))
 
 
 def k_value(box: Box3) -> Fraction:
@@ -195,6 +201,7 @@ def k_value(box: Box3) -> Fraction:
     identity of operators, which tests/sos_identity.py expands; its minimum
     over the no-signalling set is -1.
     """
+    _require3(box, "k_value")
     c = lambda parties, ins: correlator(box, parties, ins)
     return (
         Fraction(15, 2)
@@ -209,33 +216,10 @@ def k_value(box: Box3) -> Fraction:
     )
 
 
-# Weight file format: one line per input triple, "x1 x2 x3 = num/den",
-# '#' comments, omitted triples are zero.
-
 def parse_gyni_weights(text: str) -> GyniWeights:
-    if not isinstance(text, str):
-        raise ParseError(f"weights file text must be a string, got {type(text).__name__}")
-    q = [ZERO] * 8
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("=")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: cannot parse weight line {raw!r}")
-        bits = parts[0].split()
-        if len(bits) != 3 or any(t not in ("0", "1") for t in bits):
-            raise ParseError(f"line {lineno}: expected three input bits")
-        key = 4 * int(bits[0]) + 2 * int(bits[1]) + int(bits[2])
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate weight for {parts[0].strip()}")
-        seen.add(key)
-        try:
-            q[key] = Fraction(parts[1].strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {lineno}: bad value {parts[1].strip()!r}") from exc
+    """Weights from a weight file, which boxes._read_entries reads (README,
+    "Weight files"); weights GyniWeights refuses are a ParseError too."""
     try:
-        return GyniWeights(tuple(q))
+        return GyniWeights(_read_entries(text, "weights", _WEIGHTS))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

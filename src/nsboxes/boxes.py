@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -62,7 +62,8 @@ class InvalidBoxError(BoxError):
 
 
 class ParseError(BoxError):
-    """A box or weight file does not follow the documented format."""
+    """A box file, weight file or wiring is malformed, or an argument that
+    should be a wiring, a bipartition or GyniWeights is not one."""
 
 
 class UnknownBuiltinError(BoxError):
@@ -204,7 +205,6 @@ class ValidationReport:
                              party's input set to 0/1.
     """
 
-    arity: int
     negative_entries: tuple
     normalization_failures: tuple
     signalling_failures: tuple
@@ -238,7 +238,7 @@ def validate(box: Box) -> ValidationReport:
     `scale` rather than 1; a failure reports the table's own entry, or a
     sum as Fraction(sum, scale), the same value the table's sum has.
     """
-    n = box.n_parties
+    n = _require(box, "validate").n_parties
     scale, t = box.scaled
     entries = _ENTRIES[n]
     negative = tuple((*entries[i], box.table[i]) for i, v in enumerate(t) if v < 0)
@@ -265,21 +265,21 @@ def validate(box: Box) -> ValidationReport:
                     (PARTY_NAMES[p], outs[:p] + outs[p + 1 :], ins[:p] + ins[p + 1 :],
                      Fraction(v0, scale), Fraction(v1, scale))
                 )
-    return ValidationReport(n, negative, norm, tuple(signalling))
+    return ValidationReport(negative, norm, tuple(signalling))
 
 
-def _require2(box, what: str) -> Box2:
-    """Raise ArityError unless box is bipartite."""
-    if not isinstance(box, Box2):
-        raise ArityError(f"{what} needs a bipartite box")
-    return box
+_KINDS = {_Table: "box", Box2: "bipartite box", Box3: "tripartite box"}
 
 
-def _require3(box, what: str) -> Box3:
-    """Raise ArityError unless box is tripartite."""
-    if not isinstance(box, Box3):
-        raise ArityError(f"{what} needs a tripartite box")
-    return box
+def _require(value, what: str, cls=_Table, error=ArityError):
+    """value if it is a cls, by default any box; else `error`, naming `what`."""
+    if not isinstance(value, cls):
+        raise error(f"{what} needs a {_KINDS.get(cls, cls.__name__)}")
+    return value
+
+
+_require2 = partial(_require, cls=Box2)
+_require3 = partial(_require, cls=Box3)
 
 
 def require_valid(box: Box) -> Box:
@@ -477,54 +477,61 @@ def builtin(name: str) -> Box:
     raise UnknownBuiltinError(f"unknown builtin box {name!r}")
 
 
-# File format: header line "box3" or "box2", then one line per nonzero entry,
-#     a b c | x y z = num/den
-# with outputs left of the bar and inputs right of it.  '#' starts a comment,
-# unlisted entries are zero.  _SPELLING[n][i] is flat index i's bits as
-# dumps writes them; _INDEX[n] maps their tokens, (outputs, inputs), back to i.
+# File formats: a box file is a header line "box3" or "box2", then one line
+# per nonzero entry, "a b c | x y z = num/den", outputs left of the bar; a
+# weight file is entry lines alone, without the bar and the outputs.  '#'
+# starts a comment, unlisted entries are zero.  _SPELLING[n][i] is flat
+# index i's bits as dumps writes them.  A grammar is (entry pattern, bit
+# tokens -> slot, slot names for errors, the error for tokens not in the
+# index): _GRAMMAR[n] for box files, _WEIGHTS for weight files, whose slot
+# is 4*x1 + 2*x2 + x3.
 
-_ENTRY_RE = re.compile(r"^([01 ]+)\|([01 ]+)=(.+)$")
 _SPELLING = {
     n: tuple(" | ".join(" ".join(map(str, bits)) for bits in e) for e in _ENTRIES[n]) for n in (2, 3)
 }
-_INDEX = {
-    n: {tuple(tuple(side.split()) for side in s.split("|")): i for i, s in enumerate(_SPELLING[n])}
+_GRAMMAR = {
+    n: (re.compile(r"^([01 ]+\|[01 ]+)=(.+)$"), {tuple(s.split()): i for i, s in enumerate(_SPELLING[n])},
+        _ENTRIES[n], f"expected {n} output and input bits")
     for n in (2, 3)
 }
+_WEIGHTS = (re.compile(r"^([01 ]+)=(.+)$"), {tuple(f"{k:03b}"): k for k in range(8)},
+            tuple(_bits(k, 3) for k in range(8)), "expected 3 input bits")
 
 
 def dumps(box: Box) -> str:
     """Serialize in canonical order (ascending flat index, nonzero only)."""
-    lines = [f"box{box.n_parties}"]
-    lines += ["%s = %s" % (s, v) for s, v in zip(_SPELLING[box.n_parties], box.table) if v]
+    n = _require(box, "dumps").n_parties
+    lines = [f"box{n}"]
+    lines += ["%s = %s" % (s, v) for s, v in zip(_SPELLING[n], box.table) if v]
     return "\n".join(lines) + "\n"
 
 
-def loads(text: str, check: bool = True) -> Box:
-    """Parse the box file format; with check=True require full validity.
+def _read_entries(text: str, what: str, grammar=None) -> tuple[Fraction, ...]:
+    """The table of a box file, grammar None (its header picks _GRAMMAR[n]),
+    or of a weight file, grammar _WEIGHTS; unlisted slots are zero.
 
-    Values are what Fraction() parses; each distinct value text is parsed
-    once per call."""
+    Each entry line is one pattern match and one lookup of its bit tokens;
+    each distinct value text is parsed by Fraction() once per call."""
     if not isinstance(text, str):
-        raise ParseError(f"box file text must be a string, got {type(text).__name__}")
-    n = None
+        raise ParseError(f"{what} file text must be a string, got {type(text).__name__}")
+    pattern, index, names, miss = grammar or (None,) * 4
     entries, values = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if n is None:
+        if pattern is None:
             if line not in ("box2", "box3"):
                 raise ParseError(f"line {lineno}: expected box2 or box3 header")
-            n = int(line[3])
+            pattern, index, names, miss = _GRAMMAR[int(line[3])]
             continue
-        m = _ENTRY_RE.match(line)
+        m = pattern.match(line)
         if not m:
             raise ParseError(f"line {lineno}: cannot parse entry {raw!r}")
-        outs, ins, value = m.groups()
-        i = _INDEX[n].get((tuple(outs.split()), tuple(ins.split())))
+        bits, value = m.groups()
+        i = index.get(tuple(bits.replace("|", " | ").split()))
         if i is None:
-            raise ParseError(f"line {lineno}: expected {n} output and input bits")
+            raise ParseError(f"line {lineno}: {miss}")
         value = value.strip()
         if value not in values:
             try:
@@ -532,11 +539,17 @@ def loads(text: str, check: bool = True) -> Box:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad value {value!r}") from exc
         if i in entries:
-            raise ParseError(f"line {lineno}: duplicate entry for {_ENTRIES[n][i]}")
+            raise ParseError(f"line {lineno}: duplicate entry for {names[i]}")
         entries[i] = values[value]
-    if n is None:
-        raise ParseError("empty box file")
-    box = (Box3 if n == 3 else Box2)(tuple(entries.get(i, ZERO) for i in range(4 ** n)))
+    if pattern is None:
+        raise ParseError(f"empty {what} file")
+    return tuple(entries.get(i, ZERO) for i in range(len(names)))
+
+
+def loads(text: str, check: bool = True) -> Box:
+    """Parse the box file format; with check=True require full validity."""
+    table = _read_entries(text, "box")
+    box = (Box3 if len(table) == 64 else Box2)(table)
     if check:
         require_valid(box)
     return box

@@ -90,14 +90,7 @@ def cmd_eval(args) -> int:
     require_valid(box)
     functional = args.functional
     if functional in ("chsh", "chsh-max", "uffink", "uffink-max"):
-        box = _require2(box, functional)
-        fn = {
-            "chsh": bell.chsh,
-            "chsh-max": bell.chsh_max,
-            "uffink": bell.uffink,
-            "uffink-max": bell.uffink_max,
-        }[functional]
-        print(fn(box))
+        print(getattr(bell, functional.replace("-", "_"))(_require2(box, functional)))
         return 0
     if functional == "k":
         print(bell.k_value(_require3(box, "k")))

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 
-from .boxes import InexactValueError, integer_scaled
+from .boxes import InexactValueError, _require, integer_scaled
 
 
 class LPError(Exception):
@@ -515,6 +515,7 @@ def _phase1(problem, pre: _Presolve):
 
 def lp_feasible(problem: FamilyProblem) -> LPCertificate:
     """Decide A x = b, x >= 0 and return a verifiable certificate."""
+    _require(problem, "lp_feasible", FamilyProblem, LPError)
     pre = _presolve(problem)
     if pre.detected is None:
         point, farkas = _phase1(problem, pre)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .boxes import BITS, ONE, Box3, ParseError, _require3, pack, require_valid
+from .boxes import BITS, ONE, Box3, ParseError, _require, _require3, pack, require_valid
 from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, lp_feasible
 from .wiring import Bipartition
 
@@ -55,7 +55,8 @@ def local_problem(box) -> FamilyProblem:
     every table entry plus normalization.  The columns are one family, built
     once per party count (_local_columns); only the right-hand side, the
     table and then 1, comes from the box."""
-    return FamilyProblem(_local_columns(box.n_parties), tuple(box.table) + (ONE,))
+    n = _require(box, "local_problem").n_parties
+    return FamilyProblem(_local_columns(n), tuple(box.table) + (ONE,))
 
 
 def is_local(box) -> LPCertificate:
@@ -103,9 +104,8 @@ def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     two route strategies and row 128, each with coefficient 1.  The columns are four families, built once per
     bipartition (_tobl_columns); the rows are expanded only when read.  A
     bp that is not a Bipartition raises ParseError."""
-    if type(bp) is not Bipartition:
-        raise ParseError(f"bipartition must be a Bipartition, got {bp!r}")
-    return FamilyProblem(_tobl_columns(bp), tuple(box.table) * 2 + (ONE,))
+    _require(bp, "tobl_problem", Bipartition, ParseError)
+    return FamilyProblem(_tobl_columns(bp), tuple(_require3(box, "tobl_problem").table) * 2 + (ONE,))
 
 
 def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:

@@ -31,6 +31,7 @@ from .boxes import (
     _IN_W,
     _OUT_W,
     _all_in,
+    _require,
     _require3,
     require_valid,
 )
@@ -174,8 +175,10 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     second input is beta(s', w1); no-signalling of the source makes this the
     correct sequential probability, with the 0 * (0/0) = 0 convention built
     in (a zero-probability branch contributes zero to every entry).  The
-    sums run on the box's integer view (`Box3.scaled`).
+    sums run on the box's integer view (`Box3.scaled`).  A w that is not a
+    Wiring raises ParseError.
     """
+    _require(w, "apply_wiring", Wiring, ParseError)
     require_valid(_require3(box, "apply_wiring"))
     scale, table = box.scaled
     roles = (w.bipartition.solo, *w.bipartition.actors(w.ordering))

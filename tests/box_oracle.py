@@ -75,7 +75,7 @@ def validate(box):
                     vals.append(s)
                 if vals[0] != vals[1]:
                     signalling.append((PARTY_NAMES[p], r_outs, r_ins, vals[0], vals[1]))
-    return ValidationReport(n, tuple(negative), tuple(norm), tuple(signalling))
+    return ValidationReport(tuple(negative), tuple(norm), tuple(signalling))
 
 
 class SignallingError(BoxError):

@@ -297,3 +297,44 @@ def test_gyni_weights_text_round_trip():
         parse_gyni_weights("0 0 = 1/2\n")
     with pytest.raises(ParseError):
         parse_gyni_weights("0 0 0 = 1/2\n0 0 0 = 1/2\n")
+
+
+# The uniform even-parity game as a weight file: the triples 000, 011, 101, 110.
+_EVEN_PARITY = "0 0 0 = 1/4\n0 1 1 = 1/4\n1 0 1 = 1/4\n1 1 0 = 1/4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _EVEN_PARITY,
+        _EVEN_PARITY.replace(" = ", "="),
+        _EVEN_PARITY.replace(" = ", "   =  "),
+        "# the canonical game\n\n" + _EVEN_PARITY.replace("\n", "  # entry\n"),
+        _EVEN_PARITY.replace("\n", "\r\n"),
+        _EVEN_PARITY.replace("1/4", "0.25"),
+        _EVEN_PARITY.replace("1/4", "+1/4"),
+        "  0  1 1 = 1/4\n1 1 0 = 1/4\t\n1 0 1 =\t1/4\n0 0 0 = 1/4\n0 0 1 = 0\n",
+    ],
+    ids=["plain", "no-spaces", "wide-spaces", "comments", "crlf", "decimal", "plus", "reordered"],
+)
+def test_weight_file_respellings_parse_alike(text):
+    assert parse_gyni_weights(text) == GyniWeights.uniform_even_parity()
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        (_EVEN_PARITY.replace("0 1 1", "0\t1 1"), 2),
+        (_EVEN_PARITY.replace("1 0 1", "1 01"), 3),
+        (_EVEN_PARITY.replace("1 1 0", "1 1"), 4),
+        (_EVEN_PARITY.replace("0 0 0 =", "0 0 0"), 1),
+        (_EVEN_PARITY + "0 0 1 = 1/0\n", 5),
+        (_EVEN_PARITY.replace("0 1 1 = 1/4", "0 1 1 = 1/4 = 1/4"), 2),
+        (_EVEN_PARITY + "0 1 1 = 0\n", 5),
+    ],
+    ids=["tab-between-bits", "token-01", "two-bits", "no-equals", "zero-denominator",
+         "second-equals", "duplicate-triple"],
+)
+def test_malformed_weight_files_name_their_line(text, lineno):
+    with pytest.raises(ParseError, match=f"^line {lineno}: "):
+        parse_gyni_weights(text)

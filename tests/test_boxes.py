@@ -7,23 +7,33 @@ import pytest
 import box_oracle
 from box_oracle import SignallingError, all_relabelings2, from_entries, marginal
 from nsboxes import (
+    BIPARTITIONS,
     ArityError,
     Box2,
     Box3,
     BoxError,
     GyniWeights,
     InexactValueError,
+    IcVerdict,
     InvalidBoxError,
+    LPError,
     ParseError,
     Relabeling,
     RelabelingError,
     UnknownBuiltinError,
+    apply_wiring,
     builtin,
     correlator,
     dumps,
+    gyni_bound,
+    gyni_value,
+    k_value,
     load,
     loads,
+    local_problem,
+    lp_feasible,
     mix,
+    tobl_problem,
     validate,
 )
 from nsboxes.bell import parse_gyni_weights
@@ -339,9 +349,23 @@ def test_loads_matches_line_parser_oracle():
         (lambda: correlator(builtin("pr"), 5, (0,)), ArityError),
         (lambda: correlator(builtin("pr"), (0,), 0), ArityError),
         (lambda: mix(builtin("pr"), [1]), ArityError),
+        (lambda: apply_wiring(builtin("class44"), "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"),
+         ParseError),
+        (lambda: gyni_value(builtin("class4"), 5), ParseError),
+        (lambda: gyni_bound(5), ParseError),
+        (lambda: validate(5), ArityError),
+        (lambda: dumps(5), ArityError),
+        (lambda: local_problem(5), ArityError),
+        (lambda: tobl_problem(5, BIPARTITIONS[0]), ArityError),
+        (lambda: lp_feasible(5), LPError),
+        (lambda: k_value(builtin("pr")), ArityError),
+        (lambda: IcVerdict.from_values(1.5, 2), InexactValueError),
     ],
     ids=["loads-int", "loads-bytes", "gyni-weights-int", "box3-int", "box3-generator",
-         "box2-none", "correlator-parties-int", "correlator-inputs-int", "mix-one-box"],
+         "box2-none", "correlator-parties-int", "correlator-inputs-int", "mix-one-box",
+         "apply-wiring-str", "gyni-value-int", "gyni-bound-int", "validate-int", "dumps-int",
+         "local-problem-int", "tobl-problem-int", "lp-feasible-int", "k-value-box2",
+         "ic-verdict-float"],
 )
 def test_wrong_argument_types_raise_typed_errors(call, error):
     with pytest.raises(error):
