@@ -192,19 +192,40 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     return Box2(tuple(Fraction(v, scale) for v in out))
 
 
-def _distinct_columns(table, solo: int, first: int, second: int) -> dict:
-    """Each distinct correlator column (E_0s', E_1s') of the 128 halves
-    h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) -> the first
-    half giving it, in ascending order of first halves.
+# Where ordering 1 reads ordering 0's differences: the actors' inputs and
+# outputs swap places.
+_SWAP = tuple(
+    16 * xp + 8 * i2 + 4 * i1 + 2 * w2 + w1 for xp, i1, i2, w1, w2 in product(BITS, repeat=5)
+)
 
-    E_x' sums d = P(a'=0, w2) - P(a'=1, w2) of the branch (x', alpha, w1,
-    beta(w1)) over (w1, w2), negated where gamma(w1, w2) = 1.  So for one
-    alpha = i1 the column of h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp
-    is P[b0, gp] + Q[b1, gq]: P holds the 8 points of the w1 = 0 branches
-    and Q those of the w1 = 1 branches, and the block's columns are two
-    Minkowski sums of the deduplicated summands.  The halves giving a
-    point pair form a product set whose bits interleave in h, so its first
-    half joins the first index of each point.
+
+def _differences(table, solo: int, pair: tuple[int, int]) -> tuple[list, list]:
+    """The 32 signed differences d = P(a'=0, w2) - P(a'=1, w2) of a
+    bipartition's branches, once for each ordering of the pair (pair[0]
+    acting first, then pair[1]): branch (x', i1, w1, i2) at index
+    16*x' + 8*i1 + 4*i2 + 2*w1 + w2.  Both orderings read the same 16
+    branches."""
+    d = []
+    for xp, i1, i2, w1 in product(BITS, repeat=4):
+        p00, p01, p10, p11 = _branch(table, solo, *pair, xp, i1, w1, i2)
+        d += (p00 - p10, p01 - p11)
+    return d, [d[k] for k in _SWAP]
+
+
+def _distinct_columns(d: list) -> dict:
+    """Each distinct correlator column (E_0s', E_1s') of the 128 halves
+    h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) of one
+    (bipartition, ordering) -> the first half giving it, in ascending order
+    of first halves; d is that ordering's list from _differences.
+
+    E_x' sums d of the branch (x', alpha, w1, beta(w1)) over (w1, w2),
+    negated where gamma(w1, w2) = 1.  So for one alpha = i1 the column of
+    h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp is P[b0, gp] + Q[b1, gq]:
+    P holds the 8 points of the w1 = 0 branches and Q those of the w1 = 1
+    branches, and the block's columns are two Minkowski sums of the
+    deduplicated summands.  The halves giving a point pair form a product
+    set whose bits interleave in h, so its first half joins the first index
+    of each point.
     """
     first_half = {}
     for i1 in BITS:
@@ -212,8 +233,8 @@ def _distinct_columns(table, solo: int, first: int, second: int) -> dict:
         for w1, b in product(BITS, repeat=2):
             signed = []
             for xp in BITS:
-                p00, p01, p10, p11 = _branch(table, solo, first, second, xp, i1, w1, b)
-                d0, d1 = p00 - p10, p01 - p11
+                j = 16 * xp + 8 * i1 + 4 * b + 2 * w1
+                d0, d1 = d[j], d[j + 1]
                 signed.append((d0 + d1, d1 - d0, d0 - d1, -d0 - d1))
             for g, point in enumerate(zip(*signed)):
                 summands[w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
@@ -299,9 +320,12 @@ def _block_max(first_half: dict, extremes: dict, degree: int, separable, coupled
     (u . c)**degree is maximal where u . c is extreme, so on the first half
     of the larger power of the two extremes, ties going to the smaller half.
     A separable form's maximisers are a product set of halves, whose first
-    wiring joins the first maximising half of each side.  A coupled pair is
-    ||M0 c0 + M1 c1||**2 with M0, M1 invertible, strictly convex in each
-    column, so it is maximal only on pairs of hull vertices of the columns.
+    wiring joins the first maximising half of each side.  The two coupled
+    pairs are |c0 + R c1|**2 and |c0 - R c1|**2 with R = diag(1, -1), that
+    is n0 + n1 +- 2 (x0 x1 - y0 y1) with n = x**2 + y**2, so the larger of
+    the two is n0 + n1 + 2 |x0 x1 - y0 y1|: one cross term per pair of
+    columns.  It is strictly convex in each column, so it is maximal only
+    on pairs of hull vertices of the columns.
     """
     peak = {}
     for u, ends in extremes.items():
@@ -311,13 +335,13 @@ def _block_max(first_half: dict, extremes: dict, degree: int, separable, coupled
     for (u,), (v,) in separable:
         (v0, h0), (v1, h1) = peak[u], peak[v]
         found.append((v0 + v1, h0, h1))
-    hull = _hull(first_half) if coupled else []
-    for sides in coupled:
-        c0s, c1s = (
-            [(p[0] * x + p[1] * y, q[0] * x + q[1] * y, first_half[x, y]) for x, y in hull]
-            for p, q in sides
-        )
-        found += [((a + c) ** 2 + (b + d) ** 2, h0, h1) for a, b, h0 in c0s for c, d, h1 in c1s]
+    if coupled:
+        hull = [(x, y, x * x + y * y, first_half[x, y]) for x, y in _hull(first_half)]
+        found += [
+            (n0 + n1 + 2 * abs(x0 * x1 - y0 * y1), h0, h1)
+            for x0, y0, n0, h0 in hull
+            for x1, y1, n1, h1 in hull
+        ]
     top = max(v for v, _, _ in found)
     return top, min(_joined(h0, h1) for v, h0, h1 in found if v == top)
 
@@ -339,8 +363,18 @@ def search_max_all(
     is fixed by the wiring's half at s', so each (bipartition, ordering)
     scores its distinct columns, in the integers of the box's integer view
     (`Box3.scaled`): one pass of extremes serves every separable form of
-    both functionals, and the hull the coupled Uffink pairs.  A later block
-    must do strictly better to win.
+    both functionals, and the hull the coupled Uffink pairs, read through
+    one cross term.  Both orderings of a bipartition share its branch
+    reads.
+
+    A later block must do strictly better to win, so exact bounds skip the
+    blocks that cannot.  On the integer view |E| <= scale, so no wiring
+    beats CHSH 4 * scale or Uffink 8 * scale**2: once every functional has
+    reached its bound, the remaining blocks are not read.  And with m the
+    largest x**2 + y**2 over a block's columns, (u . c)**2 <= 2 |c|**2 for
+    u = (1, +-1) and |c0 +- R c1|**2 <= (|c0| + |c1|)**2, so no Uffink form
+    of the block exceeds 4 m: when 4 m is at most the best so far, the
+    block's Uffink forms are not scored.
     """
     forms = _column_forms()
     for f in functionals:
@@ -348,14 +382,21 @@ def search_max_all(
             raise ParseError(f"unknown functional {f!r}")
     require_valid(_require3(box, "search_max_all"))
     scale, table = box.scaled
+    bound = {"chsh_max": 4 * scale, "uffink_max": 8 * scale * scale}
     best: dict[str, tuple[int, Wiring]] = {}
-    for bp in BIPARTITIONS:
-        for ordering in BITS:
-            first_half = _distinct_columns(table, bp.solo, *bp.actors(ordering))
-            extremes = _extremes(first_half)
-            for f in functionals:
-                v, abg = _block_max(first_half, extremes, *forms[f])
-                if f not in best or v > best[f][0]:
-                    best[f] = (v, Wiring(bp, ordering, *abg))
+    for bp, ordering in product(BIPARTITIONS, BITS):
+        if all(f in best and best[f][0] >= bound[f] for f in functionals):
+            break
+        if not ordering:
+            views = _differences(table, bp.solo, bp.pair)
+        first_half = _distinct_columns(views[ordering])
+        extremes = _extremes(first_half)
+        cap = dict(bound, uffink_max=4 * max(x * x + y * y for x, y in first_half))
+        for f in functionals:
+            if f in best and best[f][0] >= cap[f]:
+                continue
+            v, abg = _block_max(first_half, extremes, *forms[f])
+            if f not in best or v > best[f][0]:
+                best[f] = (v, Wiring(bp, ordering, *abg))
     # on a table scaled by D, chsh_max scales by D and uffink_max by D**2
     return {f: (w, Fraction(v, scale ** forms[f][0])) for f, (v, w) in best.items()}

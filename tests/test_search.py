@@ -3,7 +3,8 @@
 search_max_all scores each distinct column of a (bipartition, ordering)
 once, using the split of the orbit forms into column parts; these tests pin
 the column kernel, the split, the hull, and the values and tie-break
-wirings of the whole search against the oracle.
+wirings of the whole search against the oracle.  They also check the two
+bounds the search skips blocks by, and where the skips fire.
 """
 
 import random
@@ -14,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
 from box_oracle import relabel
-from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, search_max_all
+from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, search_max_all, wiring
 from nsboxes.bell import _orbit_forms
 from nsboxes.boxes import block_correlators
-from nsboxes.wiring import _column_forms, _distinct_columns, _hull, _joined
+from nsboxes.wiring import _column_forms, _differences, _distinct_columns, _hull, _joined
+from random_boxes import odd_lcm_mixtures
 from wiring_oracle import columns as _columns
 
 SEED = 91207
@@ -84,10 +86,11 @@ def test_distinct_columns_equal_the_first_halves_of_the_128():
     for box in [builtin(n) for n in names] + seeded_boxes(rng, 4):
         for table in (box.table, oracle._integer_table(box)[1]):
             for bp in BIPARTITIONS:
+                views = _differences(table, bp.solo, bp.pair)
                 for ordering in (0, 1):
-                    block = (table, bp.solo, *bp.actors(ordering))
-                    got = list(_distinct_columns(*block).items())
-                    assert got == list(oracle.distinct_columns(*block).items())
+                    got = list(_distinct_columns(views[ordering]).items())
+                    expected = oracle.distinct_columns(table, bp.solo, *bp.actors(ordering))
+                    assert got == list(expected.items())
                     assert [h for _, h in got] == sorted(h for _, h in got)
 
 
@@ -187,3 +190,74 @@ vertices = st.one_of(
 def test_search_matches_oracle_property(parts):
     boxes, raw = zip(*parts)
     assert_search_matches_oracle(mix(list(boxes), [Fraction(r, sum(raw)) for r in raw]))
+
+
+def _bound_boxes():
+    rng = random.Random(SEED + 4)
+    names = VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")
+    return [builtin(n) for n in names] + seeded_boxes(rng, 6) + odd_lcm_mixtures(rng)
+
+
+def test_block_bounds_behind_the_skips():
+    # search_max_all skips a block on two inequalities: every correlator is
+    # at most the scale in size, and no Uffink form of a block exceeds four
+    # times its largest |c|**2.
+    uffink = oracle.FUNCTIONALS["uffink_max"][0]
+    for box in _bound_boxes():
+        scale, table = oracle._integer_table(box)
+        for bp in BIPARTITIONS:
+            for ordering in (0, 1):
+                block = (table, bp.solo, *bp.actors(ordering))
+                assert all(abs(x) <= scale and abs(y) <= scale for x, y in _columns(*block))
+                cols = list(oracle.distinct_columns(*block))
+                block_max = max(uffink((c0[0], c1[0], c0[1], c1[1])) for c0 in cols for c1 in cols)
+                assert block_max <= 4 * max(x * x + y * y for x, y in cols)
+
+
+def test_coupled_pairs_share_one_cross_term():
+    # the larger coupled Uffink pair is n0 + n1 + 2 |x0 x1 - y0 y1|
+    coupled = _column_forms()["uffink_max"][2]
+    rng = random.Random(SEED + 5)
+    for _ in range(200):
+        (x0, y0), (x1, y1) = ((rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(2))
+        values = [
+            sum((p[0] * x0 + p[1] * y0 + q[0] * x1 + q[1] * y1) ** 2 for p, q in zip(*sides))
+            for sides in coupled
+        ]
+        assert max(values) == x0 * x0 + y0 * y0 + x1 * x1 + y1 * y1 + 2 * abs(x0 * x1 - y0 * y1)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(wiring, name)
+
+    def counted(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(wiring, name, counted)
+    return calls
+
+
+def test_skips_fire_where_the_bounds_are_tight(monkeypatch):
+    blocks = _count_calls(monkeypatch, "_distinct_columns")
+    hulls = _count_calls(monkeypatch, "_hull")
+    # (blocks read, hulls built): class44 reaches CHSH 4 and Uffink 8 in its
+    # first block and class3 in its second; the first block of class4 and
+    # of uniform3 reaches 4 max |c|**2 of every later block, so only it
+    # scores Uffink; the
+    # columns of deterministic(1,2,0) have |c|**2 = 2 but its Uffink value
+    # is 4, so every block does (values in units of the scale).
+    expected = {"class44": (1, 1), "class3": (2, 2), "class4": (6, 1), "uniform3": (6, 1),
+                "deterministic(1,2,0)": (6, 6)}
+    for name, counts in expected.items():
+        blocks.clear()
+        hulls.clear()
+        search_max_all(builtin(name))
+        assert (len(blocks), len(hulls)) == counts, name
+    blocks.clear()
+    hulls.clear()
+    assert search_max_all(builtin("class4"), ()) == {}
+    assert (blocks, hulls) == ([], [])
+    search_max_all(builtin("class44"), ("chsh_max",))
+    assert (len(blocks), hulls) == (1, [])
