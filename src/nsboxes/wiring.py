@@ -212,40 +212,76 @@ def _differences(table, solo: int, pair: tuple[int, int]) -> tuple[list, list]:
     return d, [d[k] for k in _SWAP]
 
 
-def _distinct_columns(d: list) -> dict:
-    """Each distinct correlator column (E_0s', E_1s') of the 128 halves
-    h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) of one
-    (bipartition, ordering) -> the first half giving it, in ascending order
-    of first halves; d is that ordering's list from _differences.
+def _summands(d: list) -> list:
+    """For each alpha bit i1, the summands (P, Q) of one (bipartition,
+    ordering)'s columns; d is that ordering's list from _differences.
 
     E_x' sums d of the branch (x', alpha, w1, beta(w1)) over (w1, w2),
-    negated where gamma(w1, w2) = 1.  So for one alpha = i1 the column of
+    negated where gamma(w1, w2) = 1.  So for alpha = i1 the column of
     h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp is P[b0, gp] + Q[b1, gq]:
-    P holds the 8 points of the w1 = 0 branches and Q those of the w1 = 1
-    branches, and the block's columns are two Minkowski sums of the
-    deduplicated summands.  The halves giving a point pair form a product
-    set whose bits interleave in h, so its first half joins the first index
-    of each point.
+    P holds the 8 points of the w1 = 0 branches, indexed b0 << 4 | gp, and
+    Q those of the w1 = 1 branches, indexed b1 << 5 | gq << 2.  A summand
+    is deduplicated into two runs, one per beta bit: each point -> its
+    first index, in the run of that index.
     """
-    first_half = {}
+    out = []
     for i1 in BITS:
-        summands = ({}, {})
+        summands = (({}, {}), ({}, {}))
         for w1, b in product(BITS, repeat=2):
+            runs = summands[w1]
             signed = []
             for xp in BITS:
                 j = 16 * xp + 8 * i1 + 4 * b + 2 * w1
                 d0, d1 = d[j], d[j + 1]
                 signed.append((d0 + d1, d1 - d0, d0 - d1, -d0 - d1))
             for g, point in enumerate(zip(*signed)):
-                summands[w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
-        pairs = sorted(
-            (i1 << 6 | hp | hq, (px + qx, py + qy))
-            for (px, py), hp in summands[0].items()
-            for (qx, qy), hq in summands[1].items()
-        )
-        for h, col in pairs:
-            first_half.setdefault(col, h)
+                if point not in runs[0]:
+                    runs[b].setdefault(point, b << (4 + w1) | g << (2 * w1))
+        out.append(summands)
+    return out
+
+
+def _distinct_columns(summands: list) -> dict:
+    """Each distinct column (E_0s', E_1s') of the 128 halves
+    h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) of one block ->
+    the first half giving it, in ascending order of first halves, from the
+    block's _summands.  The first half giving a point pair joins the first
+    index of each point.  Within one alpha bit the bits of a half order as
+    (b1, b0, gq, gp), so visiting the runs of Q and P in that order visits
+    the point pairs in ascending half.
+    """
+    first_half = {}
+    for i1, (p, q) in enumerate(summands):
+        for qrun, prun in product(q, p):
+            points = prun.items()
+            for (qx, qy), hq in qrun.items():
+                for (px, py), hp in points:
+                    first_half.setdefault((px + qx, py + qy), i1 << 6 | hq | hp)
     return first_half
+
+
+def _key(summands: list) -> frozenset:
+    """The set over alpha bits of the unordered pair {points of P, points
+    of Q}: a block's columns are the union of the sums P + Q, so blocks with
+    equal keys have equal columns."""
+    return frozenset(frozenset(frozenset(r0).union(r1) for r0, r1 in pq) for pq in summands)
+
+
+# Sign and swap maps of a column, each on a set of points, that relabel the
+# effective box when applied to both columns: (x, -y) flips a' at x' = 1 and
+# (y, x) swaps x'.  Gamma bits g and 3 - g give opposite points, so every
+# summand is centrally symmetric and -1 fixes every key: these three with
+# the identity and -1 give all eight such maps.
+_IMAGES = (
+    lambda s: frozenset({(x, -y) for x, y in s}),
+    lambda s: frozenset({(y, x) for x, y in s}),
+    lambda s: frozenset({(-y, x) for x, y in s}),
+)
+
+
+def _image(key: frozenset, m) -> frozenset:
+    """key with the map m applied to every point."""
+    return frozenset(frozenset(map(m, pair)) for pair in key)
 
 
 @cache
@@ -375,21 +411,35 @@ def search_max_all(
     u = (1, +-1) and |c0 +- R c1|**2 <= (|c0| + |c1|)**2, so no Uffink form
     of the block exceeds 4 m: when 4 m is at most the best so far, the
     block's Uffink forms are not scored.
+
+    A block whose _key, or its image under one of _IMAGES, is that of a
+    block already scored is skipped before its columns are built.  Its
+    columns are the image of the scored block's, and the maps relabel the
+    effective box, so its maxima are equal and cannot be strictly better.
     """
     forms = _column_forms()
+    if type(functionals) not in (tuple, list):
+        raise ParseError(f"search_max_all needs a tuple or list of functional names, "
+                         f"got {functionals!r}")
     for f in functionals:
-        if f not in forms:
+        if type(f) is not str or f not in forms:
             raise ParseError(f"unknown functional {f!r}")
     require_valid(_require3(box, "search_max_all"))
     scale, table = box.scaled
     bound = {"chsh_max": 4 * scale, "uffink_max": 8 * scale * scale}
     best: dict[str, tuple[int, Wiring]] = {}
+    scored = set()
     for bp, ordering in product(BIPARTITIONS, BITS):
         if all(f in best and best[f][0] >= bound[f] for f in functionals):
             break
         if not ordering:
             views = _differences(table, bp.solo, bp.pair)
-        first_half = _distinct_columns(views[ordering])
+        summands = _summands(views[ordering])
+        key = _key(summands)
+        if key in scored or scored and any(_image(key, m) in scored for m in _IMAGES):
+            continue
+        scored.add(key)
+        first_half = _distinct_columns(summands)
         extremes = _extremes(first_half)
         cap = dict(bound, uffink_max=4 * max(x * x + y * y for x, y in first_half))
         for f in functionals:

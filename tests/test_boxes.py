@@ -33,6 +33,7 @@ from nsboxes import (
     local_problem,
     lp_feasible,
     mix,
+    search_max_all,
     tobl_problem,
     validate,
 )
@@ -360,12 +361,16 @@ def test_loads_matches_line_parser_oracle():
         (lambda: lp_feasible(5), LPError),
         (lambda: k_value(builtin("pr")), ArityError),
         (lambda: IcVerdict.from_values(1.5, 2), InexactValueError),
+        (lambda: search_max_all(builtin("class4"), (f for f in ["chsh_max"])), ParseError),
+        (lambda: search_max_all(builtin("class4"), "chsh_max"), ParseError),
+        (lambda: search_max_all(builtin("class4"), None), ParseError),
+        (lambda: search_max_all(builtin("class4"), 5), ParseError),
     ],
     ids=["loads-int", "loads-bytes", "gyni-weights-int", "box3-int", "box3-generator",
          "box2-none", "correlator-parties-int", "correlator-inputs-int", "mix-one-box",
          "apply-wiring-str", "gyni-value-int", "gyni-bound-int", "validate-int", "dumps-int",
          "local-problem-int", "tobl-problem-int", "lp-feasible-int", "k-value-box2",
-         "ic-verdict-float"],
+         "ic-verdict-float", "search-generator", "search-str", "search-none", "search-int"],
 )
 def test_wrong_argument_types_raise_typed_errors(call, error):
     with pytest.raises(error):

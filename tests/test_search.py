@@ -4,7 +4,8 @@ search_max_all scores each distinct column of a (bipartition, ordering)
 once, using the split of the orbit forms into column parts; these tests pin
 the column kernel, the split, the hull, and the values and tie-break
 wirings of the whole search against the oracle.  They also check the two
-bounds the search skips blocks by, and where the skips fire.
+bounds the search skips blocks by, that a block skipped as a repeat of a
+scored block's summands has that block's maxima, and where the skips fire.
 """
 
 import random
@@ -18,8 +19,18 @@ from box_oracle import relabel
 from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, search_max_all, wiring
 from nsboxes.bell import _orbit_forms
 from nsboxes.boxes import block_correlators
-from nsboxes.wiring import _column_forms, _differences, _distinct_columns, _hull, _joined
-from random_boxes import odd_lcm_mixtures
+from nsboxes.wiring import (
+    _IMAGES,
+    _column_forms,
+    _differences,
+    _distinct_columns,
+    _hull,
+    _image,
+    _joined,
+    _key,
+    _summands,
+)
+from random_boxes import mixture3, odd_lcm_mixtures, pool_weights, random_relabeling3
 from wiring_oracle import columns as _columns
 
 SEED = 91207
@@ -88,7 +99,7 @@ def test_distinct_columns_equal_the_first_halves_of_the_128():
             for bp in BIPARTITIONS:
                 views = _differences(table, bp.solo, bp.pair)
                 for ordering in (0, 1):
-                    got = list(_distinct_columns(views[ordering]).items())
+                    got = list(_distinct_columns(_summands(views[ordering])).items())
                     expected = oracle.distinct_columns(table, bp.solo, *bp.actors(ordering))
                     assert got == list(expected.items())
                     assert [h for _, h in got] == sorted(h for _, h in got)
@@ -239,21 +250,35 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def pool_entry(k):
+    """Entry k of the benchmark's sweep-mixed pool: class44 and two
+    deterministic boxes under one fixed relabelling, with large-numerator
+    weights seeded by k."""
+    r = Relabeling((0, 2, 1), (0, 1, 0), ((0, 0), (0, 0), (0, 1)))
+    names = ("class44", "deterministic(1,0,3)", "deterministic(0,1,2)")
+    return mix([relabel(builtin(n), r) for n in names], pool_weights(random.Random(11082293 + k)))
+
+
 def test_skips_fire_where_the_bounds_are_tight(monkeypatch):
     blocks = _count_calls(monkeypatch, "_distinct_columns")
     hulls = _count_calls(monkeypatch, "_hull")
-    # (blocks read, hulls built): class44 reaches CHSH 4 and Uffink 8 in its
-    # first block and class3 in its second; the first block of class4 and
-    # of uniform3 reaches 4 max |c|**2 of every later block, so only it
-    # scores Uffink; the
-    # columns of deterministic(1,2,0) have |c|**2 = 2 but its Uffink value
-    # is 4, so every block does (values in units of the scale).
-    expected = {"class44": (1, 1), "class3": (2, 2), "class4": (6, 1), "uniform3": (6, 1),
-                "deterministic(1,2,0)": (6, 6)}
+    # (blocks whose columns are built, hulls built): class44 reaches CHSH 4
+    # and Uffink 8 in its first block and class3 in its second.  Every later
+    # block of class4, uniform3, deterministic(1,2,0) and 3/4 class44 +
+    # 1/4 uniform3 repeats the first block's summands, so only the first is
+    # built; a pool entry repeats one of its first two blocks exactly and
+    # two more as images under a sign or swap map.
+    boxes = {name: builtin(name) for name in
+             ("class44", "class3", "class4", "uniform3", "deterministic(1,2,0)")}
+    boxes["pool entry 0"] = pool_entry(0)
+    boxes["3/4 class44"] = mix([builtin("class44"), builtin("uniform3")],
+                               [Fraction(3, 4), Fraction(1, 4)])
+    expected = {"class44": (1, 1), "class3": (2, 2), "class4": (1, 1), "uniform3": (1, 1),
+                "deterministic(1,2,0)": (1, 1), "pool entry 0": (3, 3), "3/4 class44": (1, 1)}
     for name, counts in expected.items():
         blocks.clear()
         hulls.clear()
-        search_max_all(builtin(name))
+        search_max_all(boxes[name])
         assert (len(blocks), len(hulls)) == counts, name
     blocks.clear()
     hulls.clear()
@@ -261,3 +286,79 @@ def test_skips_fire_where_the_bounds_are_tight(monkeypatch):
     assert (blocks, hulls) == ([], [])
     search_max_all(builtin("class44"), ("chsh_max",))
     assert (len(blocks), hulls) == (1, [])
+
+
+def _repeat_boxes():
+    rng = random.Random(SEED + 6)
+    names = VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")
+    boxes = [builtin(n) for n in names] + odd_lcm_mixtures(rng)
+    for _ in range(4):
+        noisy = relabel(builtin(rng.choice(VERTEX_NAMES)), random_relabeling3(rng))
+        k = rng.randrange(1, 4)
+        boxes.append(mix([noisy, builtin("uniform3")], [Fraction(k, 4), Fraction(4 - k, 4)]))
+        boxes.append(mixture3(rng, pool_weights(rng)))
+    return boxes
+
+
+def _blocks(box):
+    """((table, solo, first, second), summands) of each block, in canonical
+    order, on the box's integer table."""
+    _, table = oracle._integer_table(box)
+    for bp in BIPARTITIONS:
+        views = _differences(table, bp.solo, bp.pair)
+        for ordering in (0, 1):
+            yield (table, bp.solo, *bp.actors(ordering)), _summands(views[ordering])
+
+
+def _oracle_block_maxima(block):
+    cols = list(oracle.distinct_columns(*block))
+    return [
+        max(value((c0[0], c1[0], c0[1], c1[1])) for c0 in cols for c1 in cols)
+        for value, _ in oracle.FUNCTIONALS.values()
+    ]
+
+
+def test_skipped_blocks_repeat_the_maxima_of_a_scored_block():
+    # the search's rule, read on all six blocks: a block whose key, or an
+    # image of it, is a scored block's key is skipped, else scored
+    kinds = set()
+    for box in _repeat_boxes():
+        scored = {}
+        for block, summands in _blocks(box):
+            key = _key(summands)
+            matches = [key] + [_image(key, m) for m in _IMAGES]
+            found = [(i, scored[k]) for i, k in enumerate(matches) if k in scored]
+            if not found:
+                scored[key] = block
+                continue
+            kinds.add(found[0][0] > 0)
+            assert _oracle_block_maxima(block) == _oracle_block_maxima(found[0][1])
+    assert kinds == {False, True}  # exact repeats and image repeats both occur
+
+
+def test_summands_are_centrally_symmetric():
+    for box in _repeat_boxes():
+        for _, summands in _blocks(box):
+            for pq in summands:
+                for runs in pq:
+                    points = runs[0].keys() | runs[1].keys()
+                    assert {(-x, -y) for x, y in points} == points
+
+
+def test_sign_and_swap_maps_keep_the_form_maxima():
+    def form_max(degree, separable, coupled, c0, c1):
+        dot = lambda u, c: u[0] * c[0] + u[1] * c[1]
+        values = [dot(u, c0) ** degree + dot(v, c1) ** degree for (u,), (v,) in separable]
+        values += [
+            sum((dot(p, c0) + dot(q, c1)) ** 2 for p, q in zip(*sides)) for sides in coupled
+        ]
+        return max(values)
+
+    rng = random.Random(SEED + 7)
+    for _ in range(200):
+        c0, c1 = ((rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(2))
+        for forms in _column_forms().values():
+            value = form_max(*forms, c0, c1)
+            for m in _IMAGES:
+                (m0,), (m1,) = m({c0}), m({c1})
+                assert form_max(*forms, m0, m1) == value
