@@ -61,6 +61,14 @@ def _is_exact(value) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
+def _pairs(seq, what: str):
+    """seq if it is a tuple or list of pairs, else LPError naming what."""
+    if not isinstance(seq, (tuple, list)) or not all(
+            isinstance(p, (tuple, list)) and len(p) == 2 for p in seq):
+        raise LPError(f"{what} must be a tuple of pairs")
+    return seq
+
+
 @dataclass(frozen=True)
 class Family:
     """Columns base + i * len(rights) + j with the entries lefts[i] +
@@ -210,17 +218,20 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
     whose left strategies are the columns and whose one right is empty.
     rows is a tuple of (entries, rhs) with entries a tuple of (column,
     coefficient) pairs; zero coefficients are allowed and dropped.  A
-    column that is not an int (a bool is not), lies outside 0..num_vars-1
-    or is listed twice in one row raises LPError.  Coefficients and
-    right-hand sides must be int or Fraction; anything else (a float, a
-    bool, a str, a Decimal) raises InexactValueError.
+    num_vars that is not an int (a bool is not), rows or entries that are
+    not a tuple of pairs, or a column that is not an int, lies outside
+    0..num_vars-1 or is listed twice in one row raises LPError.
+    Coefficients and right-hand sides must be int or Fraction; anything
+    else (a float, a bool, a str, a Decimal) raises InexactValueError.
     """
+    if type(num_vars) is not int:
+        raise LPError(f"number of columns {num_vars!r} is not an int")
     columns: list[list] = [[] for _ in range(num_vars)]
-    for row, (entries, rhs) in enumerate(rows):
+    for row, (entries, rhs) in enumerate(_pairs(rows, "rows")):
         if not _is_exact(rhs):
             raise InexactValueError(f"right-hand side {rhs!r} is not an int or a Fraction")
         seen = set()
-        for col, coeff in entries:
+        for col, coeff in _pairs(entries, f"entries of row {row}"):
             if type(col) is not int:
                 raise LPError(f"column {col!r} is not an int")
             if not 0 <= col < num_vars:
@@ -239,18 +250,21 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
 @dataclass(frozen=True)
 class LPCertificate:
     """Either a feasible point (sparse, by column) or a Farkas witness
-    (sparse, by row).  Each column or row is an int (a bool is not) listed
-    once, else LPError; values must be int or Fraction (InexactValueError
-    otherwise).  verify() re-checks exactly against a problem."""
+    (sparse, by row), each a tuple of (key, value) pairs.  feasible is a
+    bool and each column or row an int (a bool is not) listed once, else
+    LPError; values must be int or Fraction (InexactValueError otherwise).
+    verify() re-checks exactly against a problem."""
 
     feasible: bool
     point: tuple | None
     farkas: tuple | None
 
     def __post_init__(self):
+        if type(self.feasible) is not bool:
+            raise LPError(f"certificate verdict {self.feasible!r} is not a bool")
         for kind, pairs in (("column", self.point or ()), ("row", self.farkas or ())):
             seen = set()
-            for key, v in pairs:
+            for key, v in _pairs(pairs, f"certificate {kind}s"):
                 if type(key) is not int:
                     raise LPError(f"certificate {kind} {key!r} is not an int")
                 if key in seen:
@@ -265,7 +279,7 @@ class LPCertificate:
         A point X = rho * x must be nonnegative with beta * (A X) = rho * B
         row by row; a witness w needs w^T B > 0 and, per family, a
         nonpositive largest column aggregate."""
-        beta, b = problem.scaled
+        beta, b = _require(problem, "verify", FamilyProblem, LPError).scaled
         if self.feasible:
             rho, x = _integer_scaled(dict(self.point or ()))
             sums = problem.columns.row_sums(x.items())
@@ -324,8 +338,6 @@ def _presolve(problem) -> _Presolve:
     queue = deque(range(m))
     while queue:
         i = queue.popleft()
-        if not row_alive[i]:
-            continue
         waiting |= 1 << i
         parts = [(f, side, entries, hit, positive & hit)
                  for f, side, entries, mask, positive in by_row[i]

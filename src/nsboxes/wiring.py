@@ -403,19 +403,15 @@ def search_max_all(
     one cross term.  Both orderings of a bipartition share its branch
     reads.
 
-    A later block must do strictly better to win, so exact bounds skip the
-    blocks that cannot.  On the integer view |E| <= scale, so no wiring
+    A later block must do strictly better to win, so two exact rules skip
+    the blocks that cannot; a block that is not skipped scores every
+    requested functional.  On the integer view |E| <= scale, so no wiring
     beats CHSH 4 * scale or Uffink 8 * scale**2: once every functional has
-    reached its bound, the remaining blocks are not read.  And with m the
-    largest x**2 + y**2 over a block's columns, (u . c)**2 <= 2 |c|**2 for
-    u = (1, +-1) and |c0 +- R c1|**2 <= (|c0| + |c1|)**2, so no Uffink form
-    of the block exceeds 4 m: when 4 m is at most the best so far, the
-    block's Uffink forms are not scored.
-
-    A block whose _key, or its image under one of _IMAGES, is that of a
-    block already scored is skipped before its columns are built.  Its
-    columns are the image of the scored block's, and the maps relabel the
-    effective box, so its maxima are equal and cannot be strictly better.
+    reached its bound, the remaining blocks are not read.  And a block whose
+    _key, or its image under one of _IMAGES, is that of a block already
+    scored is skipped before its columns are built: its columns are the
+    image of the scored block's, and the maps relabel the effective box, so
+    its maxima are equal and cannot be strictly better.
     """
     forms = _column_forms()
     if type(functionals) not in (tuple, list):
@@ -441,10 +437,7 @@ def search_max_all(
         scored.add(key)
         first_half = _distinct_columns(summands)
         extremes = _extremes(first_half)
-        cap = dict(bound, uffink_max=4 * max(x * x + y * y for x, y in first_half))
         for f in functionals:
-            if f in best and best[f][0] >= cap[f]:
-                continue
             v, abg = _block_max(first_half, extremes, *forms[f])
             if f not in best or v > best[f][0]:
                 best[f] = (v, Wiring(bp, ordering, *abg))

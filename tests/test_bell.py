@@ -281,6 +281,11 @@ def test_gyni_weights_validation():
         GyniWeights(
             tuple([Fraction(3, 2), Fraction(-1, 2)] + [Fraction(0)] * 6)
         )
+    # a weights file with such weights is a ParseError
+    with pytest.raises(ParseError, match="weights sum to 1/2, not 1"):
+        parse_gyni_weights("0 0 0 = 1/2\n")
+    with pytest.raises(ParseError, match="nonnegative"):
+        parse_gyni_weights("0 0 0 = 3/4\n0 1 1 = 1/2\n1 0 1 = -1/4\n")
 
 
 def test_gyni_weights_reject_floats():

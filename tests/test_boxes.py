@@ -207,7 +207,7 @@ def test_correlator_rejects_inputs_that_are_not_bits_and_repeated_parties():
     # these used to return 0, 0 and 1 on class44
     box = builtin("class44")
     for parties, inputs in (((0,), (2,)), ((0,), (-1,)), ((0,), (1.0,)), ((0,), (True,)),
-                            ((0, 0), (0, 1)), ((1, 2, 1), (0, 0, 0))):
+                            ((0, 0), (0, 1)), ((1, 2, 1), (0, 0, 0)), ((0, 1), (0,))):
         with pytest.raises(ArityError):
             correlator(box, parties, inputs)
 
@@ -346,10 +346,13 @@ def test_loads_matches_line_parser_oracle():
         (lambda: parse_gyni_weights(5), ParseError),
         (lambda: Box3(5), ArityError),
         (lambda: Box3(x for x in [1] * 64), ArityError),
+        (lambda: Box3((Fraction(1, 64),) * 63), ArityError),
         (lambda: Box2(None), ArityError),
         (lambda: correlator(builtin("pr"), 5, (0,)), ArityError),
         (lambda: correlator(builtin("pr"), (0,), 0), ArityError),
         (lambda: mix(builtin("pr"), [1]), ArityError),
+        (lambda: mix([], []), ArityError),
+        (lambda: mix([builtin("class44"), builtin("pr")], [HALF, HALF]), ArityError),
         (lambda: apply_wiring(builtin("class44"), "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"),
          ParseError),
         (lambda: gyni_value(builtin("class4"), 5), ParseError),
@@ -367,7 +370,8 @@ def test_loads_matches_line_parser_oracle():
         (lambda: search_max_all(builtin("class4"), 5), ParseError),
     ],
     ids=["loads-int", "loads-bytes", "gyni-weights-int", "box3-int", "box3-generator",
-         "box2-none", "correlator-parties-int", "correlator-inputs-int", "mix-one-box",
+         "box3-63-entries", "box2-none", "correlator-parties-int", "correlator-inputs-int",
+         "mix-one-box", "mix-no-boxes", "mix-arities",
          "apply-wiring-str", "gyni-value-int", "gyni-bound-int", "validate-int", "dumps-int",
          "local-problem-int", "tobl-problem-int", "lp-feasible-int", "k-value-box2",
          "ic-verdict-float", "search-generator", "search-str", "search-none", "search-int"],

@@ -723,6 +723,16 @@ def test_certificate_keys_must_be_ints(key):
         LPCertificate(True, ((key, F(1, 2)), (2, F(1, 2))), None)
     with pytest.raises(LPError):
         LPCertificate(False, None, ((key, F(1)),))
+    # a verdict spelled as text, pairs that are not (key, value) pairs, and
+    # verify on something that is not a problem used to be accepted or raise
+    # a bare TypeError, ValueError or AttributeError
+    with pytest.raises(LPError):
+        LPCertificate(str(key), ((0, 1),), None)
+    for pairs in ((key,), ((key,),), ((0, 1, key),)):
+        with pytest.raises(LPError):
+            LPCertificate(True, pairs, None)
+    with pytest.raises(LPError):
+        LPCertificate(True, ((0, 1),), None).verify(key)
 
 
 @pytest.mark.parametrize(
@@ -735,6 +745,13 @@ def test_lp_indices_must_be_ints(index):
         LPProblem(2, ((((index, 1),), 1),))
     with pytest.raises(LPError):
         Family(0, (((index, 1),),), ((),))
+    # the same for the number of columns, and rows or entries that are not a
+    # tuple of pairs
+    with pytest.raises(LPError):
+        LPProblem(index, ((((0, 1),), 1),))
+    for rows in (index, ((index, 1),), (((index,), 1),)):
+        with pytest.raises(LPError):
+            LPProblem(1, rows)
 
 
 def test_certificate_keys_listed_once():

@@ -131,6 +131,13 @@ def test_wiring_parse_rejects_malformed():
     ):
         with pytest.raises(ParseError):
             Wiring.parse(bad)
+    for bad, message in (
+        ("bp=A|BC order=B,C alpha=2 beta=15 gamma", "bad wiring token"),
+        ("bp=A|BC order=B alpha=2 beta=15 gamma=102", "bad order field"),
+        ("bp=A|BC order=B,D alpha=2 beta=15 gamma=102", "bad order field"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            Wiring.parse(bad)
 
 
 def test_enumeration_counts():
