@@ -296,7 +296,7 @@ def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> F
     `inputs` fixes the named parties' inputs; the remaining inputs are set to
     0, which cannot matter for a valid no-signalling box.
     """
-    n = box.n_parties
+    n = _require(box, "correlator").n_parties
     if not all(isinstance(s, (tuple, list)) for s in (parties, inputs)):
         raise ArityError(f"parties and inputs must be tuples or lists, got {parties!r} and {inputs!r}")
     if len(parties) != len(inputs):
@@ -391,7 +391,7 @@ def mix(boxes, weights) -> Box:
     weights = exact_values(weights)
     if not boxes or len(boxes) != len(weights):
         raise ArityError("need matching nonempty box and weight lists")
-    cls = type(boxes[0])
+    cls = type(_require(boxes[0], "mix"))
     if any(type(b) is not cls for b in boxes):
         raise ArityError("cannot mix boxes of different arity")
     if any(w < 0 for w in weights):

@@ -262,9 +262,9 @@ class LPCertificate:
     def __post_init__(self):
         if type(self.feasible) is not bool:
             raise LPError(f"certificate verdict {self.feasible!r} is not a bool")
-        for kind, pairs in (("column", self.point or ()), ("row", self.farkas or ())):
+        for kind, pairs in (("column", self.point), ("row", self.farkas)):
             seen = set()
-            for key, v in _pairs(pairs, f"certificate {kind}s"):
+            for key, v in () if pairs is None else _pairs(pairs, f"certificate {kind}s"):
                 if type(key) is not int:
                     raise LPError(f"certificate {kind} {key!r} is not an int")
                 if key in seen:
@@ -332,7 +332,6 @@ def _presolve(problem) -> _Presolve:
     by_row = columns.index
     m = len(rhs)
     live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
-    row_alive = [True] * m
     waiting = 0  # bit r: row r is alive and not queued
     steps: list = []
     queue = deque(range(m))
@@ -345,7 +344,6 @@ def _presolve(problem) -> _Presolve:
         if not parts:
             if rhs[i]:
                 return _Presolve(live, None, steps, i)
-            row_alive[i] = False
             waiting ^= 1 << i
             continue
         if rhs[i]:
@@ -358,7 +356,6 @@ def _presolve(problem) -> _Presolve:
             continue
         steps.append((i, sign, tuple((f, side, entries, hit, live[f][1 - side])
                                      for f, side, entries, hit, _ in parts)))
-        row_alive[i] = False
         waiting ^= 1 << i
         for f, side, _, hit, _ in parts:
             live[f][side] ^= hit
@@ -379,7 +376,7 @@ def _presolve(problem) -> _Presolve:
                         waiting ^= low
                         break
             queue.extend(row for *_, row in sorted(keyed))
-    return _Presolve(live, [i for i in range(m) if row_alive[i]], steps, None)
+    return _Presolve(live, [i for i in range(m) if waiting >> i & 1], steps, None)
 
 
 def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:

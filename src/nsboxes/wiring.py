@@ -192,51 +192,28 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     return Box2(tuple(Fraction(v, scale) for v in out))
 
 
-# Where ordering 1 reads ordering 0's differences: the actors' inputs and
-# outputs swap places.
-_SWAP = tuple(
-    16 * xp + 8 * i2 + 4 * i1 + 2 * w2 + w1 for xp, i1, i2, w1, w2 in product(BITS, repeat=5)
-)
-
-
-def _differences(table, solo: int, pair: tuple[int, int]) -> tuple[list, list]:
-    """The 32 signed differences d = P(a'=0, w2) - P(a'=1, w2) of a
-    bipartition's branches, once for each ordering of the pair (pair[0]
-    acting first, then pair[1]): branch (x', i1, w1, i2) at index
-    16*x' + 8*i1 + 4*i2 + 2*w1 + w2.  Both orderings read the same 16
-    branches."""
-    d = []
-    for xp, i1, i2, w1 in product(BITS, repeat=4):
-        p00, p01, p10, p11 = _branch(table, solo, *pair, xp, i1, w1, i2)
-        d += (p00 - p10, p01 - p11)
-    return d, [d[k] for k in _SWAP]
-
-
-def _summands(d: list) -> list:
+def _summands(table, solo: int, first: int, second: int) -> list:
     """For each alpha bit i1, the summands (P, Q) of one (bipartition,
-    ordering)'s columns; d is that ordering's list from _differences.
+    ordering)'s columns, read from its 16 branches.
 
-    E_x' sums d of the branch (x', alpha, w1, beta(w1)) over (w1, w2),
-    negated where gamma(w1, w2) = 1.  So for alpha = i1 the column of
-    h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp is P[b0, gp] + Q[b1, gq]:
-    P holds the 8 points of the w1 = 0 branches, indexed b0 << 4 | gp, and
-    Q those of the w1 = 1 branches, indexed b1 << 5 | gq << 2.  A summand
-    is deduplicated into two runs, one per beta bit: each point -> its
-    first index, in the run of that index.
+    With d = P(a'=0, w2) - P(a'=1, w2) of the branch (x', i1, w1, beta(w1)),
+    E_x' sums d over (w1, w2), negated where gamma(w1, w2) = 1.  So for
+    alpha = i1 the column of h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp
+    is P[b0, gp] + Q[b1, gq]: P holds the 8 points of the w1 = 0 branches,
+    indexed b0 << 4 | gp, and Q those of the w1 = 1 branches, indexed
+    b1 << 5 | gq << 2.  Each summand maps a point to its first index.
     """
     out = []
     for i1 in BITS:
-        summands = (({}, {}), ({}, {}))
+        summands = ({}, {})
         for w1, b in product(BITS, repeat=2):
-            runs = summands[w1]
             signed = []
             for xp in BITS:
-                j = 16 * xp + 8 * i1 + 4 * b + 2 * w1
-                d0, d1 = d[j], d[j + 1]
+                p00, p01, p10, p11 = _branch(table, solo, first, second, xp, i1, w1, b)
+                d0, d1 = p00 - p10, p01 - p11
                 signed.append((d0 + d1, d1 - d0, d0 - d1, -d0 - d1))
             for g, point in enumerate(zip(*signed)):
-                if point not in runs[0]:
-                    runs[b].setdefault(point, b << (4 + w1) | g << (2 * w1))
+                summands[w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
         out.append(summands)
     return out
 
@@ -244,19 +221,17 @@ def _summands(d: list) -> list:
 def _distinct_columns(summands: list) -> dict:
     """Each distinct column (E_0s', E_1s') of the 128 halves
     h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) of one block ->
-    the first half giving it, in ascending order of first halves, from the
-    block's _summands.  The first half giving a point pair joins the first
-    index of each point.  Within one alpha bit the bits of a half order as
-    (b1, b0, gq, gp), so visiting the runs of Q and P in that order visits
-    the point pairs in ascending half.
+    the first half giving it, from the block's _summands.  The halves of a
+    point pair are a product set whose bits interleave, so the first half
+    giving a point pair joins the first index of each point.
     """
     first_half = {}
     for i1, (p, q) in enumerate(summands):
-        for qrun, prun in product(q, p):
-            points = prun.items()
-            for (qx, qy), hq in qrun.items():
-                for (px, py), hp in points:
-                    first_half.setdefault((px + qx, py + qy), i1 << 6 | hq | hp)
+        for (qx, qy), hq in q.items():
+            for (px, py), hp in p.items():
+                c, h = (px + qx, py + qy), i1 << 6 | hq | hp
+                if h < first_half.get(c, 128):
+                    first_half[c] = h
     return first_half
 
 
@@ -264,7 +239,7 @@ def _key(summands: list) -> frozenset:
     """The set over alpha bits of the unordered pair {points of P, points
     of Q}: a block's columns are the union of the sums P + Q, so blocks with
     equal keys have equal columns."""
-    return frozenset(frozenset(frozenset(r0).union(r1) for r0, r1 in pq) for pq in summands)
+    return frozenset(frozenset(map(frozenset, pq)) for pq in summands)
 
 
 # Sign and swap maps of a column, each on a set of points, that relabel the
@@ -337,14 +312,13 @@ def _extremes(first_half: dict) -> dict:
     """u -> ((max, first half), (min, first half)) of u . c over the
     distinct columns, for each of _directions() and its negation: the one
     pass over a block's columns that every separable form reads."""
-    cols, heads = list(first_half), list(first_half.values())
     out = {}
     for a, b in _directions():
-        values = [a * x + b * y for x, y in cols]
-        hi, lo = max(values), min(values)
-        top, bottom = (hi, heads[values.index(hi)]), (lo, heads[values.index(lo)])
-        out[a, b] = top, bottom
-        out[-a, -b] = (-lo, bottom[1]), (-hi, top[1])
+        values = [(a * x + b * y, h) for (x, y), h in first_half.items()]
+        neg_hi, top = min((-v, h) for v, h in values)
+        lo, bottom = min(values)
+        out[a, b] = (-neg_hi, top), (lo, bottom)
+        out[-a, -b] = (-lo, bottom), (neg_hi, top)
     return out
 
 
@@ -400,8 +374,7 @@ def search_max_all(
     scores its distinct columns, in the integers of the box's integer view
     (`Box3.scaled`): one pass of extremes serves every separable form of
     both functionals, and the hull the coupled Uffink pairs, read through
-    one cross term.  Both orderings of a bipartition share its branch
-    reads.
+    one cross term.
 
     A later block must do strictly better to win, so two exact rules skip
     the blocks that cannot; a block that is not skipped scores every
@@ -428,9 +401,7 @@ def search_max_all(
     for bp, ordering in product(BIPARTITIONS, BITS):
         if all(f in best and best[f][0] >= bound[f] for f in functionals):
             break
-        if not ordering:
-            views = _differences(table, bp.solo, bp.pair)
-        summands = _summands(views[ordering])
+        summands = _summands(table, bp.solo, *bp.actors(ordering))
         key = _key(summands)
         if key in scored or scored and any(_image(key, m) in scored for m in _IMAGES):
             continue

@@ -350,8 +350,10 @@ def test_loads_matches_line_parser_oracle():
         (lambda: Box2(None), ArityError),
         (lambda: correlator(builtin("pr"), 5, (0,)), ArityError),
         (lambda: correlator(builtin("pr"), (0,), 0), ArityError),
+        (lambda: correlator(5, (0,), (0,)), ArityError),
         (lambda: mix(builtin("pr"), [1]), ArityError),
         (lambda: mix([], []), ArityError),
+        (lambda: mix([5], [1]), ArityError),
         (lambda: mix([builtin("class44"), builtin("pr")], [HALF, HALF]), ArityError),
         (lambda: apply_wiring(builtin("class44"), "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"),
          ParseError),
@@ -371,7 +373,7 @@ def test_loads_matches_line_parser_oracle():
     ],
     ids=["loads-int", "loads-bytes", "gyni-weights-int", "box3-int", "box3-generator",
          "box3-63-entries", "box2-none", "correlator-parties-int", "correlator-inputs-int",
-         "mix-one-box", "mix-no-boxes", "mix-arities",
+         "correlator-box-int", "mix-one-box", "mix-no-boxes", "mix-int-box", "mix-arities",
          "apply-wiring-str", "gyni-value-int", "gyni-bound-int", "validate-int", "dumps-int",
          "local-problem-int", "tobl-problem-int", "lp-feasible-int", "k-value-box2",
          "ic-verdict-float", "search-generator", "search-str", "search-none", "search-int"],

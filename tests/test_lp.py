@@ -733,6 +733,12 @@ def test_certificate_keys_must_be_ints(key):
             LPCertificate(True, pairs, None)
     with pytest.raises(LPError):
         LPCertificate(True, ((0, 1),), None).verify(key)
+    # only None means absent: 0, "" and False used to read as no pairs
+    for absent in (0, "", False):
+        with pytest.raises(LPError):
+            LPCertificate(True, absent, None)
+        with pytest.raises(LPError):
+            LPCertificate(False, None, absent)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from nsboxes.boxes import block_correlators
 from nsboxes.wiring import (
     _IMAGES,
     _column_forms,
-    _differences,
     _distinct_columns,
     _hull,
     _image,
@@ -97,12 +96,9 @@ def test_distinct_columns_equal_the_first_halves_of_the_128():
     for box in [builtin(n) for n in names] + seeded_boxes(rng, 4):
         for table in (box.table, oracle._integer_table(box)[1]):
             for bp in BIPARTITIONS:
-                views = _differences(table, bp.solo, bp.pair)
                 for ordering in (0, 1):
-                    got = list(_distinct_columns(_summands(views[ordering])).items())
-                    expected = oracle.distinct_columns(table, bp.solo, *bp.actors(ordering))
-                    assert got == list(expected.items())
-                    assert [h for _, h in got] == sorted(h for _, h in got)
+                    block = (table, bp.solo, *bp.actors(ordering))
+                    assert _distinct_columns(_summands(*block)) == oracle.distinct_columns(*block)
 
 
 def test_oracle_half_tables_join_to_the_wired_box():
@@ -262,14 +258,17 @@ def test_skips_fire_where_the_bounds_are_tight(monkeypatch):
     # block of class4, uniform3, deterministic(1,2,0) and 3/4 class44 +
     # 1/4 uniform3 repeats the first block's summands, so only the first is
     # built; a pool entry repeats one of its first two blocks exactly and
-    # two more as images under a sign or swap map.
+    # two more as images under a sign or swap map.  3/4 class3 + 1/4
+    # uniform3 repeats no block's summands, so all six are built.
     boxes = {name: builtin(name) for name in
              ("class44", "class3", "class4", "uniform3", "deterministic(1,2,0)")}
     boxes["pool entry 0"] = pool_entry(0)
-    boxes["3/4 class44"] = mix([builtin("class44"), builtin("uniform3")],
-                               [Fraction(3, 4), Fraction(1, 4)])
+    for name in ("class44", "class3"):
+        boxes[f"3/4 {name}"] = mix([builtin(name), builtin("uniform3")],
+                                   [Fraction(3, 4), Fraction(1, 4)])
     expected = {"class44": (1, 1), "class3": (2, 2), "class4": (1, 1), "uniform3": (1, 1),
-                "deterministic(1,2,0)": (1, 1), "pool entry 0": (3, 3), "3/4 class44": (1, 1)}
+                "deterministic(1,2,0)": (1, 1), "pool entry 0": (3, 3), "3/4 class44": (1, 1),
+                "3/4 class3": (6, 6)}
     for name, counts in expected.items():
         blocks.clear()
         hulls.clear()
@@ -300,9 +299,9 @@ def _blocks(box):
     order, on the box's integer table."""
     _, table = oracle._integer_table(box)
     for bp in BIPARTITIONS:
-        views = _differences(table, bp.solo, bp.pair)
         for ordering in (0, 1):
-            yield (table, bp.solo, *bp.actors(ordering)), _summands(views[ordering])
+            block = (table, bp.solo, *bp.actors(ordering))
+            yield block, _summands(*block)
 
 
 def _oracle_block_maxima(block):
@@ -335,9 +334,8 @@ def test_summands_are_centrally_symmetric():
     for box in _repeat_boxes():
         for _, summands in _blocks(box):
             for pq in summands:
-                for runs in pq:
-                    points = runs[0].keys() | runs[1].keys()
-                    assert {(-x, -y) for x, y in points} == points
+                for summand in pq:
+                    assert {(-x, -y) for x, y in summand} == summand.keys()
 
 
 def test_sign_and_swap_maps_keep_the_form_maxima():
