@@ -189,7 +189,7 @@ def gyni_value(box: Box3, weights: GyniWeights) -> Fraction:
 
 
 def gyni_bound(weights: GyniWeights) -> Fraction:
-    """No-signalling bound: max over input triples of q(x) + q(complement x)."""
+    """Local bound, the best deterministic value: max over x of q(x) + q(complement x)."""
     q = _require(weights, "gyni_bound", GyniWeights, ParseError).q
     return max(q[i] + q[7 - i] for i in range(8))
 

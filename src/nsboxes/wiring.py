@@ -148,14 +148,14 @@ class Wiring:
         return cls(bp, 0 if first == bp.pair[0] else 1, alpha, beta, gamma)
 
 
-def _branch(table, solo: int, first: int, second: int, xp: int, i1: int, w1: int, i2: int):
-    """The four entries P(a', w2) at (a', w2) = 00, 01, 10, 11 of one branch:
-    solo input x', first actor input i1 and output w1, second actor input
-    i2.  Entries come out in the type of the table's."""
+def _branch(solo: int, first: int, second: int, xp: int, i1: int, w1: int, i2: int) -> tuple:
+    """The flat indices of the four entries P(a', w2) at (a', w2) = 00, 01,
+    10, 11 of one branch: solo input x', first actor input i1 and output w1,
+    second actor input i2."""
     iw, ow = _IN_W[3], _OUT_W[3]
     j = xp * iw[solo] + i1 * iw[first] + i2 * iw[second] + w1 * ow[first]
     a, w = ow[solo], ow[second]
-    return table[j], table[j + w], table[j + a], table[j + a + w]
+    return j, j + w, j + a, j + a + w
 
 
 def _joined(h0: int, h1: int) -> tuple[int, int, int]:
@@ -185,16 +185,23 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     out = [0] * 16
     for sp, xp, w1 in product(BITS, repeat=3):
         i1, i2 = w.alpha >> sp & 1, w.beta >> 2 * sp + w1 & 1
-        for k, p in enumerate(_branch(table, *roles, xp, i1, w1, i2)):
+        for k, j in enumerate(_branch(*roles, xp, i1, w1, i2)):
             ap, w2 = divmod(k, 2)
             # flat index 8*x' + 4*y' + 2*a' + b'
-            out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += p
+            out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += table[j]
     return Box2(tuple(Fraction(v, scale) for v in out))
 
 
-def _summands(table, solo: int, first: int, second: int) -> list:
+@cache
+def _plan(*roles: int) -> tuple:
+    """(i1, w1, b, _branch entries at x' = 0, then 1) of a block's 8 branch pairs."""
+    return tuple((i1, w1, b, _branch(*roles, 0, i1, w1, b) + _branch(*roles, 1, i1, w1, b))
+                 for i1, w1, b in product(BITS, repeat=3))
+
+
+def _summands(table, solo: int, first: int, second: int) -> tuple:
     """For each alpha bit i1, the summands (P, Q) of one (bipartition,
-    ordering)'s columns, read from its 16 branches.
+    ordering)'s columns, read from its 16 branches through _plan.
 
     With d = P(a'=0, w2) - P(a'=1, w2) of the branch (x', i1, w1, beta(w1)),
     E_x' sums d over (w1, w2), negated where gamma(w1, w2) = 1.  So for
@@ -203,22 +210,17 @@ def _summands(table, solo: int, first: int, second: int) -> list:
     indexed b0 << 4 | gp, and Q those of the w1 = 1 branches, indexed
     b1 << 5 | gq << 2.  Each summand maps a point to its first index.
     """
-    out = []
-    for i1 in BITS:
-        summands = ({}, {})
-        for w1, b in product(BITS, repeat=2):
-            signed = []
-            for xp in BITS:
-                p00, p01, p10, p11 = _branch(table, solo, first, second, xp, i1, w1, b)
-                d0, d1 = p00 - p10, p01 - p11
-                signed.append((d0 + d1, d1 - d0, d0 - d1, -d0 - d1))
-            for g, point in enumerate(zip(*signed)):
-                summands[w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
-        out.append(summands)
+    out = ({}, {}), ({}, {})
+    for i1, w1, b, (j0, j1, j2, j3, k0, k1, k2, k3) in _plan(solo, first, second):
+        d0, d1 = table[j0] - table[j2], table[j1] - table[j3]
+        e0, e1 = table[k0] - table[k2], table[k1] - table[k3]
+        s, t = (d0 + d1, e0 + e1), (d1 - d0, e1 - e0)
+        for g, point in enumerate((s, t, (-t[0], -t[1]), (-s[0], -s[1]))):
+            out[i1][w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
     return out
 
 
-def _distinct_columns(summands: list) -> dict:
+def _distinct_columns(summands: tuple) -> dict:
     """Each distinct column (E_0s', E_1s') of the 128 halves
     h = alpha(s') << 6 | beta(s', .) << 4 | gamma(s', ., .) of one block ->
     the first half giving it, from the block's _summands.  The halves of a
@@ -235,7 +237,7 @@ def _distinct_columns(summands: list) -> dict:
     return first_half
 
 
-def _key(summands: list) -> frozenset:
+def _key(summands: tuple) -> frozenset:
     """The set over alpha bits of the unordered pair {points of P, points
     of Q}: a block's columns are the union of the sums P + Q, so blocks with
     equal keys have equal columns."""
@@ -245,8 +247,8 @@ def _key(summands: list) -> frozenset:
 # Sign and swap maps of a column, each on a set of points, that relabel the
 # effective box when applied to both columns: (x, -y) flips a' at x' = 1 and
 # (y, x) swaps x'.  Gamma bits g and 3 - g give opposite points, so every
-# summand is centrally symmetric and -1 fixes every key: these three with
-# the identity and -1 give all eight such maps.
+# summand is centrally symmetric and -1 fixes every key: these three, each
+# its own inverse on such keys, with the identity and -1 give all eight.
 _IMAGES = (
     lambda s: frozenset({(x, -y) for x, y in s}),
     lambda s: frozenset({(y, x) for x, y in s}),
@@ -280,45 +282,44 @@ def _column_forms() -> dict:
     return {"chsh_max": (1, linear, []), "uffink_max": (2, separable, coupled)}
 
 
-def _hull(points) -> list:
-    """Vertices of the convex hull of distinct integer points (monotone
-    chain; points inside an edge are dropped)."""
-    pts, vertices = sorted(points), []
-    for seq in (pts, pts[::-1]):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                (ox, oy), (ax, ay) = chain[-2:]
-                if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
-                    break
-                chain.pop()
-            chain.append(p)
-        vertices += chain[:-1]
-    return vertices or pts
+def _half_hull(points) -> list:
+    """One vertex of each +- pair of hull vertices of centrally symmetric
+    distinct integer points: the lower monotone chain without its last
+    point, the negated first (inner edge points dropped); [(0, 0)] alone."""
+    chain = []
+    for p in sorted(points):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2:]
+            if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain[:-1] or chain
 
 
 @cache
 def _directions() -> tuple:
     """The directions u of the separable forms, each once up to sign."""
-    return tuple(sorted({
-        bell._up_to_sign(u)
-        for _, separable, _ in _column_forms().values()
-        for sides in separable
-        for (u,) in sides
-    }))
+    forms = _column_forms().values()
+    return tuple(sorted({bell._up_to_sign(u) for _, sep, _ in forms for sides in sep for (u,) in sides}))
 
 
 def _extremes(first_half: dict) -> dict:
-    """u -> ((max, first half), (min, first half)) of u . c over the
-    distinct columns, for each of _directions() and its negation: the one
-    pass over a block's columns that every separable form reads."""
+    """u -> (max, first half of the maximisers, of the minimisers) of u . c
+    over the distinct columns, for each of _directions() and its negation:
+    the columns are centrally symmetric, so one pass finds the maximisers,
+    the minimum is -max and the minimisers are the negated maximisers."""
     out = {}
     for a, b in _directions():
-        values = [(a * x + b * y, h) for (x, y), h in first_half.items()]
-        neg_hi, top = min((-v, h) for v, h in values)
-        lo, bottom = min(values)
-        out[a, b] = (-neg_hi, top), (lo, bottom)
-        out[-a, -b] = (-lo, bottom), (neg_hi, top)
+        top, tops = 0, []
+        for c in first_half:
+            v = a * c[0] + b * c[1]
+            if v > top:
+                top, tops = v, [c]
+            elif v == top:
+                tops.append(c)
+        hi, lo = min(first_half[c] for c in tops), min(first_half[-x, -y] for x, y in tops)
+        out[a, b], out[-a, -b] = (top, hi, lo), (top, lo, hi)
     return out
 
 
@@ -327,26 +328,25 @@ def _block_max(first_half: dict, extremes: dict, degree: int, separable, coupled
     it), from first_half: each distinct column -> the first half giving it,
     and its _extremes.
 
-    (u . c)**degree is maximal where u . c is extreme, so on the first half
-    of the larger power of the two extremes, ties going to the smaller half.
+    (u . c)**degree is maximal where u . c is: at the maximum for degree 1,
+    and at both extremes, max and -max, for degree 2.
     A separable form's maximisers are a product set of halves, whose first
     wiring joins the first maximising half of each side.  The two coupled
     pairs are |c0 + R c1|**2 and |c0 - R c1|**2 with R = diag(1, -1), that
     is n0 + n1 +- 2 (x0 x1 - y0 y1) with n = x**2 + y**2, so the larger of
     the two is n0 + n1 + 2 |x0 x1 - y0 y1|: one cross term per pair of
-    columns.  It is strictly convex in each column, so it is maximal only
-    on pairs of hull vertices of the columns.
+    columns.  It is strictly convex in each column and even in each, so it
+    runs over pairs of _half_hull vertices, each taking the smaller first
+    half of itself and its negation (_joined is monotone in each half).
     """
-    peak = {}
-    for u, ends in extremes.items():
-        value, head = max((v ** degree, -h) for v, h in ends)
-        peak[u] = value, -head
+    peak = {u: (top ** degree, hi if degree == 1 else min(hi, lo)) for u, (top, hi, lo) in extremes.items()}
     found = []
     for (u,), (v,) in separable:
         (v0, h0), (v1, h1) = peak[u], peak[v]
         found.append((v0 + v1, h0, h1))
     if coupled:
-        hull = [(x, y, x * x + y * y, first_half[x, y]) for x, y in _hull(first_half)]
+        hull = [(x, y, x * x + y * y, min(first_half[x, y], first_half[-x, -y]))
+                for x, y in _half_hull(first_half)]
         found += [
             (n0 + n1 + 2 * abs(x0 * x1 - y0 * y1), h0, h1)
             for x0, y0, n0, h0 in hull
@@ -373,18 +373,17 @@ def search_max_all(
     is fixed by the wiring's half at s', so each (bipartition, ordering)
     scores its distinct columns, in the integers of the box's integer view
     (`Box3.scaled`): one pass of extremes serves every separable form of
-    both functionals, and the hull the coupled Uffink pairs, read through
-    one cross term.
+    both functionals, and half the hull the coupled Uffink pairs, read
+    through one cross term.
 
     A later block must do strictly better to win, so two exact rules skip
     the blocks that cannot; a block that is not skipped scores every
     requested functional.  On the integer view |E| <= scale, so no wiring
     beats CHSH 4 * scale or Uffink 8 * scale**2: once every functional has
     reached its bound, the remaining blocks are not read.  And a block whose
-    _key, or its image under one of _IMAGES, is that of a block already
-    scored is skipped before its columns are built: its columns are the
-    image of the scored block's, and the maps relabel the effective box, so
-    its maxima are equal and cannot be strictly better.
+    _key is a scored block's or its image under one of _IMAGES (stored
+    once the next block is read) is skipped before its columns are built:
+    the maps relabel the effective box, so its maxima cannot be better.
     """
     forms = _column_forms()
     if type(functionals) not in (tuple, list):
@@ -397,15 +396,16 @@ def search_max_all(
     scale, table = box.scaled
     bound = {"chsh_max": 4 * scale, "uffink_max": 8 * scale * scale}
     best: dict[str, tuple[int, Wiring]] = {}
-    scored = set()
+    scored, fresh = set(), set()
     for bp, ordering in product(BIPARTITIONS, BITS):
         if all(f in best and best[f][0] >= bound[f] for f in functionals):
             break
+        scored.update(_image(k, m) for k in fresh for m in _IMAGES)
         summands = _summands(table, bp.solo, *bp.actors(ordering))
-        key = _key(summands)
-        if key in scored or scored and any(_image(key, m) in scored for m in _IMAGES):
+        fresh = {_key(summands)} - scored
+        if not fresh:
             continue
-        scored.add(key)
+        scored |= fresh
         first_half = _distinct_columns(summands)
         extremes = _extremes(first_half)
         for f in functionals:

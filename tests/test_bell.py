@@ -270,6 +270,20 @@ def test_gyni_never_beats_bound_on_class4():
         assert gyni_value(box, w) <= gyni_bound(w)
 
 
+def test_gyni_bound_is_the_best_deterministic_value():
+    # a local bound: no-signalling boxes can beat it (1/3 against 1/4 in
+    # the canonical game), deterministic ones cannot, and one of them meets it
+    boxes = [builtin(f"deterministic({t >> 4},{t >> 2 & 3},{t & 3})") for t in range(64)]
+    rng = random.Random(SEED + 3)
+    weights = [GyniWeights.uniform_even_parity()]
+    while len(weights) < 100:
+        raw = [Fraction(rng.randrange(0, 12)) for _ in range(8)]
+        if any(raw):
+            weights.append(GyniWeights(tuple(v / sum(raw) for v in raw)))
+    for w in weights:
+        assert gyni_bound(w) == max(gyni_value(box, w) for box in boxes)
+
+
 def test_gyni_weights_validation():
     with pytest.raises(ArityError):
         GyniWeights(tuple([Fraction(1)] + [Fraction(0)] * 6))  # wrong length

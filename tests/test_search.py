@@ -1,9 +1,10 @@
 """The wiring search against the per-column-pair sweep of wiring_oracle.
 
 search_max_all scores each distinct column of a (bipartition, ordering)
-once, using the split of the orbit forms into column parts; these tests pin
-the column kernel, the split, the hull, and the values and tie-break
-wirings of the whole search against the oracle.  They also check the two
+once, using the split of the orbit forms into column parts and the central
+symmetry of the columns; these tests pin the column kernel, the split, the
+half hull, the one-sided extremes, and the values and tie-break wirings of
+the whole search against the oracle.  They also check the two
 bounds the search skips blocks by, that a block skipped as a repeat of a
 scored block's summands has that block's maxima, and where the skips fire.
 """
@@ -12,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
@@ -21,9 +23,11 @@ from nsboxes.bell import _orbit_forms
 from nsboxes.boxes import block_correlators
 from nsboxes.wiring import (
     _IMAGES,
+    _block_max,
     _column_forms,
     _distinct_columns,
-    _hull,
+    _extremes,
+    _half_hull,
     _image,
     _joined,
     _key,
@@ -155,15 +159,34 @@ def _inside(p, points):
     return False
 
 
+def _negated(points):
+    return {(-x, -y) for x, y in points}
+
+
 def test_hull_vertices_brute_force():
+    # a block's columns are centrally symmetric, and so are these sets
     rng = random.Random(SEED + 1)
     for size in list(range(1, 5)) * 10 + list(range(5, 12)) * 10:
-        points = list({(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(size)})
+        points = {(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(size)}
         if rng.random() < 0.3:  # collinear sets
-            points = list({(x, 2 * x - 1) for x, _ in points})
-        hull = _hull(points)
-        assert len(hull) == len(set(hull))
-        assert set(hull) == {p for p in points if not _inside(p, points)}, points
+            points = {(x, 2 * x) for x, _ in points}
+        points = list(points | _negated(points))
+        vertices = {p for p in points if not _inside(p, points)}
+        half = _half_hull(points)
+        # one point of each +- pair of vertices, (0, 0) counting as a pair
+        assert len({frozenset({p, (-p[0], -p[1])}) for p in half}) == len(half)
+        assert set(half) | _negated(half) == vertices, points
+        full = oracle.hull(points)
+        assert len(full) == len(set(full)) and set(full) == vertices, points
+
+
+def noisy_boxes():
+    """p V + (1 - p) uniform3 for V in class3 and class44, at four weights."""
+    return [
+        mix([builtin(name), builtin("uniform3")], [p, 1 - p])
+        for name in ("class3", "class44")
+        for p in (Fraction(7, 20), Fraction(1, 2), Fraction(13, 20), Fraction(3, 4))
+    ]
 
 
 def test_search_matches_oracle_on_seeded_mixtures():
@@ -197,6 +220,24 @@ vertices = st.one_of(
 def test_search_matches_oracle_property(parts):
     boxes, raw = zip(*parts)
     assert_search_matches_oracle(mix(list(boxes), [Fraction(r, sum(raw)) for r in raw]))
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_search_matches_oracle_on_pool_entries(k):
+    assert_search_matches_oracle(pool_entry(k))
+
+
+def test_search_matches_oracle_on_noisy_vertices():
+    for box in noisy_boxes():
+        assert_search_matches_oracle(box)
+
+
+def test_deterministic_boxes_search_to_the_classical_bounds():
+    # every wiring of a deterministic box gives a deterministic bipartite
+    # box, and those all have CHSH 2 and Uffink 4 (test_bell)
+    for t in range(64):
+        got = search_max_all(builtin(f"deterministic({t >> 4},{t >> 2 & 3},{t & 3})"))
+        assert (got["chsh_max"][1], got["uffink_max"][1]) == (2, 4)
 
 
 def _bound_boxes():
@@ -252,7 +293,7 @@ def pool_entry(k):
 
 def test_skips_fire_where_the_bounds_are_tight(monkeypatch):
     blocks = _count_calls(monkeypatch, "_distinct_columns")
-    hulls = _count_calls(monkeypatch, "_hull")
+    hulls = _count_calls(monkeypatch, "_half_hull")
     # (blocks whose columns are built, hulls built): class44 reaches CHSH 4
     # and Uffink 8 in its first block and class3 in its second.  Every later
     # block of class4, uniform3, deterministic(1,2,0) and 3/4 class44 +
@@ -336,6 +377,46 @@ def test_summands_are_centrally_symmetric():
             for pq in summands:
                 for summand in pq:
                     assert {(-x, -y) for x, y in summand} == summand.keys()
+
+
+def test_image_maps_are_involutions_on_keys():
+    # so storing the images of the scored keys skips the same blocks as
+    # looking up the images of each later key
+    for box in _repeat_boxes():
+        for _, summands in _blocks(box):
+            key = _key(summands)
+            assert all(_image(_image(key, m), m) == key for m in _IMAGES)
+
+
+def test_symmetric_block_pieces_equal_the_oracle():
+    # one pass for both ends of each direction, and the coupled Uffink
+    # maximum over half the hull, against two passes and the full hull
+    coupled = _column_forms()["uffink_max"][2]
+    rng = random.Random(SEED + 8)
+    names = VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")
+    boxes = [builtin(n) for n in names] + seeded_boxes(rng, 40) + noisy_boxes()
+    for box in boxes + [pool_entry(k) for k in range(8)]:
+        for _, summands in _blocks(box):
+            first_half = _distinct_columns(summands)
+            extremes = _extremes(first_half)
+            ends = {u: ((top, hi), (-top, lo)) for u, (top, hi, lo) in extremes.items()}
+            assert ends == oracle.extremes(first_half)
+            assert _block_max(first_half, extremes, 2, [], coupled) == oracle.coupled_max(first_half)
+
+
+def test_uffink_block_maxima_equal_all_pairs_of_columns():
+    # every block, skipped by the search or not.  A square peaks at both
+    # extremes of u . c, whose first halves compete for the first wiring;
+    # even mixtures of two deterministic boxes often tell them apart.
+    forms = _column_forms()["uffink_max"]
+    rng = random.Random(SEED + 8)
+    halves = [Fraction(1, 2)] * 2
+    pairs = [mix([random_deterministic(rng), random_deterministic(rng)], halves) for _ in range(16)]
+    for box in pairs + seeded_boxes(rng, 8):
+        for _, summands in _blocks(box):
+            first_half = _distinct_columns(summands)
+            got = _block_max(first_half, _extremes(first_half), *forms)
+            assert got == oracle.block_max(first_half, "uffink_max")
 
 
 def test_sign_and_swap_maps_keep_the_form_maxima():

@@ -6,7 +6,9 @@ shared with the kernel but the index conventions.  half_table() is the
 effective box at one y' from the half of the wiring that y' selects, summed
 entry by entry.  columns() builds the correlator column of each of the 128
 halves from the branch reader, and distinct_columns() dedups them, which
-the library's summand sums must reproduce.  search_max_all() and
+the library's summand sums must reproduce.  hull(), extremes(),
+coupled_max() and block_max() score one block's distinct columns without
+the central symmetry that the library reads them through.  search_max_all() and
 distinct_effective_boxes() are the per-column-pair sweep over half_table():
 they score every pair of distinct half keys of a (bipartition, ordering)
 with the orbit maxima of nsboxes.bell, where the library scores each
@@ -19,7 +21,7 @@ from math import lcm
 
 from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, require_valid
 from nsboxes.boxes import _IN_W, _OUT_W, block_correlators, pack
-from nsboxes.wiring import _branch, _joined
+from nsboxes.wiring import _branch, _directions, _joined
 
 BITS = (0, 1)
 
@@ -118,7 +120,7 @@ def columns(table, solo, first, second):
     """
     sums = {}
     for key in product(BITS, repeat=4):
-        p00, p01, p10, p11 = _branch(table, solo, first, second, *key)
+        p00, p01, p10, p11 = (table[j] for j in _branch(solo, first, second, *key))
         d0, d1 = p00 - p10, p01 - p11
         sums[key] = (d0 + d1, d1 - d0, d0 - d1, -d0 - d1)
     cols = []
@@ -135,6 +137,63 @@ def distinct_columns(table, solo, first, second):
     for h, col in enumerate(columns(table, solo, first, second)):
         first_half.setdefault(col, h)
     return first_half
+
+
+def hull(points):
+    """Vertices of the convex hull of distinct integer points (monotone
+    chain; points inside an edge are dropped)."""
+    pts, vertices = sorted(points), []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2:]
+                if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                    break
+                chain.pop()
+            chain.append(p)
+        vertices += chain[:-1]
+    return vertices or pts
+
+
+def extremes(first_half):
+    """u -> ((max, first half), (min, first half)) of u . c over the
+    distinct columns, for each direction of the separable forms and its
+    negation, each end found by its own pass."""
+    out = {}
+    for a, b in _directions():
+        values = [(a * x + b * y, h) for (x, y), h in first_half.items()]
+        neg_hi, top = min((-v, h) for v, h in values)
+        lo, bottom = min(values)
+        out[a, b] = (-neg_hi, top), (lo, bottom)
+        out[-a, -b] = (-lo, bottom), (neg_hi, top)
+    return out
+
+
+def coupled_max(first_half):
+    """(max of n0 + n1 + 2 |x0 x1 - y0 y1| over pairs of columns, first
+    (alpha, beta, gamma) giving it), over all pairs of full-hull vertices."""
+    vertices = [(x, y, first_half[x, y]) for x, y in hull(first_half)]
+    found = [
+        (x0 * x0 + y0 * y0 + x1 * x1 + y1 * y1 + 2 * abs(x0 * x1 - y0 * y1), _joined(h0, h1))
+        for x0, y0, h0 in vertices
+        for x1, y1, h1 in vertices
+    ]
+    top = max(v for v, _ in found)
+    return top, min(abg for v, abg in found if v == top)
+
+
+def block_max(first_half, name):
+    """(max of the named functional over all pairs of one block's distinct
+    columns, first (alpha, beta, gamma) giving it)."""
+    value = FUNCTIONALS[name][0]
+    found = [
+        (value((c0[0], c1[0], c0[1], c1[1])), _joined(h0, h1))
+        for c0, h0 in first_half.items()
+        for c1, h1 in first_half.items()
+    ]
+    top = max(v for v, _ in found)
+    return top, min(abg for v, abg in found if v == top)
 
 
 def _sweep(table, key):
