@@ -70,9 +70,10 @@ def is_local(box) -> LPCertificate:
 @cache
 def _tobl_columns(bp: Bipartition) -> ColumnFamilies:
     """tobl_problem's columns: one family per solo truth table at base
-    4096 * solo_tt, its lefts the 64 route-0 strategies f * 16 + g and its
-    rights the 64 route-1 ones.  Route 0: pair[0] sends, so pair[0] out =
-    f(pair[0] in) and pair[1] out = g(inputs).  Route 1: pair[1] sends."""
+    4096 * solo_tt, its lefts the 64 route-1 strategies f * 16 + g and its
+    rights the 64 route-2 ones.  Route 1: pair[0] sends, so pair[0] out =
+    f(pair[0] in) and pair[1] out = g(inputs).  Route 2: pair[1] sends.
+    The inner strategies() counts from 0: its route r is route r + 1."""
     s = bp.solo
     p0, p1 = bp.pair
     unit = [(row, 1) for row in range(129)]  # shared by every strategy
@@ -101,9 +102,10 @@ def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     """129-row, 16384-column LP: rows 0..63 are route-1 table equations (flat
     index), 64..127 route-2, 128 normalization.  The column at a strategy
     triple's lambda index (module docstring) hits the 8 rows of each of its
-    two route strategies and row 128, each with coefficient 1.  The columns are four families, built once per
-    bipartition (_tobl_columns); the rows are expanded only when read.  A
-    bp that is not a Bipartition raises ParseError."""
+    two route strategies and row 128, each with coefficient 1.  The columns
+    are four families, built once per bipartition (_tobl_columns); the rows
+    are expanded only when read.  A bp that is not a Bipartition raises
+    ParseError."""
     _require(bp, "tobl_problem", Bipartition, ParseError)
     return FamilyProblem(_tobl_columns(bp), tuple(_require3(box, "tobl_problem").table) * 2 + (ONE,))
 

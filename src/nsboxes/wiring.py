@@ -237,28 +237,16 @@ def _distinct_columns(summands: tuple) -> dict:
     return first_half
 
 
-def _key(summands: tuple) -> frozenset:
-    """The set over alpha bits of the unordered pair {points of P, points
-    of Q}: a block's columns are the union of the sums P + Q, so blocks with
-    equal keys have equal columns."""
-    return frozenset(frozenset(map(frozenset, pq)) for pq in summands)
-
-
 # Sign and swap maps of a column, each on a set of points, that relabel the
 # effective box when applied to both columns: (x, -y) flips a' at x' = 1 and
-# (y, x) swaps x'.  Gamma bits g and 3 - g give opposite points, so every
-# summand is centrally symmetric and -1 fixes every key: these three, each
-# its own inverse on such keys, with the identity and -1 give all eight.
+# (y, x) swaps x'.  Gamma bits g and 3 - g give opposite columns, so -1 fixes
+# every column set: these three with the identity are a set's whole orbit
+# under the eight sign and swap maps.
 _IMAGES = (
     lambda s: frozenset({(x, -y) for x, y in s}),
     lambda s: frozenset({(y, x) for x, y in s}),
     lambda s: frozenset({(-y, x) for x, y in s}),
 )
-
-
-def _image(key: frozenset, m) -> frozenset:
-    """key with the map m applied to every point."""
-    return frozenset(frozenset(map(m, pair)) for pair in key)
 
 
 @cache
@@ -381,9 +369,11 @@ def search_max_all(
     requested functional.  On the integer view |E| <= scale, so no wiring
     beats CHSH 4 * scale or Uffink 8 * scale**2: once every functional has
     reached its bound, the remaining blocks are not read.  And a block whose
-    _key is a scored block's or its image under one of _IMAGES (stored
-    once the next block is read) is skipped before its columns are built:
-    the maps relabel the effective box, so its maxima cannot be better.
+    column set is a scored block's, or its image under one of _IMAGES, is
+    skipped before it is scored: the maps relabel the effective box, so its
+    maxima cannot be better.  The column set is -1-symmetric, so it and its
+    three images are its whole orbit under the eight sign and swap maps,
+    and storing those four sets of each scored block is exact.
     """
     forms = _column_forms()
     if type(functionals) not in (tuple, list):
@@ -396,17 +386,15 @@ def search_max_all(
     scale, table = box.scaled
     bound = {"chsh_max": 4 * scale, "uffink_max": 8 * scale * scale}
     best: dict[str, tuple[int, Wiring]] = {}
-    scored, fresh = set(), set()
+    scored = set()
     for bp, ordering in product(BIPARTITIONS, BITS):
         if all(f in best and best[f][0] >= bound[f] for f in functionals):
             break
-        scored.update(_image(k, m) for k in fresh for m in _IMAGES)
-        summands = _summands(table, bp.solo, *bp.actors(ordering))
-        fresh = {_key(summands)} - scored
-        if not fresh:
+        first_half = _distinct_columns(_summands(table, bp.solo, *bp.actors(ordering)))
+        columns = frozenset(first_half)
+        if columns in scored:
             continue
-        scored |= fresh
-        first_half = _distinct_columns(summands)
+        scored.update([columns, *(m(columns) for m in _IMAGES)])
         extremes = _extremes(first_half)
         for f in functionals:
             v, abg = _block_max(first_half, extremes, *forms[f])

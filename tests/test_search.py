@@ -6,12 +6,12 @@ symmetry of the columns; these tests pin the column kernel, the split, the
 half hull, the one-sided extremes, and the values and tie-break wirings of
 the whole search against the oracle.  They also check the two
 bounds the search skips blocks by, that a block skipped as a repeat of a
-scored block's summands has that block's maxima, and where the skips fire.
+scored block's column set has that block's maxima, and where the skips fire.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +28,7 @@ from nsboxes.wiring import (
     _distinct_columns,
     _extremes,
     _half_hull,
-    _image,
     _joined,
-    _key,
     _summands,
 )
 from random_boxes import mixture3, odd_lcm_mixtures, pool_weights, random_relabeling3
@@ -295,21 +293,25 @@ def test_skips_fire_where_the_bounds_are_tight(monkeypatch):
     blocks = _count_calls(monkeypatch, "_distinct_columns")
     hulls = _count_calls(monkeypatch, "_half_hull")
     # (blocks whose columns are built, hulls built): class44 reaches CHSH 4
-    # and Uffink 8 in its first block and class3 in its second.  Every later
+    # and Uffink 8 in its first block and class3 in its second.  Every block
+    # read after the bound check has its column set built.  Every later
     # block of class4, uniform3, deterministic(1,2,0) and 3/4 class44 +
-    # 1/4 uniform3 repeats the first block's summands, so only the first is
-    # built; a pool entry repeats one of its first two blocks exactly and
-    # two more as images under a sign or swap map.  3/4 class3 + 1/4
-    # uniform3 repeats no block's summands, so all six are built.
+    # 1/4 uniform3 repeats the first block's column set, so only the first
+    # is scored; a pool entry repeats one of its first two blocks exactly
+    # and two more as images under a sign or swap map.  p class3 +
+    # (1 - p) uniform3 repeats blocks 2, 1, 1 in blocks 4-6, so three are
+    # scored.
     boxes = {name: builtin(name) for name in
              ("class44", "class3", "class4", "uniform3", "deterministic(1,2,0)")}
     boxes["pool entry 0"] = pool_entry(0)
-    for name in ("class44", "class3"):
-        boxes[f"3/4 {name}"] = mix([builtin(name), builtin("uniform3")],
-                                   [Fraction(3, 4), Fraction(1, 4)])
-    expected = {"class44": (1, 1), "class3": (2, 2), "class4": (1, 1), "uniform3": (1, 1),
-                "deterministic(1,2,0)": (1, 1), "pool entry 0": (3, 3), "3/4 class44": (1, 1),
-                "3/4 class3": (6, 6)}
+    boxes["3/4 class44"] = mix([builtin("class44"), builtin("uniform3")],
+                               [Fraction(3, 4), Fraction(1, 4)])
+    for p in (Fraction(7, 20), Fraction(1, 2), Fraction(13, 20), Fraction(3, 4)):
+        boxes[f"{p} class3"] = mix([builtin("class3"), builtin("uniform3")], [p, 1 - p])
+    expected = {"class44": (1, 1), "class3": (2, 2), "class4": (6, 1), "uniform3": (6, 1),
+                "deterministic(1,2,0)": (6, 1), "pool entry 0": (6, 3), "3/4 class44": (6, 1),
+                "7/20 class3": (6, 3), "1/2 class3": (6, 3), "13/20 class3": (6, 3),
+                "3/4 class3": (6, 3)}
     for name, counts in expected.items():
         blocks.clear()
         hulls.clear()
@@ -354,17 +356,18 @@ def _oracle_block_maxima(block):
 
 
 def test_skipped_blocks_repeat_the_maxima_of_a_scored_block():
-    # the search's rule, read on all six blocks: a block whose key, or an
-    # image of it, is a scored block's key is skipped, else scored
+    # the search's rule, read on all six blocks: a block whose column set,
+    # or an image of it, is a scored block's column set is skipped, else
+    # scored
     kinds = set()
     for box in _repeat_boxes():
         scored = {}
         for block, summands in _blocks(box):
-            key = _key(summands)
-            matches = [key] + [_image(key, m) for m in _IMAGES]
+            columns = frozenset(_distinct_columns(summands))
+            matches = [columns] + [m(columns) for m in _IMAGES]
             found = [(i, scored[k]) for i, k in enumerate(matches) if k in scored]
             if not found:
-                scored[key] = block
+                scored[columns] = block
                 continue
             kinds.add(found[0][0] > 0)
             assert _oracle_block_maxima(block) == _oracle_block_maxima(found[0][1])
@@ -372,20 +375,28 @@ def test_skipped_blocks_repeat_the_maxima_of_a_scored_block():
 
 
 def test_summands_are_centrally_symmetric():
+    # and so is each column set: -(p + q) = (-p) + (-q)
     for box in _repeat_boxes():
         for _, summands in _blocks(box):
             for pq in summands:
                 for summand in pq:
                     assert {(-x, -y) for x, y in summand} == summand.keys()
+            columns = _distinct_columns(summands).keys()
+            assert {(-x, -y) for x, y in columns} == columns
 
 
-def test_image_maps_are_involutions_on_keys():
-    # so storing the images of the scored keys skips the same blocks as
-    # looking up the images of each later key
+def test_column_set_and_its_images_are_its_orbit():
+    # so storing a scored block's column set and its three images skips
+    # every block whose column set is any sign or swap image of it; the
+    # eight maps are written out here, each sign of x and y with and
+    # without the swap
+    signs_and_swaps = list(product((1, -1), (1, -1), (0, 1)))
     for box in _repeat_boxes():
         for _, summands in _blocks(box):
-            key = _key(summands)
-            assert all(_image(_image(key, m), m) == key for m in _IMAGES)
+            columns = frozenset(_distinct_columns(summands))
+            orbit = {frozenset((sx * c[swap], sy * c[1 - swap]) for c in columns)
+                     for sx, sy, swap in signs_and_swaps}
+            assert {columns, *(m(columns) for m in _IMAGES)} == orbit
 
 
 def test_symmetric_block_pieces_equal_the_oracle():
