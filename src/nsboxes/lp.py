@@ -32,13 +32,16 @@ witness take the same per-family maxima.
 
 Everything from the presolve to the check works on integers.  The presolve
 reads a row's signs from the index's sign masks and its right-hand side
-from the integer view (FamilyProblem.scaled).  The simplex scales the live
-coefficients apart from it (see _phase1) and keeps the basis inverse as
-integers times its determinant, updated fraction-free, with only the
-columns of basic structural variables stored.  Farkas witnesses found on
-the reduced system are lifted back through the presolve steps, so
-certificates always refer to the caller's row and column indices.  verify
-checks a certificate scaled once to integers.
+from the integer view (FamilyProblem.scaled), which the one-way and local
+problems of membership take from their box's view (box.scaled) instead
+of scaling the right-hand side again.  It only tests a row with a nonzero
+right-hand side for a live column, stopping at the first.  The simplex
+scales the live coefficients apart from it (see _phase1) and keeps the
+basis inverse as integers times its determinant, updated fraction-free,
+with only the columns of basic structural variables stored.  Farkas
+witnesses found on the reduced system are lifted back through the presolve
+steps, so certificates always refer to the caller's row and column
+indices.  verify checks a certificate scaled once to integers.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 
 from .boxes import InexactValueError, _require, integer_scaled
 
@@ -143,6 +146,19 @@ class ColumnFamilies:
                     by_row[row].append((f, side, tuple(entries), mask, positive))
         return tuple(map(tuple, by_row))
 
+    @cached_property
+    def meets(self) -> tuple:
+        """Per family, (rows, sides): the mask with bit r set for each row r
+        the family touches, and sides[r] = (side, mask) for such a row, side
+        and mask as in index (a row meets a family on one side only)."""
+        rows = [0] * len(self.families)
+        sides: list[dict] = [{} for _ in self.families]
+        for r, entries in enumerate(self.index):
+            for f, side, _, mask, _ in entries:
+                rows[f] |= 1 << r
+                sides[f][r] = side, mask
+        return tuple(zip(rows, sides))
+
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
         is negative or a column lies outside 0..num_vars-1."""
@@ -195,7 +211,8 @@ class FamilyProblem:
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The right-hand side as integer_scaled gives it, (beta, beta * b)."""
+        """The right-hand side as integer_scaled gives it, (beta, beta * b),
+        built on first use unless the problem's builder stored it."""
         return integer_scaled(self.rhs)
 
     @cached_property
@@ -314,6 +331,14 @@ def _integer_scaled(values: dict) -> tuple[int, dict]:
     return scale, dict(zip(values, ints))
 
 
+def _bit_ids(mask: int):
+    """The positions of mask's set bits, low to high."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # live[f][side]: the int with bit t set while strategy t of family f is
 # live.  steps: (row, sign, parts) in elimination order, parts the (family,
 # side, ((strategy, coefficient), ...), hit, other) the row met live: its
@@ -327,7 +352,12 @@ _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 def _presolve(problem) -> _Presolve:
     """Fix to zero every column touched by a same-sign zero-rhs row: its
     live coefficients are positive where each part's positive mask covers
-    its hit mask, negative where no part's positive mask meets it."""
+    its hit mask, negative where no part's positive mask meets it; the pass
+    that collects the parts reads the sign and gives up at a mixed one.  A
+    row with a nonzero right-hand side is only tested for a live column:
+    the first one found keeps it, and none found is the detection.  A
+    step's waiting rows are found among those the family meets
+    (ColumnFamilies.meets)."""
     columns, (_, rhs) = problem.columns, problem.scaled
     by_row = columns.index
     m = len(rhs)
@@ -338,25 +368,28 @@ def _presolve(problem) -> _Presolve:
     while queue:
         i = queue.popleft()
         waiting |= 1 << i
-        parts = [(f, side, entries, hit, positive & hit)
-                 for f, side, entries, mask, positive in by_row[i]
-                 if (hit := mask & live[f][side]) and live[f][1 - side]]
-        if not parts:
-            if rhs[i]:
-                return _Presolve(live, None, steps, i)
-            waiting ^= 1 << i
-            continue
         if rhs[i]:
+            for f, side, _, mask, _ in by_row[i]:
+                if mask & live[f][side] and live[f][1 - side]:
+                    break
+            else:
+                return _Presolve(live, None, steps, i)
             continue
-        if all(positive == hit for *_, hit, positive in parts):
-            sign = 1
-        elif not any(positive for *_, positive in parts):
-            sign = -1
-        else:
+        parts = []
+        signs = 0  # bit 1: a live coefficient is positive, bit 0: one is negative
+        for f, side, entries, mask, positive in by_row[i]:
+            if (hit := mask & live[f][side]) and (other := live[f][1 - side]):
+                positive &= hit
+                signs |= (positive != 0) << 1 | (positive != hit)
+                if signs == 3:
+                    break
+                parts.append((f, side, entries, hit, other))
+        if signs == 3:
             continue
-        steps.append((i, sign, tuple((f, side, entries, hit, live[f][1 - side])
-                                     for f, side, entries, hit, _ in parts)))
         waiting ^= 1 << i
+        if not parts:
+            continue
+        steps.append((i, 1 if signs == 2 else -1, tuple(parts)))
         for f, side, _, hit, _ in parts:
             live[f][side] ^= hit
             # The columns (a, b) die in ascending id, a over the lefts and b
@@ -365,17 +398,18 @@ def _presolve(problem) -> _Presolve:
             sides = (hit, live[f][1]) if side == 0 else (live[f][0], hit)
             first = sides[0] & -sides[0]
             keyed = []
-            rest = waiting
+            rows, meets = columns.meets[f]
+            rest = waiting & rows
             while rest:
                 low = rest & -rest
                 rest ^= low
                 row = low.bit_length() - 1
-                for g, s, _, mask, _ in by_row[row]:
-                    if g == f and (touch := mask & sides[s]):
-                        keyed.append((s or (0 if touch & first else 2), touch & -touch, row))
-                        waiting ^= low
-                        break
-            queue.extend(row for *_, row in sorted(keyed))
+                s, mask = meets[row]
+                if touch := mask & sides[s]:
+                    keyed.append((s or (0 if touch & first else 2), touch & -touch, row))
+                    waiting ^= low
+            keyed.sort()
+            queue.extend([row for *_, row in keyed])
     return _Presolve(live, [i for i in range(m) if waiting >> i & 1], steps, None)
 
 
@@ -388,7 +422,9 @@ def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
     the other side, among the strategies live at that step, over the
     strategy's coefficient in the row.  Restored multipliers pair with zero
     right-hand sides, so y^T b is untouched.  The sums run on the witness
-    scaled once to integers.
+    scaled once to integers; the largest sum on the other side is read off
+    the bits of that side's live mask, and an aggregate over a coefficient
+    of 1 or -1 is compared as the integer it is.
     """
     columns = problem.columns
     scale, w = _integer_scaled(farkas)
@@ -397,13 +433,13 @@ def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
         top = 0
         for f, side, entries, hit, other_live in parts:
             sums = u[f][1 - side]
-            # bin(other_live)[:1:-1] lists its bits low to high, bit o for sums[o]
-            other = max(sums if other_live + 1 == 1 << len(sums)
-                        else compress(sums, map("1".__eq__, bin(other_live)[:1:-1])))
+            other = max(sums if other_live + 1 == 1 << len(sums) else map(sums.__getitem__, _bit_ids(other_live)))
+            mine = u[f][side]
             for t, coeff in entries:
                 if hit >> t & 1:
-                    agg = u[f][side][t] + other
-                    agg = agg if abs(coeff) == 1 else Fraction(agg) / abs(coeff)
+                    agg = mine[t] + other
+                    if coeff != 1 and coeff != -1:
+                        agg = Fraction(agg) / abs(coeff)
                     if agg > top:
                         top = agg
         if top > 0:
@@ -451,8 +487,8 @@ def _phase1(problem, pre: _Presolve):
     # side its live strategies as (id, [(position, signed coefficient)]).
     fams = []
     for fam, live in zip(problem.columns.families, pre.live):
-        sides = [[(t, [(pos[r], sign[pos[r]] * c) for r, c in strategy if r in pos])
-                  for t, strategy in enumerate(strategies) if side_live >> t & 1]
+        sides = [[(t, [(pos[r], sign[pos[r]] * c) for r, c in strategies[t] if r in pos])
+                  for t in _bit_ids(side_live)]
                  for strategies, side_live in zip((fam.lefts, fam.rights), live)]
         if all(sides):
             fams.append((fam.base, len(fam.rights), *sides))

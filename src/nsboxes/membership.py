@@ -34,6 +34,17 @@ def _bit(tt: int, i: int) -> int:
     return (tt >> i) & 1
 
 
+def _problem(columns: ColumnFamilies, box, copies: int) -> FamilyProblem:
+    """The problem on columns whose right-hand side is copies of the table
+    and then 1.  Its integer view is taken from the box's, (scale, ints *
+    copies + (scale,)), which is what integer_scaled gives: repeating the
+    table and adding 1 leave the lcm of the denominators as it is."""
+    problem = FamilyProblem(columns, tuple(box.table) * copies + (ONE,))
+    scale, ints = box.scaled
+    vars(problem)["scaled"] = scale, ints * copies + (scale,)
+    return problem
+
+
 @cache
 def _local_columns(n: int) -> ColumnFamilies:
     """local_problem's columns for n parties: one family whose lefts are the
@@ -55,8 +66,7 @@ def local_problem(box) -> FamilyProblem:
     every table entry plus normalization.  The columns are one family, built
     once per party count (_local_columns); only the right-hand side, the
     table and then 1, comes from the box."""
-    n = _require(box, "local_problem").n_parties
-    return FamilyProblem(_local_columns(n), tuple(box.table) + (ONE,))
+    return _problem(_local_columns(_require(box, "local_problem").n_parties), box, 1)
 
 
 def is_local(box) -> LPCertificate:
@@ -107,7 +117,7 @@ def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     are expanded only when read.  A bp that is not a Bipartition raises
     ParseError."""
     _require(bp, "tobl_problem", Bipartition, ParseError)
-    return FamilyProblem(_tobl_columns(bp), tuple(_require3(box, "tobl_problem").table) * 2 + (ONE,))
+    return _problem(_tobl_columns(bp), _require3(box, "tobl_problem"), 2)
 
 
 def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:

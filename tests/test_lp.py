@@ -432,6 +432,46 @@ def test_certificates_pinned():
     assert pinned_certificates() == PINNED_CERTIFICATES
 
 
+# What the presolve does on each membership LP of the builtins: its step
+# count, then the row it detects or the rows it leaves and the live left and
+# right strategies of each family.  A presolve that reorders its rows or
+# steps fails here on the LP and the count that moved.
+PRESOLVE_TRACES = {
+    "tobl class3 A|BC": "49 steps, detected at row 121",
+    "tobl class3 B|AC": "17 steps, detected at row 57",
+    "tobl class3 C|AB": "44 steps, 65 active rows, live (2, 1) (2, 1) (2, 1) (2, 1)",
+    "tobl class4 A|BC": "48 steps, 65 active rows, live (1, 1) (1, 1) (1, 1) (1, 1)",
+    "tobl class4 B|AC": "48 steps, 65 active rows, live (1, 1) (1, 1) (1, 1) (1, 1)",
+    "tobl class4 C|AB": "48 steps, 65 active rows, live (1, 1) (1, 1) (1, 1) (1, 1)",
+    "tobl class44 A|BC": "21 steps, detected at row 57",
+    "tobl class44 B|AC": "21 steps, detected at row 57",
+    "tobl class44 C|AB": "21 steps, detected at row 57",
+    "local class3": "17 steps, detected at row 57",
+    "local class4": "17 steps, detected at row 57",
+    "local class44": "17 steps, detected at row 57",
+    "local pr": "7 steps, detected at row 13",
+}
+
+
+def presolve_trace(problem):
+    pre = _presolve(problem)
+    if pre.detected is not None:
+        return f"{len(pre.steps)} steps, detected at row {pre.detected}"
+    live = " ".join(str(tuple(bin(mask).count("1") for mask in sides)) for sides in pre.live)
+    return f"{len(pre.steps)} steps, {len(pre.active_rows)} active rows, live {live}"
+
+
+@pytest.mark.parametrize("key", PRESOLVE_TRACES)
+def test_presolve_trace_pinned(key):
+    model, name, *bp = key.split()
+    box = builtin(name)
+    if model == "tobl":
+        problem = tobl_problem(box, next(b for b in BIPARTITIONS if b.name == bp[0]))
+    else:
+        problem = local_problem(box)
+    assert presolve_trace(problem) == PRESOLVE_TRACES[key]
+
+
 def rescaled(rng, problem):
     """The same feasibility question with each column scaled by a positive
     fraction and each row by a nonzero one, so coefficients and right-hand

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,8 +25,9 @@ from nsboxes import (
     tobl_problem,
 )
 from nsboxes import membership
+from nsboxes.boxes import integer_scaled
 from nsboxes.lp import LPCertificate, LPError
-from random_boxes import random_ns_box2
+from random_boxes import odd_lcm_mixtures, random_ns_box2
 
 SEED = 31415
 
@@ -253,6 +255,25 @@ def test_one_way_solve_never_expands_rows():
         problem = tobl_problem(builtin(name), BIPARTITIONS[0])
         cert = lp_feasible(problem)
         assert cert.verify(problem)
+        assert "rows" not in vars(problem)
+
+
+def test_problems_take_the_integer_view_of_their_right_hand_side():
+    # tobl_problem and local_problem take the view from box.scaled; it must
+    # be the one integer_scaled gives on the right-hand side itself, and
+    # reading it must leave the rows unbuilt.
+    rng = random.Random(SEED)
+    det = builtin("deterministic(2,0,1)")
+    scale14 = mix((builtin("class44"), det), (Fraction(2, 7), Fraction(5, 7)))
+    assert scale14.scaled[0] == 14
+    boxes3 = [builtin(name) for name in ("class3", "class4", "class44", "uniform3")]
+    boxes3 += [builtin("deterministic(%d,%d,%d)" % t) for t in product(range(4), repeat=3)]
+    boxes3 += [scale14] + odd_lcm_mixtures(rng)  # k/7, k/11 and sweep-mixed pool weights
+    boxes2 = [builtin("pr"), builtin("uniform2")] + [random_ns_box2(rng) for _ in range(4)]
+    problems = [tobl_problem(box, bp) for box in boxes3 for bp in BIPARTITIONS]
+    problems += [local_problem(box) for box in boxes3 + boxes2]
+    for problem in problems:
+        assert problem.scaled == integer_scaled(problem.rhs)
         assert "rows" not in vars(problem)
 
 
