@@ -17,10 +17,12 @@ argument most significant.  So alpha is 2 bits (index s'), beta 4 bits
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .boxes import (
     BITS,
@@ -93,8 +95,9 @@ class Wiring:
     def __post_init__(self):
         if type(self.bipartition) is not Bipartition:
             raise ParseError(f"bipartition must be a Bipartition, got {self.bipartition!r}")
-        # boxes._all_in's test written out: enumerate_wirings builds 98,304
-        # wirings, and a generator per field more than doubles their cost.
+        # boxes._all_in's test written out: a pass over enumerate_wirings
+        # builds a wiring per item, and a generator per field more than
+        # doubles the cost of each.
         for field, value, width in (
             ("ordering", self.ordering, 2),
             ("alpha", self.alpha, 4),
@@ -175,8 +178,10 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     second input is beta(s', w1); no-signalling of the source makes this the
     correct sequential probability, with the 0 * (0/0) = 0 convention built
     in (a zero-probability branch contributes zero to every entry).  The
-    sums run on the box's integer view (`Box3.scaled`).  A w that is not a
-    Wiring raises ParseError.
+    sums run on the box's integer view (`Box3.scaled`), and the effective
+    box keeps theirs as its own: with g the gcd of the scale and the sums,
+    (scale // g, sums // g) is what integer_scaled gives on its table.  A w
+    that is not a Wiring raises ParseError.
     """
     _require(w, "apply_wiring", Wiring, ParseError)
     require_valid(_require3(box, "apply_wiring"))
@@ -189,7 +194,10 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
             ap, w2 = divmod(k, 2)
             # flat index 8*x' + 4*y' + 2*a' + b'
             out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += table[j]
-    return Box2(tuple(Fraction(v, scale) for v in out))
+    eff = Box2(tuple(Fraction(v, scale) for v in out))
+    g = gcd(scale, *out)
+    vars(eff)["scaled"] = scale // g, tuple(v // g for v in out)
+    return eff
 
 
 @cache
@@ -344,10 +352,31 @@ def _block_max(first_half: dict, extremes: dict, degree: int, separable, coupled
     return top, min(_joined(h0, h1) for v, h0, h1 in found if v == top)
 
 
-def enumerate_wirings(bp: Bipartition) -> list[Wiring]:
+class _Wirings(Sequence):
+    """The sequence enumerate_wirings returns for one bipartition."""
+
+    __slots__ = ("_bp",)
+
+    def __init__(self, bp: Bipartition):
+        self._bp = bp
+
+    def __len__(self) -> int:
+        return 32768
+
+    def __getitem__(self, i):
+        k = range(32768)[i]
+        if type(k) is range:
+            return [self[j] for j in k]
+        return Wiring(self._bp, k >> 14, k >> 12 & 3, k >> 8 & 15, k & 255)
+
+
+def enumerate_wirings(bp: Bipartition) -> Sequence[Wiring]:
     """All wirings on a bipartition in canonical (ordering, alpha, beta,
-    gamma) order; 32768 in total, 8192 of them type I."""
-    return [Wiring(bp, *abg) for abg in product(BITS, range(4), range(16), range(256))]
+    gamma) order, 32768 in total and 8192 of them type I: a read-only
+    sequence whose item k = ordering << 14 | alpha << 12 | beta << 8 | gamma
+    is built (and validated) as a Wiring only when read.  A bp that is not a
+    Bipartition raises ParseError."""
+    return _Wirings(_require(bp, "enumerate_wirings", Bipartition, ParseError))
 
 
 def search_max_all(

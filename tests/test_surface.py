@@ -114,3 +114,9 @@ def test_test_only_names_left_the_package():
 @pytest.mark.parametrize("owner, name", REACHED, ids=lambda v: getattr(v, "__name__", v))
 def test_names_the_benchmark_and_ci_reach_exist(owner, name):
     assert hasattr(owner, name)
+
+
+def test_benchmark_wiring_set_up_runs():
+    # perfbench/run.py's set-up calls enumerate_wirings on each bipartition,
+    # and perfbench/spans.py counts a traced call's wirings with len().
+    assert [len(wiring.enumerate_wirings(bp)) for bp in wiring.BIPARTITIONS] == [32768] * 3

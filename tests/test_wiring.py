@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,8 @@ from nsboxes import (
     uffink_max,
     validate,
 )
+from nsboxes import wiring
+from nsboxes.boxes import integer_scaled
 
 SEED = 77003
 
@@ -149,6 +152,53 @@ def test_enumeration_counts():
         assert len(wirings) - len(type_i) == 32768 - 8192
 
 
+def test_enumeration_is_the_canonical_product():
+    for bp in BIPARTITIONS:
+        assert list(enumerate_wirings(bp)) == [
+            Wiring(bp, *abg) for abg in product(range(2), range(4), range(16), range(256))
+        ]
+
+
+def test_enumeration_is_a_read_only_sequence():
+    seq = enumerate_wirings(BIPARTITIONS[1])
+    assert len(seq) == 32768
+    assert seq[-1] == Wiring(BIPARTITIONS[1], 1, 3, 15, 255)
+    assert seq[-32768] == seq[0] == Wiring(BIPARTITIONS[1], 0, 0, 0, 0)
+    assert seq[4097:4100] == [Wiring(BIPARTITIONS[1], 0, 1, 0, g) for g in (1, 2, 3)]
+    assert seq[-2::-16384] == [Wiring(BIPARTITIONS[1], o, 3, 15, 254) for o in (1, 0)]
+    for k in (32768, -32769):
+        with pytest.raises(IndexError):
+            seq[k]
+    for k, (ordering, alpha, beta, gamma) in ((0, (0, 0, 0, 0)), (102, (0, 0, 0, 102)),
+                                               (18005, (1, 0, 6, 85)),
+                                               (32767, (1, 3, 15, 255))):
+        w = Wiring(BIPARTITIONS[1], ordering, alpha, beta, gamma)
+        assert k == ordering << 14 | alpha << 12 | beta << 8 | gamma
+        assert seq.index(w) == k and w in seq
+    assert Wiring(BIPARTITIONS[0], 0, 0, 0, 0) not in seq[:4]
+    assert not hasattr(seq, "append") and not hasattr(seq, "__setitem__")
+    with pytest.raises(ParseError):
+        enumerate_wirings("A|BC")
+
+
+def test_enumeration_builds_each_wiring_on_read(monkeypatch):
+    built = []
+
+    class Counted(Wiring):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(wiring, "Wiring", Counted)
+    seqs = [enumerate_wirings(bp) for bp in BIPARTITIONS]
+    assert built == []
+    assert seqs[2][5].encode() == "bp=C|AB order=A,B alpha=0 beta=0 gamma=5" and len(built) == 1
+    assert seqs[0][-1] is built[-1] and len(built) == 2
+    assert len(seqs[1][10:13]) == 3 and len(built) == 5
+    assert next(iter(seqs[1])) is built[-1] and len(built) == 6
+    assert all(type(w) is Counted for w in built)
+
+
 def test_type_i_detection():
     # beta = 12 is s' regardless of w1; beta = 4 reads w1
     w1 = Wiring.parse("bp=A|BC order=B,C alpha=2 beta=12 gamma=102")
@@ -210,6 +260,25 @@ def test_integer_kernel_matches_oracle_on_odd_scales():
             expected = oracle.wire(box.table, w)
             assert eff.table == expected, w.encode()
             assert dumps(eff) == box_oracle.dumps(Box2(expected)), w.encode()
+
+
+def test_effective_box_keeps_its_integer_view():
+    # apply_wiring stores (scale // g, sums // g); it must be what
+    # integer_scaled gives on the effective table, zero entries included.
+    rng = random.Random(SEED + 6)
+    boxes = [builtin(n) for n in ("class3", "class4", "class44", "uniform3")]
+    boxes += [builtin("deterministic(%d,%d,%d)" % t) for t in ((0, 0, 0), (1, 2, 3), (3, 1, 2))]
+    boxes += [seeded_mixture(rng) for _ in range(3)] + odd_lcm_mixtures(rng)
+    wirings = [Wiring.parse(PARITY_WIRING), Wiring.parse(CLASS3_WIRING)]
+    wirings += [random_wiring(rng) for _ in range(30)]
+    zeros = 0
+    for box in boxes:
+        for w in wirings:
+            eff = apply_wiring(box, w)
+            assert "scaled" in vars(eff), w.encode()
+            assert eff.scaled == integer_scaled(eff.table), w.encode()
+            zeros += 0 in eff.scaled[1]
+    assert zeros >= 100
 
 
 def test_fixed_input_path_agrees_on_type_i():
