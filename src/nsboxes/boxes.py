@@ -39,7 +39,6 @@ BITS = (0, 1)
 PARTY_NAMES = "ABC"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class BoxError(Exception):
@@ -115,11 +114,11 @@ def _bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
 
 
-# Per arity n (0 to 3 parties): index weights per party, _IN_W[n][party]
+# Per arity n (2 or 3 parties): index weights per party, _IN_W[n][party]
 # and _OUT_W[n][party]; the (outputs, inputs) of each flat index; and the
 # flat indices in (outputs, inputs) lexicographic order, in which reports
 # and errors list entries.
-_ARITIES = range(4)
+_ARITIES = (2, 3)
 _IN_W = {n: tuple(1 << (2 * n - 1 - p) for p in range(n)) for n in _ARITIES}
 _OUT_W = {n: tuple(1 << (n - 1 - p) for p in range(n)) for n in _ARITIES}
 _ENTRIES = {
@@ -372,10 +371,6 @@ class Relabeling:
             for outs, ins in _ENTRIES[n]
         )
         object.__setattr__(self, "permutation", index)
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.party_perm)
 
 
 def _all_in(values, allowed) -> bool:

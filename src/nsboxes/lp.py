@@ -30,12 +30,11 @@ the first family, then the first left i with u_L(i) + max over live j of
 u_R(j) > 0, then the first such j.  The Farkas lift and the check of a
 witness take the same per-family maxima.
 
-Everything from the presolve to the check works on integers.  The presolve
-reads a row's signs from the index's sign masks and its right-hand side
-from the integer view (FamilyProblem.scaled), which the one-way and local
-problems of membership take from their box's view (box.scaled) instead
-of scaling the right-hand side again.  It only tests a row with a nonzero
-right-hand side for a live column, stopping at the first.  The simplex
+A problem states b by its integer view (beta, B), B = beta * b in lowest
+terms, and everything from the presolve to the check works on it.  The
+presolve reads a row's signs from the index's sign masks and its
+right-hand side from B.  It only tests a row with a nonzero right-hand
+side for a live column, stopping at the first.  The simplex
 scales the live coefficients apart from it (see _phase1) and keeps the
 basis inverse as integers times its determinant, updated fraction-free,
 with only the columns of basic structural variables stored.  Farkas
@@ -51,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd
 
 from .boxes import InexactValueError, _require, integer_scaled
 
@@ -192,28 +192,37 @@ class ColumnFamilies:
 
 @dataclass(frozen=True)
 class FamilyProblem:
-    """A x = b, x >= 0 with the columns given as families and b as rhs, one
-    value per row (int or Fraction, else InexactValueError)."""
+    """A x = b, x >= 0 with the columns given as families and b by its
+    integer view scaled = (beta, B), B = beta * b in lowest terms, as
+    integer_scaled gives it.  A beta or B entry that is not an int (a bool
+    is not one) raises InexactValueError; a view that is not a pair with B
+    a tuple, beta < 1, not one B entry per row or gcd(beta, *B) != 1 raises
+    LPError, so equal right-hand sides give equal problems."""
 
     columns: ColumnFamilies
-    rhs: tuple
+    scaled: tuple
 
     def __post_init__(self):
-        if len(self.rhs) != self.columns.num_rows:
-            raise LPError(f"{len(self.rhs)} right-hand sides for {self.columns.num_rows} rows")
-        for v in self.rhs:
-            if not _is_exact(v):
-                raise InexactValueError(f"right-hand side {v!r} is not an int or a Fraction")
+        if not (type(self.scaled) is tuple and len(self.scaled) == 2 and type(self.scaled[1]) is tuple):
+            raise LPError("the right-hand side must be a pair (beta, B), B a tuple")
+        beta, b = self.scaled
+        for v in (beta, *b):
+            if type(v) is not int:
+                raise InexactValueError(f"right-hand side value {v!r} is not an int")
+        if len(b) != self.columns.num_rows:
+            raise LPError(f"{len(b)} right-hand sides for {self.columns.num_rows} rows")
+        if beta < 1 or gcd(beta, *b) != 1:
+            raise LPError(f"right-hand side scale {beta} is not positive, or (beta, B) not in lowest terms")
 
     @property
     def num_vars(self) -> int:
         return self.columns.num_vars
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The right-hand side as integer_scaled gives it, (beta, beta * b),
-        built on first use unless the problem's builder stored it."""
-        return integer_scaled(self.rhs)
+    def rhs(self) -> tuple:
+        """b as Fractions, B[i] / beta."""
+        beta, b = self.scaled
+        return tuple(Fraction(v, beta) for v in b)
 
     @cached_property
     def rows(self) -> tuple:
@@ -240,7 +249,7 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
     0..num_vars-1 or is listed twice in one row raises LPError.
     Coefficients and right-hand sides must be int or Fraction; anything
     else (a float, a bool, a str, a Decimal) raises InexactValueError.
-    """
+    The problem states the right-hand sides by integer_scaled of them."""
     if type(num_vars) is not int:
         raise LPError(f"number of columns {num_vars!r} is not an int")
     columns: list[list] = [[] for _ in range(num_vars)]
@@ -261,16 +270,17 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
             if coeff:
                 columns[col].append((row, coeff))
     family = Family(0, tuple(map(tuple, columns)), ((),))
-    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), tuple(rhs for _, rhs in rows))
+    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), integer_scaled(v for _, v in rows))
 
 
 @dataclass(frozen=True)
 class LPCertificate:
     """Either a feasible point (sparse, by column) or a Farkas witness
     (sparse, by row), each a tuple of (key, value) pairs.  feasible is a
-    bool and each column or row an int (a bool is not) listed once, else
-    LPError; values must be int or Fraction (InexactValueError otherwise).
-    verify() re-checks exactly against a problem."""
+    bool, the other kind's vector None, and each column or row an int (a
+    bool is not) listed once, else LPError; values must be int or Fraction
+    (InexactValueError otherwise).  verify() re-checks exactly against a
+    problem."""
 
     feasible: bool
     point: tuple | None
@@ -279,6 +289,8 @@ class LPCertificate:
     def __post_init__(self):
         if type(self.feasible) is not bool:
             raise LPError(f"certificate verdict {self.feasible!r} is not a bool")
+        if (self.farkas if self.feasible else self.point) is not None:
+            raise LPError("a certificate carries its own kind of vector only, and None for the other")
         for kind, pairs in (("column", self.point), ("row", self.farkas)):
             seen = set()
             for key, v in () if pairs is None else _pairs(pairs, f"certificate {kind}s"):
@@ -565,7 +577,7 @@ def lp_feasible(problem: FamilyProblem) -> LPCertificate:
     if pre.detected is None:
         point, farkas = _phase1(problem, pre)
     else:
-        point, farkas = None, {pre.detected: Fraction(1 if problem.rhs[pre.detected] > 0 else -1)}
+        point, farkas = None, {pre.detected: Fraction(1 if problem.scaled[1][pre.detected] > 0 else -1)}
     if farkas is None:
         cert = LPCertificate(True, tuple(sorted(point.items())), None)
     else:

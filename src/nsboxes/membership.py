@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .boxes import BITS, ONE, Box3, ParseError, _require, _require3, pack, require_valid
+from .boxes import BITS, Box3, ParseError, _require, _require3, pack, require_valid
 from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, lp_feasible
 from .wiring import Bipartition
 
@@ -36,13 +36,11 @@ def _bit(tt: int, i: int) -> int:
 
 def _problem(columns: ColumnFamilies, box, copies: int) -> FamilyProblem:
     """The problem on columns whose right-hand side is copies of the table
-    and then 1.  Its integer view is taken from the box's, (scale, ints *
-    copies + (scale,)), which is what integer_scaled gives: repeating the
-    table and adding 1 leave the lcm of the denominators as it is."""
-    problem = FamilyProblem(columns, tuple(box.table) * copies + (ONE,))
+    and then 1, stated by the box's integer view: (scale, ints * copies +
+    (scale,)) is what integer_scaled gives on it, since repeating the table
+    and adding 1 leave the lcm of the denominators as it is."""
     scale, ints = box.scaled
-    vars(problem)["scaled"] = scale, ints * copies + (scale,)
-    return problem
+    return FamilyProblem(columns, (scale, ints * copies + (scale,)))
 
 
 @cache
@@ -55,8 +53,7 @@ def _local_columns(n: int) -> ColumnFamilies:
     vertices = []
     for col in range(size):
         tts = [(col >> (2 * (n - 1 - p))) & 3 for p in range(n)]
-        rows = sorted(pack(tuple(_bit(tts[p], ins[p]) for p in range(n)), ins)
-                      for ins in product(BITS, repeat=n))
+        rows = (pack(tuple(_bit(tts[p], ins[p]) for p in range(n)), ins) for ins in product(BITS, repeat=n))
         vertices.append(tuple((row, 1) for row in rows) + ((size, 1),))
     return ColumnFamilies(size, size + 1, (Family(0, tuple(vertices), ((),)),))
 
@@ -83,13 +80,13 @@ def _tobl_columns(bp: Bipartition) -> ColumnFamilies:
     4096 * solo_tt, its lefts the 64 route-1 strategies f * 16 + g and its
     rights the 64 route-2 ones.  Route 1: pair[0] sends, so pair[0] out =
     f(pair[0] in) and pair[1] out = g(inputs).  Route 2: pair[1] sends.
-    The inner strategies() counts from 0: its route r is route r + 1."""
+    Rows ascend as built: the inputs are a flat index's high bits."""
     s = bp.solo
     p0, p1 = bp.pair
     unit = [(row, 1) for row in range(129)]  # shared by every strategy
 
     def strategies(route, solo_tt):
-        sender, receiver = (p0, p1) if route == 0 else (p1, p0)
+        sender, receiver = (p0, p1) if route == 1 else (p1, p0)
         for f in range(4):
             for g in range(16):
                 rows = []
@@ -98,11 +95,11 @@ def _tobl_columns(bp: Bipartition) -> ColumnFamilies:
                     outs[s] = _bit(solo_tt, ins[s])
                     outs[sender] = _bit(f, ins[sender])
                     outs[receiver] = _bit(g, 2 * ins[p0] + ins[p1])
-                    rows.append(64 * route + pack(tuple(outs), ins))
-                yield tuple(unit[row] for row in sorted(rows)) + ((unit[128],) if route else ())
+                    rows.append(64 * (route - 1) + pack(tuple(outs), ins))
+                yield tuple(unit[row] for row in rows) + ((unit[128],) if route == 2 else ())
 
     families = tuple(
-        Family(4096 * solo_tt, tuple(strategies(0, solo_tt)), tuple(strategies(1, solo_tt)))
+        Family(4096 * solo_tt, tuple(strategies(1, solo_tt)), tuple(strategies(2, solo_tt)))
         for solo_tt in range(4)
     )
     return ColumnFamilies(16384, 129, families)

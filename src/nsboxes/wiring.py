@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 from .boxes import (
     BITS,
@@ -178,10 +177,9 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     second input is beta(s', w1); no-signalling of the source makes this the
     correct sequential probability, with the 0 * (0/0) = 0 convention built
     in (a zero-probability branch contributes zero to every entry).  The
-    sums run on the box's integer view (`Box3.scaled`), and the effective
-    box keeps theirs as its own: with g the gcd of the scale and the sums,
-    (scale // g, sums // g) is what integer_scaled gives on its table.  A w
-    that is not a Wiring raises ParseError.
+    sums run on the box's integer view (`Box3.scaled`); the effective box
+    builds its own on first read, like every box.  A w that is not a Wiring
+    raises ParseError.
     """
     _require(w, "apply_wiring", Wiring, ParseError)
     require_valid(_require3(box, "apply_wiring"))
@@ -194,10 +192,7 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
             ap, w2 = divmod(k, 2)
             # flat index 8*x' + 4*y' + 2*a' + b'
             out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += table[j]
-    eff = Box2(tuple(Fraction(v, scale) for v in out))
-    g = gcd(scale, *out)
-    vars(eff)["scaled"] = scale // g, tuple(v // g for v in out)
-    return eff
+    return Box2(tuple(Fraction(v, scale) for v in out))
 
 
 @cache

@@ -211,6 +211,21 @@ def test_membership_local_feasible(tmp_path, capsys, monkeypatch):
     assert cert_path.read_text().splitlines()[0] == "feasible"
 
 
+def test_membership_names_a_box_file_certificate_by_its_stem(tmp_path, capsys, monkeypatch):
+    # With no --certificate, a box file's certificate is named after the
+    # file's stem and written in the working directory, not beside the box.
+    box_dir, work = tmp_path / "boxes", tmp_path / "work"
+    box_dir.mkdir()
+    work.mkdir()
+    dump(builtin("pr"), box_dir / "x.box")
+    monkeypatch.chdir(work)
+    code, out, _ = run(capsys, "membership", str(box_dir / "x.box"), "--model", "local")
+    assert (code, out) == (0, "infeasible\ncertificate: x.local.cert\n")
+    assert sorted(p.name for p in tmp_path.rglob("*.cert")) == ["x.local.cert"]
+    run(capsys, "membership", "builtin:pr", "--model", "local")
+    assert (work / "x.local.cert").read_text() == (work / "pr.local.cert").read_text()
+
+
 def test_membership_local_infeasible(tmp_path, capsys):
     cert = tmp_path / "pr.cert"
     code, out, _ = run(

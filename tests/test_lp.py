@@ -20,6 +20,7 @@ from nsboxes import (
     mix,
     tobl_problem,
 )
+from nsboxes.boxes import integer_scaled
 from nsboxes.lp import (
     ColumnFamilies,
     Family,
@@ -152,10 +153,10 @@ def test_certificate_text_formats():
 
 def test_verify_rejects_tampered_certificates():
     problem, cert = solve(2, [(((0, 1), (1, 1)), 1)])
-    forged = LPCertificate(True, ((0, F(2)),), ())
+    forged = LPCertificate(True, ((0, F(2)),), None)
     assert not forged.verify(problem)
     problem2, cert2 = solve(2, [(((0, 1), (1, 1)), -1)])
-    flipped = LPCertificate(False, (), tuple((i, -v) for i, v in cert2.farkas))
+    flipped = LPCertificate(False, None, tuple((i, -v) for i, v in cert2.farkas))
     assert not flipped.verify(problem2)
     # a column or row outside the problem, next to a valid certificate
     for outside in (-1, 2):
@@ -618,7 +619,7 @@ def family_system(rng):
         families.append(Family(base, *sides))
         base += len(sides[0]) * len(sides[1]) + rng.randrange(2)
     rhs = tuple(F(0) if rng.random() < 1 / 3 else F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m))
-    return FamilyProblem(ColumnFamilies(base, m, tuple(families)), rhs)
+    return FamilyProblem(ColumnFamilies(base, m, tuple(families)), integer_scaled(rhs))
 
 
 FAMILY_SEED = 4242
@@ -660,7 +661,7 @@ def scaled_system(problem, rhs_factor, coeff_factor):
         for fam in problem.columns.families
     )
     return FamilyProblem(ColumnFamilies(problem.num_vars, problem.columns.num_rows, families),
-                         tuple(v * rhs_factor for v in problem.rhs))
+                         integer_scaled(v * rhs_factor for v in problem.rhs))
 
 
 @pytest.mark.parametrize("k", [3, F(7, 2), F(1, 6)], ids=["3", "7/2", "1/6"])
@@ -692,7 +693,7 @@ def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
         Family(2, (((2, 1),),), ((),)),
         Family(3, (((1, 1),),), ((),)),
         Family(4, (((0, 1),),), ((),)),
-    )), (1, 0, 0, 0))
+    )), (1, (1, 0, 0, 0)))
     steps = [(r, s) for r, s, _ in _presolve(problem).steps]
     assert steps == [(3, 1), (2, 1), (1, 1)]
     assert steps == [(r, s) for r, s, _ in lp_oracle.presolve(LPProblem(5, problem.rows))[2]]
@@ -724,10 +725,17 @@ def test_family_structure_is_validated():
     with pytest.raises(LPError):  # column out of range
         ColumnFamilies(1, 3, (fam,))
     columns = ColumnFamilies(2, 3, (fam,))
-    with pytest.raises(LPError):
-        FamilyProblem(columns, (F(1), F(1)))
-    with pytest.raises(InexactValueError):
-        FamilyProblem(columns, (F(1), F(1), 1.0))
+    assert FamilyProblem(columns, (2, (1, 2, 0))).rhs == (F(1, 2), 1, 0)
+    # the right-hand side is its integer view (beta, B) in lowest terms
+    for view in ((F(1), F(1), F(1)), (1,), (1, (1, 1, 1), 1), [1, (1, 1, 1)], (1, [1, 1, 1]), (1, 1)):
+        with pytest.raises(LPError):  # not a pair (beta, B) with B a tuple
+            FamilyProblem(columns, view)
+    for view in ((0, (0, 0, 0)), (-1, (1, 1, 1)), (1, (1, 1)), (2, (2, 4, 0)), (6, (2, 4, 0))):
+        with pytest.raises(LPError):  # beta < 1, a row missing, not in lowest terms
+            FamilyProblem(columns, view)
+    for view in ((1, (1, 1, 1.0)), (1, (1, True, 1)), (F(1), (1, 1, 1)), (True, (1, 1, 1)), (1, (F(1), 1, 1))):
+        with pytest.raises(InexactValueError):
+            FamilyProblem(columns, view)
 
 
 @pytest.mark.parametrize(
@@ -755,6 +763,21 @@ def test_row_problem_is_one_family():
     assert problem != LPProblem(3, ((((1, F(-2)), (2, F(1))), F(2)), (((0, 3),), 0)))
 
 
+def test_row_problem_states_its_integer_view():
+    # LPProblem states its right-hand sides by integer_scaled of them, so
+    # equal values give equal problems whatever their spelling, and rhs
+    # reads them back as Fractions.
+    entries = (((0, 1),), ((0, 1), (1, 1)), ((1, -1),), ((0, 2),))
+    problem = LPProblem(2, tuple(zip(entries, (F(1, 3), 0, F(-1, 2), 2))))
+    assert problem.scaled == (6, (2, 0, -3, 12))
+    assert problem.rhs == (F(1, 3), 0, F(-1, 2), 2)
+    assert all(type(v) is Fraction for v in problem.rhs)
+    assert problem == LPProblem(2, tuple(zip(entries, (F(2, 6), F(0), F(-2, 4), F(4, 2)))))
+    assert LPProblem(0, ()).scaled == (1, ())
+    # the sign of a row detected empty comes from B
+    assert lp_feasible(LPProblem(1, (((), F(-1, 3)),))).farkas == ((0, -1),)
+
+
 @pytest.mark.parametrize("key", [True, 0.0, "0", None], ids=["bool", "float", "str", "None"])
 def test_certificate_keys_must_be_ints(key):
     # A bool would pass for a column (True as column 1), and the others
@@ -779,6 +802,14 @@ def test_certificate_keys_must_be_ints(key):
             LPCertificate(True, absent, None)
         with pytest.raises(LPError):
             LPCertificate(False, None, absent)
+    # a certificate carries only its own kind of vector: a feasible one with
+    # a witness, or an infeasible one with a point, used to construct, and
+    # to_text dropped the other vector
+    for other in (((0, 1),), ()):
+        with pytest.raises(LPError):
+            LPCertificate(True, ((0, 1),), other)
+        with pytest.raises(LPError):
+            LPCertificate(False, other, ((0, 1),))
 
 
 @pytest.mark.parametrize(
