@@ -9,6 +9,12 @@ orbit maxima in `bell` and the wiring search read that view, so they add and
 compare ints, and turn a result back into a `Fraction` only at the end.
 Nothing in this package ever touches floating point.
 
+A box is immutable, so what is derived from its table is derived once per
+box object: its integer view, and its `ValidationReport` (`box.report`),
+which `validate` returns and `require_valid` reads.  Likewise `builtin`
+builds each named box once per process and returns that one box to every
+caller.
+
 Index conventions used everywhere (inputs most significant, parties in order
 A, B, C):
 
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -166,6 +172,13 @@ class _Table:
         first use.  Equality and hashing still read `table` only."""
         return integer_scaled(self.table)
 
+    @cached_property
+    def report(self) -> "ValidationReport":
+        """The box's ValidationReport, computed on first use; the table is
+        immutable, so it never goes stale."""
+        return _validate(self)
+
+
 @dataclass(frozen=True)
 class Box3(_Table):
     """Tripartite box: 64 exact probabilities P(abc|xyz)."""
@@ -233,11 +246,18 @@ class ValidationReport:
 def validate(box: Box) -> ValidationReport:
     """Check positivity, per-input normalization and no-signalling.
 
-    The checks run on the box's integer view, where a per-input total is
-    `scale` rather than 1; a failure reports the table's own entry, or a
-    sum as Fraction(sum, scale), the same value the table's sum has.
+    The checks run once per box object: the report is kept as `box.report`,
+    and later calls on the same box return it.  They run on the box's
+    integer view, where a per-input total is `scale` rather than 1; a
+    failure reports the table's own entry, or a sum as Fraction(sum, scale),
+    the same value the table's sum has.
     """
-    n = _require(box, "validate").n_parties
+    return _require(box, "validate").report
+
+
+def _validate(box: Box) -> ValidationReport:
+    """The checks behind `validate`, run once per box by `_Table.report`."""
+    n = box.n_parties
     scale, t = box.scaled
     entries = _ENTRIES[n]
     negative = tuple((*entries[i], box.table[i]) for i, v in enumerate(t) if v < 0)
@@ -456,10 +476,20 @@ def builtin(name: str) -> Box:
     deterministic(ta,tb,tc)
                    outputs equal the per-party responses, truth tables
                    0..3 written as one ASCII digit each
+
+    Surrounding whitespace is stripped.  Each name's box is built once per
+    process and shared by every call; boxes are immutable, so sharing is
+    safe.  An unknown name raises UnknownBuiltinError on every call.
     """
     if type(name) is not str:
         raise UnknownBuiltinError(f"builtin box name must be a string, got {name!r}")
-    name = name.strip()
+    return _builtin(name.strip())
+
+
+@cache
+def _builtin(name: str) -> Box:
+    """The box `builtin` names, for a stripped name; cache keeps one per
+    name and none for a name that raises."""
     if name in _BUILTINS:
         return _uniform_over(*_BUILTINS[name])
     m = _DETERMINISTIC_RE.fullmatch(name)

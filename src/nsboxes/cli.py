@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -52,8 +53,10 @@ def _load_box(ref: str):
 
 
 def _box_stem(ref: str) -> str:
+    """A default certificate's stem: a box file's stem, or the name that
+    builtin() resolves, stripped, with unsafe characters as '_'."""
     if ref.startswith(_BUILTIN_PREFIX):
-        name = ref[len(_BUILTIN_PREFIX):]
+        name = ref[len(_BUILTIN_PREFIX):].strip()
         return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
     return Path(ref).stem
 
@@ -201,7 +204,10 @@ class TableRow:
     uffink: str
 
 
+@cache
 def load_table_rows() -> tuple[TableRow, ...]:
+    """The rows of the packaged table1.tsv, read once per process; the
+    rows are frozen, so every caller shares them."""
     text = resources.files("nsboxes").joinpath("table1.tsv").read_text()
     rows = []
     header = None

@@ -25,18 +25,23 @@ from nsboxes import (
     builtin,
     correlator,
     dumps,
+    enumerate_wirings,
     gyni_bound,
     gyni_value,
+    is_local,
+    is_tobl,
     k_value,
     load,
     loads,
     local_problem,
     lp_feasible,
     mix,
+    require_valid,
     search_max_all,
     tobl_problem,
     validate,
 )
+from nsboxes import boxes
 from nsboxes.bell import parse_gyni_weights
 from nsboxes.boxes import pack
 from random_boxes import mixture3, odd_lcm_mixtures, pool_weights, random_ns_box2
@@ -129,6 +134,68 @@ def test_builtin_equals_oracle(name):
     oracle = box_oracle.builtin(name)
     assert type(box) is type(oracle)
     assert box.table == oracle.table
+
+
+@pytest.mark.parametrize("name", [*boxes._BUILTINS, "deterministic(1,2,0)"])
+def test_builtin_is_one_shared_box_per_name(name):
+    box = builtin(name)
+    assert builtin(name) is box
+    assert builtin(f" {name}\t") is box
+
+
+def test_shared_builtins_equal_freshly_built_tables():
+    assert builtin(" class3 ") is builtin("class3")
+    for name, (cls, relation) in boxes._BUILTINS.items():
+        assert boxes._uniform_over(cls, relation) == builtin(name)
+
+
+def test_unknown_builtin_raises_on_every_call_and_is_never_stored():
+    cached = boxes._builtin.cache_info().currsize
+    for name in ("class5", "deterministic(4,0,0)", " ", 3, None, b"class3"):
+        for _ in range(3):
+            with pytest.raises(UnknownBuiltinError):
+                builtin(name)
+    assert boxes._builtin.cache_info().currsize == cached
+
+
+def _count_validations(monkeypatch):
+    """A counter of the validator's runs, from here on."""
+    runs = []
+    checks = boxes._validate
+
+    def counted(box):
+        runs.append(box)
+        return checks(box)
+
+    monkeypatch.setattr(boxes, "_validate", counted)
+    return runs
+
+
+def test_each_box_is_validated_once_across_the_library(monkeypatch):
+    runs = _count_validations(monkeypatch)
+    box = Box3(builtin("class4").table)  # a new object, not yet validated
+    for w in enumerate_wirings(BIPARTITIONS[0])[:10]:
+        apply_wiring(box, w)
+    search_max_all(box)
+    assert all(is_tobl(box, bp).feasible for bp in BIPARTITIONS)
+    is_local(box)
+    assert len(runs) == 1 and runs[0] is box
+    assert validate(box) is box.report
+
+
+def test_an_invalid_box_is_reported_once(monkeypatch):
+    runs = _count_validations(monkeypatch)
+    table = list(builtin("uniform3").table)
+    table[0] += Fraction(1, 16)
+    box = Box3(tuple(table))
+    reports = []
+    for _ in range(4):
+        with pytest.raises(InvalidBoxError) as exc:
+            require_valid(box)
+        reports.append(exc.value.report)
+    assert all(r is reports[0] for r in reports)
+    assert reports[0].normalization_failures
+    assert len(runs) == 1 and runs[0] is box
 
 
 def test_class3_defining_entries():

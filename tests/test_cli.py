@@ -226,6 +226,18 @@ def test_membership_names_a_box_file_certificate_by_its_stem(tmp_path, capsys, m
     assert (work / "x.local.cert").read_text() == (work / "pr.local.cert").read_text()
 
 
+def test_membership_names_a_builtin_certificate_by_its_stripped_name(tmp_path, capsys, monkeypatch):
+    # builtin() strips the name, so the default certificate does too.
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "membership", "builtin: class4 ", "--model", "local")
+    assert (code, out) == (0, "infeasible\ncertificate: class4.local.cert\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["class4.local.cert"]
+
+
+def test_table_rows_are_read_once():
+    assert load_table_rows() is load_table_rows()
+
+
 def test_membership_local_infeasible(tmp_path, capsys):
     cert = tmp_path / "pr.cert"
     code, out, _ = run(
