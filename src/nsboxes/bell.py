@@ -10,7 +10,6 @@ relabeling invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -24,6 +23,7 @@ from .boxes import (
     ParseError,
     Relabeling,
     _WEIGHTS,
+    _Value,
     _read_entries,
     _require,
     _require2,
@@ -129,8 +129,7 @@ def uffink_max(box: Box2) -> Fraction:
     return Fraction(max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1]), scale ** 2)
 
 
-@dataclass(frozen=True)
-class IcVerdict:
+class IcVerdict(_Value):
     """Information-causality verdict for a bipartite box.
 
     witness is 'chsh' when chsh_max breaks its bound (_ic_bounds_broken),
@@ -153,8 +152,7 @@ class IcVerdict:
         return cls(False, None, None)
 
 
-@dataclass(frozen=True)
-class GyniWeights:
+class GyniWeights(_Value):
     """Nonnegative weights q(x1,x2,x3) summing to 1, flat index 4x1+2x2+x3."""
 
     q: tuple[Fraction, ...]

@@ -35,10 +35,10 @@ correlators of the last two parties, which `bell` and the wiring sweep share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from pathlib import Path
 
 BITS = (0, 1)
@@ -153,9 +153,85 @@ def block_correlators(table) -> tuple:
     )
 
 
-class _Table:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass's fields are the names annotated in its class body, after
+    those of its bases.  Instances are built positionally or by keyword,
+    then `__post_init__` runs; they compare equal when of the same class
+    with equal field tuples, hash as that tuple, and repr as
+    `Name(field=value, ...)`.  Assignment and deletion raise AttributeError;
+    `object.__setattr__` in `__post_init__` and `functools.cached_property`
+    still write to the instance.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # A class's own annotations on 3.10+, as strings under the
+        # __future__ import, so nothing is evaluated.
+        fields = cls._fields = (*cls._fields, *cls.__annotations__)
+        n, bind, get, store = len(fields), cls._bind, attrgetter(*fields), object.__setattr__
+
+        # Closures over the class's fields, with no code generated: a loop
+        # over a zip, or attribute lookups on the class, would cost more
+        # per call than these.
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != n:
+                args = bind(args, kwargs)
+            i = 0
+            for name in fields:
+                store(self, name, args[i])
+                i += 1
+            self.__post_init__()
+
+        def __eq__(self, other):
+            if type(other) is type(self):
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            # attrgetter of one name returns the value, not a 1-tuple
+            return hash(get(self) if n > 1 else (get(self),))
+
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords or a wrong argument count."""
+        fields = cls._fields
+        try:
+            values = (*args, *[kwargs.pop(name) for name in fields[len(args) :]])
+        except KeyError as exc:
+            raise TypeError(f"{cls.__name__}() missing argument {exc}") from None
+        if len(values) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(values)}")
+        if kwargs:
+            name = next(iter(kwargs))
+            what = "multiple values for argument" if name in fields else "an unexpected keyword argument"
+            raise TypeError(f"{cls.__name__}() got {what} {name!r}")
+        return values
+
+    def __post_init__(self):
+        """Check or normalise the fields; nothing by default."""
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+
+class _Table(_Value):
     """Shared behaviour of Box3 and Box2: a flat table of 4**n_parties
     exact entries."""
+
+    table: tuple[Fraction, ...]
 
     def __post_init__(self):
         size = 4 ** self.n_parties
@@ -179,11 +255,8 @@ class _Table:
         return _validate(self)
 
 
-@dataclass(frozen=True)
 class Box3(_Table):
     """Tripartite box: 64 exact probabilities P(abc|xyz)."""
-
-    table: tuple[Fraction, ...]
 
     n_parties = 3
 
@@ -191,11 +264,8 @@ class Box3(_Table):
         return self.table[pack((a, b, c), (x, y, z))]
 
 
-@dataclass(frozen=True)
 class Box2(_Table):
     """Bipartite box: 16 exact probabilities P(ab|xy)."""
-
-    table: tuple[Fraction, ...]
 
     n_parties = 2
 
@@ -206,8 +276,7 @@ class Box2(_Table):
 Box = Box3 | Box2
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     """Outcome of the three validity checks, with offending indices.
 
     negative_entries:        ((outputs, inputs, value), ...)
@@ -341,8 +410,7 @@ class RelabelingError(BoxError):
     """Relabeling fields that describe no local symmetry."""
 
 
-@dataclass(frozen=True)
-class Relabeling:
+class Relabeling(_Value):
     """Local symmetry: permute parties, flip inputs, flip outputs per input.
 
     party_perm[i] is the old party whose role the new slot i takes over;
@@ -351,13 +419,13 @@ class Relabeling:
 
     `permutation`, built once with the relabeling, maps each flat index of
     the relabeled table to the flat index of the old table it reads; the
-    relabelings compose and invert as these permutations do.
+    relabelings compose and invert as these permutations do.  It is not a
+    field: equality, hashing and repr read the three fields above.
     """
 
     party_perm: tuple[int, ...]
     input_flips: tuple[int, ...]
     output_flips: tuple[tuple[int, int], ...]
-    permutation: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         perm, pairs = self.party_perm, self.output_flips

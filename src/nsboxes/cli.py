@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from pathlib import Path
 
 from . import bell
@@ -26,6 +24,7 @@ from .boxes import (
     BoxError,
     ParseError,
     UnknownBuiltinError,
+    _Value,
     _read_text,
     _require2,
     _require3,
@@ -192,8 +191,7 @@ def cmd_membership(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Value):
     """One row of the bundled violation table; recorded values stay verbatim
     strings ('-' where absent) so the report echoes them untouched.  The
     TSV's formula, aprime and bprime columns are not read."""
@@ -208,6 +206,10 @@ class TableRow:
 def load_table_rows() -> tuple[TableRow, ...]:
     """The rows of the packaged table1.tsv, read once per process; the
     rows are frozen, so every caller shares them."""
+    # Imported here, as only table1 reads the TSV: importlib.resources
+    # would otherwise add to the start-up of every command.
+    from importlib import resources
+
     text = resources.files("nsboxes").joinpath("table1.tsv").read_text()
     rows = []
     header = None

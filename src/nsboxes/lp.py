@@ -46,13 +46,12 @@ indices.  verify checks a certificate scaled once to integers.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
 
-from .boxes import InexactValueError, _require, integer_scaled
+from .boxes import InexactValueError, _Value, _require, integer_scaled
 
 
 class LPError(Exception):
@@ -72,8 +71,7 @@ def _pairs(seq, what: str):
     return seq
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Value):
     """Columns base + i * len(rights) + j with the entries lefts[i] +
     rights[j].  Each strategy is a tuple of (row, coefficient) pairs, rows
     strictly ascending ints (a bool is not one), coefficients nonzero;
@@ -102,8 +100,7 @@ class Family:
             raise LPError("every left row of a family must precede its right rows")
 
 
-@dataclass(frozen=True)
-class ColumnFamilies:
+class ColumnFamilies(_Value):
     """The columns of a problem with num_rows rows: families ascending by
     base, not overlapping, inside 0..num_vars-1.  A column no family holds
     has no entries."""
@@ -190,8 +187,7 @@ class ColumnFamilies:
                 sums[t] += v * coeff
 
 
-@dataclass(frozen=True)
-class FamilyProblem:
+class FamilyProblem(_Value):
     """A x = b, x >= 0 with the columns given as families and b by its
     integer view scaled = (beta, B), B = beta * b in lowest terms, as
     integer_scaled gives it.  A beta or B entry that is not an int (a bool
@@ -273,8 +269,7 @@ def LPProblem(num_vars: int, rows) -> FamilyProblem:
     return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), integer_scaled(v for _, v in rows))
 
 
-@dataclass(frozen=True)
-class LPCertificate:
+class LPCertificate(_Value):
     """Either a feasible point (sparse, by column) or a Farkas witness
     (sparse, by row), each a tuple of (key, value) pairs.  feasible is a
     bool, the other kind's vector None, and each column or row an int (a

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
@@ -31,6 +30,7 @@ from .boxes import (
     ParseError,
     _IN_W,
     _OUT_W,
+    _Value,
     _all_in,
     _require,
     _require3,
@@ -39,8 +39,7 @@ from .boxes import (
 from . import bell
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Value):
     """One party alone versus the remaining pair (pair kept in party order)."""
 
     solo: int
@@ -77,8 +76,7 @@ BIPARTITIONS = (Bipartition(0, (1, 2)), Bipartition(1, (0, 2)), Bipartition(2, (
 _FIELDS = {"bp", "order", "alpha", "beta", "gamma"}
 
 
-@dataclass(frozen=True)
-class Wiring:
+class Wiring(_Value):
     """(bipartition, actor order, alpha, beta, gamma) with truth-table ints.
 
     ordering 0 means pair[0] acts first, 1 means pair[1] does.  beta ignoring

@@ -60,7 +60,7 @@ def test_bipartition_rejects_malformed_fields():
         # equal to 0, 1, 2 but not ints: .name would index with them
         (0.0, (1, 2)), (True, (0, 2)), (2, (0, 1.0)),
         # a pair that is not a tuple: 5 raised a bare TypeError on unpacking,
-        # and a list was accepted into a frozen dataclass it cannot hash
+        # and a list was accepted into an immutable value it cannot hash
         (0, 5), (0, [1, 2]), (0, None),
     ):
         with pytest.raises(ParseError):
