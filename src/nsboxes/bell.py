@@ -5,13 +5,13 @@ and Uffink forms and the information-causality bounds on them are defined
 below (_CHSH, _UFFINK, _ic_bounds_broken); the *_max variants take the
 maximum of the fixed form over the full 128-element bipartite relabeling
 group (party swap, input flips, per-input output flips), so they are
-relabeling invariants.
+relabeling invariants.  Those maxima are written in closed form on the
+correlator columns, so no relabeling is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 
 from .boxes import (
@@ -21,7 +21,6 @@ from .boxes import (
     ZERO,
     ArityError,
     ParseError,
-    Relabeling,
     _WEIGHTS,
     _Value,
     _read_entries,
@@ -66,67 +65,38 @@ def uffink(box: Box2) -> Fraction:
     return sum(_dot(b, e) ** 2 for b in _UFFINK)
 
 
-def _up_to_sign(form) -> tuple[int, ...]:
-    """The form, negated if needed so its first nonzero is positive."""
-    lead = next(c for c in form if c)
-    return tuple(c if lead > 0 else -c for c in form)
-
-
-def _generators2() -> tuple[Relabeling, ...]:
-    """The party swap, the two input flips and the four per-input output flips."""
-    units = (tuple(int(i == k) for i in range(7)) for k in range(7))
-    return tuple(Relabeling((u[0], 1 - u[0]), u[1:3], (u[3:5], u[5:])) for u in units)
-
-
-@cache
-def _orbit_forms():
-    """(CHSH forms, Uffink bracket pairs) over the 128 relabelings, as
-    coefficient vectors on the correlator table (E00, E01, E10, E11).
-
-    A relabeling permutes the 16 table entries (`Relabeling.permutation`),
-    so it acts linearly on the correlator table: coefficient j of the image
-    of a linear form is the form evaluated on the permuted j-th basis table.
-    The j-th basis table carries the signs (1, -1, -1, 1) on block j of the
-    flat layout and 0 elsewhere, so its correlators are 4 at j and 0
-    elsewhere.  Only the seven generators of the group (_generators2) are
-    built; each orbit is closed under their actions, every element being a
-    nonempty word in them.  |CHSH| and the squared Uffink brackets do not
-    see a form's sign, so forms are kept up to sign, which a linear action
-    respects: 4 CHSH forms and 4 bracket pairs remain, and evaluating them
-    is exactly evaluating the whole orbit.
-    """
-    basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
-    pushed = ([[b[i] for i in r.permutation] for b in basis] for r in _generators2())
-    actions = [[[c // 4 for c in block_correlators(t)] for t in tables] for tables in pushed]
-    image = lambda m, forms: tuple(sorted(_up_to_sign([_dot(f, e) for e in m]) for f in forms))
-    orbits = [[tuple(sorted(map(_up_to_sign, forms)))] for forms in ((_CHSH,), _UFFINK)]
-    for orbit in orbits:
-        for v in orbit:  # a worklist: the loop also visits what it appends
-            orbit += {image(m, v) for m in actions}.difference(orbit)
-    return tuple(f for (f,) in sorted(orbits[0])), tuple(sorted(orbits[1]))
-
-
 def chsh_max(box: Box2) -> Fraction:
     """Maximum of |CHSH| over the full relabeling orbit of the box.
 
-    The forms are evaluated in ints on the correlators of the box's integer
-    view (`Box2.scaled`), which are `scale` times the box's; the maximum is
-    returned as Fraction(m, scale).
+    A relabeling permutes and negates the rows and columns of the
+    correlator table, or transposes it, so the orbit of the CHSH form is,
+    up to sign, the four forms with one minus sign.  On the columns
+    c0 = (x0, y0) = (E00, E10) and c1 = (x1, y1) = (E01, E11), with s = x + y
+    and d = x - y for each, they are s0 +- d1 and d0 +- s1, so the maximum
+    is max(|s0| + |d1|, |d0| + |s1|).  It is evaluated in ints on the
+    correlators of the box's integer view (`Box2.scaled`), which are
+    `scale` times the box's, and returned as Fraction(m, scale).
     """
     scale, t = _require2(box, "chsh_max").scaled
-    e = block_correlators(t)
-    return Fraction(max(abs(_dot(c, e)) for c in _orbit_forms()[0]), scale)
+    x0, x1, y0, y1 = block_correlators(t)
+    return Fraction(max(abs(x0 + y0) + abs(x1 - y1), abs(x0 - y0) + abs(x1 + y1)), scale)
 
 
 def uffink_max(box: Box2) -> Fraction:
     """Maximum of the Uffink form over the full relabeling orbit of the box.
 
-    Evaluated in ints like chsh_max; the form is quadratic, so the maximum
-    is returned as Fraction(m, scale**2).
+    Up to the sign of each bracket, the orbit of the bracket pair is
+    s0**2 + d1**2, d0**2 + s1**2 (notation of chsh_max) and the two coupled
+    pairs (x0 +- x1)**2 + (y0 -+ y1)**2 = n0 + n1 +- 2 (x0 x1 - y0 y1), with
+    n = x**2 + y**2 for a column, the larger of which takes the absolute
+    value.  Evaluated in ints like chsh_max; the form is quadratic,
+    so the maximum is returned as Fraction(m, scale**2).
     """
     scale, t = _require2(box, "uffink_max").scaled
-    e = block_correlators(t)
-    return Fraction(max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in _orbit_forms()[1]), scale ** 2)
+    x0, x1, y0, y1 = block_correlators(t)
+    s0, d0, s1, d1 = x0 + y0, x0 - y0, x1 + y1, x1 - y1
+    coupled = x0 * x0 + y0 * y0 + x1 * x1 + y1 * y1 + 2 * abs(x0 * x1 - y0 * y1)
+    return Fraction(max(s0 * s0 + d1 * d1, d0 * d0 + s1 * s1, coupled), scale ** 2)
 
 
 class IcVerdict(_Value):

@@ -36,7 +36,6 @@ from .boxes import (
     _require3,
     require_valid,
 )
-from . import bell
 
 
 class Bipartition(_Value):
@@ -250,27 +249,6 @@ _IMAGES = (
 )
 
 
-@cache
-def _column_forms() -> dict:
-    """bell's orbit forms on the columns c0 = (E00, E10) and c1 = (E01, E11):
-    name -> (degree, separable forms, coupled pairs).  A separable form is
-    (u0 . c0)**degree + (u1 . c1)**degree, written ((u0,), (u1,)): each
-    CHSH form with either sign, and each Uffink bracket pair in which no
-    bracket reads both columns.  A coupled pair is ((p0, q0), (p1, q1))."""
-    split = lambda c: ((c[0], c[2]), (c[1], c[3]))
-    chsh_forms, uffink_pairs = bell._orbit_forms()
-    linear = [tuple((u,) for u in split([s * x for x in c])) for c in chsh_forms for s in (1, -1)]
-    separable, coupled = [], []
-    for pair in uffink_pairs:
-        brackets = [split(b) for b in pair]
-        sides = tuple(zip(*brackets))
-        if any(all(map(any, b)) for b in brackets):
-            coupled.append(sides)
-        else:
-            separable.append(tuple(tuple(filter(any, side)) for side in sides))
-    return {"chsh_max": (1, linear, []), "uffink_max": (2, separable, coupled)}
-
-
 def _half_hull(points) -> list:
     """One vertex of each +- pair of hull vertices of centrally symmetric
     distinct integer points: the lower monotone chain without its last
@@ -286,63 +264,45 @@ def _half_hull(points) -> list:
     return chain[:-1] or chain
 
 
-@cache
-def _directions() -> tuple:
-    """The directions u of the separable forms, each once up to sign."""
-    forms = _column_forms().values()
-    return tuple(sorted({bell._up_to_sign(u) for _, sep, _ in forms for sides in sep for (u,) in sides}))
+def _block_max(first_half: dict, uffink: bool) -> dict:
+    """Functional name -> (maximum over one block's wirings, first
+    (alpha, beta, gamma) giving it), from first_half: each distinct column
+    -> the first half giving it; "uffink_max" only if uffink.
 
-
-def _extremes(first_half: dict) -> dict:
-    """u -> (max, first half of the maximisers, of the minimisers) of u . c
-    over the distinct columns, for each of _directions() and its negation:
-    the columns are centrally symmetric, so one pass finds the maximisers,
-    the minimum is -max and the minimisers are the negated maximisers."""
-    out = {}
-    for a, b in _directions():
-        top, tops = 0, []
-        for c in first_half:
-            v = a * c[0] + b * c[1]
-            if v > top:
-                top, tops = v, [c]
-            elif v == top:
-                tops.append(c)
-        hi, lo = min(first_half[c] for c in tops), min(first_half[-x, -y] for x, y in tops)
-        out[a, b], out[-a, -b] = (top, hi, lo), (top, lo, hi)
-    return out
-
-
-def _block_max(first_half: dict, extremes: dict, degree: int, separable, coupled) -> tuple:
-    """(maximum over one block's wirings, first (alpha, beta, gamma) giving
-    it), from first_half: each distinct column -> the first half giving it,
-    and its _extremes.
-
-    (u . c)**degree is maximal where u . c is: at the maximum for degree 1,
-    and at both extremes, max and -max, for degree 2.
-    A separable form's maximisers are a product set of halves, whose first
-    wiring joins the first maximising half of each side.  The two coupled
-    pairs are |c0 + R c1|**2 and |c0 - R c1|**2 with R = diag(1, -1), that
-    is n0 + n1 +- 2 (x0 x1 - y0 y1) with n = x**2 + y**2, so the larger of
-    the two is n0 + n1 + 2 |x0 x1 - y0 y1|: one cross term per pair of
-    columns.  It is strictly convex in each column and even in each, so it
-    runs over pairs of _half_hull vertices, each taking the smaller first
-    half of itself and its negation (_joined is monotone in each half).
+    c0 and c1 range independently over the block's columns, a centrally
+    symmetric set.  With S and D the maxima of |x + y| and |x - y| over it,
+    bell's closed forms give CHSH S + D and the separable Uffink terms
+    S**2 + D**2, both reached exactly where |s0| = S and |d1| = D, or
+    |d0| = D and |s1| = S.  Those are product sets of halves, whose first
+    wiring joins the first half reaching each side's maximum (_joined is
+    monotone in each half).  The coupled Uffink term
+    n0 + n1 + 2 |x0 x1 - y0 y1| is strictly convex in each column and even
+    in each, so it runs over pairs of _half_hull vertices, each taking the
+    smaller first half of itself and its negation.
     """
-    peak = {u: (top ** degree, hi if degree == 1 else min(hi, lo)) for u, (top, hi, lo) in extremes.items()}
-    found = []
-    for (u,), (v,) in separable:
-        (v0, h0), (v1, h1) = peak[u], peak[v]
-        found.append((v0 + v1, h0, h1))
-    if coupled:
+    top_s = top_d = 0
+    h_s = h_d = 128
+    for (x, y), h in first_half.items():
+        s, d = abs(x + y), abs(x - y)
+        if s > top_s or s == top_s and h < h_s:
+            top_s, h_s = s, h
+        if d > top_d or d == top_d and h < h_d:
+            top_d, h_d = d, h
+    found = {"chsh_max": [(top_s + top_d, h_s, h_d), (top_s + top_d, h_d, h_s)]}
+    if uffink:
         hull = [(x, y, x * x + y * y, min(first_half[x, y], first_half[-x, -y]))
                 for x, y in _half_hull(first_half)]
-        found += [
+        separable = top_s * top_s + top_d * top_d
+        found["uffink_max"] = [(separable, h_s, h_d), (separable, h_d, h_s)] + [
             (n0 + n1 + 2 * abs(x0 * x1 - y0 * y1), h0, h1)
             for x0, y0, n0, h0 in hull
             for x1, y1, n1, h1 in hull
         ]
-    top = max(v for v, _, _ in found)
-    return top, min(_joined(h0, h1) for v, h0, h1 in found if v == top)
+    out = {}
+    for f, scored in found.items():
+        top = max(v for v, _, _ in scored)
+        out[f] = top, min(_joined(h0, h1) for v, h0, h1 in scored if v == top)
+    return out
 
 
 class _Wirings(Sequence):
@@ -372,6 +332,10 @@ def enumerate_wirings(bp: Bipartition) -> Sequence[Wiring]:
     return _Wirings(_require(bp, "enumerate_wirings", Bipartition, ParseError))
 
 
+# The orbit functionals search_max_all scores -> their degree in the table.
+_DEGREES = {"chsh_max": 1, "uffink_max": 2}
+
+
 def search_max_all(
     box: Box3, functionals: tuple[str, ...] = ("chsh_max", "uffink_max")
 ) -> dict[str, tuple[Wiring, Fraction]]:
@@ -382,9 +346,10 @@ def search_max_all(
     Both maxima depend only on the correlator table, whose column at y' = s'
     is fixed by the wiring's half at s', so each (bipartition, ordering)
     scores its distinct columns, in the integers of the box's integer view
-    (`Box3.scaled`): one pass of extremes serves every separable form of
-    both functionals, and half the hull the coupled Uffink pairs, read
-    through one cross term.
+    (`Box3.scaled`), through bell's closed forms (_block_max): one pass
+    finds the maxima S and D of |x + y| and |x - y|, which give CHSH S + D
+    and Uffink's separable terms S**2 + D**2, and half the hull gives its
+    cross term.  Uffink's hull is built only when it is requested.
 
     A later block must do strictly better to win, so two exact rules skip
     the blocks that cannot; a block that is not skipped scores every
@@ -397,12 +362,11 @@ def search_max_all(
     three images are its whole orbit under the eight sign and swap maps,
     and storing those four sets of each scored block is exact.
     """
-    forms = _column_forms()
     if type(functionals) not in (tuple, list):
         raise ParseError(f"search_max_all needs a tuple or list of functional names, "
                          f"got {functionals!r}")
     for f in functionals:
-        if type(f) is not str or f not in forms:
+        if type(f) is not str or f not in _DEGREES:
             raise ParseError(f"unknown functional {f!r}")
     require_valid(_require3(box, "search_max_all"))
     scale, table = box.scaled
@@ -417,10 +381,10 @@ def search_max_all(
         if columns in scored:
             continue
         scored.update([columns, *(m(columns) for m in _IMAGES)])
-        extremes = _extremes(first_half)
+        block = _block_max(first_half, "uffink_max" in functionals)
         for f in functionals:
-            v, abg = _block_max(first_half, extremes, *forms[f])
+            v, abg = block[f]
             if f not in best or v > best[f][0]:
                 best[f] = (v, Wiring(bp, ordering, *abg))
     # on a table scaled by D, chsh_max scales by D and uffink_max by D**2
-    return {f: (w, Fraction(v, scale ** forms[f][0])) for f, (v, w) in best.items()}
+    return {f: (w, Fraction(v, scale ** _DEGREES[f])) for f, (v, w) in best.items()}

@@ -3,7 +3,9 @@ in nsboxes.boxes and nsboxes.bell are tested against, and the builtin boxes
 rebuilt from their defining formulas.  marginal and relabel have no
 counterpart in the library: the tests that trace parties out or move a box
 along its orbit use these.  all_relabelings2 builds the whole 128-element
-bipartite relabeling group, which the library never needs.  loads is the
+bipartite relabeling group, which the library never needs, and
+oracle_orbit_forms pushes the CHSH and Uffink forms through all of it, the
+orbit that the library's closed-form maxima are checked against.  loads is the
 line-by-line box file parser the library's table lookup replaced: a regex
 match, bit checks, pack and one Fraction() per line.
 
@@ -166,6 +168,42 @@ def all_relabelings2() -> tuple[Relabeling, ...]:
         for flips in product(BITS, repeat=2)
         for of in product(BITS, repeat=4)
     )
+
+
+# The CHSH form E00 + E01 + E10 - E11 and the two brackets of the Uffink
+# form (E00 + E10)^2 + (E01 - E11)^2, as coefficient vectors on the
+# correlator table (E00, E01, E10, E11).
+CHSH = (1, 1, 1, -1)
+UFFINK = ((1, 0, 1, 0), (0, 1, 0, -1))
+
+
+def dot(c, e):
+    return sum(a * b for a, b in zip(c, e))
+
+
+def up_to_sign(form):
+    """The form, negated if needed so its first nonzero is positive."""
+    lead = next(c for c in form if c)
+    return tuple(c if lead > 0 else -c for c in form)
+
+
+@cache
+def oracle_orbit_forms():
+    """(CHSH forms, Uffink bracket pairs) up to sign, pushing the four basis
+    tables through every one of the 128 relabelings.
+
+    The j-th basis table carries the signs (1, -1, -1, 1) on block j and 0
+    elsewhere, so its correlators are 4 at j and 0 elsewhere; coefficient j
+    of a form's image is the form on the relabelled j-th basis table.
+    """
+    basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
+    chsh_forms, uffink_pairs = set(), set()
+    for r in all_relabelings2():
+        images = [[c // 4 for c in correlator_table(Box2(relabel_table(b, r)))] for b in basis]
+        chsh_forms.add(up_to_sign([dot(CHSH, e) for e in images]))
+        brackets = ([dot(b, e) for e in images] for b in UFFINK)
+        uffink_pairs.add(tuple(sorted(map(up_to_sign, brackets))))
+    return tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs))
 
 
 def dumps(box):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import box_oracle
-import nsboxes
 from box_oracle import all_relabelings2, from_entries, relabel
 from nsboxes import (
     ArityError,
@@ -24,8 +23,6 @@ from nsboxes import (
     uffink,
     uffink_max,
 )
-from nsboxes.bell import _CHSH, _UFFINK, _dot, _generators2, _orbit_forms, _up_to_sign
-from nsboxes.boxes import block_correlators
 from random_boxes import random_ns_box2
 from sos_identity import _sos_residual, _times, sos_identity_check
 
@@ -93,48 +90,8 @@ def test_orbit_max_invariant_under_relabeling():
         assert uffink_max(out) == uffink_max(box)
 
 
-def oracle_orbit_forms():
-    """(CHSH forms, Uffink bracket pairs) up to sign, pushing the four basis
-    tables through every one of the 128 relabelings."""
-    basis = [(0,) * 4 * j + (1, -1, -1, 1) + (0,) * 4 * (3 - j) for j in range(4)]
-    chsh_forms, uffink_pairs = set(), set()
-    for r in all_relabelings2():
-        images = [[c // 4 for c in block_correlators([b[i] for i in r.permutation])] for b in basis]
-        chsh_forms.add(_up_to_sign([_dot(_CHSH, e) for e in images]))
-        brackets = ([_dot(b, e) for e in images] for b in _UFFINK)
-        uffink_pairs.add(tuple(sorted(map(_up_to_sign, brackets))))
-    return tuple(sorted(chsh_forms)), tuple(sorted(uffink_pairs))
-
-
-def test_seven_generators_generate_the_bipartite_group():
-    generators = [r.permutation for r in _generators2()]
-    assert len(set(generators)) == 7
-    group, todo = set(generators), list(generators)
-    while todo:
-        p = todo.pop()
-        for g in generators:
-            q = tuple(p[i] for i in g)
-            if q not in group:
-                group.add(q)
-                todo.append(q)
-    assert group == {r.permutation for r in all_relabelings2()}
-    assert len(group) == 128
-
-
-def test_orbit_forms_equal_the_oracle_without_building_the_group():
-    expected = oracle_orbit_forms()
-    # the package has no builder of the whole group to fall back on
-    for module in (nsboxes, nsboxes.bell, nsboxes.boxes, nsboxes.wiring):
-        assert not hasattr(module, "all_relabelings2")
-    _orbit_forms.cache_clear()
-    try:
-        assert _orbit_forms() == expected
-    finally:
-        _orbit_forms.cache_clear()
-
-
 def test_orbit_forms_pinned():
-    chsh_forms, uffink_pairs = _orbit_forms()
+    chsh_forms, uffink_pairs = box_oracle.oracle_orbit_forms()
     assert chsh_forms == ((1, -1, -1, -1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
     assert uffink_pairs == (
         ((0, 0, 1, -1), (1, 1, 0, 0)),
@@ -182,16 +139,9 @@ def test_ic_witness_prefers_chsh():
 
 
 def test_ic_witness_uffink_branch():
-    # isotropic-like mixture tuned into the window where CHSH stays below
-    # 2*sqrt(2) but Uffink exceeds 4: visibility 7/8 gives CHSH 7/2,
-    # Uffink (7/2)^2 / 2 = 49/8 > 4 while (7/2)^2 = 49/4 < 8... not in window;
-    # use a one-sided damping instead: E = (1, 1, 1, -t) with t = 1/2 gives
-    # CHSH 7/2 (49/4 > 8), still chsh. Push below: t = 0 gives CHSH 3 and
-    # Uffink 5: 9 > 8 still chsh. Flatten further: E = (1, 1, t, -t).
-    # t = 1/2: CHSH = 3, 9 > 8 chsh again; t = 1/4: CHSH 11/4, (11/4)^2 =
-    # 121/16 < 8, Uffink = (5/4)^2 + (5/4)^2 = 25/8 < 4. No luck; take the
-    # class-13 profile instead: E = (1, 1/3, 1, -1/3) has CHSH 8/3 < 2*sqrt(2)
-    # and Uffink (E00+E10)^2 + (E01-E11)^2 = 4 + 4/9 = 40/9 > 4.
+    # E = (1, 1/3, 1, -1/3) lies in the window where only Uffink is
+    # violated: CHSH 8/3 < 2*sqrt(2), and Uffink
+    # (E00 + E10)^2 + (E01 - E11)^2 = 4 + 4/9 = 40/9 > 4.
     def fn(a, b, x, y):
         e = [Fraction(1), Fraction(1, 3), Fraction(1), Fraction(-1, 3)][2 * x + y]
         return (1 + (1 if a == b else -1) * e) / 4
@@ -200,6 +150,38 @@ def test_ic_witness_uffink_branch():
     assert chsh_max(box) ** 2 < 8
     v = IcVerdict.from_values(chsh_max(box), uffink_max(box))
     assert v.violated and v.witness == "uffink" and v.value == Fraction(40, 9)
+
+
+def _correlator_box(e):
+    """The box P(ab|xy) = (1 + (-1)^(a+b) E_xy) / 4, whose correlator table is e."""
+    return from_entries(Box2, lambda a, b, x, y: (1 + (-1) ** (a + b) * Fraction(e[2 * x + y])) / 4)
+
+
+def test_every_closed_form_term_wins_somewhere():
+    # Each term of chsh_max and uffink_max is the unique strict maximum on
+    # one of these boxes, so a dropped or mistyped term changes a value
+    # that the 128-relabelling oracle checks.  With a = b at x = 0 and
+    # uniform outputs at x = 1, only the coupled Uffink term reaches 4;
+    # E = (1, 1/3, 1, -1/3) is won by the first term of each, and the same
+    # profile with y swapped by the second.
+    third = Fraction(1, 3)
+    boxes = [_correlator_box(e) for e in ((1, 1, 0, 0), (1, third, 1, -third), (third, 1, -third, 1))]
+    winners = set()
+    for box in boxes:
+        x0, x1, y0, y1 = correlator_table(box)
+        s0, d0, s1, d1 = x0 + y0, x0 - y0, x1 + y1, x1 - y1
+        terms = {
+            "chsh": [abs(s0) + abs(d1), abs(d0) + abs(s1)],
+            "uffink": [s0 ** 2 + d1 ** 2, d0 ** 2 + s1 ** 2,
+                       x0 ** 2 + y0 ** 2 + x1 ** 2 + y1 ** 2 + 2 * abs(x0 * x1 - y0 * y1)],
+        }
+        for name, values in terms.items():
+            if values.count(max(values)) == 1:
+                winners.add((name, values.index(max(values))))
+        assert (chsh_max(box), uffink_max(box)) == oracle_orbit_maxima(box)
+    assert winners == {("chsh", 0), ("chsh", 1), ("uffink", 0), ("uffink", 1), ("uffink", 2)}
+    assert (chsh_max(boxes[0]), uffink_max(boxes[0])) == (2, 4)
+    assert (chsh_max(boxes[1]), uffink_max(boxes[1])) == (Fraction(8, 3), Fraction(40, 9))
 
 
 def test_k_value_of_class4():

@@ -1,10 +1,11 @@
 """The wiring search against the per-column-pair sweep of wiring_oracle.
 
 search_max_all scores each distinct column of a (bipartition, ordering)
-once, using the split of the orbit forms into column parts and the central
-symmetry of the columns; these tests pin the column kernel, the split, the
-half hull, the one-sided extremes, and the values and tie-break wirings of
-the whole search against the oracle.  They also check the two
+once, through the closed forms of the orbit maxima and the central
+symmetry of the columns; these tests pin the column kernel, the closed
+forms against the orbit forms of box_oracle, the half hull, each block's
+maxima, and the values and tie-break wirings of the whole search against
+the oracle.  They also check the two
 bounds the search skips blocks by, that a block skipped as a repeat of a
 scored block's column set has that block's maxima, and where the skips fire.
 """
@@ -17,20 +18,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
-from box_oracle import relabel
-from nsboxes import BIPARTITIONS, Relabeling, Wiring, builtin, mix, search_max_all, wiring
-from nsboxes.bell import _orbit_forms
-from nsboxes.boxes import block_correlators
-from nsboxes.wiring import (
-    _IMAGES,
-    _block_max,
-    _column_forms,
-    _distinct_columns,
-    _extremes,
-    _half_hull,
-    _joined,
-    _summands,
+from box_oracle import dot, from_entries, oracle_orbit_forms, relabel
+from nsboxes import (
+    BIPARTITIONS,
+    Box2,
+    Relabeling,
+    Wiring,
+    builtin,
+    chsh_max,
+    mix,
+    search_max_all,
+    uffink_max,
+    wiring,
 )
+from nsboxes.boxes import block_correlators
+from nsboxes.wiring import _IMAGES, _block_max, _distinct_columns, _half_hull, _joined, _summands
 from random_boxes import mixture3, odd_lcm_mixtures, pool_weights, random_relabeling3
 from wiring_oracle import columns as _columns
 
@@ -114,30 +116,48 @@ def test_oracle_half_tables_join_to_the_wired_box():
             assert oracle._effective(*halves) == oracle.wire(box.table, w), w.encode()
 
 
-def _join(u, v):
-    """The 4-vector on (E00, E01, E10, E11) from its parts on c0 and c1."""
-    return (u[0], v[0], u[1], v[1])
+def _random_columns(rng):
+    """Two random integer columns c0 = (x0, y0) and c1 = (x1, y1)."""
+    return [(rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(2)]
+
+
+def _table(c0, c1):
+    """The correlator table (E00, E01, E10, E11) of the columns."""
+    return (c0[0], c1[0], c0[1], c1[1])
+
+
+def _closed_forms(c0, c1):
+    """(CHSH, Uffink) orbit maxima of the columns, read from chsh_max and
+    uffink_max on a table with those correlators."""
+    e = _table(c0, c1)
+    box = from_entries(Box2, lambda a, b, x, y: (1 + (-1) ** (a + b) * e[2 * x + y]) / Fraction(4))
+    return chsh_max(box), uffink_max(box)
+
+
+def _oracle_maxima(c0, c1):
+    """(CHSH, Uffink) maxima of the columns over the oracle's orbit forms."""
+    return tuple(oracle.FUNCTIONALS[f][0](_table(c0, c1)) for f in ("chsh_max", "uffink_max"))
 
 
 def test_orbit_form_split():
-    chsh_forms, uffink_pairs = _orbit_forms()
-    degree, separable, coupled = _column_forms()["chsh_max"]
-    # every CHSH form splits, and both signs are kept
-    assert degree == 1 and not coupled
-    assert sorted(_join(u, v) for (u,), (v,) in separable) == sorted(
-        tuple(s * x for x in c) for c in chsh_forms for s in (1, -1)
-    )
-    degree, separable, coupled = _column_forms()["uffink_max"]
-    assert degree == 2 and len(separable) == 2 and len(coupled) == 2
-    # a separable pair is A(c0) + B(c1) with one bracket on each side
-    zero = (0, 0)
-    rebuilt = {tuple(sorted((_join(u, zero), _join(zero, v)))) for (u,), (v,) in separable}
-    # a coupled pair's brackets read both columns, through invertible maps
-    for (p0, q0), (p1, q1) in coupled:
-        for m in ((p0, q0), (p1, q1)):
-            assert m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0
-        rebuilt.add(tuple(sorted((_join(p0, p1), _join(q0, q1)))))
-    assert rebuilt == set(uffink_pairs)
+    # the oracle's orbit forms are the terms of the closed forms: |CHSH| is
+    # |s0 +- d1| and |d0 +- s1|, and the Uffink pairs are s0^2 + d1^2,
+    # d0^2 + s1^2 and n0 + n1 +- 2 (x0 x1 - y0 y1)
+    chsh_forms, uffink_pairs = oracle_orbit_forms()
+    rng = random.Random(SEED + 5)
+    for _ in range(200):
+        c0, c1 = _random_columns(rng)
+        (x0, y0), (x1, y1) = c0, c1
+        e = _table(c0, c1)
+        s0, d0, s1, d1 = x0 + y0, x0 - y0, x1 + y1, x1 - y1
+        n, k = x0 * x0 + y0 * y0 + x1 * x1 + y1 * y1, 2 * (x0 * x1 - y0 * y1)
+        assert sorted(abs(dot(c, e)) for c in chsh_forms) == sorted(
+            [abs(s0 + d1), abs(s0 - d1), abs(d0 + s1), abs(d0 - s1)]
+        )
+        assert sorted(dot(p, e) ** 2 + dot(q, e) ** 2 for p, q in uffink_pairs) == sorted(
+            [s0 * s0 + d1 * d1, d0 * d0 + s1 * s1, n + k, n - k]
+        )
+        assert _closed_forms(c0, c1) == _oracle_maxima(c0, c1)
 
 
 def _inside(p, points):
@@ -256,15 +276,19 @@ def test_block_bounds_behind_the_skips():
 
 
 def test_coupled_pairs_share_one_cross_term():
-    # the larger coupled Uffink pair is n0 + n1 + 2 |x0 x1 - y0 y1|
-    coupled = _column_forms()["uffink_max"][2]
+    # the two oracle Uffink pairs whose brackets read both columns are the
+    # coupled ones, and the larger of them is n0 + n1 + 2 |x0 x1 - y0 y1|
+    coupled = [
+        pair for pair in oracle_orbit_forms()[1]
+        if any((b[0] or b[2]) and (b[1] or b[3]) for b in pair)
+    ]
+    assert len(coupled) == 2
     rng = random.Random(SEED + 5)
     for _ in range(200):
-        (x0, y0), (x1, y1) = ((rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(2))
-        values = [
-            sum((p[0] * x0 + p[1] * y0 + q[0] * x1 + q[1] * y1) ** 2 for p, q in zip(*sides))
-            for sides in coupled
-        ]
+        c0, c1 = _random_columns(rng)
+        (x0, y0), (x1, y1) = c0, c1
+        e = _table(c0, c1)
+        values = [dot(p, e) ** 2 + dot(q, e) ** 2 for p, q in coupled]
         assert max(values) == x0 * x0 + y0 * y0 + x1 * x1 + y1 * y1 + 2 * abs(x0 * x1 - y0 * y1)
 
 
@@ -347,12 +371,14 @@ def _blocks(box):
             yield block, _summands(*block)
 
 
+def _oracle_block(first_half):
+    """Both functionals' maxima over all pairs of one block's columns, with
+    their first wirings."""
+    return {f: oracle.block_max(first_half, f) for f in oracle.FUNCTIONALS}
+
+
 def _oracle_block_maxima(block):
-    cols = list(oracle.distinct_columns(*block))
-    return [
-        max(value((c0[0], c1[0], c0[1], c1[1])) for c0 in cols for c1 in cols)
-        for value, _ in oracle.FUNCTIONALS.values()
-    ]
+    return [v for v, _ in _oracle_block(oracle.distinct_columns(*block)).values()]
 
 
 def test_skipped_blocks_repeat_the_maxima_of_a_scored_block():
@@ -399,51 +425,53 @@ def test_column_set_and_its_images_are_its_orbit():
             assert {columns, *(m(columns) for m in _IMAGES)} == orbit
 
 
+def _pieces(first_half):
+    """Both functionals' block maxima from the oracle's pieces: each end of
+    x + y and x - y found by its own pass, and the coupled Uffink maximum
+    over the full hull."""
+    ends = oracle.extremes(first_half)
+    (s, hs), (_, hs_neg) = ends[1, 1]
+    (d, hd), (_, hd_neg) = ends[1, -1]
+    h_s, h_d = min(hs, hs_neg), min(hd, hd_neg)
+    first = min(_joined(h_s, h_d), _joined(h_d, h_s))
+    found = [(s * s + d * d, first), oracle.coupled_max(first_half)]
+    top = max(v for v, _ in found)
+    return {"chsh_max": (s + d, first), "uffink_max": (top, min(abg for v, abg in found if v == top))}
+
+
 def test_symmetric_block_pieces_equal_the_oracle():
-    # one pass for both ends of each direction, and the coupled Uffink
-    # maximum over half the hull, against two passes and the full hull
-    coupled = _column_forms()["uffink_max"][2]
+    # one pass for both ends of x + y and x - y, and the coupled Uffink
+    # maximum over half the hull, against two passes, the full hull and all
+    # pairs of columns
     rng = random.Random(SEED + 8)
     names = VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")
     boxes = [builtin(n) for n in names] + seeded_boxes(rng, 40) + noisy_boxes()
     for box in boxes + [pool_entry(k) for k in range(8)]:
         for _, summands in _blocks(box):
             first_half = _distinct_columns(summands)
-            extremes = _extremes(first_half)
-            ends = {u: ((top, hi), (-top, lo)) for u, (top, hi, lo) in extremes.items()}
-            assert ends == oracle.extremes(first_half)
-            assert _block_max(first_half, extremes, 2, [], coupled) == oracle.coupled_max(first_half)
+            assert _block_max(first_half, True) == _pieces(first_half) == _oracle_block(first_half)
 
 
 def test_uffink_block_maxima_equal_all_pairs_of_columns():
     # every block, skipped by the search or not.  A square peaks at both
     # extremes of u . c, whose first halves compete for the first wiring;
     # even mixtures of two deterministic boxes often tell them apart.
-    forms = _column_forms()["uffink_max"]
     rng = random.Random(SEED + 8)
     halves = [Fraction(1, 2)] * 2
     pairs = [mix([random_deterministic(rng), random_deterministic(rng)], halves) for _ in range(16)]
     for box in pairs + seeded_boxes(rng, 8):
         for _, summands in _blocks(box):
             first_half = _distinct_columns(summands)
-            got = _block_max(first_half, _extremes(first_half), *forms)
-            assert got == oracle.block_max(first_half, "uffink_max")
+            assert _block_max(first_half, True) == _oracle_block(first_half)
 
 
 def test_sign_and_swap_maps_keep_the_form_maxima():
-    def form_max(degree, separable, coupled, c0, c1):
-        dot = lambda u, c: u[0] * c[0] + u[1] * c[1]
-        values = [dot(u, c0) ** degree + dot(v, c1) ** degree for (u,), (v,) in separable]
-        values += [
-            sum((dot(p, c0) + dot(q, c1)) ** 2 for p, q in zip(*sides)) for sides in coupled
-        ]
-        return max(values)
-
+    # the closed forms on the mapped columns equal the oracle's orbit
+    # maxima on the columns themselves
     rng = random.Random(SEED + 7)
     for _ in range(200):
-        c0, c1 = ((rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(2))
-        for forms in _column_forms().values():
-            value = form_max(*forms, c0, c1)
-            for m in _IMAGES:
-                (m0,), (m1,) = m({c0}), m({c1})
-                assert form_max(*forms, m0, m1) == value
+        c0, c1 = _random_columns(rng)
+        expected = _oracle_maxima(c0, c1)
+        for m in _IMAGES:
+            (m0,), (m1,) = m({c0}), m({c1})
+            assert _closed_forms(m0, m1) == expected

@@ -11,17 +11,18 @@ coupled_max() and block_max() score one block's distinct columns without
 the central symmetry that the library reads them through.  search_max_all() and
 distinct_effective_boxes() are the per-column-pair sweep over half_table():
 they score every pair of distinct half keys of a (bipartition, ordering)
-with the orbit maxima of nsboxes.bell, where the library scores each
-column once.
+with the orbit forms of box_oracle, built from all 128 relabelings, where
+the library scores each column once through closed forms.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from nsboxes import BIPARTITIONS, ParseError, Wiring, bell, require_valid
+from box_oracle import dot, oracle_orbit_forms
+from nsboxes import BIPARTITIONS, ParseError, Wiring, require_valid
 from nsboxes.boxes import _IN_W, _OUT_W, block_correlators, pack
-from nsboxes.wiring import _branch, _directions, _joined
+from nsboxes.wiring import _branch, _joined
 
 BITS = (0, 1)
 
@@ -156,12 +157,17 @@ def hull(points):
     return vertices or pts
 
 
+# The directions x + y and x - y through which every separable orbit form
+# reads a column (x, y).
+DIRECTIONS = ((1, 1), (1, -1))
+
+
 def extremes(first_half):
     """u -> ((max, first half), (min, first half)) of u . c over the
-    distinct columns, for each direction of the separable forms and its
-    negation, each end found by its own pass."""
+    distinct columns, for each of DIRECTIONS and its negation, each end
+    found by its own pass."""
     out = {}
-    for a, b in _directions():
+    for a, b in DIRECTIONS:
         values = [(a * x + b * y, h) for (x, y), h in first_half.items()]
         neg_hi, top = min((-v, h) for v, h in values)
         lo, bottom = min(values)
@@ -220,17 +226,13 @@ def _sweep(table, key):
                 yield Wiring(bp, ordering, *abg), k0, k1
 
 
-def _dot(c, e):
-    return sum(a * b for a, b in zip(c, e))
-
-
 # name -> (orbit maximum of a correlator table (E00, E01, E10, E11) over the
-# forms of bell._orbit_forms, degree): on a table scaled by D the maximum
-# scales by D**degree.
+# forms of box_oracle.oracle_orbit_forms, degree): on a table scaled by D
+# the maximum scales by D**degree.
 FUNCTIONALS = {
-    "chsh_max": (lambda e: max(abs(_dot(c, e)) for c in bell._orbit_forms()[0]), 1),
+    "chsh_max": (lambda e: max(abs(dot(c, e)) for c in oracle_orbit_forms()[0]), 1),
     "uffink_max": (
-        lambda e: max(_dot(p, e) ** 2 + _dot(q, e) ** 2 for p, q in bell._orbit_forms()[1]),
+        lambda e: max(dot(p, e) ** 2 + dot(q, e) ** 2 for p, q in oracle_orbit_forms()[1]),
         2,
     ),
 }
