@@ -23,12 +23,12 @@ from .boxes import (
     ParseError,
     _WEIGHTS,
     _Value,
+    _correlation,
     _read_entries,
     _require,
     _require2,
     _require3,
     block_correlators,
-    correlator,
     exact_values,
 )
 
@@ -49,7 +49,8 @@ def _ic_bounds_broken(chsh_value: Fraction, uffink_value: Fraction) -> tuple[boo
 
 def correlator_table(box: Box2) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(E00, E01, E10, E11) with Exy indexed by 2*x + y."""
-    return block_correlators(_require2(box, "correlator_table").table)
+    scale, t = _require2(box, "correlator_table").scaled
+    return tuple(Fraction(e, scale) for e in block_correlators(t))
 
 
 def _dot(c, e):
@@ -167,27 +168,25 @@ def k_value(box: Box3) -> Fraction:
 
     Nonnegative on every quantum box: k = X1'X1 + 2 X2'X2 + 2 X3'X3 as an
     identity of operators, which tests/sos_identity.py expands; its minimum
-    over the no-signalling set is -1.
+    over the no-signalling set is -1.  Evaluated in ints on the correlators
+    of the box's integer view, which are `scale` times the box's, as
+    (15 scale + C111 - 4 (C000 + ...)) / (2 scale).
     """
-    _require3(box, "k_value")
-    c = lambda parties, ins: correlator(box, parties, ins)
-    return (
-        Fraction(15, 2)
-        + Fraction(1, 2) * c((0, 1, 2), (1, 1, 1))
-        - 2
-        * (
-            c((0, 1, 2), (0, 0, 0))
-            + c((0, 1), (0, 1))
-            + c((1, 2), (0, 1))
-            + c((0, 2), (1, 0))
-        )
+    scale, t = _require3(box, "k_value").scaled
+    c = lambda parties, ins: _correlation(t, 3, parties, ins)
+    return Fraction(
+        15 * scale
+        + c((0, 1, 2), (1, 1, 1))
+        - 4 * (c((0, 1, 2), (0, 0, 0)) + c((0, 1), (0, 1)) + c((1, 2), (0, 1)) + c((0, 2), (1, 0))),
+        2 * scale,
     )
 
 
 def parse_gyni_weights(text: str) -> GyniWeights:
     """Weights from a weight file, which boxes._read_entries reads (README,
     "Weight files"); weights GyniWeights refuses are a ParseError too."""
+    scale, q = _read_entries(text, "weights", _WEIGHTS)
     try:
-        return GyniWeights(_read_entries(text, "weights", _WEIGHTS))
+        return GyniWeights(tuple(Fraction(v, scale) for v in q))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -2,18 +2,22 @@
 
 A tripartite box stores the 64 probabilities P(abc|xyz) with every party
 holding one input bit and one output bit; a bipartite box stores the 16
-probabilities P(ab|xy).  Tables hold `fractions.Fraction`s; each box also
-keeps, built on first use, one integer view of its table, `(scale, ints)`
-with `scale` the lcm of the denominators (`Box3.scaled`).  Validation, the
-orbit maxima in `bell` and the wiring search read that view, so they add and
-compare ints, and turn a result back into a `Fraction` only at the end.
-Nothing in this package ever touches floating point.
+probabilities P(ab|xy).  A box holds its table as one integer view,
+`(scale, ints)` with `scale` the lcm of the entries' denominators and
+`ints[i]` the entry times `scale` (`Box3.scaled`), so the view is in lowest
+terms.  `loads` and `apply_wiring` build a box from its view alone
+(`_from_view`), and `Box3(table)` from the `fractions.Fraction`s of its
+table.  Validation, correlators, serialization, the orbit maxima and `k` in
+`bell`, the wiring kernel and the sweep read the view, so they add and
+compare ints, and turn a result back into a `Fraction` only at the end;
+a box built from its view builds `box.table`, the Fractions, on first
+read.  Nothing in this
+package ever touches floating point.
 
-A box is immutable, so what is derived from its table is derived once per
-box object: its integer view, and its `ValidationReport` (`box.report`),
-which `validate` returns and `require_valid` reads.  Likewise `builtin`
-builds each named box once per process and returns that one box to every
-caller.
+A box is immutable, so what is derived from its view is derived once per
+box object: its table, and its `ValidationReport` (`box.report`), which
+`validate` returns and `require_valid` reads.  Likewise `builtin` builds
+each named box once per process and returns that one box to every caller.
 
 Index conventions used everywhere (inputs most significant, parties in order
 A, B, C):
@@ -37,7 +41,7 @@ from __future__ import annotations
 import re
 from functools import cache, cached_property, partial
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from pathlib import Path
 
@@ -229,7 +233,13 @@ class _Value:
 
 class _Table(_Value):
     """Shared behaviour of Box3 and Box2: a flat table of 4**n_parties
-    exact entries."""
+    exact entries, held as its integer view `scaled`.
+
+    `Box3(table)` keeps the table it is given, as Fractions, and its view;
+    a box that `_from_view` builds holds the view alone, and builds `table`
+    from it on first read.  Equality, hashing and repr read `table`, as for
+    any value, so they build it.
+    """
 
     table: tuple[Fraction, ...]
 
@@ -240,13 +250,17 @@ class _Table(_Value):
                              f"got {type(self.table).__name__}")
         if len(self.table) != size:
             raise ArityError(f"{type(self).__name__} needs {size} entries, got {len(self.table)}")
-        object.__setattr__(self, "table", exact_values(self.table))
+        table = exact_values(self.table)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "scaled", integer_scaled(table))
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The table as integer_scaled gives it, (scale, ints), built on
-        first use.  Equality and hashing still read `table` only."""
-        return integer_scaled(self.table)
+    def table(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, Fraction(v, scale) for each int v of
+        the view, built on first read."""
+        scale, ints = self.scaled
+        entries = {v: Fraction(v, scale) for v in set(ints)}
+        return tuple(map(entries.__getitem__, ints))
 
     @cached_property
     def report(self) -> "ValidationReport":
@@ -274,6 +288,18 @@ class Box2(_Table):
 
 
 Box = Box3 | Box2
+
+
+def _from_view(cls, scale: int, ints) -> Box:
+    """The cls box whose entries are Fraction(v, scale) for the 4**n ints v,
+    with scale positive.  The view is stored divided by the gcd of scale and
+    the ints, which is the view integer_scaled gives on those entries."""
+    g = gcd(scale, *ints)
+    if g > 1:
+        scale, ints = scale // g, [v // g for v in ints]
+    box = object.__new__(cls)
+    object.__setattr__(box, "scaled", (scale, tuple(ints)))
+    return box
 
 
 class ValidationReport(_Value):
@@ -318,8 +344,8 @@ def validate(box: Box) -> ValidationReport:
     The checks run once per box object: the report is kept as `box.report`,
     and later calls on the same box return it.  They run on the box's
     integer view, where a per-input total is `scale` rather than 1; a
-    failure reports the table's own entry, or a sum as Fraction(sum, scale),
-    the same value the table's sum has.
+    failure reports an entry or a sum as Fraction(v, scale), the value the
+    table's entry or sum has.
     """
     return _require(box, "validate").report
 
@@ -329,7 +355,7 @@ def _validate(box: Box) -> ValidationReport:
     n = box.n_parties
     scale, t = box.scaled
     entries = _ENTRIES[n]
-    negative = tuple((*entries[i], box.table[i]) for i, v in enumerate(t) if v < 0)
+    negative = tuple((*entries[i], Fraction(v, scale)) for i, v in enumerate(t) if v < 0)
     # The 2**n outputs at one input assignment are consecutive.
     block = 2 ** n
     norm = tuple(
@@ -393,6 +419,13 @@ def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> F
         raise ArityError(f"bad parties {parties} for arity {n}")
     if not _all_in(inputs, BITS):
         raise ArityError(f"inputs must be 0 or 1, got {inputs}")
+    scale, t = box.scaled
+    return Fraction(_correlation(t, n, parties, inputs), scale)
+
+
+def _correlation(t, n: int, parties, inputs) -> int:
+    """The correlator of `parties` at `inputs`, the other inputs 0, on an
+    integer view t of an n-party table: scale times the box's, unchecked."""
     ins = [0] * n
     for p, xp in zip(parties, inputs):
         ins[p] = xp
@@ -402,8 +435,7 @@ def correlator(box: Box, parties: tuple[int, ...], inputs: tuple[int, ...]) -> F
     # The outputs at one input assignment are the 2**n entries from its
     # flat index with output bits 0.
     start = pack((0,) * n, ins)
-    block = box.table[start : start + 2 ** n]
-    return sum((-v if (j & mask).bit_count() % 2 else v for j, v in enumerate(block)), ZERO)
+    return sum(-v if (j & mask).bit_count() % 2 else v for j, v in enumerate(t[start : start + 2 ** n]))
 
 
 class RelabelingError(BoxError):
@@ -574,37 +606,66 @@ def _builtin(name: str) -> Box:
 # per nonzero entry, "a b c | x y z = num/den", outputs left of the bar; a
 # weight file is entry lines alone, without the bar and the outputs.  '#'
 # starts a comment, unlisted entries are zero.  _SPELLING[n][i] is flat
-# index i's bits as dumps writes them.  A grammar is (entry pattern, bit
-# tokens -> slot, slot names for errors, the error for tokens not in the
-# index): _GRAMMAR[n] for box files, _WEIGHTS for weight files, whose slot
-# is 4*x1 + 2*x2 + x3.
+# index i's bits as dumps writes them.  A grammar is (entry pattern, index,
+# slot names for errors, the error for tokens not in the index), its index
+# taking a slot's bit tokens, and the text before "=" as dumps writes it,
+# to the slot: _GRAMMAR[n] for box files, _WEIGHTS for weight files, whose
+# slot is 4*x1 + 2*x2 + x3.
 
 _SPELLING = {
     n: tuple(" | ".join(" ".join(map(str, bits)) for bits in e) for e in _ENTRIES[n]) for n in (2, 3)
 }
 _GRAMMAR = {
-    n: (re.compile(r"^([01 ]+\|[01 ]+)=(.+)$"), {tuple(s.split()): i for i, s in enumerate(_SPELLING[n])},
+    n: (re.compile(r"^([01 ]+\|[01 ]+)=(.+)$"),
+        {k: i for i, s in enumerate(_SPELLING[n]) for k in (tuple(s.split()), s + " ")},
         _ENTRIES[n], f"expected {n} output and input bits")
     for n in (2, 3)
 }
-_WEIGHTS = (re.compile(r"^([01 ]+)=(.+)$"), {tuple(f"{k:03b}"): k for k in range(8)},
+_WEIGHTS = (re.compile(r"^([01 ]+)=(.+)$"),
+            {k: i for i in range(8) for k in (tuple(f"{i:03b}"), " ".join(f"{i:03b}") + " ")},
             tuple(_bits(k, 3) for k in range(8)), "expected 3 input bits")
+
+# Fraction() reads a decimal value w.fEe as int(w + f) * 10**(e - len(f)),
+# so a few bytes can ask for an int of millions of digits:
+# Fraction("1e-10000000") takes seconds, and str() of an int of more than
+# 4300 digits raises.  A value whose numerator or denominator would pass
+# _MAX_DIGITS digits is refused before Fraction() reads it.  A value n/d
+# needs no test: int() itself refuses more than 4300 digits.
+_MAX_DIGITS = 4300
+_DECIMAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:e([-+]?[\d_]+))?", re.IGNORECASE)
+
+
+def _digits(value: str) -> int:
+    """The digits of the larger of the numerator and the denominator that
+    Fraction(value) builds before it reduces them, for a decimal value; 0
+    for any other value.  A malformed exponent raises ValueError, as
+    Fraction() would."""
+    m = _DECIMAL.fullmatch(value)
+    if m is None:
+        return 0
+    whole, frac = (g.replace("_", "") if g else "" for g in m.groups()[:2])
+    shift = int(m[3] or 0) - len(frac)
+    return max(len(whole + frac) + max(shift, 0), 1 - min(shift, 0))
 
 
 def dumps(box: Box) -> str:
     """Serialize in canonical order (ascending flat index, nonzero only)."""
     n = _require(box, "dumps").n_parties
+    scale, ints = box.scaled
+    texts = {v: str(Fraction(v, scale)) for v in set(ints) if v}
     lines = [f"box{n}"]
-    lines += ["%s = %s" % (s, v) for s, v in zip(_SPELLING[n], box.table) if v]
+    lines += ["%s = %s" % (s, texts[v]) for s, v in zip(_SPELLING[n], ints) if v]
     return "\n".join(lines) + "\n"
 
 
-def _read_entries(text: str, what: str, grammar=None) -> tuple[Fraction, ...]:
-    """The table of a box file, grammar None (its header picks _GRAMMAR[n]),
-    or of a weight file, grammar _WEIGHTS; unlisted slots are zero.
+def _read_entries(text: str, what: str, grammar=None) -> tuple[int, list[int]]:
+    """The integer view (scale, ints), as integer_scaled gives it, of the
+    table of a box file, grammar None (its header picks _GRAMMAR[n]), or of
+    a weight file, grammar _WEIGHTS; unlisted slots are zero.
 
-    Each entry line is one pattern match and one lookup of its bit tokens;
-    each distinct value text is parsed by Fraction() once per call."""
+    Each entry line is one lookup, or one pattern match and one lookup of
+    its bit tokens; each distinct value text is parsed by Fraction() once
+    per call, and the scale is the lcm of those values' denominators."""
     if not isinstance(text, str):
         raise ParseError(f"{what} file text must be a string, got {type(text).__name__}")
     pattern, index, names, miss = grammar or (None,) * 4
@@ -618,31 +679,44 @@ def _read_entries(text: str, what: str, grammar=None) -> tuple[Fraction, ...]:
                 raise ParseError(f"line {lineno}: expected box2 or box3 header")
             pattern, index, names, miss = _GRAMMAR[int(line[3])]
             continue
-        m = pattern.match(line)
-        if not m:
-            raise ParseError(f"line {lineno}: cannot parse entry {raw!r}")
-        bits, value = m.groups()
-        i = index.get(tuple(bits.replace("|", " | ").split()))
-        if i is None:
-            raise ParseError(f"line {lineno}: {miss}")
+        # A line as dumps writes it is one lookup of the text before "=";
+        # any other goes through the pattern and a lookup of its tokens.
+        bits, _, value = line.partition("=")
+        i = index.get(bits)
+        if i is None or not value:
+            m = pattern.match(line)
+            if not m:
+                raise ParseError(f"line {lineno}: cannot parse entry {raw!r}")
+            bits, value = m.groups()
+            i = index.get(tuple(bits.replace("|", " | ").split()))
+            if i is None:
+                raise ParseError(f"line {lineno}: {miss}")
         value = value.strip()
         if value not in values:
             try:
+                if _digits(value) > _MAX_DIGITS:
+                    raise ParseError(f"line {lineno}: value {value!r} has more than {_MAX_DIGITS} "
+                                     f"digits in its numerator or denominator")
                 values[value] = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad value {value!r}") from exc
         if i in entries:
             raise ParseError(f"line {lineno}: duplicate entry for {names[i]}")
-        entries[i] = values[value]
+        entries[i] = value
     if pattern is None:
         raise ParseError(f"empty {what} file")
-    return tuple(entries.get(i, ZERO) for i in range(len(names)))
+    scale = lcm(*(v.denominator for v in values.values()))
+    scaled = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
+    ints = [0] * len(names)
+    for i, value in entries.items():
+        ints[i] = scaled[value]
+    return scale, ints
 
 
 def loads(text: str, check: bool = True) -> Box:
     """Parse the box file format; with check=True require full validity."""
-    table = _read_entries(text, "box")
-    box = (Box3 if len(table) == 64 else Box2)(table)
+    scale, ints = _read_entries(text, "box")
+    box = _from_view(Box3 if len(ints) == 64 else Box2, scale, ints)
     if check:
         require_valid(box)
     return box

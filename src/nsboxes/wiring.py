@@ -32,6 +32,7 @@ from .boxes import (
     _OUT_W,
     _Value,
     _all_in,
+    _from_view,
     _require,
     _require3,
     require_valid,
@@ -174,22 +175,27 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
     second input is beta(s', w1); no-signalling of the source makes this the
     correct sequential probability, with the 0 * (0/0) = 0 convention built
     in (a zero-probability branch contributes zero to every entry).  The
-    sums run on the box's integer view (`Box3.scaled`); the effective box
-    builds its own on first read, like every box.  A w that is not a Wiring
-    raises ParseError.
+    sums run on the box's integer view (`Box3.scaled`) and are the
+    effective box's view at the same scale, which `_from_view` reduces.
+    The branches are read through _plan, as the sweep reads them.  A w that
+    is not a Wiring raises ParseError.
     """
     _require(w, "apply_wiring", Wiring, ParseError)
     require_valid(_require3(box, "apply_wiring"))
     scale, table = box.scaled
-    roles = (w.bipartition.solo, *w.bipartition.actors(w.ordering))
+    plan = _plan(w.bipartition.solo, *w.bipartition.actors(w.ordering))
     out = [0] * 16
-    for sp, xp, w1 in product(BITS, repeat=3):
-        i1, i2 = w.alpha >> sp & 1, w.beta >> 2 * sp + w1 & 1
-        for k, j in enumerate(_branch(*roles, xp, i1, w1, i2)):
-            ap, w2 = divmod(k, 2)
-            # flat index 8*x' + 4*y' + 2*a' + b'
-            out[8 * xp + 4 * sp + 2 * ap + (w.gamma >> 4 * sp + 2 * w1 + w2 & 1)] += table[j]
-    return Box2(tuple(Fraction(v, scale) for v in out))
+    for sp, w1 in product(BITS, BITS):
+        *_, js = plan[(w.alpha >> sp & 1) << 2 | w1 << 1 | (w.beta >> 2 * sp + w1 & 1)]
+        g = w.gamma >> 4 * sp + 2 * w1
+        # flat index 8*x' + 4*y' + 2*a' + b', b' = gamma bit w2 of (s', w1)
+        b0, b1 = 4 * sp + (g & 1), 4 * sp + (g >> 1 & 1)
+        for x, (j0, j1, j2, j3) in ((0, js[:4]), (8, js[4:])):
+            out[x + b0] += table[j0]
+            out[x + b1] += table[j1]
+            out[x + 2 + b0] += table[j2]
+            out[x + 2 + b1] += table[j3]
+    return _from_view(Box2, scale, out)
 
 
 @cache

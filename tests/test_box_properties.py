@@ -10,21 +10,29 @@ from hypothesis import given, settings, strategies as st
 
 import box_oracle as oracle
 from box_oracle import all_relabelings2, from_entries, relabel
+from random_boxes import mixture3, odd_lcm_mixtures, pool_weights
 from nsboxes import (
+    BIPARTITIONS,
     Box2,
     Box3,
     Relabeling,
+    Wiring,
+    apply_wiring,
     builtin,
     correlator,
     correlator_table,
     dumps,
+    enumerate_wirings,
     loads,
     mix,
     validate,
 )
+from nsboxes.boxes import integer_scaled
+from nsboxes.cli import load_table_rows
 
 SEED = 90210
 BITS = (0, 1)
+PARITY_WIRING = "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"
 
 RELABELINGS3 = tuple(
     Relabeling(perm, flips, (of[0:2], of[2:4], of[4:6]))
@@ -138,12 +146,52 @@ def test_integer_view_is_the_table_scaled_by_the_lcm():
         assert scale == lcm(*(v.denominator for v in box.table))
         assert len(ints) == len(box.table)
         assert all(type(m) is int and Fraction(m, scale) == v for m, v in zip(ints, box.table))
-        # equality and hashing read the table only, built view or not
+        # a box holds its view from birth, built from its table or not;
+        # equality and hashing read the table
         twin = type(box)(box.table)
-        assert "scaled" not in vars(twin)
+        assert vars(twin)["scaled"] == box.scaled
         assert twin == box and hash(twin) == hash(box)
-        assert twin.scaled == box.scaled
         assert twin == type(box)(box.table) and hash(twin) == hash(type(box)(box.table))
+
+
+def assert_like_fraction_built(box):
+    """box equals, hashes like and reprs like the box of the same type built
+    from its Fractions, and its view is the one integer_scaled gives."""
+    assert box.scaled == integer_scaled(box.table)
+    twin = type(box)(box.table)
+    assert box == twin and twin == box and not box != twin
+    assert hash(box) == hash(twin) and repr(box) == repr(twin)
+
+
+def test_view_built_boxes_match_fraction_built_ones():
+    # loads and apply_wiring build a box from its integer view alone; it must
+    # be the box that its own table builds.  Sources: the seeded boxes, valid
+    # and invalid, large coprime denominators and sweep-mixed pool mixtures.
+    rng = random.Random(SEED + 12)
+    valid, invalid = seeded_boxes()
+    sources = valid + invalid + large_denominator_boxes() + odd_lcm_mixtures(rng)
+    sources += [mixture3(rng, pool_weights(rng)) for _ in range(4)]
+    names = ("class3", "class4", "class44", "pr", "uniform3", "uniform2", "deterministic(1,2,3)")
+    for box in sources + [builtin(n) for n in names]:
+        loaded = loads(dumps(box), check=False)
+        assert "table" not in vars(loaded)
+        assert_like_fraction_built(loaded)
+        assert loaded == box and loaded.scaled == box.scaled
+        assert_like_fraction_built(box)
+    wirings = [Wiring.parse(e) for e in dict.fromkeys(row.encoding for row in load_table_rows() if row.encoding)]
+    wirings += [enumerate_wirings(rng.choice(BIPARTITIONS))[rng.randrange(32768)] for _ in range(12)]
+    reduced = 0
+    for box in sources:
+        if box.n_parties == 3 and validate(box).is_valid:
+            for w in wirings:
+                eff = apply_wiring(box, w)
+                assert "table" not in vars(eff)
+                assert_like_fraction_built(eff)
+                reduced += eff.scaled[0] < box.scaled[0]
+    # the gcd that brings a view to lowest terms: class44 has scale 4, and
+    # the PR box it wires to has scale 2
+    assert apply_wiring(builtin("class44"), Wiring.parse(PARITY_WIRING)).scaled[0] == 2
+    assert reduced >= 100
 
 
 def inverse(p):

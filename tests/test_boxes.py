@@ -331,6 +331,29 @@ def test_loads_rejects_garbage():
         loads("box2\n01 0 | 0 0 = 1/2\n", check=False)  # bits are 0 or 1
 
 
+@pytest.mark.parametrize("value", ["1e-10000000", "1e-5000", "1E+4300", "0.5e-4300", "1_0e-4_300",
+                                   "0." + "0" * 4299 + "1"])
+def test_values_whose_ints_pass_4300_digits_are_refused(value):
+    # Fraction() would take seconds on 1e-10000000, a 33-million-bit
+    # denominator, and str() cannot print the 5001-digit one of 1e-5000.
+    with pytest.raises(ParseError, match=r"^line 3: value .* has more than 4300 digits"):
+        loads(f"box2\n0 0 | 0 0 = 1/2\n1 1 | 0 0 = {value}\n", check=False)
+    with pytest.raises(ParseError, match=r"^line 1: value .* has more than 4300 digits"):
+        parse_gyni_weights(f"0 0 0 = {value}\n")
+
+
+def test_values_with_exponents_up_to_4300_digits_still_parse():
+    assert loads("box2\n0 0 | 0 0 = 1e-10\n", check=False).table[0] == Fraction(1, 10**10)
+    # the largest ints still read: 10**4299 has 4300 digits
+    for value, expected in (("1e-4299", Fraction(1, 10**4299)), ("1e4299", Fraction(10**4299)),
+                            ("0.5e-4298", Fraction(1, 2 * 10**4298)), ("1e-0_10", Fraction(1, 10**10)),
+                            ("0." + "0" * 4298 + "1", Fraction(1, 10**4299))):
+        box = loads(f"box2\n0 0 | 0 0 = {value}\n", check=False)
+        assert box.table[0] == expected, value
+        assert loads(dumps(box), check=False) == box, value
+    assert parse_gyni_weights("0 0 0 = 2.5e-1\n0 1 1 = 25e-2\n1 0 1 = 0.025e1\n1 1 0 = 1/4\n").q[3] == Fraction(1, 4)
+
+
 def _parsed(parse, text, check):
     """(type, table) of the parsed box, or (exception type, message)."""
     try:

@@ -1,12 +1,14 @@
 import contextlib
 import hashlib
 import io
+import random
 from itertools import product
 
 import pytest
 
 from nsboxes import boxes, builtin, dump, loads
 from nsboxes.cli import load_table_rows, main
+from random_boxes import mixture3, pool_weights
 
 CLASS3_WIRING = "bp=B|AC order=C,A alpha=2 beta=4 gamma=170"
 PARITY_WIRING = "bp=A|BC order=B,C alpha=2 beta=15 gamma=102"
@@ -31,6 +33,24 @@ def test_validate_reports_failures(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "signalling" in out
+
+
+def test_values_past_4300_digits_are_parse_errors(tmp_path, capsys):
+    # str() cannot print the 5001-digit denominator of 1e-5000, so the value
+    # is refused with its line, not left to raise ValueError out of eval or
+    # validate
+    huge = tmp_path / "huge.box"
+    huge.write_text("box2\n0 0 | 0 0 = 1e-5000\n")
+    for argv in (("eval", str(huge), "--functional", "chsh"), ("validate", str(huge))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: line 2: value '1e-5000' has more than 4300 digits in its numerator or denominator\n"
+    # a box with an entry 1e-10 is still read, and valid
+    small = tmp_path / "small.box"
+    small.write_text("box2\n" + "".join(f"0 0 | {x} {y} = 1e-10\n1 1 | {x} {y} = 0.9999999999\n"
+                                        for x in BITS for y in BITS))
+    assert run(capsys, "validate", str(small)) == (0, "valid box2\n", "")
+    assert run(capsys, "eval", str(small), "--functional", "chsh") == (0, "2\n", "")
 
 
 def test_validate_parse_error(tmp_path, capsys):
@@ -530,8 +550,29 @@ PINNED_OUTPUTS = {
     "wire class44 11": "fc76191aceaa3e6c",
     "eval pr chsh-max": "452e39c241ac7c3d",
     "eval pr uffink-max": "42751d2ee956ba67",
+    "wire mixture 0": "da23fe66c7a40c2d",
+    "wire mixture 1": "7684c101b3fd6121",
+    "wire mixture 2": "d8e9f4666e71b690",
+    "wire mixture 3": "16a69548f46fae88",
+    "wire mixture 4": "e34967eff13945e5",
+    "wire mixture 5": "d8e9f4666e71b690",
+    "wire mixture 6": "7fc9567a81643828",
+    "wire mixture 7": "4d1a8fd2d09dd149",
+    "wire mixture 8": "ff0435db3bd832f1",
+    "wire mixture 9": "241fbb7e822ff7e0",
+    "wire mixture 10": "bf92d4fa12e702a1",
+    "wire mixture 11": "199791bd534e4bde",
+    "eval mixture k": "1a764f5d828f1788",
+    "eval class3 k": "b9490968067ba44d",
+    "eval class4 k": "c7b4ea6821495a8e",
+    "eval class44 k": "d2a8c09af5070265",
     "table1": "1f976219a05581da",
 }
+
+
+# the seed of the mixture file with large coprime denominators that
+# PINNED_OUTPUTS wires and evaluates
+MIXTURE_SEED = 34
 
 
 def pinned_outputs(tmp_path):
@@ -546,6 +587,14 @@ def pinned_outputs(tmp_path):
             argvs[f"wire {name} {k}"] = ("wire", f"builtin:{name}", "--wiring", encoding)
     for functional in ("chsh-max", "uffink-max"):
         argvs[f"eval pr {functional}"] = ("eval", "builtin:pr", "--functional", functional)
+    # a mixture with large coprime denominators, as in the sweep-mixed pool
+    rng = random.Random(MIXTURE_SEED)
+    mixture = tmp_path / "mixture.box"
+    dump(mixture3(rng, pool_weights(rng)), mixture)
+    for k, encoding in enumerate(wirings):
+        argvs[f"wire mixture {k}"] = ("wire", str(mixture), "--wiring", encoding)
+    for name, ref in (("mixture", str(mixture)), *((n, f"builtin:{n}") for n in ("class3", "class4", "class44"))):
+        argvs[f"eval {name} k"] = ("eval", ref, "--functional", "k")
     argvs["table1"] = ("table1",)
     digests = {}
     for key, argv in argvs.items():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nsboxes
-from nsboxes import builtin, validate
+from nsboxes import builtin, dumps, loads, validate
 from nsboxes.bell import GyniWeights, IcVerdict
 from nsboxes.boxes import Box2, Box3, Relabeling, ValidationReport, _Table, _Value
 from nsboxes.cli import TableRow
@@ -112,10 +112,14 @@ def test_literal_reprs():
 def test_normalised_fields_and_cached_properties_fill():
     box = Box2(list(map(str, builtin("pr").table)))
     assert box == builtin("pr") and type(box.table) is tuple
-    for name in ("scaled", "report"):
-        assert name not in vars(box)
-        value = getattr(box, name)
-        assert vars(box)[name] is value
+    assert vars(box)["scaled"] == (2, (1, 0, 0, 1) * 3 + (0, 1, 1, 0))
+    # a box read from a file holds its view alone until its table is read
+    loaded = loads(dumps(box))
+    for x, name in ((box, "report"), (loaded, "table")):
+        assert name not in vars(x)
+        value = getattr(x, name)
+        assert vars(x)[name] is value
+    assert loaded.table == box.table
     assert box.report is validate(box) and box.report.is_valid
     problem = FamilyProblem(*CASES[FamilyProblem][1])
     assert "rhs" not in vars(problem)

@@ -262,10 +262,10 @@ def test_integer_kernel_matches_oracle_on_odd_scales():
             assert dumps(eff) == box_oracle.dumps(Box2(expected)), w.encode()
 
 
-def test_effective_box_builds_its_integer_view_on_read():
-    # apply_wiring writes no view into the box it returns; the one built on
-    # first read is integer_scaled of the effective table, zero entries
-    # included.
+def test_effective_box_builds_its_table_on_read():
+    # apply_wiring builds the box it returns from its integer view alone,
+    # reduced to the one integer_scaled gives on the effective table, zero
+    # entries included; the table is built on first read.
     rng = random.Random(SEED + 6)
     boxes = [builtin(n) for n in ("class3", "class4", "class44", "uniform3")]
     boxes += [builtin("deterministic(%d,%d,%d)" % t) for t in ((0, 0, 0), (1, 2, 3), (3, 1, 2))]
@@ -276,8 +276,9 @@ def test_effective_box_builds_its_integer_view_on_read():
     for box in boxes:
         for w in wirings:
             eff = apply_wiring(box, w)
-            assert "scaled" not in vars(eff), w.encode()
+            assert "table" not in vars(eff), w.encode()
             assert eff.scaled == integer_scaled(eff.table), w.encode()
+            assert vars(eff)["table"] is eff.table, w.encode()
             zeros += 0 in eff.scaled[1]
     assert zeros >= 100
 
