@@ -1,12 +1,12 @@
 """Bell-type functionals and information-causality witnesses.
 
 Correlators use the 0 -> +1, 1 -> -1 output convention.  The fixed CHSH
-and Uffink forms and the information-causality bounds on them are defined
-below (_CHSH, _UFFINK, _ic_bounds_broken); the *_max variants take the
-maximum of the fixed form over the full 128-element bipartite relabeling
-group (party swap, input flips, per-input output flips), so they are
-relabeling invariants.  Those maxima are written in closed form on the
-correlator columns, so no relabeling is built.
+and Uffink forms and the information-causality bounds on them
+(_ic_bounds_broken) are below; the *_max variants take the maximum of the
+fixed form over the full 128-element bipartite relabeling group (party
+swap, input flips, per-input output flips), so they are relabeling
+invariants.  Forms and maxima alike are closed forms in ints on the
+correlators of the box's integer view, so no relabeling is built.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from .boxes import (
 )
 
 
-# Coefficient vectors on the correlator table (E00, E01, E10, E11): the CHSH
-# form E00 + E01 + E10 - E11, and the two brackets of the Uffink form
-# (E00 + E10)^2 + (E01 - E11)^2.
-_CHSH = (1, 1, 1, -1)
-_UFFINK = ((1, 0, 1, 0), (0, 1, 0, -1))
-
-
 def _ic_bounds_broken(chsh_value: Fraction, uffink_value: Fraction) -> tuple[bool, bool]:
     """Whether chsh_value (squared) and uffink_value each break the bound
     that information causality sets on it; either one witnesses a
@@ -53,17 +46,18 @@ def correlator_table(box: Box2) -> tuple[Fraction, Fraction, Fraction, Fraction]
     return tuple(Fraction(e, scale) for e in block_correlators(t))
 
 
-def _dot(c, e):
-    return c[0] * e[0] + c[1] * e[1] + c[2] * e[2] + c[3] * e[3]
-
-
 def chsh(box: Box2) -> Fraction:
-    return _dot(_CHSH, correlator_table(box))
+    """E00 + E01 + E10 - E11, in ints on the view as in chsh_max."""
+    scale, t = _require2(box, "chsh").scaled
+    x0, x1, y0, y1 = block_correlators(t)
+    return Fraction(x0 + x1 + y0 - y1, scale)
 
 
 def uffink(box: Box2) -> Fraction:
-    e = correlator_table(box)
-    return sum(_dot(b, e) ** 2 for b in _UFFINK)
+    """(E00 + E10)^2 + (E01 - E11)^2, in ints as in uffink_max."""
+    scale, t = _require2(box, "uffink").scaled
+    x0, x1, y0, y1 = block_correlators(t)
+    return Fraction((x0 + y0) ** 2 + (x1 - y1) ** 2, scale ** 2)
 
 
 def chsh_max(box: Box2) -> Fraction:

@@ -43,7 +43,6 @@ from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from pathlib import Path
 
 BITS = (0, 1)
 PARTY_NAMES = "ABC"
@@ -722,12 +721,16 @@ def loads(text: str, check: bool = True) -> Box:
     return box
 
 
-def _read_text(path) -> str:
+def _read_text(path, missing: str | None = None) -> str:
     """A file's text; a file that cannot be read (a directory, no
-    permission) or is not UTF-8 is a ParseError."""
+    permission) or is not UTF-8 is a ParseError, and with `missing` ("box",
+    "weights") a path naming no file is "no such {missing} file"."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
+        if missing and isinstance(exc, (FileNotFoundError, IsADirectoryError, NotADirectoryError)):
+            raise ParseError(f"no such {missing} file: {path}") from exc
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc

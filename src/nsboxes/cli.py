@@ -12,11 +12,11 @@ or parse error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from . import bell
 from .boxes import (
@@ -30,7 +30,7 @@ from .boxes import (
     _require3,
     builtin,
     dumps,
-    load,
+    loads,
     require_valid,
     validate,
 )
@@ -45,10 +45,7 @@ def _load_box(ref: str):
     """Box from a file path or a builtin: pseudo-path; no validation yet."""
     if ref.startswith(_BUILTIN_PREFIX):
         return builtin(ref[len(_BUILTIN_PREFIX):])
-    path = Path(ref)
-    if not path.is_file():
-        raise ParseError(f"no such box file: {ref}")
-    return load(path, check=False)
+    return loads(_read_text(ref, "box"), check=False)
 
 
 def _box_stem(ref: str) -> str:
@@ -57,15 +54,27 @@ def _box_stem(ref: str) -> str:
     if ref.startswith(_BUILTIN_PREFIX):
         name = ref[len(_BUILTIN_PREFIX):].strip()
         return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
-    return Path(ref).stem
+    name = os.path.basename(ref)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def _write(path, text: str) -> None:
     """Write an output file; an unwritable path is a usage error (exit 2)."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _text(value, form=str) -> str:
+    """form(value), the text of a value or (form=dumps) a box; an int of
+    more digits than str() takes (sys.get_int_max_str_digits) is a BoxError."""
+    try:
+        return form(value)
+    except ValueError as exc:
+        raise BoxError(f"cannot print a value: {exc}") from exc
 
 
 def _verdict_text(v: bell.IcVerdict) -> str:
@@ -92,24 +101,20 @@ def cmd_eval(args) -> int:
     require_valid(box)
     functional = args.functional
     if functional in ("chsh", "chsh-max", "uffink", "uffink-max"):
-        print(getattr(bell, functional.replace("-", "_"))(_require2(box, functional)))
+        print(_text(getattr(bell, functional.replace("-", "_"))(_require2(box, functional))))
         return 0
     if functional == "k":
-        print(bell.k_value(_require3(box, "k")))
+        print(_text(bell.k_value(_require3(box, "k"))))
         return 0
     # gyni
     box = _require3(box, "gyni")
     if args.q is None:
         weights = bell.GyniWeights.uniform_even_parity()
     else:
-        qpath = Path(args.q)
-        if not qpath.is_file():
-            raise ParseError(f"no such weights file: {args.q}")
-        weights = bell.parse_gyni_weights(_read_text(qpath))
+        weights = bell.parse_gyni_weights(_read_text(args.q, "weights"))
     value = bell.gyni_value(box, weights)
     bound = bell.gyni_bound(weights)
-    print(f"value = {value}")
-    print(f"bound = {bound}")
+    print(f"value = {_text(value)}\nbound = {_text(bound)}")
     print("violation" if value > bound else "no violation")
     return 0
 
@@ -120,8 +125,8 @@ def cmd_wire(args) -> int:
     eff = apply_wiring(box, wiring)
     chsh_v, uffink_v = bell.chsh_max(eff), bell.uffink_max(eff)
     verdict = bell.IcVerdict.from_values(chsh_v, uffink_v)
-    summary = f"chsh_max = {chsh_v}, uffink_max = {uffink_v}, {_verdict_text(verdict)}"
-    text = dumps(eff)
+    summary = f"chsh_max = {_text(chsh_v)}, uffink_max = {_text(uffink_v)}, {_verdict_text(verdict)}"
+    text = _text(eff, dumps)
     if args.out is not None:
         _write(args.out, text)
         print(summary)
@@ -141,7 +146,7 @@ def cmd_search(args) -> int:
         else (args.functional.replace("-", "_"),)
     )
     results = search_max_all(box, names)
-    parts = [f"{name} = {results[name][1]}" for name in names]
+    parts = [f"{name} = {_text(results[name][1])}" for name in names]
     if args.functional == "both":
         verdict = bell.IcVerdict.from_values(
             results["chsh_max"][1], results["uffink_max"][1]
@@ -180,11 +185,9 @@ def cmd_membership(args) -> int:
             suffix = f"tobl.{bp.name.replace('|', '-')}"
         feasible = cert.feasible
         cert_text = cert.to_text()
-    cert_path = (
-        Path(args.certificate)
-        if args.certificate is not None
-        else Path(f"{_box_stem(args.box)}.{suffix}.cert")
-    )
+    cert_path = args.certificate
+    if cert_path is None:
+        cert_path = f"{_box_stem(args.box)}.{suffix}.cert"
     _write(cert_path, cert_text)
     print("feasible" if feasible else "infeasible")
     print(f"certificate: {cert_path}")
@@ -204,13 +207,9 @@ class TableRow(_Value):
 
 @cache
 def load_table_rows() -> tuple[TableRow, ...]:
-    """The rows of the packaged table1.tsv, read once per process; the
-    rows are frozen, so every caller shares them."""
-    # Imported here, as only table1 reads the TSV: importlib.resources
-    # would otherwise add to the start-up of every command.
-    from importlib import resources
-
-    text = resources.files("nsboxes").joinpath("table1.tsv").read_text()
+    """The rows of table1.tsv, installed beside this module, read once per
+    process; the rows are frozen, so every caller shares them."""
+    text = _read_text(os.path.join(os.path.dirname(__file__), "table1.tsv"))
     rows = []
     header = None
     for raw in text.splitlines():
@@ -243,21 +242,25 @@ def _collect_boxes(boxes_dir: str | None, classes) -> dict[int, Box3]:
             4: builtin("class4"),
             44: builtin("class44"),
         }
-    root = Path(boxes_dir)
-    if not root.is_dir():
-        raise _Usage(f"no such directory: {boxes_dir}")
+    try:
+        names = sorted(os.listdir(boxes_dir))
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise _Usage(f"no such directory: {boxes_dir}") from exc
+    except OSError as exc:
+        raise _Usage(f"cannot read {boxes_dir}: {exc.strerror or exc}") from exc
     paths = {}
-    for path in sorted(root.iterdir()):
-        m = _CLASS_FILE_RE.fullmatch(path.name)
+    for name in names:
+        m = _CLASS_FILE_RE.fullmatch(name)
         if not m:
             continue
+        path = os.path.join(boxes_dir, name)
         cls = int(m.group(1))
         if cls not in classes:
             raise ParseError(f"{path}: table1.tsv has no class {cls}")
         if cls in paths:
             raise ParseError(f"{paths[cls]} and {path} both name class {cls}")
         paths[cls] = path
-    return {cls: load(path, check=False) for cls, path in paths.items()}
+    return {cls: loads(_read_text(path), check=False) for cls, path in paths.items()}
 
 
 def _flag(computed: Fraction, recorded: str, threshold_exceeded: bool) -> str:
@@ -289,7 +292,7 @@ def _table1_line(row: TableRow, box: Box3) -> str:
     flags = {_flag(chsh_v, row.chsh, chsh_broken), _flag(uffink_v, row.uffink, uffink_broken)}
     flags.discard("ok")
     flag = "ok" if not flags else ("!=" if len(flags) == 2 else flags.pop())
-    return f"{row.cls}\t{wiring_text}\t{chsh_v}\t{uffink_v}\t{row.chsh}\t{row.uffink}\t{flag}"
+    return f"{row.cls}\t{wiring_text}\t{_text(chsh_v)}\t{_text(uffink_v)}\t{row.chsh}\t{row.uffink}\t{flag}"
 
 
 def cmd_table1(args) -> int:

@@ -16,7 +16,6 @@ argument most significant.  So alpha is 2 bits (index s'), beta 4 bits
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from functools import cache
 from fractions import Fraction
@@ -142,7 +141,7 @@ class Wiring(_Value):
             )
         # int() would also take "0_2", "+4" or non-ASCII digits.
         digits = [fields[k] for k in ("alpha", "beta", "gamma")]
-        if not all(re.fullmatch(r"[0-9]+", v) for v in digits):
+        if not all(v.isascii() and v.isdigit() for v in digits):
             raise ParseError("alpha, beta, gamma must be integers")
         alpha, beta, gamma = map(int, digits)
         return cls(bp, 0 if first == bp.pair[0] else 1, alpha, beta, gamma)

@@ -77,6 +77,10 @@ def test_orbit_max_matches_brute_force_on_random_boxes():
     assert sum(1 for b in boxes if min(b.table) < 0) >= 10
     for box in boxes:
         assert (chsh_max(box), uffink_max(box)) == oracle_orbit_maxima(box)
+        # the fixed forms, against the oracle's coefficient vectors
+        e = box_oracle.correlator_table(box)
+        assert chsh(box) == box_oracle.dot(box_oracle.CHSH, e)
+        assert uffink(box) == sum(box_oracle.dot(b, e) ** 2 for b in box_oracle.UFFINK)
 
 
 def test_orbit_max_invariant_under_relabeling():

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
 from itertools import product
 
@@ -51,6 +52,22 @@ def test_values_past_4300_digits_are_parse_errors(tmp_path, capsys):
                                         for x in BITS for y in BITS))
     assert run(capsys, "validate", str(small)) == (0, "valid box2\n", "")
     assert run(capsys, "eval", str(small), "--functional", "chsh") == (0, "2\n", "")
+
+
+def test_values_that_print_past_4300_digits_are_box_errors(tmp_path, capsys):
+    # each entry has at most 3000 digits, but uffink_max divides by the
+    # square of the 3000-digit scale, which str() cannot print
+    half = "0.4" + "9" * 2998
+    rest = "0." + "0" * 2998 + "1"
+    huge = tmp_path / "huge.box"
+    huge.write_text("box2\n" + "".join(f"{a} {a} | {x} {y} = 1/2\n" for x, y in ((0, 0), (0, 1), (1, 0)) for a in BITS)
+                    + f"0 0 | 1 1 = {half}\n1 1 | 1 1 = {half}\n0 1 | 1 1 = {rest}\n1 0 | 1 1 = {rest}\n")
+    assert run(capsys, "validate", str(huge)) == (0, "valid box2\n", "")
+    code, out, err = run(capsys, "eval", str(huge), "--functional", "chsh-max")
+    assert code == 0 and len(out) > 3000
+    code, out, err = run(capsys, "eval", str(huge), "--functional", "uffink-max")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot print a value: ") and err.count("\n") == 1
 
 
 def test_validate_parse_error(tmp_path, capsys):
@@ -484,6 +501,42 @@ def test_unreadable_box_file_is_a_parse_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error: no such box file: ")
     code, _, err = run(capsys, "eval", "builtin:class4", "--functional", "gyni", "--q", str(tmp_path / "class3.box"))
     assert code == 2 and err.startswith("error: no such weights file: ")
+
+
+def _pipe_holding(text):
+    """The /dev/fd path of the read end of a pipe holding text."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    return r, f"/dev/fd/{r}"
+
+
+def test_box_and_weights_files_may_be_pipes(capsys):
+    # a path that is not a regular file is read, not refused
+    r, path = _pipe_holding(boxes.dumps(builtin("class44")))
+    try:
+        assert run(capsys, "validate", path) == (0, "valid box3\n", "")
+    finally:
+        os.close(r)
+    r, path = _pipe_holding("0 0 0 = 1/4\n0 1 1 = 1/4\n1 0 1 = 1/4\n1 1 0 = 1/4\n")
+    try:
+        piped = run(capsys, "eval", "builtin:class44", "--functional", "gyni", "--q", path)
+    finally:
+        os.close(r)
+    assert piped == run(capsys, "eval", "builtin:class44", "--functional", "gyni")
+    assert piped[0] == 0
+
+
+def test_table1_unlistable_directory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def denied(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "listdir", denied)
+    code, out, err = run(capsys, "table1", "--boxes", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {tmp_path}: Permission denied\n"
 
 
 # Invalid box files, one per failure kind and one with all three.

@@ -92,7 +92,7 @@ REACHED = [
     (nsboxes, "dump"),
     (nsboxes, "mix"),
     *((cli, name) for name in (
-        "dumps", "validate", "apply_wiring", "search_max_all", "is_local", "is_tobl",
+        "loads", "dumps", "validate", "apply_wiring", "search_max_all", "is_local", "is_tobl",
     )),
     (boxes, "validate"),
     *((bell, name) for name in ("chsh", "uffink", "uffink_max", "k_value", "gyni_value")),

@@ -127,14 +127,14 @@ def test_normalised_fields_and_cached_properties_fill():
     assert GyniWeights(["1/4", 0, 0, "1/4", 0, "1/4", "1/4", 0]) == GyniWeights.uniform_even_parity()
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_importlib_resources():
+def test_importing_the_cli_loads_neither_dataclasses_importlib_resources_nor_pathlib():
     """In a fresh interpreter without site, whose .pth files may import
-    importlib.resources first: only table1 reads the packaged TSV, and no
-    value type generates code at import."""
+    importlib.resources or pathlib first: files are opened by path strings,
+    and no value type generates code at import."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import nsboxes.cli; print(*sorted(set(sys.modules) - before))")
     src = str(Path(nsboxes.__file__).resolve().parent.parent)
     added = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
                            check=True, timeout=60).stdout.split()
     assert "nsboxes.cli" in added
-    assert not {"dataclasses", "importlib.resources"} & set(added)
+    assert not {"dataclasses", "importlib.resources", "pathlib"} & set(added)
