@@ -28,8 +28,6 @@ from .boxes import (
     InexactValueError,
     InvalidBoxError,
     ParseError,
-    Relabeling,
-    RelabelingError,
     UnknownBuiltinError,
     ValidationReport,
     builtin,
@@ -42,7 +40,7 @@ from .boxes import (
     require_valid,
     validate,
 )
-from .lp import LPCertificate, LPError, LPProblem, lp_feasible
+from .lp import LPCertificate, LPError, lp_feasible
 from .membership import is_local, is_tobl, local_problem, tobl_problem
 from .wiring import (
     BIPARTITIONS,
@@ -68,10 +66,7 @@ __all__ = [
     "InvalidBoxError",
     "LPCertificate",
     "LPError",
-    "LPProblem",
     "ParseError",
-    "Relabeling",
-    "RelabelingError",
     "UnknownBuiltinError",
     "ValidationReport",
     "Wiring",

@@ -30,10 +30,9 @@ Outputs map to dichotomic observables as 0 -> +1, 1 -> -1.
 This module is the one place that knows that layout.  Per arity it keeps
 each party's index weights and the (outputs, inputs) decoded for every flat
 index; validation, correlators and serialization read entries by
-flat index through these, or flip one party's bits on the weights.  A
-relabeling is a permutation of flat indices (`Relabeling.permutation`), so
-applying one is a single pass over the table.  `block_correlators` gives the
-correlators of the last two parties, which `bell` and the wiring sweep share.
+flat index through these, or flip one party's bits on the weights.
+`block_correlators` gives the correlators of the last two parties, which
+`bell` and the wiring sweep share.
 """
 
 from __future__ import annotations
@@ -66,7 +65,11 @@ class InvalidBoxError(BoxError):
 
     def __init__(self, report: "ValidationReport"):
         self.report = report
-        super().__init__("; ".join(report.lines()) or "invalid box")
+        try:
+            message = "; ".join(report.lines()) or "invalid box"
+        except BoxError as exc:  # a residual too long to print
+            message = f"invalid box; {exc}"
+        super().__init__(message)
 
 
 class ParseError(BoxError):
@@ -83,6 +86,15 @@ class InexactValueError(BoxError):
     anything but an int, a Fraction, a Decimal or a string that Fraction()
     parses, floats and bools included, and in an LP problem or certificate
     anything but an int or a Fraction."""
+
+
+def _text(value, form=str) -> str:
+    """form(value), the text of a value or (form=dumps) a box; an int of
+    more digits than str() takes (sys.get_int_max_str_digits) is a BoxError."""
+    try:
+        return form(value)
+    except ValueError as exc:
+        raise BoxError(f"cannot print a value: {exc}") from exc
 
 
 def _exact(v) -> Fraction:
@@ -324,15 +336,16 @@ class ValidationReport(_Value):
         )
 
     def lines(self) -> list[str]:
+        """One line per failure; a value too long to print is a BoxError (_text)."""
         out = []
         for outs, ins, v in self.negative_entries:
-            out.append(f"negative entry P{outs}|{ins} = {v}")
+            out.append(f"negative entry P{outs}|{ins} = {_text(v)}")
         for ins, total in self.normalization_failures:
-            out.append(f"normalization failed at inputs {ins}: total {total}")
+            out.append(f"normalization failed at inputs {ins}: total {_text(total)}")
         for party, outs, ins, v0, v1 in self.signalling_failures:
             out.append(
                 f"signalling by party {party}: rest marginal at outputs {outs}, "
-                f"inputs {ins} is {v0} for input 0 but {v1} for input 1"
+                f"inputs {ins} is {_text(v0)} for input 0 but {_text(v1)} for input 1"
             )
         return out
 
@@ -435,61 +448,6 @@ def _correlation(t, n: int, parties, inputs) -> int:
     # flat index with output bits 0.
     start = pack((0,) * n, ins)
     return sum(-v if (j & mask).bit_count() % 2 else v for j, v in enumerate(t[start : start + 2 ** n]))
-
-
-class RelabelingError(BoxError):
-    """Relabeling fields that describe no local symmetry."""
-
-
-class Relabeling(_Value):
-    """Local symmetry: permute parties, flip inputs, flip outputs per input.
-
-    party_perm[i] is the old party whose role the new slot i takes over;
-    input_flips[i] is XORed onto slot i's input; output_flips[i][v] is XORed
-    onto slot i's output when its (new) input is v.
-
-    `permutation`, built once with the relabeling, maps each flat index of
-    the relabeled table to the flat index of the old table it reads; the
-    relabelings compose and invert as these permutations do.  It is not a
-    field: equality, hashing and repr read the three fields above.
-    """
-
-    party_perm: tuple[int, ...]
-    input_flips: tuple[int, ...]
-    output_flips: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        perm, pairs = self.party_perm, self.output_flips
-        # a list field would make the frozen value unhashable
-        fields = (perm, self.input_flips, pairs)
-        if not all(type(f) is tuple for f in fields) or not all(type(f) is tuple for f in pairs):
-            raise RelabelingError(
-                f"relabeling fields and output flip pairs must be tuples, got "
-                f"{perm!r}, {self.input_flips!r} and {pairs!r}"
-            )
-        n = len(perm)
-        if n not in (2, 3) or not _all_in(perm, range(n)) or len(set(perm)) != n:
-            raise RelabelingError(
-                f"party_perm {perm} is not a permutation of 2 or 3 parties"
-            )
-        if len(self.input_flips) != n or len(pairs) != n or not all(len(f) == 2 for f in pairs):
-            raise RelabelingError(
-                f"input_flips {self.input_flips} and output_flips {pairs} "
-                f"need {n} entries each, output flips in pairs"
-            )
-        flips = (*self.input_flips, *(f for pair in pairs for f in pair))
-        if not _all_in(flips, BITS):
-            raise RelabelingError(f"flips must be 0 or 1, got {flips}")
-        iw, ow = _IN_W[n], _OUT_W[n]
-        index = tuple(
-            sum(
-                (ins[s] ^ self.input_flips[s]) * iw[p]
-                + (outs[s] ^ self.output_flips[s][ins[s]]) * ow[p]
-                for s, p in enumerate(perm)
-            )
-            for outs, ins in _ENTRIES[n]
-        )
-        object.__setattr__(self, "permutation", index)
 
 
 def _all_in(values, allowed) -> bool:

@@ -28,6 +28,7 @@ from .boxes import (
     _read_text,
     _require2,
     _require3,
+    _text,
     builtin,
     dumps,
     loads,
@@ -66,15 +67,6 @@ def _write(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _text(value, form=str) -> str:
-    """form(value), the text of a value or (form=dumps) a box; an int of
-    more digits than str() takes (sys.get_int_max_str_digits) is a BoxError."""
-    try:
-        return form(value)
-    except ValueError as exc:
-        raise BoxError(f"cannot print a value: {exc}") from exc
 
 
 def _verdict_text(v: bell.IcVerdict) -> str:

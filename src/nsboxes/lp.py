@@ -10,9 +10,7 @@ and right strategies, each a sparse list of (row, coefficient) pairs, rows
 ascending; column base + i * len(rights) + j has the entries lefts[i] +
 rights[j].  Every left row of a family precedes its right rows (Family
 raises LPError otherwise), so a row meets a family on one side only.  A
-problem is a FamilyProblem, which expands its rows only when they are read;
-LPProblem builds one from rows, as one family whose left strategies are the
-columns and whose one right strategy is empty.
+problem is a FamilyProblem, which expands its rows only when they are read.
 
 The solver works on strategies, never on expanded columns.  The presolve
 removes rows with zero right-hand side whose live coefficients share one
@@ -222,7 +220,7 @@ class FamilyProblem(_Value):
 
     @cached_property
     def rows(self) -> tuple:
-        """The expanded rows as LPProblem takes them, nonzero entries, columns ascending."""
+        """The expanded rows (entries, rhs): nonzero (column, coefficient) pairs, columns ascending."""
         entries: list[list] = [[] for _ in self.rhs]
         for fam in self.columns.families:
             col = fam.base
@@ -233,40 +231,6 @@ class FamilyProblem(_Value):
                         entries[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (col, coeff)))
                     col += 1
         return tuple(zip(map(tuple, entries), self.rhs))
-
-
-def LPProblem(num_vars: int, rows) -> FamilyProblem:
-    """A x = b, x >= 0 given by rows, as the FamilyProblem of one family
-    whose left strategies are the columns and whose one right is empty.
-    rows is a tuple of (entries, rhs) with entries a tuple of (column,
-    coefficient) pairs; zero coefficients are allowed and dropped.  A
-    num_vars that is not an int (a bool is not), rows or entries that are
-    not a tuple of pairs, or a column that is not an int, lies outside
-    0..num_vars-1 or is listed twice in one row raises LPError.
-    Coefficients and right-hand sides must be int or Fraction; anything
-    else (a float, a bool, a str, a Decimal) raises InexactValueError.
-    The problem states the right-hand sides by integer_scaled of them."""
-    if type(num_vars) is not int:
-        raise LPError(f"number of columns {num_vars!r} is not an int")
-    columns: list[list] = [[] for _ in range(num_vars)]
-    for row, (entries, rhs) in enumerate(_pairs(rows, "rows")):
-        if not _is_exact(rhs):
-            raise InexactValueError(f"right-hand side {rhs!r} is not an int or a Fraction")
-        seen = set()
-        for col, coeff in _pairs(entries, f"entries of row {row}"):
-            if type(col) is not int:
-                raise LPError(f"column {col!r} is not an int")
-            if not 0 <= col < num_vars:
-                raise LPError(f"column {col} out of range")
-            if col in seen:
-                raise LPError(f"column {col} listed twice in one row")
-            seen.add(col)
-            if not _is_exact(coeff):
-                raise InexactValueError(f"coefficient {coeff!r} in column {col} is not an int or a Fraction")
-            if coeff:
-                columns[col].append((row, coeff))
-    family = Family(0, tuple(map(tuple, columns)), ((),))
-    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), integer_scaled(v for _, v in rows))
 
 
 class LPCertificate(_Value):

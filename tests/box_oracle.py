@@ -2,8 +2,10 @@
 in nsboxes.boxes and nsboxes.bell are tested against, and the builtin boxes
 rebuilt from their defining formulas.  marginal and relabel have no
 counterpart in the library: the tests that trace parties out or move a box
-along its orbit use these.  all_relabelings2 builds the whole 128-element
-bipartite relabeling group, which the library never needs, and
+along its orbit use these.  A relabelling is a Relabeling record (party_perm,
+input_flips, output_flips), and relabel and relabel_table are the one
+implementation of applying it.  all_relabelings2 builds the whole
+128-element bipartite relabeling group, which the library never needs, and
 oracle_orbit_forms pushes the CHSH and Uffink forms through all of it, the
 orbit that the library's closed-form maxima are checked against.  loads is the
 line-by-line box file parser the library's table lookup replaced: a regex
@@ -16,6 +18,7 @@ and report types.
 """
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -26,7 +29,6 @@ from nsboxes import (
     Box3,
     BoxError,
     ParseError,
-    Relabeling,
     ValidationReport,
     require_valid,
 )
@@ -137,6 +139,12 @@ def correlator(box, parties, inputs):
         sign = -1 if sum(outs[p] for p in parties) % 2 else 1
         total += sign * prob(box, outs, tuple(ins))
     return total
+
+
+# A local symmetry: party_perm[i] is the old party whose role the new slot i
+# takes over; input_flips[i] is XORed onto slot i's input; output_flips[i][v]
+# is XORed onto slot i's output when its (new) input is v.
+Relabeling = namedtuple("Relabeling", "party_perm input_flips output_flips")
 
 
 def relabel_table(table, r):

@@ -1,6 +1,13 @@
-"""A row-form Fraction LP solver that nsboxes.lp is tested against.
+"""A row-form Fraction LP solver that nsboxes.lp is tested against, and
+row_problem, the tests' way to state an LP by its rows.
 
-solve() decides A x = b, x >= 0 on an LPProblem's rows and returns the
+row_problem(num_vars, rows) builds the FamilyProblem of one family whose
+left strategies are the columns and whose one right strategy is empty, so
+a hand-written or random system goes through the library's solver
+unchanged.  It checks nothing itself: Family, ColumnFamilies and
+FamilyProblem reject what they reject.
+
+solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
 zero right-hand side whose live coefficients share one sign, each killing
 its live columns in the row's entry order), the same Farkas lift, and
@@ -16,10 +23,25 @@ families.
 from collections import deque
 from fractions import Fraction
 
-from nsboxes.lp import LPCertificate, LPError
+from nsboxes.boxes import integer_scaled
+from nsboxes.lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, LPError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def row_problem(num_vars, rows):
+    """A x = b, x >= 0 given by rows of (entries, rhs), entries a tuple of
+    (column, coefficient) pairs, as one family: column j is left strategy
+    j, its nonzero coefficients in row order.  Zero coefficients are
+    dropped, and the right-hand sides are stated by integer_scaled."""
+    columns = [[] for _ in range(num_vars)]
+    for row, (entries, _) in enumerate(rows):
+        for col, coeff in entries:
+            if coeff:
+                columns[col].append((row, coeff))
+    family = Family(0, tuple(map(tuple, columns)), ((),))
+    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), integer_scaled(v for _, v in rows))
 
 
 def column_index(problem):

@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from box_oracle import all_relabelings2, from_entries, relabel
-from nsboxes import Box2, Relabeling, builtin, mix
+from box_oracle import Relabeling, all_relabelings2, from_entries, relabel
+from nsboxes import Box2, builtin, mix
 
 
 def random_ns_box2(rng):

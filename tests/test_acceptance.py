@@ -10,7 +10,6 @@ from nsboxes import (
     BIPARTITIONS,
     Box2,
     GyniWeights,
-    Relabeling,
     builtin,
     chsh_max,
     correlator_table,
@@ -24,7 +23,7 @@ from nsboxes import (
     uffink_max,
     validate,
 )
-from box_oracle import all_relabelings2, relabel
+from box_oracle import Relabeling, all_relabelings2, relabel
 from class4_model import class4_tobl_model
 from nsboxes.cli import load_table_rows
 from random_boxes import random_ns_box2

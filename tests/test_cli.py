@@ -70,6 +70,27 @@ def test_values_that_print_past_4300_digits_are_box_errors(tmp_path, capsys):
     assert err.startswith("error: cannot print a value: ") and err.count("\n") == 1
 
 
+HUGE_LCM_BOX = "box2\n" + "".join(f"0 0 | {x} {y} = 1/2\n1 1 | {x} {y} = 1/2\n" for x, y in ((0, 0), (0, 1), (1, 0))) + (
+    f"0 0 | 1 1 = 1/{10**3000 + 7}\n1 1 | 1 1 = 1/{10**2999 + 9}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("validate",), "cannot print a value: "),
+    (("eval", "--functional", "chsh"), "invalid box; cannot print a value: "),
+    (("membership", "--model", "ns"), "cannot print a value: "),
+], ids=["validate", "eval", "membership"])
+def test_residuals_too_long_to_print_are_error_lines(tmp_path, capsys, monkeypatch, argv, message):
+    # each entry has at most 3001 digits, but the xy = 11 total has the
+    # lcm of the two denominators, about 6000 digits, which str() cannot
+    # print in the report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.box").write_text(HUGE_LCM_BOX)
+    code, out, err = run(capsys, argv[0], "huge.box", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["huge.box"]  # no certificate written
+
+
 def test_validate_parse_error(tmp_path, capsys):
     bad = tmp_path / "junk.box"
     bad.write_text("box2\nnot an entry\n")

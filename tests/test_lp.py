@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
-from box_oracle import relabel
+from box_oracle import Relabeling, relabel
+from lp_oracle import row_problem
 from nsboxes import (
     BIPARTITIONS,
     InexactValueError,
-    Relabeling,
     builtin,
     is_local,
     is_tobl,
@@ -27,7 +27,6 @@ from nsboxes.lp import (
     FamilyProblem,
     LPCertificate,
     LPError,
-    LPProblem,
     _phase1,
     _presolve,
     lp_feasible,
@@ -37,7 +36,7 @@ F = Fraction
 
 
 def solve(num_vars, rows):
-    problem = LPProblem(
+    problem = row_problem(
         num_vars,
         tuple((tuple(entries), F(rhs)) for entries, rhs in rows),
     )
@@ -137,8 +136,9 @@ def test_fractional_solution():
 
 
 def test_column_out_of_range_rejected():
+    # two columns in a problem of one
     with pytest.raises(LPError):
-        LPProblem(1, ((((1, F(1)),), F(1)),))
+        ColumnFamilies(1, 1, (Family(0, (((0, F(1)),), ((0, F(1)),)), ((),)),))
 
 
 def test_certificate_text_formats():
@@ -196,7 +196,7 @@ def random_problem(rng, feasible):
             rhs = x[0]
         rows[0] = (entries, rhs)
         rows.append((entries, rhs + 1))
-    return LPProblem(n, tuple(rows))
+    return row_problem(n, tuple(rows))
 
 
 def test_random_systems_self_verify():
@@ -222,7 +222,7 @@ def test_degenerate_single_variable_chain():
     n = 12
     rows = [(((i, F(1)), (i + 1, F(-1))), F(0)) for i in range(n - 1)]
     rows.append((tuple((i, F(1)) for i in range(n)), F(1)))
-    problem = LPProblem(n, tuple(rows))
+    problem = row_problem(n, tuple(rows))
     cert = lp_feasible(problem)
     assert cert.feasible
     assert cert.verify(problem)
@@ -231,12 +231,16 @@ def test_degenerate_single_variable_chain():
 
 def test_float_coefficient_rejected():
     with pytest.raises(InexactValueError):
-        LPProblem(2, ((((0, 1), (1, 0.5)), F(1)),))
+        Family(0, (((0, 1),), ((0, 0.5),)), ((),))
+
+
+# x0 + x1 = b, the columns of a one-row problem
+ONE_ROW = ColumnFamilies(2, 1, (Family(0, (((0, 1),), ((0, 1),)), ((),)),))
 
 
 def test_float_rhs_rejected():
     with pytest.raises(InexactValueError):
-        LPProblem(2, ((((0, 1), (1, 1)), 0.1),))
+        FamilyProblem(ONE_ROW, (1, (0.1,)))
 
 
 @pytest.mark.parametrize(
@@ -246,17 +250,18 @@ def test_inexact_values_rejected(value):
     # Only int and Fraction are exact: a bool is not taken as 0 or 1, and a
     # str is not parsed.
     with pytest.raises(InexactValueError):
-        LPProblem(2, ((((0, 1), (1, value)), F(1)),))
+        Family(0, (((0, 1),), ((0, value),)), ((),))
     with pytest.raises(InexactValueError):
-        LPProblem(2, ((((0, 1), (1, 1)), value),))
+        FamilyProblem(ONE_ROW, (1, (value,)))
 
 
 def test_column_repeated_in_a_row_rejected():
     # x0 + x0 = 0, x0 + x1 = 1 is feasible at x1 = 1, but the presolve
     # counts the live entries of a row, so a repeated column used to empty
-    # the second row while x1 was still live.
+    # the second row while x1 was still live.  Column 0 then lists row 0
+    # twice, and its strategy's rows must ascend strictly.
     with pytest.raises(LPError):
-        LPProblem(2, ((((0, 1), (0, 1)), 0), (((0, 1), (1, 1)), 1)))
+        Family(0, (((0, 1), (0, 1), (1, 1)), ((1, 1),)), ((),))
 
 
 def basis_feasible(problem):
@@ -313,7 +318,7 @@ def small_system(rng):
         else:
             entries = tuple((j, F(rng.randrange(-2, 3))) for j in range(n) if rng.random() < 0.7)
             rows.append((entries, F(rng.randrange(-2, 3))))
-    return LPProblem(n, tuple(rows))
+    return row_problem(n, tuple(rows))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -421,7 +426,7 @@ def pinned_certificates():
     for name in ("class3", "class4", "class44", "pr"):
         certs[f"local {name}"] = is_local(builtin(name))
     for target in (F(-5, 4), F(-5, 4) - F(1, 100), F(0)):
-        certs[f"beale {target}"] = lp_feasible(LPProblem(8, tuple(BEALE + [(BEALE_OBJECTIVE, target)])))
+        certs[f"beale {target}"] = lp_feasible(row_problem(8, tuple(BEALE + [(BEALE_OBJECTIVE, target)])))
     rng = random.Random(TIE_SEED)
     systems = [small_system(rng) for _ in range(max(TIE_CASES) + 1)]
     for k in TIE_CASES:
@@ -482,7 +487,7 @@ def rescaled(rng, problem):
     for entries, rhs in problem.rows:
         r = F(rng.choice((1, -1)) * rng.randrange(1, 12), rng.randrange(1, 12))
         rows.append((tuple((col, r * coeff * col_scale[col]) for col, coeff in entries), r * rhs))
-    return LPProblem(problem.num_vars, tuple(rows))
+    return row_problem(problem.num_vars, tuple(rows))
 
 
 def live_columns(problem, pre):
@@ -497,7 +502,7 @@ def live_columns(problem, pre):
 
 
 def expanded(problem, keep=None):
-    """The LPProblem of a problem's column families, over the columns in
+    """The row_problem of a problem's column families, over the columns in
     keep only when given."""
     entries = [[] for _ in problem.rhs]
     for fam in problem.columns.families:
@@ -507,7 +512,7 @@ def expanded(problem, keep=None):
                 if keep is None or col in keep:
                     for row, coeff in left + right:
                         entries[row].append((col, coeff))
-    return LPProblem(problem.num_vars, tuple(zip(map(tuple, entries), problem.rhs)))
+    return row_problem(problem.num_vars, tuple(zip(map(tuple, entries), problem.rhs)))
 
 
 def phase1_agrees_with_oracle(problem):
@@ -634,7 +639,7 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
     spanning = requeued_steps = 0
     for _ in range(400):
         problem = family_system(rng)
-        rows = LPProblem(problem.num_vars, problem.rows)
+        rows = row_problem(problem.num_vars, problem.rows)
         cert = lp_feasible(problem)
         want, outcome = lp_oracle.solve(rows)
         assert cert.to_text() == want.to_text()
@@ -696,14 +701,14 @@ def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
     )), (1, (1, 0, 0, 0)))
     steps = [(r, s) for r, s, _ in _presolve(problem).steps]
     assert steps == [(3, 1), (2, 1), (1, 1)]
-    assert steps == [(r, s) for r, s, _ in lp_oracle.presolve(LPProblem(5, problem.rows))[2]]
+    assert steps == [(r, s) for r, s, _ in lp_oracle.presolve(row_problem(5, problem.rows))[2]]
     assert lp_feasible(problem).point == ((4, 1),)
 
 
 @pytest.mark.parametrize("name", ["class3", "class4", "class44", "pr", "uniform3"])
 def test_local_presolve_requeues_rows_as_the_row_form_oracle(name):
     problem = local_problem(builtin(name))
-    rows = LPProblem(problem.num_vars, problem.rows)
+    rows = row_problem(problem.num_vars, problem.rows)
     steps = _presolve(problem).steps
     assert [(r, s) for r, s, _ in steps] == [(r, s) for r, s, _ in lp_oracle.presolve(rows)[2]]
 
@@ -751,31 +756,31 @@ def test_inexact_certificate_values_rejected(value):
 
 
 def test_row_problem_is_one_family():
-    # LPProblem builds the FamilyProblem whose one family's lefts are the
+    # row_problem builds the FamilyProblem whose one family's lefts are the
     # columns; its rows read back as the nonzero entries, columns ascending.
-    problem = LPProblem(3, ((((2, F(1)), (0, 0), (1, F(-2))), F(1)), (((0, 3),), 0)))
+    problem = row_problem(3, ((((2, F(1)), (0, 0), (1, F(-2))), F(1)), (((0, 3),), 0)))
     assert isinstance(problem, FamilyProblem)
     (fam,) = problem.columns.families
     assert (fam.base, fam.lefts, fam.rights) == (0, (((1, 3),), ((0, F(-2)),), ((0, F(1)),)), ((),))
     assert problem.rhs == (F(1), 0)
     assert problem.rows == ((((1, F(-2)), (2, F(1))), F(1)), (((0, 3),), 0))
-    assert problem == LPProblem(3, problem.rows)
-    assert problem != LPProblem(3, ((((1, F(-2)), (2, F(1))), F(2)), (((0, 3),), 0)))
+    assert problem == row_problem(3, problem.rows)
+    assert problem != row_problem(3, ((((1, F(-2)), (2, F(1))), F(2)), (((0, 3),), 0)))
 
 
 def test_row_problem_states_its_integer_view():
-    # LPProblem states its right-hand sides by integer_scaled of them, so
+    # row_problem states its right-hand sides by integer_scaled of them, so
     # equal values give equal problems whatever their spelling, and rhs
     # reads them back as Fractions.
     entries = (((0, 1),), ((0, 1), (1, 1)), ((1, -1),), ((0, 2),))
-    problem = LPProblem(2, tuple(zip(entries, (F(1, 3), 0, F(-1, 2), 2))))
+    problem = row_problem(2, tuple(zip(entries, (F(1, 3), 0, F(-1, 2), 2))))
     assert problem.scaled == (6, (2, 0, -3, 12))
     assert problem.rhs == (F(1, 3), 0, F(-1, 2), 2)
     assert all(type(v) is Fraction for v in problem.rhs)
-    assert problem == LPProblem(2, tuple(zip(entries, (F(2, 6), F(0), F(-2, 4), F(4, 2)))))
-    assert LPProblem(0, ()).scaled == (1, ())
+    assert problem == row_problem(2, tuple(zip(entries, (F(2, 6), F(0), F(-2, 4), F(4, 2)))))
+    assert row_problem(0, ()).scaled == (1, ())
     # the sign of a row detected empty comes from B
-    assert lp_feasible(LPProblem(1, (((), F(-1, 3)),))).farkas == ((0, -1),)
+    assert lp_feasible(row_problem(1, (((), F(-1, 3)),))).farkas == ((0, -1),)
 
 
 @pytest.mark.parametrize("key", [True, 0.0, "0", None], ids=["bool", "float", "str", "None"])
@@ -816,19 +821,10 @@ def test_certificate_keys_must_be_ints(key):
     "index", [True, 1.0, 0.5, "1", None], ids=["bool", "integral float", "float", "str", "None"]
 )
 def test_lp_indices_must_be_ints(index):
-    # True used to be read as column or row 1, and the others raised a bare
+    # True used to be read as row 1, and the others raised a bare
     # TypeError when the problem was built or solved.
     with pytest.raises(LPError):
-        LPProblem(2, ((((index, 1),), 1),))
-    with pytest.raises(LPError):
         Family(0, (((index, 1),),), ((),))
-    # the same for the number of columns, and rows or entries that are not a
-    # tuple of pairs
-    with pytest.raises(LPError):
-        LPProblem(index, ((((0, 1),), 1),))
-    for rows in (index, ((index, 1),), (((index,), 1),)):
-        with pytest.raises(LPError):
-            LPProblem(1, rows)
 
 
 def test_certificate_keys_listed_once():

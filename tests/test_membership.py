@@ -6,15 +6,13 @@ from itertools import product
 import pytest
 
 import lp_oracle
-from box_oracle import relabel
+from box_oracle import Relabeling, relabel
 from class4_model import class4_tobl_model, lambda_index
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
     InexactValueError,
-    LPProblem,
     ParseError,
-    Relabeling,
     builtin,
     chsh_max,
     is_local,
@@ -242,7 +240,7 @@ def test_factored_tobl_matches_expanded_lp():
     outcomes = set()
     for box, bp in cases:
         problem = tobl_problem(box, bp)
-        want, outcome = lp_oracle.solve(LPProblem(problem.num_vars, problem.rows))
+        want, outcome = lp_oracle.solve(lp_oracle.row_problem(problem.num_vars, problem.rows))
         assert is_tobl(box, bp).to_text() == want.to_text(), bp.name
         outcomes.add(outcome)
     assert outcomes == {"arrival", "re-queue", "phase-1 farkas", "feasible"}
@@ -305,7 +303,7 @@ def test_factored_verification_rejects_tampered_certificates():
     for name in ("class4", "class44"):
         box = builtin(name)
         problem = tobl_problem(box, bp)
-        rows = LPProblem(problem.num_vars, problem.rows)
+        rows = lp_oracle.row_problem(problem.num_vars, problem.rows)
         cert = is_tobl(box, bp)
         assert cert.verify(problem) and cert.verify(rows)
         if cert.feasible:

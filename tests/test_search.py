@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
-from box_oracle import dot, from_entries, oracle_orbit_forms, relabel
+from box_oracle import Relabeling, dot, from_entries, oracle_orbit_forms, relabel
 from nsboxes import (
     BIPARTITIONS,
     Box2,
-    Relabeling,
     Wiring,
     builtin,
     chsh_max,

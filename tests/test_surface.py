@@ -20,10 +20,7 @@ PUBLIC = [
     "InvalidBoxError",
     "LPCertificate",
     "LPError",
-    "LPProblem",
     "ParseError",
-    "Relabeling",
-    "RelabelingError",
     "UnknownBuiltinError",
     "ValidationReport",
     "Wiring",
@@ -56,8 +53,11 @@ PUBLIC = [
 ]
 
 # What only tests used; it lives in tests/ (box_oracle, class4_model,
-# sos_identity, wiring_oracle) or is gone.
+# lp_oracle, sos_identity, wiring_oracle) or is gone.
 REMOVED = [
+    "LPProblem",
+    "Relabeling",
+    "RelabelingError",
     "SignallingError",
     "all_relabelings2",
     "class4_tobl_model",

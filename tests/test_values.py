@@ -12,7 +12,7 @@ import pytest
 import nsboxes
 from nsboxes import builtin, dumps, loads, validate
 from nsboxes.bell import GyniWeights, IcVerdict
-from nsboxes.boxes import Box2, Box3, Relabeling, ValidationReport, _Table, _Value
+from nsboxes.boxes import Box2, Box3, ValidationReport, _Table, _Value
 from nsboxes.cli import TableRow
 from nsboxes.lp import ColumnFamilies, Family, FamilyProblem, LPCertificate
 from nsboxes.wiring import Bipartition, Wiring
@@ -30,7 +30,6 @@ CASES = {
         ("negative_entries", "normalization_failures", "signalling_failures"),
         ((((0, 0), (0, 0), Fraction(-1, 2)),), (((0, 0), Fraction(1, 2)),), ()),
     ),
-    Relabeling: (("party_perm", "input_flips", "output_flips"), ((1, 0, 2), (0, 1, 0), ((0, 1), (1, 1), (0, 0)))),
     Family: (("base", "lefts", "rights"), (0, (((0, 1),), ((1, 1),)), (((2, 1),),))),
     ColumnFamilies: (("num_vars", "num_rows", "families"), (2, 3, (FAMILY,))),
     FamilyProblem: (("columns", "scaled"), (COLUMNS, (2, (1, 1, 2)))),
@@ -88,7 +87,7 @@ def test_bad_arguments_raise_type_error(cls):
 def test_values_are_immutable(cls):
     names, values = CASES[cls]
     x = cls(*values)
-    # vars(x) adds what is not a field, such as Relabeling.permutation
+    # vars(x) adds what is not a field, such as a box's integer view
     for name in {*names, *vars(x), "other"}:
         with pytest.raises(AttributeError):
             setattr(x, name, values[0])
@@ -103,8 +102,6 @@ def test_literal_reprs():
     assert repr(BP) == "Bipartition(solo=0, pair=(1, 2))"
     assert repr(Wiring(*CASES[Wiring][1])) == (
         "Wiring(bipartition=Bipartition(solo=0, pair=(1, 2)), ordering=1, alpha=2, beta=15, gamma=102)")
-    assert repr(Relabeling(*CASES[Relabeling][1])) == (
-        "Relabeling(party_perm=(1, 0, 2), input_flips=(0, 1, 0), output_flips=((0, 1), (1, 1), (0, 0)))")
     assert repr(LPCertificate(*CASES[LPCertificate][1])) == (
         "LPCertificate(feasible=False, point=None, farkas=((0, Fraction(-1, 2)), (3, 1)))")
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import wiring_oracle as oracle
-from box_oracle import relabel
-from nsboxes import BIPARTITIONS, Relabeling, Wiring, apply_wiring, builtin, mix
+from box_oracle import Relabeling, relabel
+from nsboxes import BIPARTITIONS, Wiring, apply_wiring, builtin, mix
 
 BITS = st.integers(0, 1)
 
