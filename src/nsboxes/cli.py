@@ -304,61 +304,60 @@ class _Usage(Exception):
     """Usage-level failure discovered after argparse (exit 2)."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+_BOX = ("box", {"help": "box file or builtin:<name>"})
+
+# (name, help, handler, arguments), each argument a (name, options) pair for
+# add_argument.
+_COMMANDS = (
+    ("validate", "check a box file", cmd_validate, (_BOX,)),
+    ("eval", "evaluate a functional on a box", cmd_eval, (
+        _BOX,
+        ("--functional", {"required": True, "choices": ["chsh", "chsh-max", "uffink", "uffink-max", "k", "gyni"]}),
+        ("--q", {"help": "guess-your-neighbour weights file (gyni only)"}),
+    )),
+    ("wire", "apply a wiring to a tripartite box", cmd_wire, (
+        _BOX,
+        ("--wiring", {"required": True, "help": "wiring encoding string"}),
+        ("--out", {"help": "write the effective box here instead of stdout"}),
+    )),
+    ("search", "maximize a functional over all wirings", cmd_search, (
+        _BOX,
+        ("--functional", {"default": "both", "choices": ["chsh-max", "uffink-max", "both"]}),
+    )),
+    ("membership", "exact LP membership tests", cmd_membership, (
+        _BOX,
+        ("--model", {"required": True, "choices": ["local", "ns", "tobl"]}),
+        ("--bipartition", {"help": "A|BC, B|AC or C|AB (tobl only)"}),
+        ("--certificate", {"help": "certificate output path"}),
+    )),
+    ("table1", "violation report over known classes", cmd_table1, (
+        ("--boxes", {"help": "directory of classNN.box files; default: built-in classes only"}),
+    )),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the argument list argv.  Every command is listed with
+    its help, which -h, the usage line and an unknown command's error read,
+    but only the commands named in argv get their arguments: argparse reads
+    a command's arguments only when the command is named."""
     parser = argparse.ArgumentParser(
         prog="nsboxes",
         description="Exact manipulation of tripartite no-signalling boxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a box file")
-    p.add_argument("box", help="box file or builtin:<name>")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("eval", help="evaluate a functional on a box")
-    p.add_argument("box", help="box file or builtin:<name>")
-    p.add_argument(
-        "--functional",
-        required=True,
-        choices=["chsh", "chsh-max", "uffink", "uffink-max", "k", "gyni"],
-    )
-    p.add_argument("--q", help="guess-your-neighbour weights file (gyni only)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("wire", help="apply a wiring to a tripartite box")
-    p.add_argument("box", help="box file or builtin:<name>")
-    p.add_argument("--wiring", required=True, help="wiring encoding string")
-    p.add_argument("--out", help="write the effective box here instead of stdout")
-    p.set_defaults(func=cmd_wire)
-
-    p = sub.add_parser("search", help="maximize a functional over all wirings")
-    p.add_argument("box", help="box file or builtin:<name>")
-    p.add_argument(
-        "--functional",
-        default="both",
-        choices=["chsh-max", "uffink-max", "both"],
-    )
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("membership", help="exact LP membership tests")
-    p.add_argument("box", help="box file or builtin:<name>")
-    p.add_argument("--model", required=True, choices=["local", "ns", "tobl"])
-    p.add_argument("--bipartition", help="A|BC, B|AC or C|AB (tobl only)")
-    p.add_argument("--certificate", help="certificate output path")
-    p.set_defaults(func=cmd_membership)
-
-    p = sub.add_parser("table1", help="violation report over known classes")
-    p.add_argument(
-        "--boxes",
-        help="directory of classNN.box files; default: built-in classes only",
-    )
-    p.set_defaults(func=cmd_table1)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name in argv:
+            for arg, options in arguments:
+                p.add_argument(arg, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)  # read twice below
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (_Usage, ParseError, UnknownBuiltinError) as exc:

@@ -71,16 +71,19 @@ def _pairs(seq, what: str):
 
 class Family(_Value):
     """Columns base + i * len(rights) + j with the entries lefts[i] +
-    rights[j].  Each strategy is a tuple of (row, coefficient) pairs, rows
-    strictly ascending ints (a bool is not one), coefficients nonzero;
-    every left row precedes every right row.  A breach raises LPError, and
-    a coefficient that is not an int or a Fraction raises InexactValueError."""
+    rights[j], base an int (a bool is not one).  Each strategy is a tuple
+    of (row, coefficient) pairs, rows strictly ascending ints, coefficients
+    nonzero; every left row precedes every right row.  A breach raises
+    LPError, and a coefficient that is not an int or a Fraction raises
+    InexactValueError."""
 
     base: int
     lefts: tuple
     rights: tuple
 
     def __post_init__(self):
+        if type(self.base) is not int:
+            raise LPError(f"family base {self.base!r} is not an int")
         for strategy in chain(self.lefts, self.rights):
             prev = -1
             for row, coeff in strategy:
@@ -100,14 +103,17 @@ class Family(_Value):
 
 class ColumnFamilies(_Value):
     """The columns of a problem with num_rows rows: families ascending by
-    base, not overlapping, inside 0..num_vars-1.  A column no family holds
-    has no entries."""
+    base, not overlapping, inside 0..num_vars-1, both counts ints (a bool is
+    not one).  A column no family holds has no entries."""
 
     num_vars: int
     num_rows: int
     families: tuple
 
     def __post_init__(self):
+        for what, count in (("num_vars", self.num_vars), ("num_rows", self.num_rows)):
+            if type(count) is not int:
+                raise LPError(f"{what} {count!r} is not an int")
         end = 0
         for fam in self.families:
             if fam.base < end:

@@ -6,16 +6,19 @@ import pytest
 import box_oracle
 from box_oracle import all_relabelings2, from_entries, relabel
 from nsboxes import (
+    BIPARTITIONS,
     ArityError,
     Box2,
     GyniWeights,
     IcVerdict,
     InexactValueError,
     ParseError,
+    apply_wiring,
     builtin,
     chsh,
     chsh_max,
     correlator_table,
+    enumerate_wirings,
     gyni_bound,
     gyni_value,
     k_value,
@@ -23,7 +26,7 @@ from nsboxes import (
     uffink,
     uffink_max,
 )
-from random_boxes import random_ns_box2
+from random_boxes import mixture3, pool_weights, random_ns_box2
 from sos_identity import _sos_residual, _times, sos_identity_check
 
 SEED = 48611
@@ -81,6 +84,23 @@ def test_orbit_max_matches_brute_force_on_random_boxes():
         e = box_oracle.correlator_table(box)
         assert chsh(box) == box_oracle.dot(box_oracle.CHSH, e)
         assert uffink(box) == sum(box_oracle.dot(b, e) ** 2 for b in box_oracle.UFFINK)
+
+
+def test_uffink_max_bounds_the_square_of_chsh_max():
+    # With u = E00 + E10 and v = E01 - E11, CHSH is u + v and Uffink is
+    # u^2 + v^2 >= (u + v)^2 / 2 in every relabelling, so chsh_max^2 > 8
+    # implies uffink_max > 4: the IC verdict needs only the Uffink test.
+    rng = random.Random(SEED + 2)
+    boxes = [random_ns_box2(rng) for _ in range(40)]
+    sources = [builtin(name) for name in ("class3", "class4", "class44", "uniform3")]
+    sources += [mixture3(rng, pool_weights(rng)) for _ in range(4)]
+    for box in sources:
+        boxes += [apply_wiring(box, rng.choice(enumerate_wirings(rng.choice(BIPARTITIONS)))) for _ in range(25)]
+    assert any(chsh_max(box) ** 2 > 8 for box in boxes)
+    for box in boxes:
+        assert 2 * uffink_max(box) >= chsh_max(box) ** 2
+    pr = builtin("pr")
+    assert 2 * uffink_max(pr) == chsh_max(pr) ** 2
 
 
 def test_orbit_max_invariant_under_relabeling():

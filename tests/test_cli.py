@@ -3,11 +3,12 @@ import hashlib
 import io
 import os
 import random
+import sys
 from itertools import product
 
 import pytest
 
-from nsboxes import boxes, builtin, dump, loads
+from nsboxes import boxes, builtin, cli, dump, loads
 from nsboxes.cli import load_table_rows, main
 from random_boxes import mixture3, pool_weights
 
@@ -486,6 +487,58 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and "only" in err, argv
     assert not cert.exists()
+
+
+# argument lists that argparse answers itself (help and usage errors), or
+# that only just reach a command; "search search" names a box path spelled
+# like a command
+PARSE_CORPUS = [
+    ("-h",),
+    (),
+    *((name, "-h") for name, *_ in cli._COMMANDS),
+    ("bogus", "builtin:class4"),
+    ("sea", "builtin:class4"),
+    ("eval", "builtin:pr"),
+    ("wire", "builtin:class44", "--wiring"),
+    ("eval", "builtin:pr", "--functional", "nonsense"),
+    ("--bogus", "search", "builtin:class4"),
+    ("search", "builtin:class4", "--bogus"),
+    ("search", "search"),
+    ("validate", "builtin:class3"),
+]
+
+
+def run_to_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parsing_matches_a_parser_with_every_command(argv, capsys, monkeypatch, tmp_path):
+    # build_parser adds only the named commands' arguments; the exit code and
+    # both streams match a parser that has every command's arguments
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    narrow = run_to_exit(capsys, list(argv))
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda _argv: build([name for name, *_ in cli._COMMANDS]))
+    assert run_to_exit(capsys, list(argv)) == narrow
+
+
+def test_each_command_help_lists_its_arguments(capsys):
+    for name, _help, _handler, arguments in cli._COMMANDS:
+        code, out, _ = run_to_exit(capsys, [name, "-h"])
+        assert code == 0 and all(arg in out for arg, _options in arguments), name
+
+
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["nsboxes", "validate", "builtin:class3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "valid box3\n"
 
 
 def test_box_file_that_is_not_utf8(tmp_path, capsys):

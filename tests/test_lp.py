@@ -827,6 +827,24 @@ def test_lp_indices_must_be_ints(index):
         Family(0, (((index, 1),),), ((),))
 
 
+ONE_COLUMN = Family(0, (((0, 1),),), ((),))
+
+
+@pytest.mark.parametrize(
+    "value", [True, 1.0, 1.5, "1", None], ids=["bool", "integral float", "float", "str", "None"]
+)
+@pytest.mark.parametrize("build", [
+    lambda value: Family(value, (((0, 1),),), ((),)),
+    lambda value: ColumnFamilies(value, 1, (ONE_COLUMN,)),
+    lambda value: ColumnFamilies(1, value, (ONE_COLUMN,)),
+], ids=["base", "num_vars", "num_rows"])
+def test_lp_bases_and_counts_must_be_ints(build, value):
+    # each used to build (True read as 1), or to raise a bare TypeError at
+    # the first comparison with a row or a column
+    with pytest.raises(LPError):
+        build(value)
+
+
 def test_certificate_keys_listed_once():
     # verify reads the pairs through dict(), which keeps the last value of a
     # repeated key: ((0, 0), (0, 1)) would verify on x0 + x1 = 1 while its
