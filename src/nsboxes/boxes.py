@@ -130,6 +130,12 @@ def integer_scaled(values) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
+def _integer_scaled(values: dict) -> tuple[int, dict]:
+    """(scale, {key: value * scale}), integer_scaled on a dict's values."""
+    scale, ints = integer_scaled(values.values())
+    return scale, dict(zip(values, ints))
+
+
 def _bits(value: int, width: int) -> tuple[int, ...]:
     """The low `width` bits of value, most significant first."""
     return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
@@ -622,7 +628,7 @@ def _read_entries(text: str, what: str, grammar=None) -> tuple[int, list[int]]:
 
     Each entry line is one lookup, or one pattern match and one lookup of
     its bit tokens; each distinct value text is parsed by Fraction() once
-    per call, and the scale is the lcm of those values' denominators."""
+    per call, and those values are scaled by _integer_scaled."""
     if not isinstance(text, str):
         raise ParseError(f"{what} file text must be a string, got {type(text).__name__}")
     pattern, index, names, miss = grammar or (None,) * 4
@@ -662,8 +668,7 @@ def _read_entries(text: str, what: str, grammar=None) -> tuple[int, list[int]]:
         entries[i] = value
     if pattern is None:
         raise ParseError(f"empty {what} file")
-    scale = lcm(*(v.denominator for v in values.values()))
-    scaled = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
+    scale, scaled = _integer_scaled(values)
     ints = [0] * len(names)
     for i, value in entries.items():
         ints[i] = scaled[value]

@@ -1,9 +1,10 @@
 """Exact rational linear feasibility with verifiable certificates.
 
-Problems are systems  A x = b, x >= 0  with sparse columns and int or
-Fraction data.  lp_feasible answers with either a feasible point or a Farkas
-witness y satisfying  y^T A <= 0 componentwise and y^T b > 0; both
-certificate kinds re-verify by direct substitution into the original system.
+Problems are systems  A x = b, x >= 0  with sparse int columns and a
+right-hand side stated by its integer view.  lp_feasible answers with
+either a feasible point or a Farkas witness y satisfying  y^T A <= 0
+componentwise and y^T b > 0; both certificate kinds re-verify by direct
+substitution into the original system.
 
 Columns come in product families.  A family is a base column id and left
 and right strategies, each a sparse list of (row, coefficient) pairs, rows
@@ -32,8 +33,7 @@ A problem states b by its integer view (beta, B), B = beta * b in lowest
 terms, and everything from the presolve to the check works on it.  The
 presolve reads a row's signs from the index's sign masks and its
 right-hand side from B.  It only tests a row with a nonzero right-hand
-side for a live column, stopping at the first.  The simplex
-scales the live coefficients apart from it (see _phase1) and keeps the
+side for a live column, stopping at the first.  The simplex keeps the
 basis inverse as integers times its determinant, updated fraction-free,
 with only the columns of basic structural variables stored.  Farkas
 witnesses found on the reduced system are lifted back through the presolve
@@ -49,16 +49,11 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 
-from .boxes import InexactValueError, _Value, _require, integer_scaled
+from .boxes import InexactValueError, _integer_scaled, _Value, _require
 
 
 class LPError(Exception):
     """Inconsistent solver state or malformed problem structure."""
-
-
-def _is_exact(value) -> bool:
-    """True for an int or a Fraction, False for a bool and anything else."""
-    return type(value) is int or isinstance(value, Fraction)
 
 
 def _pairs(seq, what: str):
@@ -71,11 +66,12 @@ def _pairs(seq, what: str):
 
 class Family(_Value):
     """Columns base + i * len(rights) + j with the entries lefts[i] +
-    rights[j], base an int (a bool is not one).  Each strategy is a tuple
-    of (row, coefficient) pairs, rows strictly ascending ints, coefficients
-    nonzero; every left row precedes every right row.  A breach raises
-    LPError, and a coefficient that is not an int or a Fraction raises
-    InexactValueError."""
+    rights[j], base an int (a bool is not one).  lefts and rights are
+    tuples of strategies, each a tuple of (row, coefficient) pairs, rows
+    strictly ascending ints, coefficients nonzero; every left row precedes
+    every right row.  A breach raises LPError, and a coefficient that is
+    not an int (a Fraction or a bool included) raises InexactValueError:
+    a rational system is stated with its rows scaled to integers."""
 
     base: int
     lefts: tuple
@@ -84,16 +80,19 @@ class Family(_Value):
     def __post_init__(self):
         if type(self.base) is not int:
             raise LPError(f"family base {self.base!r} is not an int")
+        for side in (self.lefts, self.rights):
+            if not isinstance(side, (tuple, list)):
+                raise LPError("a family's lefts and rights must be tuples of strategies")
         for strategy in chain(self.lefts, self.rights):
             prev = -1
-            for row, coeff in strategy:
+            for row, coeff in _pairs(strategy, "a strategy"):
                 if type(row) is not int:
                     raise LPError(f"row {row!r} is not an int")
                 if row <= prev:
                     raise LPError(f"rows of a strategy must ascend, got {row} after {prev}")
                 prev = row
-                if not _is_exact(coeff):
-                    raise InexactValueError(f"coefficient {coeff!r} in row {row} is not an int or a Fraction")
+                if type(coeff) is not int:
+                    raise InexactValueError(f"coefficient {coeff!r} in row {row} is not an int")
                 if not coeff:
                     raise LPError(f"zero coefficient in row {row}")
         last_left = max((s[-1][0] for s in self.lefts if s), default=-1)
@@ -102,9 +101,10 @@ class Family(_Value):
 
 
 class ColumnFamilies(_Value):
-    """The columns of a problem with num_rows rows: families ascending by
-    base, not overlapping, inside 0..num_vars-1, both counts ints (a bool is
-    not one).  A column no family holds has no entries."""
+    """The columns of a problem with num_rows rows: a tuple of Family,
+    ascending by base, not overlapping, inside 0..num_vars-1, both counts
+    nonnegative ints (a bool is not one), else LPError.  A column no family
+    holds has no entries."""
 
     num_vars: int
     num_rows: int
@@ -112,8 +112,10 @@ class ColumnFamilies(_Value):
 
     def __post_init__(self):
         for what, count in (("num_vars", self.num_vars), ("num_rows", self.num_rows)):
-            if type(count) is not int:
-                raise LPError(f"{what} {count!r} is not an int")
+            if type(count) is not int or count < 0:
+                raise LPError(f"{what} {count!r} is not a nonnegative int")
+        if not isinstance(self.families, (tuple, list)) or not all(type(f) is Family for f in self.families):
+            raise LPError("families must be a tuple of Family")
         end = 0
         for fam in self.families:
             if fam.base < end:
@@ -195,14 +197,16 @@ class FamilyProblem(_Value):
     """A x = b, x >= 0 with the columns given as families and b by its
     integer view scaled = (beta, B), B = beta * b in lowest terms, as
     integer_scaled gives it.  A beta or B entry that is not an int (a bool
-    is not one) raises InexactValueError; a view that is not a pair with B
-    a tuple, beta < 1, not one B entry per row or gcd(beta, *B) != 1 raises
-    LPError, so equal right-hand sides give equal problems."""
+    is not one) raises InexactValueError; columns that are not a
+    ColumnFamilies, a view that is not a pair with B a tuple, beta < 1, not
+    one B entry per row or gcd(beta, *B) != 1 raises LPError, so equal
+    right-hand sides give equal problems."""
 
     columns: ColumnFamilies
     scaled: tuple
 
     def __post_init__(self):
+        _require(self.columns, "FamilyProblem", ColumnFamilies, LPError)
         if not (type(self.scaled) is tuple and len(self.scaled) == 2 and type(self.scaled[1]) is tuple):
             raise LPError("the right-hand side must be a pair (beta, B), B a tuple")
         beta, b = self.scaled
@@ -264,7 +268,7 @@ class LPCertificate(_Value):
                 if key in seen:
                     raise LPError(f"certificate {kind} {key} listed twice")
                 seen.add(key)
-                if not _is_exact(v):
+                if not (type(v) is int or isinstance(v, Fraction)):
                     raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
 
     def verify(self, problem: FamilyProblem) -> bool:
@@ -299,13 +303,6 @@ class LPCertificate(_Value):
             for row, v in sorted(self.farkas or ()):
                 lines.append(f"{row} = {v}")
         return "\n".join(lines) + "\n"
-
-
-def _integer_scaled(values: dict) -> tuple[int, dict]:
-    """(scale, {key: value * scale}), boxes.integer_scaled on a dict's
-    values: ints of the same signs."""
-    scale, ints = integer_scaled(values.values())
-    return scale, dict(zip(values, ints))
 
 
 def _bit_ids(mask: int):
@@ -439,14 +436,8 @@ def _phase1(problem, pre: _Presolve):
 
     The updates are fraction-free (Bareiss, Math. Comp. 22, 1968).  Rows are
     signed so the right-hand side is nonnegative; it starts as its integer
-    view beta * b (problem.scaled), and the live coefficients are scaled by
-    the lcm alpha of their denominators only when one is not an int.  The
-    artificial columns stay the identity, so the duals c_B^T B^-1 do not
-    change, each reduced cost is multiplied by alpha > 0 and every ratio
-    x_B[i] / d[i] by beta / alpha: the pivots, ties and witness are kept,
-    and the point found, beta / alpha times the caller's, is returned
-    times alpha / beta.  A scale per row would change the duals and the
-    ratios.  With det the determinant of the basis, det * x_B and det *
+    view beta * b (problem.scaled), so the point found is beta times the
+    caller's.  With det the determinant of the basis, det * x_B and det *
     B^-1 are integers.  A pivot on row r with entry piv maps every other row v_i to
     (piv * v_i - d_i * v_r) // det, an exact division, keeps row r, and
     makes piv the new det.  Column j of B^-1 stays e_j while position j
@@ -469,13 +460,6 @@ def _phase1(problem, pre: _Presolve):
                  for strategies, side_live in zip((fam.lefts, fam.rights), live)]
         if all(sides):
             fams.append((fam.base, len(fam.rights), *sides))
-    coeffs = [c for *_, lefts, rights in fams for _, e in lefts + rights for _, c in e]
-    alpha = 1
-    if any(type(c) is not int for c in coeffs):
-        alpha, ints = integer_scaled(coeffs)
-        scaled = iter(ints)
-        fams = [(base, width, *([(t, [(p, next(scaled)) for p, _ in e]) for t, e in side] for side in sides))
-                for base, width, *sides in fams]
     det = 1
     inv: dict[int, list] = {}  # position -> its column of det * B^-1, structural positions only
     basis = [n + p for p in range(m)]
@@ -483,7 +467,7 @@ def _phase1(problem, pre: _Presolve):
     while True:
         art_rows = [i for i in range(m) if basis[i] >= n]
         if not any(xb[i] for i in art_rows):
-            return {basis[i]: Fraction(xb[i] * alpha, det * beta)
+            return {basis[i]: Fraction(xb[i], det * beta)
                     for i in range(m) if basis[i] < n and xb[i]}, None
         # det * duals of the phase-1 objective (artificial cost 1, structural 0).
         y = [det] * m

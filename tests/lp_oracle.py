@@ -3,9 +3,11 @@ row_problem, the tests' way to state an LP by its rows.
 
 row_problem(num_vars, rows) builds the FamilyProblem of one family whose
 left strategies are the columns and whose one right strategy is empty, so
-a hand-written or random system goes through the library's solver
-unchanged.  It checks nothing itself: Family, ColumnFamilies and
-FamilyProblem reject what they reject.
+a hand-written or random system goes through the library's solver.  A
+rational system is stated with every row times one common positive
+integer, which keeps its points, its witnesses and the solver's pivots;
+any value that is not an int or a Fraction is passed on as it is, for
+Family, ColumnFamilies and FamilyProblem to reject.
 
 solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
@@ -22,6 +24,7 @@ families.
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from nsboxes.boxes import integer_scaled
 from nsboxes.lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, LPError
@@ -34,14 +37,23 @@ def row_problem(num_vars, rows):
     """A x = b, x >= 0 given by rows of (entries, rhs), entries a tuple of
     (column, coefficient) pairs, as one family: column j is left strategy
     j, its nonzero coefficients in row order.  Zero coefficients are
-    dropped, and the right-hand sides are stated by integer_scaled."""
+    dropped.  Every coefficient and right-hand side is multiplied by the
+    lcm of the Fraction coefficients' denominators, which makes those
+    coefficients ints, and the right-hand sides are stated by
+    integer_scaled."""
+    scale = lcm(*(c.denominator for entries, _ in rows for _, c in entries if type(c) is Fraction))
     columns = [[] for _ in range(num_vars)]
     for row, (entries, _) in enumerate(rows):
         for col, coeff in entries:
             if coeff:
+                if type(coeff) is Fraction:
+                    coeff = coeff.numerator * (scale // coeff.denominator)
+                elif type(coeff) is int:
+                    coeff *= scale
                 columns[col].append((row, coeff))
     family = Family(0, tuple(map(tuple, columns)), ((),))
-    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), integer_scaled(v for _, v in rows))
+    rhs = integer_scaled(v * scale for _, v in rows)
+    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), rhs)
 
 
 def column_index(problem):

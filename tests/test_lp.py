@@ -138,7 +138,7 @@ def test_fractional_solution():
 def test_column_out_of_range_rejected():
     # two columns in a problem of one
     with pytest.raises(LPError):
-        ColumnFamilies(1, 1, (Family(0, (((0, F(1)),), ((0, F(1)),)), ((),)),))
+        ColumnFamilies(1, 1, (Family(0, (((0, 1),), ((0, 1),)), ((),)),))
 
 
 def test_certificate_text_formats():
@@ -244,11 +244,13 @@ def test_float_rhs_rejected():
 
 
 @pytest.mark.parametrize(
-    "value", [True, "1", Decimal(1), 1j], ids=["bool", "str", "Decimal", "complex"]
+    "value", [True, "1", Decimal(1), 1j, F(1, 2), F(2)],
+    ids=["bool", "str", "Decimal", "complex", "Fraction 1/2", "Fraction 2"],
 )
 def test_inexact_values_rejected(value):
-    # Only int and Fraction are exact: a bool is not taken as 0 or 1, and a
-    # str is not parsed.
+    # Coefficients and the right-hand side's integer view take only ints: a
+    # bool is not taken as 0 or 1, a str is not parsed, and a Fraction,
+    # even an integral one, is stated by scaling its rows to integers.
     with pytest.raises(InexactValueError):
         Family(0, (((0, 1),), ((0, value),)), ((),))
     with pytest.raises(InexactValueError):
@@ -530,8 +532,9 @@ def phase1_agrees_with_oracle(problem):
 
 def test_phase1_matches_fraction_oracle_on_generic_systems():
     # The stream of TIE_CASES as it is (integers, negative right-hand sides,
-    # ratio-test ties) and rescaled: one lcm for all rows keeps the pivot
-    # path, where a scale per row or a skipped row update would not.
+    # ratio-test ties) and rescaled, which row_problem states with one lcm
+    # for all rows: that keeps the pivot path, where a scale per row or a
+    # skipped row update would not.
     rng = random.Random(TIE_SEED)
     scale_rng = random.Random(TIE_SEED + 1)
     outcomes = {}
@@ -597,11 +600,12 @@ def test_phase1_matches_fraction_oracle_on_membership_lps():
 
 
 def coefficient(rng, sign):
-    return F(sign * rng.randrange(1, 4), rng.randrange(1, 4))
+    return sign * rng.randrange(1, 4) * rng.randrange(1, 4)
 
 
 def family_system(rng):
-    """2-3 families of 1-4 strategies per side over 3-6 rows: each family
+    """2-3 families of 1-4 strategies per side over 3-6 rows, coefficients
+    ints of magnitude 1-9 and right-hand sides halves: each family
     splits the rows into left rows below a cut and right rows above it.
     Each family row gets one sign for all its coefficients or, one time in
     three, signs drawn per entry, so zero rows are same-sign, mixed-sign,
@@ -632,8 +636,8 @@ FAMILY_SEED = 4242
 
 def test_family_systems_match_row_form_oracle_on_their_expansion():
     # The one-way LP has only +1 coefficients; these families put
-    # mixed-sign fractional rows inside a family, and rows that families
-    # share on different sides.
+    # mixed-sign rows of assorted magnitudes inside a family, and rows that
+    # families share on different sides.
     rng = random.Random(FAMILY_SEED)
     outcomes = {}
     spanning = requeued_steps = 0
@@ -671,22 +675,34 @@ def scaled_system(problem, rhs_factor, coeff_factor):
 
 @pytest.mark.parametrize("k", [3, F(7, 2), F(1, 6)], ids=["3", "7/2", "1/6"])
 def test_solution_scales_with_b_and_inversely_with_a(k):
-    # Phase 1 scales b and A by separate factors: b times k must give k
-    # times the point, A times k the point over k, and both the same
-    # pivots, so the same witness.
+    # b times k must give k times the point, and A times an integer k the
+    # point over k; both keep the pivots, so the witness.
     rng = random.Random(FAMILY_SEED + 1)
     outcomes = set()
+    factors = [(k, 1, k)]
+    if type(k) is int:
+        factors.append((1, k, F(1, k)))
     for _ in range(100):
         problem = family_system(rng)
         cert = lp_feasible(problem)
         outcomes.add(cert.feasible)
-        for rhs_factor, coeff_factor, point_factor in ((k, 1, k), (1, k, 1 / F(k))):
+        for rhs_factor, coeff_factor, point_factor in factors:
             got = lp_feasible(scaled_system(problem, rhs_factor, coeff_factor))
             if cert.feasible:
                 assert got.point == tuple((col, v * point_factor) for col, v in cert.point)
             else:
                 assert got.farkas == cert.farkas
     assert outcomes == {True, False}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from((2, 3, 7)))
+def test_certificate_bytes_survive_scaling_every_row(rng, k):
+    # Every coefficient and right-hand side times one k > 0: the presolve's
+    # signs, the pivots, the ratio ties and the duals are kept, so the
+    # point and the witness are the same to the byte.
+    problem = family_system(rng)
+    assert lp_feasible(scaled_system(problem, k, k)).to_text() == lp_feasible(problem).to_text()
 
 
 def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
@@ -722,6 +738,16 @@ def test_family_structure_is_validated():
         Family(0, (((0, 0),),), ((),))
     with pytest.raises(InexactValueError):
         Family(0, (((0, 0.5),),), ((),))
+    # a strategy that is a pair, not a tuple of pairs, a side that is not a
+    # tuple, families that are not a tuple of Family, columns that are not
+    # a ColumnFamilies, and a negative count: each used to raise a bare
+    # TypeError or AttributeError, or to build
+    for build in (lambda: Family(0, ((0, 1),), ((),)), lambda: Family(0, 5, ((),)),
+                  lambda: Family(0, ((),), 5), lambda: ColumnFamilies(1, 1, (5,)),
+                  lambda: ColumnFamilies(1, 1, 5), lambda: FamilyProblem(5, (1, (1,))),
+                  lambda: ColumnFamilies(1, -1, ())):
+        with pytest.raises(LPError):
+            build()
     fam = Family(0, (((0, 1),), ((1, 1),)), (((2, 1),),))
     with pytest.raises(LPError):  # overlapping families
         ColumnFamilies(4, 3, (fam, Family(1, (((0, 1),),), ((),))))
@@ -779,6 +805,13 @@ def test_row_problem_states_its_integer_view():
     assert all(type(v) is Fraction for v in problem.rhs)
     assert problem == row_problem(2, tuple(zip(entries, (F(2, 6), F(0), F(-2, 4), F(4, 2)))))
     assert row_problem(0, ()).scaled == (1, ())
+    # Fraction coefficients are stated by one common scale, the lcm of their
+    # denominators, on every row: x0 / 2 + x1 / 3 = 1, x0 = 2 is 3 x0 + 2 x1
+    # = 6, 6 x0 = 12, with the same point.
+    problem = row_problem(2, ((((0, F(1, 2)), (1, F(1, 3))), 1), (((0, 1),), 2)))
+    assert problem.columns.families[0].lefts == (((0, 3), (1, 6)), ((0, 2),))
+    assert problem.scaled == (1, (6, 12))
+    assert lp_feasible(problem).point == ((0, 2),)
     # the sign of a row detected empty comes from B
     assert lp_feasible(row_problem(1, (((), F(-1, 3)),))).farkas == ((0, -1),)
 
