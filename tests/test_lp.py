@@ -440,6 +440,31 @@ def test_certificates_pinned():
     assert pinned_certificates() == PINNED_CERTIFICATES
 
 
+# The local LP of p * V + (1 - p) * uniform3, keyed "p V", hashed as above.
+# Full support leaves the presolve nothing to remove, so phase 1 runs on
+# all 65 rows and 64 columns and makes 25-80 pivots, where each pin above
+# makes at most 7.  Both outcomes occur: p = 7/10 is Farkas for all three.
+PINNED_NOISY_LOCAL = {
+    "3/10 class3": "560ba7f54b0d2ae6",
+    "1/2 class3": "c84e1f53437c50f5",
+    "7/10 class3": "1ab8c7f0c6825b5a",
+    "3/10 class4": "4101b776c6c324c1",
+    "1/2 class4": "b3ffb1718c83019c",
+    "7/10 class4": "f4a9c6725384e9d5",
+    "3/10 class44": "9ac8ba517cef0524",
+    "1/2 class44": "1094cd69bd1d2940",
+    "7/10 class44": "46925a6d64203cf9",
+}
+
+
+@pytest.mark.parametrize("key", PINNED_NOISY_LOCAL)
+def test_noisy_local_certificates_pinned(key):
+    p, name = key.split()
+    box = mix((builtin(name), builtin("uniform3")), (F(p), 1 - F(p)))
+    cert = is_local(box)
+    assert hashlib.sha256(cert.to_text().encode()).hexdigest()[:16] == PINNED_NOISY_LOCAL[key]
+
+
 # What the presolve does on each membership LP of the builtins: its step
 # count, then the row it detects or the rows it leaves and the live left and
 # right strategies of each family.  A presolve that reorders its rows or
