@@ -34,8 +34,10 @@ terms, and everything from the presolve to the check works on it.  The
 presolve reads a row's signs from the index's sign masks and its
 right-hand side from B.  It only tests a row with a nonzero right-hand
 side for a live column, stopping at the first.  The simplex keeps the
-basis inverse as integers times its determinant, updated fraction-free,
-with only the columns of basic structural variables stored.  Farkas
+basis inverse as integers times its determinant, updated fraction-free.
+It stores only the columns at basic structural variables, sparsely, and
+a pivot rewrites only the entries it changes; each column's sum over the
+artificial rows, which gives the duals, is updated with it.  Farkas
 witnesses found on the reduced system are lifted back through the presolve
 steps, so certificates always refer to the caller's row and column
 indices.  verify checks a certificate scaled once to integers.
@@ -428,95 +430,102 @@ def _phase1(problem, pre: _Presolve):
 
     Returns (point, None) on feasibility or (None, farkas) where both use the
     original row and column ids.  A basic variable is labelled by its column
-    id, or by num_vars + pos for the artificial of row pos, so int order is
+    id, or by num_vars + row for the artificial of a row, so int order is
     Bland's order, structurals first.  Bland's rule (lowest-index entering
     column, lowest-label leaving variable) guarantees termination;
     artificials never re-enter, which just restricts later iterations to a
     smaller problem with the same feasibility answer.
 
     The updates are fraction-free (Bareiss, Math. Comp. 22, 1968).  Rows are
-    signed so the right-hand side is nonnegative; it starts as its integer
-    view beta * b (problem.scaled), so the point found is beta times the
-    caller's.  With det the determinant of the basis, det * x_B and det *
-    B^-1 are integers.  A pivot on row r with entry piv maps every other row v_i to
-    (piv * v_i - d_i * v_r) // det, an exact division, keeps row r, and
-    makes piv the new det.  Column j of B^-1 stays e_j while position j
-    holds its artificial, so only the columns of positions holding a
-    structural are stored, and a pivot costs O(m k) for k basic structurals.
+    signed, S = diag(+-1), so the right-hand side is nonnegative; it starts
+    as its integer view beta * b (problem.scaled), so the point found is
+    beta times the caller's.  With det the determinant of the basis,
+    det * x_B and det * B^-1 S are integers; B^-1 S takes a column as the
+    caller states it.  Column i of det * B^-1 S stays sign_i * det * e_i
+    while row i holds its artificial, so only the columns at rows holding a
+    structural are stored, each a sparse {row: value} map without zeros,
+    and x_B is stored as one more.  A pivot on row r with entry piv maps
+    each stored entry v_i to (piv * v_i - d_i * v_r) // det, an exact
+    division, keeps v_r, and makes piv the new det, d being the entering
+    column in det * B^-1 S, summed from the columns at its own entries.  It
+    changes only entries where d is nonzero, and none in a column with
+    v_r = 0, unless piv != det rescales all of them, so the update runs over
+    those alone: every value it stores, hence the entering column, the
+    leaving row and the certificate, is that of a dense update.  y[j] is
+    column j's sum over the artificial rows: det times the dual at a stored
+    column, sign_j * det at a unit one and det times the phase-1 objective
+    at x_B.  A pivot updates it in O(1) per column from d's sum over the
+    rows left artificial.
     """
     n = problem.num_vars
-    active = pre.active_rows
-    m = len(active)
-    pos = {row: p for p, row in enumerate(active)}
     beta, b = problem.scaled
-    sign = [-1 if b[i] < 0 else 1 for i in active]
-    xb = [s * b[i] for s, i in zip(sign, active)]
+    active = pre.active_rows
+    xb = {i: abs(b[i]) for i in active if b[i]}
+    inv = {len(b): xb}  # x_B, then the columns at rows of basic structurals
+    y = [-1 if v < 0 else 1 for v in b] + [sum(xb.values())]
+    basis = {}  # row -> the column id of the structural it holds
     # Families with live columns: (base, len(rights), lefts, rights), each
-    # side its live strategies as (id, [(position, signed coefficient)]).
-    fams = []
-    for fam, live in zip(problem.columns.families, pre.live):
-        sides = [[(t, [(pos[r], sign[pos[r]] * c) for r, c in strategies[t] if r in pos])
-                  for t in _bit_ids(side_live)]
-                 for strategies, side_live in zip((fam.lefts, fam.rights), live)]
-        if all(sides):
-            fams.append((fam.base, len(fam.rights), *sides))
+    # side its live strategies as (id, strategy); they meet active rows only.
+    fams = [(fam.base, len(fam.rights), [(t, fam.lefts[t]) for t in _bit_ids(left)],
+             [(t, fam.rights[t]) for t in _bit_ids(right)])
+            for fam, (left, right) in zip(problem.columns.families, pre.live) if left and right]
     det = 1
-    inv: dict[int, list] = {}  # position -> its column of det * B^-1, structural positions only
-    basis = [n + p for p in range(m)]
-
-    while True:
-        art_rows = [i for i in range(m) if basis[i] >= n]
-        if not any(xb[i] for i in art_rows):
-            return {basis[i]: Fraction(xb[i], det * beta)
-                    for i in range(m) if basis[i] < n and xb[i]}, None
-        # det * duals of the phase-1 objective (artificial cost 1, structural 0).
-        y = [det] * m
-        for j, column in inv.items():
-            y[j] = sum(column[i] for i in art_rows)
+    while y[-1]:
         entering = None
         for base, width, lefts, rights in fams:
-            ur = [sum(y[p] * c for p, c in e) for _, e in rights]
+            ur = [sum([y[i] * c for i, c in e]) for _, e in rights]
             top = max(ur)
             for t, e in lefts:
-                ul = sum(y[p] * c for p, c in e)
+                ul = sum([y[i] * c for i, c in e])
                 if ul + top > 0:
-                    b = next(b for b, v in enumerate(ur) if ul + v > 0)
-                    entering = base + t * width + rights[b][0], e + rights[b][1]
+                    k = next(k for k, v in enumerate(ur) if ul + v > 0)
+                    entering = base + t * width + rights[k][0], e + rights[k][1]
                     break
             if entering is not None:
                 break
         if entering is None:
-            return None, {i: Fraction(s * yv, det) for i, s, yv in zip(active, sign, y) if yv}
+            return None, {i: Fraction(y[i], det) for i in active if y[i]}
         label, entries = entering
-        d = [0] * m
-        for p, coeff in entries:
-            column = inv.get(p)
-            if column is None:
-                d[p] += det * coeff
+        d = {}
+        for i, coeff in entries:
+            column = inv.get(i)
+            if column is None:  # sign_i * det * e_i, sign_i * det being y[i]
+                d[i] = d.get(i, 0) + coeff * y[i]
             else:
-                d = [di + coeff * v for di, v in zip(d, column)]
+                for k, v in column.items():
+                    d[k] = d.get(k, 0) + coeff * v
+        d = {i: di for i, di in d.items() if di}
         # Leaving row: least ratio xb[i] / d[i] over d[i] > 0, then least label.
         r = -1
-        for i, di in enumerate(d):
-            if di > 0:
-                if r < 0:
-                    r = i
-                    continue
-                here, best = xb[i] * d[r], xb[r] * di
-                if here < best or here == best and basis[i] < basis[r]:
-                    r = i
+        for i, di in d.items():
+            if di > 0 and (r < 0 or (here := xb.get(i, 0) * d[r]) < (best := xb.get(r, 0) * di)
+                           or here == best and basis.get(i, n + i) < basis.get(r, n + r)):
+                r = i
         if r < 0:
             raise LPError("phase-1 objective unbounded; inconsistent state")
         piv = d[r]
-        if r not in inv:
-            inv[r] = [0] * m
-            inv[r][r] = det
-        for column in (xb, *inv.values()):
-            vr = column[r]
-            column[:] = [(piv * v - di * vr) // det for v, di in zip(column, d)]
-            column[r] = vr
-        det = piv
+        leaves = r not in basis  # an artificial leaves
         basis[r] = label
+        rest = sum([di for i, di in d.items() if i not in basis])  # d over the rows left artificial
+        if leaves:
+            inv[r] = {r: y[r]}
+        for j, column in inv.items():
+            vr = column.get(r, 0)
+            if vr or piv != det:
+                for i, di in (d if piv == det else dict.fromkeys(column, 0) | d).items():
+                    if v := (piv * column.get(i, 0) - di * vr) // det:
+                        column[i] = v
+                    else:
+                        column.pop(i, None)
+                if vr:
+                    column[r] = vr
+                y[j] = (piv * (y[j] - leaves * vr) - vr * rest) // det
+        if piv != det:
+            for i in active:
+                if i not in basis:
+                    y[i] = y[i] * piv // det
+        det = piv
+    return {basis[i]: Fraction(v, det * beta) for i, v in xb.items() if i in basis}, None
 
 
 def lp_feasible(problem: FamilyProblem) -> LPCertificate:
