@@ -746,6 +746,23 @@ def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
     assert lp_feasible(problem).point == ((4, 1),)
 
 
+def test_presolve_detects_the_first_requeued_row_not_the_first_emptied():
+    # Row 2's step queues row 0 again, row 3's then row 1, which it
+    # empties; row 0 empties only at row 4's step.  The queue still pops
+    # row 0 first, so row 0 is detected, though row 1 died before it.
+    problem = row_problem(3, (
+        (((0, 1), (1, 1)), 1),
+        (((2, 1),), 1),
+        (((0, 1),), 0),
+        (((2, 1),), 0),
+        (((1, 1),), 0),
+    ))
+    assert _presolve(problem).detected == 0
+    want, outcome = lp_oracle.solve(problem)
+    assert outcome == "re-queue"
+    assert lp_feasible(problem).to_text() == want.to_text() == "infeasible\n0 = 1\n2 = -1\n4 = -1\n"
+
+
 @pytest.mark.parametrize("name", ["class3", "class4", "class44", "pr", "uniform3"])
 def test_local_presolve_requeues_rows_as_the_row_form_oracle(name):
     problem = local_problem(builtin(name))
