@@ -17,12 +17,18 @@ The solver works on strategies, never on expanded columns.  The presolve
 removes rows with zero right-hand side whose live coefficients share one
 sign, forcing every column they touch to zero: in each family the row
 meets, it kills the live strategies on the row's side, so a family's live
-columns are always its live lefts times its live rights.  A step kills its
-columns in ascending column id, and the waiting rows (alive, not queued)
-those columns touch are queued again in that order.  Per family, the order
-comes from the waiting rows alone: a row touched by the first left comes
-first, then a row by its lowest touching right, then by its lowest other
-left, ties by row.  A phase-1 revised simplex with Bland's rule solves
+columns are always its live lefts times its live rights.  Rows are taken
+in ascending order, and a step kills its columns in ascending column id.
+On a mixed-sign problem the waiting rows (alive, not queued) those columns
+touch are queued again in that order.  Per family, the order comes from
+the waiting rows alone: a row touched by the first left comes first, then
+a row by its lowest touching right, then by its lowest other left, ties
+by row.  When every row's coefficients share one sign
+(ColumnFamilies.same_sign, true of the local and one-way LPs), each zero
+row is a step or empty when first reached, so one ascending pass makes
+every step and is all that runs; of the rows a later step empties, the
+one detected is the one the queue would have taken back first, found from
+the recorded steps.  A phase-1 revised simplex with Bland's rule solves
 what remains.  A column's reduced cost is u_L(i) + u_R(j), u being the
 duals summed over a strategy's rows, so Bland's lowest improving column is
 the first family, then the first left i with u_L(i) + max over live j of
@@ -163,6 +169,13 @@ class ColumnFamilies(_Value):
                 rows[f] |= 1 << r
                 sides[f][r] = side, mask
         return tuple(zip(rows, sides))
+
+    @cached_property
+    def same_sign(self) -> bool:
+        """Whether the coefficients of each row share one sign, read off
+        the index's sign masks."""
+        return all(all(positive == mask for *_, mask, positive in entries) or not any(p for *_, p in entries)
+                   for entries in self.index)
 
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
@@ -331,25 +344,28 @@ def _presolve(problem) -> _Presolve:
     its hit mask, negative where no part's positive mask meets it; the pass
     that collects the parts reads the sign and gives up at a mixed one.  A
     row with a nonzero right-hand side is only tested for a live column:
-    the first one found keeps it, and none found is the detection.  A
-    step's waiting rows are found among those the family meets
-    (ColumnFamilies.meets)."""
+    the first one found keeps it, and none found is the detection.
+
+    When ColumnFamilies.same_sign holds, every step happens in the first
+    ascending pass, which is all that runs: no row is queued again, and a
+    row with a nonzero right-hand side that ends with no live column is
+    found afterwards, the detected one being the row the queue would have
+    popped first (_requeue_slot).  Otherwise a step queues the waiting
+    rows its columns touch again, found among those the family meets
+    (ColumnFamilies.meets), in _requeue_key order."""
     columns, (_, rhs) = problem.columns, problem.scaled
     by_row = columns.index
+    one_pass = columns.same_sign
     m = len(rhs)
     live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
     waiting = 0  # bit r: row r is alive and not queued
     steps: list = []
-    queue = deque(range(m))
-    while queue:
-        i = queue.popleft()
-        waiting |= 1 << i
+    queue = deque()
+    for i in chain(range(m), _drain(queue)):
         if rhs[i]:
-            for f, side, _, mask, _ in by_row[i]:
-                if mask & live[f][side] and live[f][1 - side]:
-                    break
-            else:
+            if not _meets_live(by_row[i], live):
                 return _Presolve(live, None, steps, i)
+            waiting |= 1 << i
             continue
         parts = []
         signs = 0  # bit 1: a live coefficient is positive, bit 0: one is negative
@@ -361,18 +377,16 @@ def _presolve(problem) -> _Presolve:
                     break
                 parts.append((f, side, entries, hit, other))
         if signs == 3:
+            waiting |= 1 << i
             continue
-        waiting ^= 1 << i
         if not parts:
             continue
         steps.append((i, 1 if signs == 2 else -1, tuple(parts)))
-        for f, side, _, hit, _ in parts:
+        for f, side, _, hit, other in parts:
             live[f][side] ^= hit
-            # The columns (a, b) die in ascending id, a over the lefts and b
-            # over the rights, so a waiting row first appears with the first
-            # left, else with its lowest right, else with its lowest left.
-            sides = (hit, live[f][1]) if side == 0 else (live[f][0], hit)
-            first = sides[0] & -sides[0]
+            if one_pass:
+                continue
+            sides = (hit, other) if side == 0 else (other, hit)
             keyed = []
             rows, meets = columns.meets[f]
             rest = waiting & rows
@@ -380,13 +394,55 @@ def _presolve(problem) -> _Presolve:
                 low = rest & -rest
                 rest ^= low
                 row = low.bit_length() - 1
-                s, mask = meets[row]
-                if touch := mask & sides[s]:
-                    keyed.append((s or (0 if touch & first else 2), touch & -touch, row))
+                if key := _requeue_key(meets[row], sides, row):
+                    keyed.append(key)
                     waiting ^= low
             keyed.sort()
             queue.extend([row for *_, row in keyed])
-    return _Presolve(live, [i for i in range(m) if waiting >> i & 1], steps, None)
+    if not one_pass:
+        return _Presolve(live, [i for i in range(m) if waiting >> i & 1], steps, None)
+    active = [i for i, v in enumerate(rhs) if v]
+    # Only a step after a row's test can have emptied it.
+    if steps and (dead := [i for i in active if i < steps[-1][0] and not _meets_live(by_row[i], live)]):
+        return _Presolve(live, None, steps, min(_requeue_slot(columns.meets, steps, r) for r in dead)[-1])
+    return _Presolve(live, active, steps, None)
+
+
+def _drain(queue: deque):
+    """Pop queue from the left until it is empty."""
+    while queue:
+        yield queue.popleft()
+
+
+def _meets_live(entries, live) -> bool:
+    """Whether a row with these index entries has a live column."""
+    for f, side, _, mask, _ in entries:
+        if mask & live[f][side] and live[f][1 - side]:
+            return True
+    return False
+
+
+def _requeue_key(meet, sides, row):
+    """The queue order of a waiting row that meets a family as meet =
+    (side, mask) when the columns sides[0] times sides[1] of the family
+    die, or None when they miss it.  The columns (a, b) die in ascending
+    id, a over the lefts and b over the rights, so the row first appears
+    with the first left, else with its lowest right, else with its lowest
+    left, ties by row."""
+    s, mask = meet
+    if touch := mask & sides[s]:
+        return s or (0 if touch & sides[0] & -sides[0] else 2), touch & -touch, row
+
+
+def _requeue_slot(meets, steps, r):
+    """(step, part, *key) of the first part of a step after row r whose
+    dying columns touch r: where the queue would have put r again."""
+    for k, (row, _, parts) in enumerate(steps):
+        if row > r:
+            for p, (f, side, _, hit, other) in enumerate(parts):
+                meet = meets[f][1].get(r)
+                if meet and (key := _requeue_key(meet, (hit, other) if side == 0 else (other, hit), r)):
+                    return k, p, *key
 
 
 def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:

@@ -517,6 +517,11 @@ def rescaled(rng, problem):
     return row_problem(problem.num_vars, tuple(rows))
 
 
+def family_columns(problem):
+    """Every column that a family of the problem holds."""
+    return {fam.base + k for fam in problem.columns.families for k in range(len(fam.lefts) * len(fam.rights))}
+
+
 def live_columns(problem, pre):
     """The columns the presolve left: per family, its live left strategies
     times its live right strategies."""
@@ -628,23 +633,29 @@ def coefficient(rng, sign):
     return sign * rng.randrange(1, 4) * rng.randrange(1, 4)
 
 
-def family_system(rng):
+def family_system(rng, same_sign=False):
     """2-3 families of 1-4 strategies per side over 3-6 rows, coefficients
     ints of magnitude 1-9 and right-hand sides halves: each family
     splits the rows into left rows below a cut and right rows above it.
     Each family row gets one sign for all its coefficients or, one time in
     three, signs drawn per entry, so zero rows are same-sign, mixed-sign,
-    or same-sign once other steps remove their mixed entries.  About a
-    third of the right-hand sides are zero."""
+    or same-sign once other steps remove their mixed entries.  With
+    same_sign, each row gets one sign across all families instead, as in
+    the local and one-way LPs.  About a third of the right-hand sides are
+    zero."""
     m = rng.randrange(3, 7)
+    row_signs = {r: rng.choice((1, -1)) for r in range(m)} if same_sign else None
     families = []
     base = 0
     for _ in range(rng.randrange(2, 4)):
         cut = rng.randrange(1, m)
         sides = []
         for rows in (range(cut), range(cut, m)):
-            signs = {r: rng.choice((1, -1)) for r in rows}
-            mixed = {r for r in rows if rng.random() < 1 / 3}
+            if same_sign:
+                signs, mixed = row_signs, ()
+            else:
+                signs = {r: rng.choice((1, -1)) for r in rows}
+                mixed = {r for r in rows if rng.random() < 1 / 3}
             sides.append(tuple(
                 tuple((r, coefficient(rng, rng.choice((1, -1)) if r in mixed else signs[r]))
                       for r in rows if rng.random() < 0.5)
@@ -657,33 +668,43 @@ def family_system(rng):
 
 
 FAMILY_SEED = 4242
+SAME_SIGN_SEED = 4343
 
 
 def test_family_systems_match_row_form_oracle_on_their_expansion():
     # The one-way LP has only +1 coefficients; these families put
     # mixed-sign rows of assorted magnitudes inside a family, and rows that
-    # families share on different sides.
-    rng = random.Random(FAMILY_SEED)
-    outcomes = {}
-    spanning = requeued_steps = 0
-    for _ in range(400):
-        problem = family_system(rng)
-        rows = row_problem(problem.num_vars, problem.rows)
-        cert = lp_feasible(problem)
-        want, outcome = lp_oracle.solve(rows)
-        assert cert.to_text() == want.to_text()
-        assert cert.verify(problem) and cert.verify(rows)
-        assert lp_feasible(rows).to_text() == cert.to_text()
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        steps = _presolve(problem).steps
-        assert [(r, s) for r, s, _ in steps] == [(r, s) for r, s, _ in lp_oracle.presolve(rows)[2]]
-        spanning += any(len(parts) > 1 for _, _, parts in steps)
-        # The first pass takes rows in order; a step on a row at or below
-        # the one before it was taken when that row was queued again.
-        requeued_steps += any(b <= a for (a, *_), (b, *_) in zip(steps, steps[1:]))
-    assert all(outcomes.get(k, 0) >= 10 for k in ("arrival", "re-queue", "phase-1 farkas", "feasible")), outcomes
-    assert spanning >= 10
-    assert requeued_steps >= 10
+    # families share on different sides.  The second stream keeps one sign
+    # per row, which the presolve decides in one pass and where a row
+    # emptied after its test is found from the steps.
+    for seed, same_sign in ((FAMILY_SEED, False), (SAME_SIGN_SEED, True)):
+        rng = random.Random(seed)
+        outcomes = {}
+        spanning = requeued_steps = 0
+        for _ in range(400):
+            problem = family_system(rng, same_sign)
+            assert problem.columns.same_sign or not same_sign
+            rows = row_problem(problem.num_vars, problem.rows)
+            cert = lp_feasible(problem)
+            want, outcome = lp_oracle.solve(rows)
+            assert cert.to_text() == want.to_text()
+            assert cert.verify(problem) and cert.verify(rows)
+            assert lp_feasible(rows).to_text() == cert.to_text()
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            pre = _presolve(problem)
+            col_alive, active_rows, oracle_steps, early, _ = lp_oracle.presolve(rows)
+            assert [(r, s) for r, s, _ in pre.steps] == [(r, s) for r, s, _ in oracle_steps]
+            if early is None:
+                # The oracle keeps the columns no family holds alive.
+                assert pre.active_rows == active_rows
+                assert live_columns(problem, pre) == {col for col in family_columns(problem) if col_alive[col]}
+            spanning += any(len(parts) > 1 for _, _, parts in pre.steps)
+            # The first pass takes rows in order; a step on a row at or below
+            # the one before it was taken when that row was queued again.
+            requeued_steps += any(b <= a for (a, *_), (b, *_) in zip(pre.steps, pre.steps[1:]))
+        assert all(outcomes.get(k, 0) >= 10 for k in ("arrival", "re-queue", "phase-1 farkas", "feasible")), outcomes
+        assert spanning >= 10
+        assert requeued_steps == 0 if same_sign else requeued_steps >= 10
 
 
 def scaled_system(problem, rhs_factor, coeff_factor):
