@@ -346,13 +346,14 @@ def _presolve(problem) -> _Presolve:
     row with a nonzero right-hand side is only tested for a live column:
     the first one found keeps it, and none found is the detection.
 
-    When ColumnFamilies.same_sign holds, every step happens in the first
-    ascending pass, which is all that runs: no row is queued again, and a
-    row with a nonzero right-hand side that ends with no live column is
-    found afterwards, the detected one being the row the queue would have
-    popped first (_requeue_slot).  Otherwise a step queues the waiting
-    rows its columns touch again, found among those the family meets
-    (ColumnFamilies.meets), in _requeue_key order."""
+    When ColumnFamilies.same_sign holds, each zero row is a step, or has
+    no live column, when first reached, so the first ascending pass makes
+    every step and is all that runs: no row is queued again.  Rows with a
+    nonzero right-hand side that a later step empties are found after the
+    pass, and the one detected is the one the queue would have taken back
+    first (_requeue_slot).  Otherwise, on a mixed-sign problem, a step
+    queues the waiting rows its columns touch again, found among those the
+    family meets (ColumnFamilies.meets), in _requeue_key order."""
     columns, (_, rhs) = problem.columns, problem.scaled
     by_row = columns.index
     one_pass = columns.same_sign
@@ -360,8 +361,9 @@ def _presolve(problem) -> _Presolve:
     live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
     waiting = 0  # bit r: row r is alive and not queued
     steps: list = []
-    queue = deque()
-    for i in chain(range(m), _drain(queue)):
+    queue = deque(range(m))
+    while queue:
+        i = queue.popleft()
         if rhs[i]:
             if not _meets_live(by_row[i], live):
                 return _Presolve(live, None, steps, i)
@@ -406,12 +408,6 @@ def _presolve(problem) -> _Presolve:
     if steps and (dead := [i for i in active if i < steps[-1][0] and not _meets_live(by_row[i], live)]):
         return _Presolve(live, None, steps, min(_requeue_slot(columns.meets, steps, r) for r in dead)[-1])
     return _Presolve(live, active, steps, None)
-
-
-def _drain(queue: deque):
-    """Pop queue from the left until it is empty."""
-    while queue:
-        yield queue.popleft()
 
 
 def _meets_live(entries, live) -> bool:

@@ -761,6 +761,7 @@ def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
         Family(3, (((1, 1),),), ((),)),
         Family(4, (((0, 1),),), ((),)),
     )), (1, (1, 0, 0, 0)))
+    assert not problem.columns.same_sign  # row 1: -1 in family 0, +1 in family 2
     steps = [(r, s) for r, s, _ in _presolve(problem).steps]
     assert steps == [(3, 1), (2, 1), (1, 1)]
     assert steps == [(r, s) for r, s, _ in lp_oracle.presolve(row_problem(5, problem.rows))[2]]
