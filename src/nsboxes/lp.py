@@ -174,8 +174,8 @@ class ColumnFamilies(_Value):
     def same_sign(self) -> bool:
         """Whether the coefficients of each row share one sign, read off
         the index's sign masks."""
-        return all(all(positive == mask for *_, mask, positive in entries) or not any(p for *_, p in entries)
-                   for entries in self.index)
+        return all(all(positive == mask for *_, mask, positive in entries)
+                   or not any(positive for *_, positive in entries) for entries in self.index)
 
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
