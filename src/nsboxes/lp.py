@@ -6,47 +6,43 @@ either a feasible point or a Farkas witness y satisfying  y^T A <= 0
 componentwise and y^T b > 0; both certificate kinds re-verify by direct
 substitution into the original system.
 
-Columns come in product families.  A family is a base column id and left
+A problem is a FamilyProblem, which expands its rows only when they are
+read.  Its columns come in families: a family is a base column id and left
 and right strategies, each a sparse list of (row, coefficient) pairs, rows
 ascending; column base + i * len(rights) + j has the entries lefts[i] +
-rights[j].  Every left row of a family precedes its right rows (Family
-raises LPError otherwise), so a row meets a family on one side only.  A
-problem is a FamilyProblem, which expands its rows only when they are read.
+rights[j], and every left row precedes every right row (Family raises
+LPError otherwise).  A family whose one right is empty is a list of plain
+columns, and every LP that the package solves is one: the local LP and
+is_tobl's marginal form of the one-way LP.
 
-The solver works on strategies, never on expanded columns.  The presolve
+The solver works on plain columns (ColumnFamilies.plain), which expands a
+product family, such as tobl_problem's, into its columns.  The presolve
 removes rows with zero right-hand side whose live coefficients share one
-sign, forcing every column they touch to zero: in each family the row
-meets, it kills the live strategies on the row's side, so a family's live
-columns are always its live lefts times its live rights.  Rows are taken
-in ascending order, and a step kills its columns in ascending column id.
-On a mixed-sign problem the waiting rows (alive, not queued) those columns
-touch are queued again in that order.  Per family, the order comes from
-the waiting rows alone: a row touched by the first left comes first, then
-a row by its lowest touching right, then by its lowest other left, ties
-by row.  When every row's coefficients share one sign
+sign, forcing every column they touch to zero.  It keeps one mask of the
+live columns and reads each row's columns and positive coefficients off
+two masks (ColumnFamilies.masks); a step records the mask of the columns
+it kills.  When every row's coefficients share one sign
 (ColumnFamilies.same_sign, true of the local and one-way LPs), each zero
 row is a step or empty when first reached, so one ascending pass makes
 every step and is all that runs; of the rows a later step empties, the
-one detected is the one the queue would have taken back first, found from
-the recorded steps.  A phase-1 revised simplex with Bland's rule solves
-what remains.  A column's reduced cost is u_L(i) + u_R(j), u being the
-duals summed over a strategy's rows, so Bland's lowest improving column is
-the first family, then the first left i with u_L(i) + max over live j of
-u_R(j) > 0, then the first such j.  The Farkas lift and the check of a
-witness take the same per-family maxima.
+one detected is the one a queue would have taken back first, found from
+the recorded steps.  On a mixed-sign problem, the waiting rows (alive,
+not queued) that a step's columns touch are queued again, in the order
+its columns, ascending, first reach them, ties by row.  A phase-1 revised
+simplex with Bland's rule solves what remains: the lowest live column
+with a positive reduced cost enters.
 
 A problem states b by its integer view (beta, B), B = beta * b in lowest
 terms, and everything from the presolve to the check works on it.  The
-presolve reads a row's signs from the index's sign masks and its
-right-hand side from B.  It only tests a row with a nonzero right-hand
-side for a live column, stopping at the first.  The simplex keeps the
-basis inverse as integers times its determinant, updated fraction-free.
-It stores only the columns at basic structural variables, sparsely, and
-a pivot rewrites only the entries it changes; each column's sum over the
-artificial rows, which gives the duals, is updated with it.  Farkas
-witnesses found on the reduced system are lifted back through the presolve
-steps, so certificates always refer to the caller's row and column
-indices.  verify checks a certificate scaled once to integers.
+simplex keeps the basis inverse as integers times its determinant, updated
+fraction-free.  It stores only the columns at basic structural variables,
+sparsely, and a pivot rewrites only the entries it changes; each column's
+sum over the artificial rows, which gives the duals, is updated with it.
+Farkas witnesses found on the reduced system are lifted back through the
+presolve steps, so certificates always refer to the caller's row and
+column indices.  verify checks a certificate scaled once to integers, and
+a witness per family: the largest left sum plus the largest right sum of
+the witness must be nonpositive, so a product family is never expanded.
 """
 
 from __future__ import annotations
@@ -136,46 +132,54 @@ class ColumnFamilies(_Value):
             raise LPError(f"column {end - 1} out of range")
 
     @cached_property
+    def plain(self) -> ColumnFamilies:
+        """The same columns as the form the solver takes: one family at base
+        0 whose left strategy c is column c, an empty strategy where no
+        family holds c, and whose one right is empty.  Itself when already
+        in that form; otherwise each column lefts[i] + rights[j] is built."""
+        fams = self.families
+        if len(fams) == 1 and fams[0].base == 0 and fams[0].rights == ((),) and len(fams[0].lefts) == self.num_vars:
+            return self
+        cols = [()] * self.num_vars
+        for fam in self.families:
+            cols[fam.base:fam.base + len(fam.lefts) * len(fam.rights)] = (
+                left + right for left in fam.lefts for right in fam.rights)
+        return ColumnFamilies(self.num_vars, self.num_rows, (Family(0, tuple(cols), ((),)),))
+
+    @cached_property
     def index(self) -> tuple:
-        """by_row[r] holds (family, side, ((strategy, coefficient), ...),
-        mask, positive) for each family side whose strategies touch row r,
-        families ascending, side 0 left and 1 right, with bit t of mask set
-        for each strategy t listed, and of positive where its coefficient > 0."""
+        """by_row[r]: the (strategy, coefficient) pairs of the strategies
+        that touch row r, ascending.  Strategies are numbered family by
+        family, lefts then rights, so in plain strategy c is column c."""
         by_row: list[list] = [[] for _ in range(self.num_rows)]
-        for f, fam in enumerate(self.families):
-            for side, strategies in enumerate((fam.lefts, fam.rights)):
-                touching: dict[int, list] = {}
-                for t, strategy in enumerate(strategies):
-                    pairs = {}  # one shared (t, coefficient) tuple per coefficient
-                    for row, coeff in strategy:
-                        pair = pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff))
-                        entry = touching.setdefault(row, [[], 0, 0])
-                        entry[0].append(pair)
-                        entry[1] |= 1 << t
-                        entry[2] |= (coeff > 0) << t
-                for row, (entries, mask, positive) in touching.items():
-                    by_row[row].append((f, side, tuple(entries), mask, positive))
+        t = 0
+        for fam in self.families:
+            for strategy in chain(fam.lefts, fam.rights):
+                pairs = {}  # one shared (t, coefficient) tuple per coefficient
+                for row, coeff in strategy:
+                    by_row[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff)))
+                t += 1
         return tuple(map(tuple, by_row))
 
     @cached_property
-    def meets(self) -> tuple:
-        """Per family, (rows, sides): the mask with bit r set for each row r
-        the family touches, and sides[r] = (side, mask) for such a row, side
-        and mask as in index (a row meets a family on one side only)."""
-        rows = [0] * len(self.families)
-        sides: list[dict] = [{} for _ in self.families]
-        for r, entries in enumerate(self.index):
-            for f, side, _, mask, _ in entries:
-                rows[f] |= 1 << r
-                sides[f][r] = side, mask
-        return tuple(zip(rows, sides))
+    def masks(self) -> tuple:
+        """Per row, (mask, positive): bit t set for each strategy t that
+        index lists, and in positive where its coefficient is > 0.  The bits
+        are set in bytes, as |= on an int copies the whole int."""
+
+        def mask(entries):
+            bits = bytearray(entries[-1][0] // 8 + 1 if entries else 0)
+            for t, _ in entries:
+                bits[t >> 3] |= 1 << (t & 7)
+            return int.from_bytes(bits, "little")
+
+        return tuple((mask(e), mask([p for p in e if p[1] > 0])) for e in self.index)
 
     @cached_property
     def same_sign(self) -> bool:
         """Whether the coefficients of each row share one sign, read off
-        the index's sign masks."""
-        return all(all(positive == mask for *_, mask, positive in entries)
-                   or not any(positive for *_, positive in entries) for entries in self.index)
+        its masks."""
+        return all(positive in (0, mask) for mask, positive in self.masks)
 
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
@@ -193,19 +197,17 @@ class ColumnFamilies(_Value):
         return tuple(sums)
 
     def strategy_sums(self, y: dict) -> list:
-        """u[f] = (left sums, right sums): each strategy's sum of y[row] *
-        coefficient over its rows."""
-        u = [([0] * len(fam.lefts), [0] * len(fam.rights)) for fam in self.families]
+        """u[t]: strategy t's sum of y[row] * coefficient over its rows,
+        strategies numbered as in index."""
+        u = [0] * sum(len(fam.lefts) + len(fam.rights) for fam in self.families)
         for row, v in y.items():
             self.add_row(u, row, v)
         return u
 
     def add_row(self, u: list, row: int, v) -> None:
         """Add v times row's coefficients to the strategy sums u."""
-        for f, side, entries, *_ in self.index[row]:
-            sums = u[f][side]
-            for t, coeff in entries:
-                sums[t] += v * coeff
+        for t, coeff in self.index[row]:
+            u[t] += v * coeff
 
 
 class FamilyProblem(_Value):
@@ -245,17 +247,9 @@ class FamilyProblem(_Value):
 
     @cached_property
     def rows(self) -> tuple:
-        """The expanded rows (entries, rhs): nonzero (column, coefficient) pairs, columns ascending."""
-        entries: list[list] = [[] for _ in self.rhs]
-        for fam in self.columns.families:
-            col = fam.base
-            for left in fam.lefts:
-                for right in fam.rights:
-                    pairs: dict = {}  # one shared (col, coeff) tuple per coefficient
-                    for row, coeff in left + right:
-                        entries[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (col, coeff)))
-                    col += 1
-        return tuple(zip(map(tuple, entries), self.rhs))
+        """The expanded rows (entries, rhs): nonzero (column, coefficient)
+        pairs, columns ascending, as the plain columns' index holds them."""
+        return tuple(zip(self.columns.plain.index, self.rhs))
 
 
 class LPCertificate(_Value):
@@ -306,7 +300,12 @@ class LPCertificate(_Value):
         # Every column aggregate is nonpositive iff, per family, the largest
         # left sum plus the largest right sum is.
         u = problem.columns.strategy_sums(w)
-        return all(max(left) + max(right) <= 0 for left, right in u if left and right)
+        end = 0
+        for fam in problem.columns.families:
+            start, cut, end = end, end + len(fam.lefts), end + len(fam.lefts) + len(fam.rights)
+            if start < cut < end and max(u[start:cut]) + max(u[cut:end]) > 0:
+                return False
+        return True
 
     def to_text(self) -> str:
         if self.feasible:
@@ -328,148 +327,92 @@ def _bit_ids(mask: int):
         mask ^= low
 
 
-# live[f][side]: the int with bit t set while strategy t of family f is
-# live.  steps: (row, sign, parts) in elimination order, parts the (family,
-# side, ((strategy, coefficient), ...), hit, other) the row met live: its
-# index entries there, the mask hit of the strategies the step killed, and
-# the mask other of the live strategies on the other side then.  detected:
-# a row left with no live column and a nonzero right-hand side, or None;
-# active_rows: the rows left, when none is.
+# live: the int with bit c set while column c of the plain columns is
+# live.  steps: (row, sign, hit) in elimination order, hit the mask of the
+# columns the step killed.  detected: a row left with no live column and a
+# nonzero right-hand side, or None; active_rows: the rows left, when none is.
 _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 
 
 def _presolve(problem) -> _Presolve:
-    """Fix to zero every column touched by a same-sign zero-rhs row: its
-    live coefficients are positive where each part's positive mask covers
-    its hit mask, negative where no part's positive mask meets it; the pass
-    that collects the parts reads the sign and gives up at a mixed one.  A
-    row with a nonzero right-hand side is only tested for a live column:
-    the first one found keeps it, and none found is the detection.
+    """Fix to zero every column touched by a same-sign zero-rhs row of the
+    plain columns: its live coefficients are positive where its positive
+    mask covers its live mask, negative where it misses it.  A row with a
+    nonzero right-hand side is only tested for a live column: none is the
+    detection.
 
     When ColumnFamilies.same_sign holds, each zero row is a step, or has
     no live column, when first reached, so the first ascending pass makes
     every step and is all that runs: no row is queued again.  Rows with a
     nonzero right-hand side that a later step empties are found after the
     pass, and the one detected is the one the queue would have taken back
-    first (_requeue_slot).  Otherwise, on a mixed-sign problem, a step
-    queues the waiting rows its columns touch again, found among those the
-    family meets (ColumnFamilies.meets), in _requeue_key order."""
-    columns, (_, rhs) = problem.columns, problem.scaled
-    by_row = columns.index
-    one_pass = columns.same_sign
-    m = len(rhs)
-    live = [[(1 << len(fam.lefts)) - 1, (1 << len(fam.rights)) - 1] for fam in columns.families]
+    first.  Otherwise, on a mixed-sign problem, a step queues the waiting
+    rows (alive, not queued) its columns touch again, in the order its
+    columns, ascending, first reach them, ties by row."""
+    masks, (_, rhs) = problem.columns.plain.masks, problem.scaled
+    one_pass = problem.columns.plain.same_sign
+    live = (1 << problem.num_vars) - 1
     waiting = 0  # bit r: row r is alive and not queued
     steps: list = []
-    queue = deque(range(m))
+    queue = deque(range(len(rhs)))
     while queue:
         i = queue.popleft()
+        mask, positive = masks[i]
+        hit = mask & live
         if rhs[i]:
-            if not _meets_live(by_row[i], live):
+            if not hit:
                 return _Presolve(live, None, steps, i)
+            if not one_pass:
+                waiting |= 1 << i
+            continue
+        if not hit:
+            continue
+        positive &= hit
+        if positive and positive != hit:  # mixed signs
             waiting |= 1 << i
             continue
-        parts = []
-        signs = 0  # bit 1: a live coefficient is positive, bit 0: one is negative
-        for f, side, entries, mask, positive in by_row[i]:
-            if (hit := mask & live[f][side]) and (other := live[f][1 - side]):
-                positive &= hit
-                signs |= (positive != 0) << 1 | (positive != hit)
-                if signs == 3:
-                    break
-                parts.append((f, side, entries, hit, other))
-        if signs == 3:
-            waiting |= 1 << i
-            continue
-        if not parts:
-            continue
-        steps.append((i, 1 if signs == 2 else -1, tuple(parts)))
-        for f, side, _, hit, other in parts:
-            live[f][side] ^= hit
-            if one_pass:
-                continue
-            sides = (hit, other) if side == 0 else (other, hit)
-            keyed = []
-            rows, meets = columns.meets[f]
-            rest = waiting & rows
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row = low.bit_length() - 1
-                if key := _requeue_key(meets[row], sides, row):
-                    keyed.append(key)
-                    waiting ^= low
-            keyed.sort()
-            queue.extend([row for *_, row in keyed])
+        steps.append((i, 1 if positive else -1, hit))
+        live ^= hit
+        if not one_pass:
+            keyed = sorted((touch & -touch, r) for r in _bit_ids(waiting) if (touch := masks[r][0] & hit))
+            for _, r in keyed:
+                waiting ^= 1 << r
+            queue.extend([r for _, r in keyed])
     if not one_pass:
-        return _Presolve(live, [i for i in range(m) if waiting >> i & 1], steps, None)
+        return _Presolve(live, [i for i in range(len(rhs)) if waiting >> i & 1], steps, None)
     active = [i for i, v in enumerate(rhs) if v]
-    # Only a step after a row's test can have emptied it.
-    if steps and (dead := [i for i in active if i < steps[-1][0] and not _meets_live(by_row[i], live)]):
-        return _Presolve(live, None, steps, min(_requeue_slot(columns.meets, steps, r) for r in dead)[-1])
+    # Only a step after a row's test can have emptied it.  The queue would
+    # put row r back at the first such step that kills a column of r, and
+    # there after the rows of lower columns, then of lower rows.
+    if dead := [r for r in active if steps and r < steps[-1][0] and not masks[r][0] & live]:
+        slots = (next((k, touch & -touch, r) for k, (row, _, hit) in enumerate(steps)
+                      if row > r and (touch := hit & masks[r][0])) for r in dead)
+        return _Presolve(live, None, steps, min(slots)[-1])
     return _Presolve(live, active, steps, None)
-
-
-def _meets_live(entries, live) -> bool:
-    """Whether a row with these index entries has a live column."""
-    for f, side, _, mask, _ in entries:
-        if mask & live[f][side] and live[f][1 - side]:
-            return True
-    return False
-
-
-def _requeue_key(meet, sides, row):
-    """The queue order of a waiting row that meets a family as meet =
-    (side, mask) when the columns sides[0] times sides[1] of the family
-    die, or None when they miss it.  The columns (a, b) die in ascending
-    id, a over the lefts and b over the rights, so the row first appears
-    with the first left, else with its lowest right, else with its lowest
-    left, ties by row."""
-    s, mask = meet
-    if touch := mask & sides[s]:
-        return s or (0 if touch & sides[0] & -sides[0] else 2), touch & -touch, row
-
-
-def _requeue_slot(meets, steps, r):
-    """(step, part, *key) of the first part of a step after row r whose
-    dying columns touch r: where the queue would have put r again."""
-    for k, (row, _, parts) in enumerate(steps):
-        if row > r:
-            for p, (f, side, _, hit, other) in enumerate(parts):
-                meet = meets[f][1].get(r)
-                if meet and (key := _requeue_key(meet, (hit, other) if side == 0 else (other, hit), r)):
-                    return k, p, *key
 
 
 def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
     """Extend a witness of the reduced system to the full system.
 
     Each restored step row gets the multiplier -sign * M with M large enough
-    that every column the step removed keeps a nonpositive aggregate: per
-    family, the strategy sum of a removed strategy plus the largest sum on
-    the other side, among the strategies live at that step, over the
-    strategy's coefficient in the row.  Restored multipliers pair with zero
-    right-hand sides, so y^T b is untouched.  The sums run on the witness
-    scaled once to integers; the largest sum on the other side is read off
-    the bits of that side's live mask, and an aggregate over a coefficient
-    of 1 or -1 is compared as the integer it is.
+    that every column the step removed keeps a nonpositive aggregate: the
+    largest aggregate of such a column over its coefficient in the row.
+    Restored multipliers pair with zero right-hand sides, so y^T b is
+    untouched.  The aggregates are summed once from the rows the witness
+    holds, on the witness scaled once to integers, and each restored row
+    adds its own; an aggregate over a coefficient of 1 or -1 is compared as
+    the integer it is.
     """
-    columns = problem.columns
+    columns = problem.columns.plain
     scale, w = _integer_scaled(farkas)
     u = columns.strategy_sums(w)
-    for row, sign, parts in reversed(pre.steps):
+    for row, sign, hit in reversed(pre.steps):
         top = 0
-        for f, side, entries, hit, other_live in parts:
-            sums = u[f][1 - side]
-            other = max(sums if other_live + 1 == 1 << len(sums) else map(sums.__getitem__, _bit_ids(other_live)))
-            mine = u[f][side]
-            for t, coeff in entries:
-                if hit >> t & 1:
-                    agg = mine[t] + other
-                    if coeff != 1 and coeff != -1:
-                        agg = Fraction(agg) / abs(coeff)
-                    if agg > top:
-                        top = agg
+        for c, coeff in columns.index[row]:
+            if hit >> c & 1:
+                agg = u[c] if coeff == 1 or coeff == -1 else Fraction(u[c]) / abs(coeff)
+                if agg > top:
+                    top = agg
         if top > 0:
             w[row] = -sign * top
             farkas[row] = Fraction(-sign * top, scale)
@@ -516,28 +459,16 @@ def _phase1(problem, pre: _Presolve):
     inv = {len(b): xb}  # x_B, then the columns at rows of basic structurals
     y = [-1 if v < 0 else 1 for v in b] + [sum(xb.values())]
     basis = {}  # row -> the column id of the structural it holds
-    # Families with live columns: (base, len(rights), lefts, rights), each
-    # side its live strategies as (id, strategy); they meet active rows only.
-    fams = [(fam.base, len(fam.rights), [(t, fam.lefts[t]) for t in _bit_ids(left)],
-             [(t, fam.rights[t]) for t in _bit_ids(right)])
-            for fam, (left, right) in zip(problem.columns.families, pre.live) if left and right]
+    # The live columns as (id, entries), ascending; they meet active rows only.
+    cols = problem.columns.plain.families[0].lefts
+    live = [(c, cols[c]) for c in _bit_ids(pre.live)]
     det = 1
     while y[-1]:
-        entering = None
-        for base, width, lefts, rights in fams:
-            ur = [sum([y[i] * c for i, c in e]) for _, e in rights]
-            top = max(ur)
-            for t, e in lefts:
-                ul = sum([y[i] * c for i, c in e])
-                if ul + top > 0:
-                    k = next(k for k, v in enumerate(ur) if ul + v > 0)
-                    entering = base + t * width + rights[k][0], e + rights[k][1]
-                    break
-            if entering is not None:
+        for label, entries in live:
+            if sum([y[i] * c for i, c in entries]) > 0:
                 break
-        if entering is None:
+        else:
             return None, {i: Fraction(y[i], det) for i in active if y[i]}
-        label, entries = entering
         d = {}
         for i, coeff in entries:
             column = inv.get(i)

@@ -6,8 +6,10 @@ local response functions.  is_tobl asks, for a fixed bipartition, for one
 weight vector over triples (solo strategy, pair strategy with pair[0]
 signalling pair[1], pair strategy with pair[1] signalling pair[0]) whose two
 directional readings both reproduce the box; feasibility means every wiring
-of that bipartition yields a local effective box.  Its columns are the
-products of route strategies, given to the solver as column families.
+of that bipartition yields a local effective box.  tobl_problem states that
+LP on the 16384 triples, as products of route strategies in four column
+families, and its certificates index them.  is_tobl solves the same LP on
+the 512 marginals of those weights and lifts the answer to tobl_problem.
 
 Strategy truth tables follow the package convention: bit j is the value at
 packed argument index j, first argument most significant.  One-way pair
@@ -26,7 +28,7 @@ from functools import cache
 from itertools import product
 
 from .boxes import BITS, Box3, ParseError, _require, _require3, pack, require_valid
-from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, lp_feasible
+from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, LPError, lp_feasible
 from .wiring import Bipartition
 
 
@@ -34,13 +36,14 @@ def _bit(tt: int, i: int) -> int:
     return (tt >> i) & 1
 
 
-def _problem(columns: ColumnFamilies, box, copies: int) -> FamilyProblem:
+def _problem(columns: ColumnFamilies, box, copies: int, ones: int = 1) -> FamilyProblem:
     """The problem on columns whose right-hand side is copies of the table
-    and then 1, stated by the box's integer view: (scale, ints * copies +
-    (scale,)) is what integer_scaled gives on it, since repeating the table
-    and adding 1 leave the lcm of the denominators as it is."""
+    and then ones 1s, stated by the box's integer view: (scale, ints *
+    copies + (scale,) * ones) is what integer_scaled gives on it, since
+    repeating the table and adding 1s leave the lcm of the denominators as
+    it is."""
     scale, ints = box.scaled
-    return FamilyProblem(columns, (scale, ints * copies + (scale,)))
+    return FamilyProblem(columns, (scale, ints * copies + (scale,) * ones))
 
 
 @cache
@@ -117,9 +120,72 @@ def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     return _problem(_tobl_columns(bp), _require3(box, "tobl_problem"), 2)
 
 
+@cache
+def _marginal_columns(bp: Bipartition) -> ColumnFamilies:
+    """is_tobl's 512 plain columns over 133 rows, all coefficients 1: for
+    solo truth table s, a_{s,i} at 128 * s + i is route-1 strategy i of
+    _tobl_columns(bp)'s family s plus row 129 + s, and c_{s,j} at 128 * s +
+    64 + j its route-2 strategy j plus each row 129 + s', s' != s."""
+    unit = [(row, 1) for row in range(133)]
+    cols = []
+    for s, fam in enumerate(_tobl_columns(bp).families):
+        others = tuple(unit[129 + t] for t in range(4) if t != s)
+        cols += [left + (unit[129 + s],) for left in fam.lefts]
+        cols += [right + others for right in fam.rights]
+    return ColumnFamilies(512, 133, (Family(0, tuple(cols), ((),)),))
+
+
+def _marginal_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
+    """The LP on _marginal_columns(bp): the table twice, then five 1s."""
+    return _problem(_marginal_columns(bp), box, 2, 5)
+
+
+def _coupling(a: list, c: list) -> list:
+    """Northwest-corner coupling of sparse positive (index, value) lists of
+    equal sums, indices ascending: cells (i, j, w), ascending, whose sums
+    over j give a and over i give c, at most len(a) + len(c) - 1 of them."""
+    cells = []
+    a, c = iter(a), iter(c)
+    (i, u), (j, v) = next(a, (0, 0)), next(c, (0, 0))
+    while u and v:
+        w = min(u, v)
+        cells.append((i, j, w))
+        u, v = u - w, v - w
+        if not u:
+            i, u = next(a, (0, 0))
+        if not v:
+            j, v = next(c, (0, 0))
+    return cells
+
+
 def is_tobl(box: Box3, bp: Bipartition) -> LPCertificate:
     """Feasibility of a shared one-way-signalling model for both directions
-    of the bipartition: lp_feasible(tobl_problem(box, bp)), which works on
-    the 2 x 256 route strategies and never expands the 16384 columns."""
+    of the bipartition, with a certificate of tobl_problem(box, bp), solved
+    on _marginal_problem.  The weights w of solo strategy s meet
+    tobl_problem's rows only through a_{s,i} = sum_j w and c_{s,j} = sum_i
+    w, whose sums rows 128 (sum c = 1) and 129 + s (sum a_s + sum c of the
+    other s = 1) make equal; any such a and c come from some w (the
+    transportation-polytope argument for the one-way model of Gallego,
+    Wurflinger, Acin and Navascues, PRL 109, 070401 (2012)).  A point lifts
+    by _coupling onto lambda indices, a witness (y, z), z on rows 129-132,
+    as y with sum z added to row 128; the lift is returned once it
+    verifies on tobl_problem.  A bp that is not a Bipartition raises
+    ParseError before any column is built."""
     require_valid(_require3(box, "is_tobl"))
-    return lp_feasible(tobl_problem(box, bp))
+    _require(bp, "is_tobl", Bipartition, ParseError)
+    cert = lp_feasible(_marginal_problem(box, bp))
+    if cert.feasible:
+        marginals = [([], []) for _ in range(4)]  # per solo strategy, a and c
+        for col, v in cert.point:
+            s, k = divmod(col, 128)
+            marginals[s][k >= 64].append((k % 64, v))
+        point = tuple((4096 * s + 64 * i + j, w)
+                      for s, (a, c) in enumerate(marginals) for i, j, w in _coupling(a, c))
+        lifted = LPCertificate(True, point, None)
+    else:
+        y = dict(cert.farkas)
+        y[128] = y.get(128, 0) + sum(y.pop(r, 0) for r in range(129, 133))
+        lifted = LPCertificate(False, None, tuple((r, v) for r, v in sorted(y.items()) if v))
+    if not lifted.verify(tobl_problem(box, bp)):
+        raise LPError("lifted one-way certificate failed verification")
+    return lifted

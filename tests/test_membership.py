@@ -24,7 +24,7 @@ from nsboxes import (
 )
 from nsboxes import membership
 from nsboxes.boxes import integer_scaled
-from nsboxes.lp import LPCertificate, LPError
+from nsboxes.lp import ColumnFamilies, LPCertificate, LPError, _presolve
 from random_boxes import odd_lcm_mixtures, random_ns_box2
 
 SEED = 31415
@@ -211,11 +211,11 @@ ONE_WAY_SEED = 1479
 ONE_WAY_CASES = 4
 
 
-def seeded_one_way_cases():
+def seeded_one_way_cases(count=ONE_WAY_CASES):
     """Relabelled extremal boxes and mixtures of two, each with a random
     bipartition."""
     rng = random.Random(ONE_WAY_SEED)
-    for _ in range(ONE_WAY_CASES):
+    for _ in range(count):
         vertices = [
             relabel(
                 builtin(rng.choice(EXTREMAL)),
@@ -232,28 +232,107 @@ def seeded_one_way_cases():
 
 
 def test_factored_tobl_matches_expanded_lp():
-    # is_tobl solves the one-way LP on its column families; the row-form
-    # oracle on the expanded 16384 columns must give the same certificate
-    # byte for byte, through each outcome.
+    # lp_feasible on tobl_problem, the product form, and the row-form oracle
+    # on the expanded 16384 columns must give the same certificate byte for
+    # byte, through each outcome.  is_tobl, which solves the marginal form,
+    # must give the oracle's verdict with a certificate of tobl_problem.
     cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
     cases += seeded_one_way_cases()
     outcomes = set()
     for box, bp in cases:
         problem = tobl_problem(box, bp)
         want, outcome = lp_oracle.solve(lp_oracle.row_problem(problem.num_vars, problem.rows))
-        assert is_tobl(box, bp).to_text() == want.to_text(), bp.name
+        assert lp_feasible(problem).to_text() == want.to_text(), bp.name
+        cert = is_tobl(box, bp)
+        assert cert.feasible == want.feasible and cert.verify(problem), bp.name
         outcomes.add(outcome)
     assert outcomes == {"arrival", "re-queue", "phase-1 farkas", "feasible"}
 
 
-def test_one_way_solve_never_expands_rows():
-    # The expansion holds 16384 x 17 entries; the solver and the check work
-    # on the families and leave the rows unbuilt.
+def test_one_way_solve_never_expands_rows(monkeypatch):
+    # tobl_problem's rows and plain columns hold 16384 x 17 entries.
+    # is_tobl solves the 512-column marginal form, and verify checks the
+    # lifted certificate on the route strategies, so neither is built.
+    expanded = []
+    plain = ColumnFamilies.plain.func
+    monkeypatch.setattr(ColumnFamilies, "plain", property(lambda self: expanded.append(self.num_vars) or plain(self)))
     for name in ("class4", "class44"):
         problem = tobl_problem(builtin(name), BIPARTITIONS[0])
-        cert = lp_feasible(problem)
-        assert cert.verify(problem)
+        assert is_tobl(builtin(name), BIPARTITIONS[0]).verify(problem)
         assert "rows" not in vars(problem)
+    assert expanded and set(expanded) == {512}
+
+
+MARGINAL_CASES = 8
+
+
+def marginal_cases():
+    """The builtins on every bipartition, uniform3 on one (its oracle solve
+    takes seconds), and seeded one-way cases."""
+    cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
+    return cases + [(builtin("uniform3"), BIPARTITIONS[0])] + list(seeded_one_way_cases(MARGINAL_CASES))
+
+
+def test_marginal_lp_matches_row_form_oracle():
+    # The marginal form is a plain system: lp_feasible and the row-form
+    # oracle give the same certificate byte for byte, through each outcome.
+    # is_tobl lifts it: a witness (y, z) as y with sum z on row 128.
+    outcomes = set()
+    for box, bp in marginal_cases():
+        problem = membership._marginal_problem(box, bp)
+        want, outcome = lp_oracle.solve(lp_oracle.row_problem(problem.num_vars, problem.rows))
+        cert = lp_feasible(problem)
+        assert cert.to_text() == want.to_text(), bp.name
+        lifted = is_tobl(box, bp)
+        assert lifted.feasible == cert.feasible and lifted.verify(tobl_problem(box, bp))
+        if not cert.feasible:
+            y = dict(cert.farkas)
+            y[128] = sum(v for r, v in cert.farkas if r >= 128)
+            assert lifted.farkas == tuple((r, v) for r, v in sorted(y.items()) if r <= 128 and v)
+        outcomes.add(outcome)
+    assert outcomes == {"arrival", "re-queue", "phase-1 farkas", "feasible"}
+
+
+def sparse_marginal(rng, total):
+    """1-8 positive values summing to total at ascending indices below 64."""
+    raw = [rng.randint(1, 9) for _ in range(rng.randint(1, 8))]
+    return list(zip(sorted(rng.sample(range(64), len(raw))), (total * r / sum(raw) for r in raw)))
+
+
+def test_coupling_reproduces_both_marginals_within_the_support_bound():
+    rng = random.Random(SEED + 2)
+    tight = 0
+    for _ in range(300):
+        total = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        a, c = sparse_marginal(rng, total), sparse_marginal(rng, total)
+        cells = membership._coupling(a, c)
+        assert all(w > 0 for *_, w in cells)
+        assert [(i, j) for i, j, _ in cells] == sorted({(i, j) for i, j, _ in cells})
+        for k, marginal in ((0, a), (1, c)):
+            sums = {}
+            for cell in cells:
+                sums[cell[k]] = sums.get(cell[k], 0) + cell[2]
+            assert sorted(sums.items()) == marginal
+        assert len(cells) <= len(a) + len(c) - 1
+        tight += len(cells) == len(a) + len(c) - 1
+    assert tight >= 100
+    assert membership._coupling([], []) == []
+
+
+def test_marginal_witness_lifted_after_a_presolve_detection():
+    # On class44 the marginal LP's presolve empties row 57, and the witness
+    # carries the multipliers of the steps before it.  Lifted, it is the
+    # product route's certificate byte for byte.
+    box = builtin("class44")
+    for bp in BIPARTITIONS:
+        problem = membership._marginal_problem(box, bp)
+        pre = _presolve(problem)
+        assert pre.detected == 57 and pre.steps
+        cert = lp_feasible(problem)
+        assert {pre.detected} < {r for r, _ in cert.farkas} <= {pre.detected} | {r for r, *_ in pre.steps}
+        lifted = is_tobl(box, bp)
+        assert lifted.verify(tobl_problem(box, bp))
+        assert lifted.to_text() == lp_feasible(tobl_problem(box, bp)).to_text()
 
 
 def test_problems_take_the_integer_view_of_their_right_hand_side():

@@ -1,13 +1,15 @@
 import random
+import runpy
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import box_oracle
 import wiring_oracle as oracle
 from box_oracle import relabel
-from random_boxes import odd_lcm_mixtures, random_relabeling3
+from random_boxes import mixture3, odd_lcm_mixtures, random_relabeling3
 from nsboxes import (
     BIPARTITIONS,
     ArityError,
@@ -391,3 +393,20 @@ def test_distinct_effective_boxes_match_oracle():
             w = random_wiring(rng)
             first = seen[oracle.wire(box.table, w)]
             assert oracle.canonical_key(first) <= oracle.canonical_key(w)
+
+
+# The benchmark's evaluator, run from its source and written from the
+# documented definitions: it imports nothing from nsboxes, where
+# wiring_oracle shares the library's pack and branch kernel.
+NAIVE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "naive.py"))
+
+
+def test_apply_wiring_matches_the_benchmark_evaluator():
+    rng = random.Random(SEED + 5)
+    for _ in range(150):
+        raw = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+        box = mixture3(rng, [Fraction(r, sum(raw)) for r in raw])
+        spec = (rng.randrange(3), rng.randrange(2), rng.randrange(4), rng.randrange(16), rng.randrange(256))
+        w = Wiring(BIPARTITIONS[spec[0]], *spec[1:])
+        assert w.encode() == NAIVE["encode"](spec)
+        assert apply_wiring(box, w).table == NAIVE["wire"](box.table, spec), w.encode()
