@@ -14,8 +14,8 @@ certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
 zero right-hand side whose live coefficients share one sign, each killing
 its live columns in the row's entry order), the same Farkas lift, and
 phase1(), a dense Fraction phase 1.  phase1() keeps the whole m x m basis
-inverse and the basic values as Fractions of the unscaled system and
-updates them with textbook pivots.  It shares nothing with the library's
+inverse, the basic values and the duals as Fractions of the unscaled
+system and updates them with textbook pivots.  It shares nothing with the library's
 integer phase 1 but the contract: Bland's rule over the same integer labels
 (column id, or num_vars + pos for the artificial of row pos), and the same
 (point, farkas) dicts out.  Nothing here reads the problem's column
@@ -144,7 +144,7 @@ def phase1(problem, col_alive, active_rows):
     n = problem.num_vars
     m = len(active_rows)
     # Row signs flip so the right-hand side is nonnegative.
-    sign = [-ONE if problem.rows[i][1] < 0 else ONE for i in active_rows]
+    sign = [-1 if problem.rows[i][1] < 0 else 1 for i in active_rows]
     xb = [s * problem.rows[i][1] for s, i in zip(sign, active_rows)]
     cols: dict[int, list] = {}
     for pos, i in enumerate(active_rows):
@@ -154,18 +154,16 @@ def phase1(problem, col_alive, active_rows):
     col_ids = sorted(cols)
     binv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
     basis = [n + pos for pos in range(m)]
+    # Duals of the phase-1 objective (artificial cost 1, structural 0).
+    y = [ONE] * m
 
     while True:
-        art_rows = [i for i in range(m) if basis[i] >= n]
-        if not any(xb[i] for i in art_rows):
+        if not any(xb[i] for i in range(m) if basis[i] >= n):
             return {basis[i]: xb[i] for i in range(m) if basis[i] < n and xb[i]}, None
-        # Duals of the phase-1 objective (artificial cost 1, structural 0).
-        y = [sum((binv[i][j] for i in art_rows if binv[i][j]), ZERO) for j in range(m)]
-        entering = next(
-            (col for col in col_ids if sum(y[pos] * coeff for pos, coeff in cols[col] if y[pos]) > 0),
-            None,
-        )
-        if entering is None:
+        for entering in col_ids:
+            if (reduced := sum(y[pos] * coeff for pos, coeff in cols[entering] if y[pos])) > 0:
+                break
+        else:
             return None, {i: s * yv for i, s, yv in zip(active_rows, sign, y) if yv}
         d = [sum((coeff * row[pos] for pos, coeff in cols[entering] if row[pos]), ZERO) for row in binv]
         leave = min(((xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > 0), default=None)
@@ -173,6 +171,10 @@ def phase1(problem, col_alive, active_rows):
             raise LPError("phase-1 objective unbounded; inconsistent state")
         theta, _, r = leave
         piv = d[r]
+        # The entering column's cost is 0: y - (y . a_e / piv) B^-1[r], with
+        # the pivot row before the update.
+        step = reduced / piv
+        y = [yv - step * lv if lv else yv for yv, lv in zip(y, binv[r])]
         if piv != 1:
             binv[r] = [v / piv for v in binv[r]]
         lrow = binv[r]
