@@ -17,20 +17,17 @@ is_tobl's marginal form of the one-way LP.
 
 The solver works on plain columns (ColumnFamilies.plain), which expands a
 product family, such as tobl_problem's, into its columns.  The presolve
-removes rows with zero right-hand side whose live coefficients share one
-sign, forcing every column they touch to zero.  It keeps one mask of the
-live columns and reads each row's columns and positive coefficients off
-two masks (ColumnFamilies.masks); a step records the mask of the columns
-it kills.  When every row's coefficients share one sign
-(ColumnFamilies.same_sign, true of the local and one-way LPs), each zero
-row is a step or empty when first reached, so one ascending pass makes
-every step and is all that runs; of the rows a later step empties, the
-one detected is the one a queue would have taken back first, found from
-the recorded steps.  On a mixed-sign problem, the waiting rows (alive,
-not queued) that a step's columns touch are queued again, in the order
-its columns, ascending, first reach them, ties by row.  A phase-1 revised
-simplex with Bland's rule solves what remains: the lowest live column
-with a positive reduced cost enters.
+takes one ascending pass over the rows.  It removes each row with zero
+right-hand side whose live coefficients share one sign, forcing every
+column it touches to zero, and leaves a zero row of mixed signs to phase 1;
+every row of the local and one-way LPs has one sign.  It keeps one mask of
+the live columns and reads each row's columns and positive coefficients
+off two masks (ColumnFamilies.masks); a step records the mask of the
+columns it kills.  A row with a nonzero right-hand side and no live column
+is detected; of the rows a later step empties, the one detected is found
+from the recorded steps.  A phase-1 revised simplex with Bland's rule
+solves what remains: the lowest live column with a positive reduced cost
+enters.
 
 A problem states b by its integer view (beta, B), B = beta * b in lowest
 terms, and everything from the presolve to the check works on it.  The
@@ -47,7 +44,7 @@ the witness must be nonpositive, so a product family is never expanded.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -174,12 +171,6 @@ class ColumnFamilies(_Value):
             return int.from_bytes(bits, "little")
 
         return tuple((mask(e), mask([p for p in e if p[1] > 0])) for e in self.index)
-
-    @cached_property
-    def same_sign(self) -> bool:
-        """Whether the coefficients of each row share one sign, read off
-        its masks."""
-        return all(positive in (0, mask) for mask, positive in self.masks)
 
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
@@ -336,59 +327,37 @@ _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 
 def _presolve(problem) -> _Presolve:
     """Fix to zero every column touched by a same-sign zero-rhs row of the
-    plain columns: its live coefficients are positive where its positive
-    mask covers its live mask, negative where it misses it.  A row with a
-    nonzero right-hand side is only tested for a live column: none is the
-    detection.
+    plain columns, in one ascending pass over the rows: a zero row's live
+    coefficients are positive where its positive mask covers its live mask,
+    negative where it misses it, and mixed otherwise.  A mixed zero row is
+    left to phase 1, and a row with a nonzero right-hand side is only tested
+    for a live column: none is the detection.
 
-    When ColumnFamilies.same_sign holds, each zero row is a step, or has
-    no live column, when first reached, so the first ascending pass makes
-    every step and is all that runs: no row is queued again.  Rows with a
-    nonzero right-hand side that a later step empties are found after the
-    pass, and the one detected is the one the queue would have taken back
-    first.  Otherwise, on a mixed-sign problem, a step queues the waiting
-    rows (alive, not queued) its columns touch again, in the order its
-    columns, ascending, first reach them, ties by row."""
+    A row kept for phase 1 that a later step empties is found after the
+    pass.  A mixed zero row is then dropped.  Of the rows with a nonzero
+    right-hand side, the one detected is the least by (the first later
+    step that touches it, the lowest column that step kills in it, the
+    row): the first that a queue would take back, were each step to queue
+    the rows it touches, in the order its columns reach them."""
     masks, (_, rhs) = problem.columns.plain.masks, problem.scaled
-    one_pass = problem.columns.plain.same_sign
     live = (1 << problem.num_vars) - 1
-    waiting = 0  # bit r: row r is alive and not queued
     steps: list = []
-    queue = deque(range(len(rhs)))
-    while queue:
-        i = queue.popleft()
-        mask, positive = masks[i]
+    kept = []
+    for i, (mask, positive) in enumerate(masks):
         hit = mask & live
-        if rhs[i]:
-            if not hit:
-                return _Presolve(live, None, steps, i)
-            if not one_pass:
-                waiting |= 1 << i
-            continue
         if not hit:
-            continue
-        positive &= hit
-        if positive and positive != hit:  # mixed signs
-            waiting |= 1 << i
-            continue
-        steps.append((i, 1 if positive else -1, hit))
-        live ^= hit
-        if not one_pass:
-            keyed = sorted((touch & -touch, r) for r in _bit_ids(waiting) if (touch := masks[r][0] & hit))
-            for _, r in keyed:
-                waiting ^= 1 << r
-            queue.extend([r for _, r in keyed])
-    if not one_pass:
-        return _Presolve(live, [i for i in range(len(rhs)) if waiting >> i & 1], steps, None)
-    active = [i for i, v in enumerate(rhs) if v]
-    # Only a step after a row's test can have emptied it.  The queue would
-    # put row r back at the first such step that kills a column of r, and
-    # there after the rows of lower columns, then of lower rows.
-    if dead := [r for r in active if steps and r < steps[-1][0] and not masks[r][0] & live]:
+            if rhs[i]:
+                return _Presolve(live, None, steps, i)
+        elif rhs[i] or hit & positive not in (0, hit):
+            kept.append(i)
+        else:
+            steps.append((i, 1 if hit & positive else -1, hit))
+            live ^= hit
+    if dead := [r for r in kept if rhs[r] and not masks[r][0] & live]:
         slots = (next((k, touch & -touch, r) for k, (row, _, hit) in enumerate(steps)
                       if row > r and (touch := hit & masks[r][0])) for r in dead)
         return _Presolve(live, None, steps, min(slots)[-1])
-    return _Presolve(live, active, steps, None)
+    return _Presolve(live, [r for r in kept if masks[r][0] & live], steps, None)
 
 
 def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:

@@ -11,12 +11,13 @@ Family, ColumnFamilies and FamilyProblem to reject.
 
 solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
-zero right-hand side whose live coefficients share one sign, each killing
-its live columns in the row's entry order), the same Farkas lift, and
-phase1(), a dense Fraction phase 1.  phase1() keeps the whole m x m basis
-inverse, the basic values and the duals as Fractions of the unscaled
-system and updates them with textbook pivots.  It shares nothing with the library's
-integer phase 1 but the contract: Bland's rule over the same integer labels
+zero right-hand side whose live coefficients share one sign when the first
+pass reaches them, each killing its live columns in the row's entry order;
+a queue then takes back the rows a step touched, to find those it emptied),
+the same Farkas lift, and phase1(), a dense Fraction phase 1.  phase1()
+keeps the whole m x m basis inverse, the basic values and the duals as
+Fractions of the unscaled system and updates them with textbook pivots.
+It shares nothing with the library's integer phase 1 but the contract: Bland's rule over the same integer labels
 (column id, or num_vars + pos for the artificial of row pos), and the same
 (point, farkas) dicts out.  Nothing here reads the problem's column
 families.
@@ -87,7 +88,10 @@ def lift_farkas(problem, columns, steps, farkas):
 
 
 def presolve(problem):
-    """Fix to zero every column touched by a same-sign zero-rhs row.
+    """Fix to zero every column touched by a zero-rhs row that is
+    same-sign when the first pass over the rows reaches it.  Each step
+    queues the alive rows its columns touch again; a queued row is only
+    tested for a live column.
 
     Returns (col_alive, active_rows, steps, early, requeued): early is the
     lifted infeasibility certificate when a row with no live columns has a
@@ -117,7 +121,7 @@ def presolve(problem):
                 return None, None, steps, lift_farkas(problem, columns, steps, farkas), pops > m
             row_alive[i] = False
             continue
-        if rhs != 0:
+        if rhs != 0 or pops > m:
             continue
         live = [(col, coeff) for col, coeff in entries if coeff and col_alive[col]]
         if all(coeff > 0 for _, coeff in live):

@@ -640,7 +640,8 @@ def family_system(rng, same_sign=False):
     splits the rows into left rows below a cut and right rows above it.
     Each family row gets one sign for all its coefficients or, one time in
     three, signs drawn per entry, so zero rows are same-sign, mixed-sign,
-    or same-sign once other steps remove their mixed entries.  With
+    or same-sign once later steps remove their mixed entries, which the
+    presolve leaves to phase 1 as mixed.  With
     same_sign, each row gets one sign across all families instead, as in
     the local and one-way LPs.  About a third of the right-hand sides are
     zero."""
@@ -676,7 +677,7 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
     # The one-way LP has only +1 coefficients; these families put
     # mixed-sign rows of assorted magnitudes inside a family, and rows that
     # families share on different sides.  The second stream keeps one sign
-    # per row, which the presolve decides in one pass and where a row
+    # per row.  The presolve takes its steps in one pass on both, and a row
     # emptied after its test is found from the steps.
     for seed, same_sign in ((FAMILY_SEED, False), (SAME_SIGN_SEED, True)):
         rng = random.Random(seed)
@@ -684,7 +685,6 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
         spanning = requeued_steps = 0
         for _ in range(400):
             problem = family_system(rng, same_sign)
-            assert problem.columns.same_sign or not same_sign
             rows = row_problem(problem.num_vars, problem.rows)
             cert = lp_feasible(problem)
             want, outcome = lp_oracle.solve(rows)
@@ -700,12 +700,12 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
                 assert pre.active_rows == active_rows
                 assert live_columns(problem, pre) == {col for col in family_columns(problem) if col_alive[col]}
             spanning += any(len(families_hit(problem, hit)) > 1 for *_, hit in pre.steps)
-            # The first pass takes rows in order; a step on a row at or below
-            # the one before it was taken when that row was queued again.
+            # The one pass takes rows in order; a step on a row at or below
+            # the one before it would have been taken on a row queued again.
             requeued_steps += any(b <= a for (a, *_), (b, *_) in zip(pre.steps, pre.steps[1:]))
         assert all(outcomes.get(k, 0) >= 10 for k in ("arrival", "re-queue", "phase-1 farkas", "feasible")), outcomes
         assert spanning >= 10
-        assert requeued_steps == 0 if same_sign else requeued_steps >= 10
+        assert requeued_steps == 0
 
 
 def scaled_system(problem, rhs_factor, coeff_factor):
@@ -752,21 +752,22 @@ def test_certificate_bytes_survive_scaling_every_row(rng, k):
     assert lp_feasible(scaled_system(problem, k, k)).to_text() == lp_feasible(problem).to_text()
 
 
-def test_presolve_requeues_rows_of_a_dead_right_before_rows_of_a_later_left():
+def test_presolve_leaves_rows_a_later_step_makes_same_sign_to_phase_1():
     # Row 3 kills family 0's one right, so columns 0 = (left 0, right 0) and
-    # 1 = (left 1, right 0) die in that order: waiting row 2 (right 0's)
-    # comes back before waiting row 1 (left 1's), and each is then a step.
+    # 1 = (left 1, right 0) die.  Rows 1 and 2 mixed signs when the pass
+    # reached them and are same-sign after it; they stay for phase 1.
     problem = FamilyProblem(ColumnFamilies(5, 4, (
         Family(0, (((0, 1),), ((1, -1),)), (((2, -1), (3, 1)),)),
         Family(2, (((2, 1),),), ((),)),
         Family(3, (((1, 1),),), ((),)),
         Family(4, (((0, 1),),), ((),)),
     )), (1, (1, 0, 0, 0)))
-    assert not problem.columns.same_sign  # row 1: -1 in family 0, +1 in family 2
-    steps = [(r, s) for r, s, _ in _presolve(problem).steps]
-    assert steps == [(3, 1), (2, 1), (1, 1)]
-    assert steps == [(r, s) for r, s, _ in lp_oracle.presolve(row_problem(5, problem.rows))[2]]
-    assert lp_feasible(problem).point == ((4, 1),)
+    rows = row_problem(5, problem.rows)
+    pre = _presolve(problem)
+    _, active_rows, oracle_steps, *_ = lp_oracle.presolve(rows)
+    assert [(r, s) for r, s, _ in pre.steps] == [(r, s) for r, s, _ in oracle_steps] == [(3, 1)]
+    assert pre.active_rows == active_rows == [0, 1, 2]
+    assert lp_feasible(problem).to_text() == lp_oracle.solve(rows)[0].to_text() == "feasible\n4 = 1\n"
 
 
 def test_presolve_detects_the_first_requeued_row_not_the_first_emptied():
@@ -787,7 +788,7 @@ def test_presolve_detects_the_first_requeued_row_not_the_first_emptied():
 
 
 @pytest.mark.parametrize("name", ["class3", "class4", "class44", "pr", "uniform3"])
-def test_local_presolve_requeues_rows_as_the_row_form_oracle(name):
+def test_local_presolve_steps_match_the_row_form_oracle(name):
     problem = local_problem(builtin(name))
     rows = row_problem(problem.num_vars, problem.rows)
     steps = _presolve(problem).steps
