@@ -5,14 +5,21 @@ once, through the closed forms of the orbit maxima and the central
 symmetry of the columns; these tests pin the column kernel, the closed
 forms against the orbit forms of box_oracle, the half hull, each block's
 maxima, and the values and tie-break wirings of the whole search against
-the oracle.  They also check the two
+the oracle, and against the benchmark's reference, which perfbench/naive.py
+swept without nsboxes.  They also check the two
 bounds the search skips blocks by, that a block skipped as a repeat of a
 scored block's column set has that block's maxima, and where the skips fire.
 """
 
+import json
 import random
+import runpy
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +29,7 @@ from box_oracle import Relabeling, dot, from_entries, oracle_orbit_forms, relabe
 from nsboxes import (
     BIPARTITIONS,
     Box2,
+    Box3,
     Wiring,
     builtin,
     chsh_max,
@@ -247,6 +255,37 @@ def test_search_matches_oracle_on_pool_entries(k):
 def test_search_matches_oracle_on_noisy_vertices():
     for box in noisy_boxes():
         assert_search_matches_oracle(box)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_modules():
+    """perfbench's naive and workloads modules, each run from its source
+    with workloads' `import naive` served from sys.modules, so nothing is
+    imported from perfbench/ and no bytecode is written there."""
+    naive = types.ModuleType("naive")
+    naive.__dict__.update(runpy.run_path(str(PERFBENCH / "naive.py")))
+    with mock.patch.dict(sys.modules, naive=naive):
+        return naive, runpy.run_path(str(PERFBENCH / "workloads.py"))
+
+
+def test_search_matches_the_benchmark_reference():
+    # reference.json holds naive.sweep's maxima and first maximising
+    # wirings for every box the sweep workloads search: the 3 extremal
+    # boxes and the 8 sweep-mixed pool entries with their 3 vertices each.
+    naive, workloads = benchmark_modules()
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    cases = [(make(), ref["extremal"][name]) for name, make in workloads["EXTREMAL"].items()]
+    for k, entry in enumerate(ref["mixed"]):
+        vertices, _, table = workloads["mixed_entry"](k)
+        assert workloads["digest"](naive.dumps(table)) == entry["digest"]
+        cases += [(table, entry), *zip(vertices, entry["vertices"])]
+    assert len(cases) == 35
+    for table, want in cases:
+        got = search_max_all(Box3(table))
+        assert {f: [str(v), w.encode()] for f, (w, v) in got.items()} == {
+            f: want[f] for f in ("chsh_max", "uffink_max")}
 
 
 def test_deterministic_boxes_search_to_the_classical_bounds():
