@@ -17,10 +17,10 @@ a queue then takes back the rows a step touched, to find those it emptied),
 the same Farkas lift, and phase1(), a dense Fraction phase 1.  phase1()
 keeps the whole m x m basis inverse, the basic values and the duals as
 Fractions of the unscaled system and updates them with textbook pivots.
-It shares nothing with the library's integer phase 1 but the contract: Bland's rule over the same integer labels
-(column id, or num_vars + pos for the artificial of row pos), and the same
-(point, farkas) dicts out.  Nothing here reads the problem's column
-families.
+It shares nothing with the library's integer phase 1 but the contract:
+Bland's rule over the same integer labels (column id, or num_vars + pos
+for the artificial of row pos), and the same (point, farkas) dicts out.
+Nothing here reads the problem's column families.
 """
 
 from collections import deque

@@ -640,8 +640,8 @@ def family_system(rng, same_sign=False):
     splits the rows into left rows below a cut and right rows above it.
     Each family row gets one sign for all its coefficients or, one time in
     three, signs drawn per entry, so zero rows are same-sign, mixed-sign,
-    or same-sign once later steps remove their mixed entries, which the
-    presolve leaves to phase 1 as mixed.  With
+    or same-sign once other steps remove their mixed entries: a step when
+    those steps come first, left to phase 1 when they come later.  With
     same_sign, each row gets one sign across all families instead, as in
     the local and one-way LPs.  About a third of the right-hand sides are
     zero."""
@@ -700,8 +700,8 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
                 assert pre.active_rows == active_rows
                 assert live_columns(problem, pre) == {col for col in family_columns(problem) if col_alive[col]}
             spanning += any(len(families_hit(problem, hit)) > 1 for *_, hit in pre.steps)
-            # The one pass takes rows in order; a step on a row at or below
-            # the one before it would have been taken on a row queued again.
+            # Steps come in ascending row order; a step on a row at or below
+            # the one before it would be a step on a row queued again.
             requeued_steps += any(b <= a for (a, *_), (b, *_) in zip(pre.steps, pre.steps[1:]))
         assert all(outcomes.get(k, 0) >= 10 for k in ("arrival", "re-queue", "phase-1 farkas", "feasible")), outcomes
         assert spanning >= 10
