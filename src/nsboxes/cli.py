@@ -339,16 +339,19 @@ _COMMANDS = (
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for the argument list argv.  Every command is listed with
     its help, which -h, the usage line and an unknown command's error read,
-    but only the commands named in argv get their arguments: argparse reads
-    a command's arguments only when the command is named."""
+    but only the commands named in argv get their arguments and their own
+    -h: argparse reads a command's parser only when the command is named.
+    add_subparsers is given prog, which it would otherwise find by
+    formatting a usage line."""
     parser = argparse.ArgumentParser(
         prog="nsboxes",
         description="Exact manipulation of tripartite no-signalling boxes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, help_text, handler, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if name in argv:
+        named = name in argv
+        p = sub.add_parser(name, help=help_text, add_help=named)
+        if named:
             for arg, options in arguments:
                 p.add_argument(arg, **options)
         p.set_defaults(func=handler)

@@ -7,7 +7,9 @@ a hand-written or random system goes through the library's solver.  A
 rational system is stated with every row times one common positive
 integer, which keeps its points, its witnesses and the solver's pivots;
 any value that is not an int or a Fraction is passed on as it is, for
-Family, ColumnFamilies and FamilyProblem to reject.
+Family, ColumnFamilies and FamilyProblem to reject.  Given the columns of
+an earlier row_problem on the same entries, it states only the new
+right-hand sides.
 
 solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
@@ -34,15 +36,19 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def row_problem(num_vars, rows):
+def row_problem(num_vars, rows, columns=None):
     """A x = b, x >= 0 given by rows of (entries, rhs), entries a tuple of
     (column, coefficient) pairs, as one family: column j is left strategy
     j, its nonzero coefficients in row order.  Zero coefficients are
     dropped.  Every coefficient and right-hand side is multiplied by the
     lcm of the Fraction coefficients' denominators, which makes those
     coefficients ints, and the right-hand sides are stated by
-    integer_scaled."""
+    integer_scaled.  columns, if given, is the .columns of a row_problem
+    on rows with the same entries, and is used as it is."""
     scale = lcm(*(c.denominator for entries, _ in rows for _, c in entries if type(c) is Fraction))
+    rhs = integer_scaled(v * scale for _, v in rows)
+    if columns is not None:
+        return FamilyProblem(columns, rhs)
     columns = [[] for _ in range(num_vars)]
     for row, (entries, _) in enumerate(rows):
         for col, coeff in entries:
@@ -53,7 +59,6 @@ def row_problem(num_vars, rows):
                     coeff *= scale
                 columns[col].append((row, coeff))
     family = Family(0, tuple(map(tuple, columns)), ((),))
-    rhs = integer_scaled(v * scale for _, v in rows)
     return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), rhs)
 
 
@@ -74,24 +79,29 @@ def lift_farkas(problem, columns, steps, farkas):
     steps holds (row, sign, live_entries) in elimination order; each restored
     row gets the multiplier -sign * M with M large enough that every column
     the step removed keeps a nonpositive aggregate.  Restored multipliers
-    pair with zero right-hand sides, so y^T b is untouched.
+    pair with zero right-hand sides, so y^T b is untouched.  Each step sums
+    the aggregates on the witness times the lcm of its denominators, in
+    integers.
     """
     for row, sign, live in reversed(steps):
+        scale = lcm(*(v.denominator for v in farkas.values()))
+        ints = {r: v.numerator * (scale // v.denominator) for r, v in farkas.items()}
         m = max(
-            (sum((farkas[r] * c for r, c in columns[col] if r in farkas), ZERO) / abs(coeff)
+            (Fraction(sum(ints[r] * c for r, c in columns[col] if r in ints), abs(coeff))
              for col, coeff in live),
             default=ZERO,
         )
         if m > 0:
-            farkas[row] = -sign * m
+            farkas[row] = -sign * m / scale
     return farkas
 
 
-def presolve(problem):
+def presolve(problem, columns=None):
     """Fix to zero every column touched by a zero-rhs row that is
     same-sign when the first pass over the rows reaches it.  Each step
     queues the alive rows its columns touch again; a queued row is only
-    tested for a live column.
+    tested for a live column.  columns is column_index(problem), built
+    here unless given.
 
     Returns (col_alive, active_rows, steps, early, requeued): early is the
     lifted infeasibility certificate when a row with no live columns has a
@@ -99,7 +109,7 @@ def presolve(problem):
     requeued tells whether that row was found only when queued again after
     the first pass over the rows.
     """
-    columns = column_index(problem)
+    columns = columns or column_index(problem)
     m = len(problem.rows)
     col_alive = [True] * problem.num_vars
     row_alive = [True] * m
@@ -190,16 +200,18 @@ def phase1(problem, col_alive, active_rows):
         basis[r] = entering
 
 
-def solve(problem):
+def solve(problem, columns=None):
     """(certificate, outcome), outcome one of "arrival" and "re-queue" (the
     presolve found an empty row on its first pass or after a re-queue),
-    "phase-1 farkas" and "feasible"."""
-    col_alive, active_rows, steps, early, requeued = presolve(problem)
+    "phase-1 farkas" and "feasible".  columns, if given, is
+    column_index(problem); problems on the same entries share it."""
+    columns = columns or column_index(problem)
+    col_alive, active_rows, steps, early, requeued = presolve(problem, columns)
     if early is not None:
         cert = LPCertificate(False, None, tuple(sorted(early.items())))
         return cert, "re-queue" if requeued else "arrival"
     point, farkas = phase1(problem, col_alive, active_rows)
     if farkas is not None:
-        farkas = lift_farkas(problem, column_index(problem), steps, farkas)
+        farkas = lift_farkas(problem, columns, steps, farkas)
         return LPCertificate(False, None, tuple(sorted(farkas.items()))), "phase-1 farkas"
     return LPCertificate(True, tuple(sorted(point.items())), None), "feasible"

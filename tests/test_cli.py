@@ -494,6 +494,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 # like a command
 PARSE_CORPUS = [
     ("-h",),
+    ("--help",),
+    ("-h", "wire"),
     (),
     *((name, "-h") for name, *_ in cli._COMMANDS),
     ("bogus", "builtin:class4"),
@@ -504,6 +506,8 @@ PARSE_CORPUS = [
     ("--bogus", "search", "builtin:class4"),
     ("search", "builtin:class4", "--bogus"),
     ("search", "search"),
+    ("search", "wire", "-h"),
+    ("wire", "-h", "search"),
     ("validate", "builtin:class3"),
 ]
 
@@ -532,7 +536,20 @@ def test_parsing_matches_a_parser_with_every_command(argv, capsys, monkeypatch, 
 def test_each_command_help_lists_its_arguments(capsys):
     for name, _help, _handler, arguments in cli._COMMANDS:
         code, out, _ = run_to_exit(capsys, [name, "-h"])
-        assert code == 0 and all(arg in out for arg, _options in arguments), name
+        assert code == 0 and "-h, --help" in out, name
+        assert all(arg in out for arg, _options in arguments), name
+
+
+def test_usage_lines(capsys, monkeypatch):
+    # the corpus test compares build_parser with itself, so these fixed
+    # lines are what catch a change of prog or of a command's -h
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, usage in (
+        (["-h"], "usage: nsboxes [-h] {validate,eval,wire,search,membership,table1} ...\n"),
+        (["wire", "-h"], "usage: nsboxes wire [-h] --wiring WIRING [--out OUT] box\n"),
+    ):
+        code, out, _ = run_to_exit(capsys, argv)
+        assert code == 0 and out.startswith(usage), argv
 
 
 def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):

@@ -236,12 +236,20 @@ def test_factored_tobl_matches_expanded_lp():
     # on the expanded 16384 columns must give the same certificate byte for
     # byte, through each outcome.  is_tobl, which solves the marginal form,
     # must give the oracle's verdict with a certificate of tobl_problem.
+    # The entries depend on the bipartition only, so the row form's columns
+    # and their column index are built once per bipartition.
     cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
     cases += seeded_one_way_cases()
     outcomes = set()
+    row_forms = {}
     for box, bp in cases:
         problem = tobl_problem(box, bp)
-        want, outcome = lp_oracle.solve(lp_oracle.row_problem(problem.num_vars, problem.rows))
+        if bp not in row_forms:
+            expanded = lp_oracle.row_problem(problem.num_vars, problem.rows)
+            row_forms[bp] = expanded.columns, lp_oracle.column_index(expanded)
+        columns, index = row_forms[bp]
+        expanded = lp_oracle.row_problem(problem.num_vars, problem.rows, columns)
+        want, outcome = lp_oracle.solve(expanded, index)
         assert lp_feasible(problem).to_text() == want.to_text(), bp.name
         cert = is_tobl(box, bp)
         assert cert.feasible == want.feasible and cert.verify(problem), bp.name
