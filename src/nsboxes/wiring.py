@@ -199,8 +199,11 @@ def apply_wiring(box: Box3, w: Wiring) -> Box2:
 
 @cache
 def _plan(*roles: int) -> tuple:
-    """(i1, w1, b, _branch entries at x' = 0, then 1) of a block's 8 branch pairs."""
-    return tuple((i1, w1, b, _branch(*roles, 0, i1, w1, b) + _branch(*roles, 1, i1, w1, b))
+    """(i1, w1, first indices, _branch entries at x' = 0, then 1) of a
+    block's 8 branch pairs (i1, w1, b): the first index of gamma bits
+    g = 0..3 at the pair is b << (4 + w1) | g << (2 * w1) (see _summands)."""
+    return tuple((i1, w1, tuple(b << (4 + w1) | g << (2 * w1) for g in range(4)),
+                  _branch(*roles, 0, i1, w1, b) + _branch(*roles, 1, i1, w1, b))
                  for i1, w1, b in product(BITS, repeat=3))
 
 
@@ -213,15 +216,19 @@ def _summands(table, solo: int, first: int, second: int) -> tuple:
     alpha = i1 the column of h = i1 << 6 | b1 << 5 | b0 << 4 | gq << 2 | gp
     is P[b0, gp] + Q[b1, gq]: P holds the 8 points of the w1 = 0 branches,
     indexed b0 << 4 | gp, and Q those of the w1 = 1 branches, indexed
-    b1 << 5 | gq << 2.  Each summand maps a point to its first index.
+    b1 << 5 | gq << 2.  Each summand maps a point to its first index: the
+    points go in in ascending order of index, so setdefault keeps the first.
     """
     out = ({}, {}), ({}, {})
-    for i1, w1, b, (j0, j1, j2, j3, k0, k1, k2, k3) in _plan(solo, first, second):
+    for i1, w1, (f0, f1, f2, f3), (j0, j1, j2, j3, k0, k1, k2, k3) in _plan(solo, first, second):
+        put = out[i1][w1].setdefault
         d0, d1 = table[j0] - table[j2], table[j1] - table[j3]
         e0, e1 = table[k0] - table[k2], table[k1] - table[k3]
-        s, t = (d0 + d1, e0 + e1), (d1 - d0, e1 - e0)
-        for g, point in enumerate((s, t, (-t[0], -t[1]), (-s[0], -s[1]))):
-            out[i1][w1].setdefault(point, b << (4 + w1) | g << (2 * w1))
+        sx, sy, tx, ty = d0 + d1, e0 + e1, d1 - d0, e1 - e0
+        put((sx, sy), f0)
+        put((tx, ty), f1)
+        put((-tx, -ty), f2)
+        put((-sx, -sy), f3)
     return out
 
 
@@ -233,11 +240,14 @@ def _distinct_columns(summands: tuple) -> dict:
     giving a point pair joins the first index of each point.
     """
     first_half = {}
+    get = first_half.get
     for i1, (p, q) in enumerate(summands):
+        points = tuple(p.items())
         for (qx, qy), hq in q.items():
-            for (px, py), hp in p.items():
-                c, h = (px + qx, py + qy), i1 << 6 | hq | hp
-                if h < first_half.get(c, 128):
+            hq |= i1 << 6
+            for (px, py), hp in points:
+                c, h = (px + qx, py + qy), hq | hp
+                if h < get(c, 128):
                     first_half[c] = h
     return first_half
 
@@ -248,21 +258,25 @@ def _distinct_columns(summands: tuple) -> dict:
 # every column set: these three with the identity are a set's whole orbit
 # under the eight sign and swap maps.
 _IMAGES = (
-    lambda s: frozenset({(x, -y) for x, y in s}),
-    lambda s: frozenset({(y, x) for x, y in s}),
-    lambda s: frozenset({(-y, x) for x, y in s}),
+    lambda s: frozenset([(x, -y) for x, y in s]),
+    lambda s: frozenset([(y, x) for x, y in s]),
+    lambda s: frozenset([(-y, x) for x, y in s]),
 )
 
 
 def _half_hull(points) -> list:
     """One vertex of each +- pair of hull vertices of centrally symmetric
     distinct integer points: the lower monotone chain without its last
-    point, the negated first (inner edge points dropped); [(0, 0)] alone."""
+    point, the negated first (inner edge points dropped); [(0, 0)] alone.
+    No point above the line from the first point through the origin to the
+    last is on that chain, so those points are dropped before the sort."""
+    x, y = max(points)
     chain = []
-    for p in sorted(points):
+    for p in sorted([p for p in points if x * p[1] <= y * p[0]]):
+        px, py = p
         while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2:]
-            if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) > (ay - oy) * (px - ox):
                 break
             chain.pop()
         chain.append(p)
@@ -280,10 +294,13 @@ def _block_max(first_half: dict, uffink: bool) -> dict:
     S**2 + D**2, both reached exactly where |s0| = S and |d1| = D, or
     |d0| = D and |s1| = S.  Those are product sets of halves, whose first
     wiring joins the first half reaching each side's maximum (_joined is
-    monotone in each half).  The coupled Uffink term
-    n0 + n1 + 2 |x0 x1 - y0 y1| is strictly convex in each column and even
-    in each, so it runs over pairs of _half_hull vertices, each taking the
-    smaller first half of itself and its negation.
+    monotone in each half); one pass over the columns finds S, D and those
+    first halves.  The coupled Uffink term n0 + n1 + 2 |x0 x1 - y0 y1| is
+    strictly convex in each column and even in each, so it runs over pairs
+    of _half_hull vertices, each taking the smaller first half of itself and
+    its negation.  It is symmetric in the two columns, so one loop scores
+    each unordered pair once, keeping the running maximum and the ordered
+    pairs of halves that reach it, starting from the separable terms.
     """
     top_s = top_d = 0
     h_s = h_d = 128
@@ -293,20 +310,25 @@ def _block_max(first_half: dict, uffink: bool) -> dict:
             top_s, h_s = s, h
         if d > top_d or d == top_d and h < h_d:
             top_d, h_d = d, h
-    found = {"chsh_max": [(top_s + top_d, h_s, h_d), (top_s + top_d, h_d, h_s)]}
-    if uffink:
-        hull = [(x, y, x * x + y * y, min(first_half[x, y], first_half[-x, -y]))
-                for x, y in _half_hull(first_half)]
-        separable = top_s * top_s + top_d * top_d
-        found["uffink_max"] = [(separable, h_s, h_d), (separable, h_d, h_s)] + [
-            (n0 + n1 + 2 * abs(x0 * x1 - y0 * y1), h0, h1)
-            for x0, y0, n0, h0 in hull
-            for x1, y1, n1, h1 in hull
-        ]
-    out = {}
-    for f, scored in found.items():
-        top = max(v for v, _, _ in scored)
-        out[f] = top, min(_joined(h0, h1) for v, h0, h1 in scored if v == top)
+    first = min(_joined(h_s, h_d), _joined(h_d, h_s))
+    out = {"chsh_max": (top_s + top_d, first)}
+    if not uffink:
+        return out
+    hull = [(x, y, x * x + y * y, min(first_half[x, y], first_half[-x, -y]))
+            for x, y in _half_hull(first_half)]
+    separable = top_s * top_s + top_d * top_d
+    top, tied = separable, []
+    for i, (x0, y0, n0, h0) in enumerate(hull):
+        for x1, y1, n1, h1 in hull[i:]:
+            v = n0 + n1 + 2 * abs(x0 * x1 - y0 * y1)
+            if v >= top:
+                if v > top:
+                    top, tied = v, []
+                tied += (h0, h1), (h1, h0)
+    found = [_joined(h0, h1) for h0, h1 in tied]
+    if top == separable:
+        found.append(first)
+    out["uffink_max"] = top, min(found)
     return out
 
 
@@ -353,8 +375,9 @@ def search_max_all(
     scores its distinct columns, in the integers of the box's integer view
     (`Box3.scaled`), through bell's closed forms (_block_max): one pass
     finds the maxima S and D of |x + y| and |x - y|, which give CHSH S + D
-    and Uffink's separable terms S**2 + D**2, and half the hull gives its
-    cross term.  Uffink's hull is built only when it is requested.
+    and Uffink's separable terms S**2 + D**2, and one loop over the pairs of
+    half-hull vertices gives its cross term.  Uffink's hull is built only
+    when it is requested.
 
     A later block must do strictly better to win, so two exact rules skip
     the blocks that cannot; a block that is not skipped scores every
@@ -365,7 +388,10 @@ def search_max_all(
     skipped before it is scored: the maps relabel the effective box, so its
     maxima cannot be better.  The column set is -1-symmetric, so it and its
     three images are its whole orbit under the eight sign and swap maps,
-    and storing those four sets of each scored block is exact.
+    and matching a block against those four sets of each scored block is
+    exact.  An image has as many points as its set, so a scored block's
+    images are built only when a later block is read with as many columns
+    and is not an exact repeat: never after the last block or the bound.
     """
     if type(functionals) not in (tuple, list):
         raise ParseError(f"search_max_all needs a tuple or list of functional names, "
@@ -374,22 +400,31 @@ def search_max_all(
         if type(f) is not str or f not in _DEGREES:
             raise ParseError(f"unknown functional {f!r}")
     require_valid(_require3(box, "search_max_all"))
+    if not functionals:
+        return {}
     scale, table = box.scaled
     bound = {"chsh_max": 4 * scale, "uffink_max": 8 * scale * scale}
+    uffink = "uffink_max" in functionals
     best: dict[str, tuple[int, Wiring]] = {}
-    scored = set()
+    scored, unmapped = set(), {}
     for bp, ordering in product(BIPARTITIONS, BITS):
-        if all(f in best and best[f][0] >= bound[f] for f in functionals):
-            break
         first_half = _distinct_columns(_summands(table, bp.solo, *bp.actors(ordering)))
         columns = frozenset(first_half)
         if columns in scored:
             continue
-        scored.update([columns, *(m(columns) for m in _IMAGES)])
-        block = _block_max(first_half, "uffink_max" in functionals)
+        # only a scored set with as many points can have this set as an image
+        for c in unmapped.pop(len(columns), ()):
+            scored.update(m(c) for m in _IMAGES)
+        if columns in scored:
+            continue
+        block = _block_max(first_half, uffink)
         for f in functionals:
             v, abg = block[f]
             if f not in best or v > best[f][0]:
                 best[f] = (v, Wiring(bp, ordering, *abg))
+        if all(best[f][0] >= bound[f] for f in functionals):
+            break
+        scored.add(columns)
+        unmapped.setdefault(len(columns), []).append(columns)
     # on a table scaled by D, chsh_max scales by D and uffink_max by D**2
     return {f: (w, Fraction(v, scale ** _DEGREES[f])) for f, (v, w) in best.items()}

@@ -9,6 +9,8 @@ the oracle, and against the benchmark's reference, which perfbench/naive.py
 swept without nsboxes.  They also check the two
 bounds the search skips blocks by, that a block skipped as a repeat of a
 scored block's column set has that block's maxima, and where the skips fire.
+With no oracle, the search's maxima are checked to be relabelling
+invariants.
 """
 
 import json
@@ -501,6 +503,32 @@ def test_uffink_block_maxima_equal_all_pairs_of_columns():
         for _, summands in _blocks(box):
             first_half = _distinct_columns(summands)
             assert _block_max(first_half, True) == _oracle_block(first_half)
+
+
+def test_chsh_only_blocks_equal_the_joint_blocks_and_the_oracle():
+    # search --functional chsh-max scores each block without Uffink, which
+    # returns before the hull is built
+    rng = random.Random(SEED + 9)
+    for box in [pool_entry(k) for k in range(8)] + seeded_boxes(rng, 10):
+        for _, summands in _blocks(box):
+            first_half = _distinct_columns(summands)
+            chsh = _block_max(first_half, False)
+            assert chsh == {"chsh_max": _block_max(first_half, True)["chsh_max"]}
+            assert chsh["chsh_max"] == oracle.block_max(first_half, "chsh_max")
+
+
+def test_search_maxima_are_relabelling_invariants():
+    # with no oracle: a relabelling of the tripartite box permutes the
+    # bipartitions, and the wirings and orbit maxima absorb its input and
+    # output flips, so both maxima stay (their wirings may move)
+    rng = random.Random(SEED + 10)
+    names = VERTEX_NAMES + ("uniform3", "deterministic(1,2,0)")
+    boxes = [pool_entry(k) for k in range(8)] + [builtin(n) for n in names] + seeded_boxes(rng, 14)
+    for box in boxes:
+        want = {f: v for f, (_, v) in search_max_all(box).items()}
+        for _ in range(4):
+            r = random_relabeling(rng)
+            assert {f: v for f, (_, v) in search_max_all(relabel(box, r)).items()} == want, r
 
 
 def test_sign_and_swap_maps_keep_the_form_maxima():
