@@ -32,7 +32,7 @@ each party's index weights and the (outputs, inputs) decoded for every flat
 index; validation, correlators and serialization read entries by
 flat index through these, or flip one party's bits on the weights.
 `block_correlators` gives the correlators of the last two parties, which
-`bell` and the wiring sweep share.
+`bell` reads.
 """
 
 from __future__ import annotations

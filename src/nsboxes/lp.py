@@ -6,28 +6,27 @@ either a feasible point or a Farkas witness y satisfying  y^T A <= 0
 componentwise and y^T b > 0; both certificate kinds re-verify by direct
 substitution into the original system.
 
-A problem is a FamilyProblem, which expands its rows only when they are
-read.  Its columns come in families: a family is a base column id and left
-and right strategies, each a sparse list of (row, coefficient) pairs, rows
-ascending; column base + i * len(rights) + j has the entries lefts[i] +
-rights[j], and every left row precedes every right row (Family raises
-LPError otherwise).  A family whose one right is empty is a list of plain
-columns, and every LP that the package solves is one: the local LP and
-is_tobl's marginal form of the one-way LP.
+A problem is a FamilyProblem.  Its columns come in families: a family is
+a base column id and left and right strategies, each a sparse list of
+(row, coefficient) pairs, rows ascending; column base + i * len(rights) +
+j has the entries lefts[i] + rights[j], and every left row precedes every
+right row (Family raises LPError otherwise).  verify checks a certificate
+on any families; the solver and FamilyProblem.rows take a plain problem
+only, one family at base 0 with a left per column and one empty right,
+and raise LPError on a product family such as tobl_problem's.  Every LP
+the package solves is plain: the local LP and is_tobl's marginal form.
 
-The solver works on plain columns (ColumnFamilies.plain), which expands a
-product family, such as tobl_problem's, into its columns.  The presolve
-takes one ascending pass over the rows.  It removes each row with zero
-right-hand side whose live coefficients share one sign, forcing every
-column it touches to zero, and leaves a zero row of mixed signs to phase 1;
-every row of the local and one-way LPs has one sign.  It keeps one mask of
-the live columns and reads each row's columns and positive coefficients
-off two masks (ColumnFamilies.masks); a step records the mask of the
-columns it kills.  A row with a nonzero right-hand side and no live column
-is detected; of the rows a later step empties, the one detected is found
-from the recorded steps.  A phase-1 revised simplex with Bland's rule
-solves what remains: the lowest live column with a positive reduced cost
-enters.
+The presolve takes one ascending pass over the rows.  It removes each row
+with zero right-hand side whose live coefficients share one sign, forcing
+every column it touches to zero, and leaves a zero row of mixed signs to
+phase 1; every row of the local and one-way LPs has one sign.  It keeps
+one mask of the live columns and reads each row's columns and positive
+coefficients off two masks (ColumnFamilies.masks); a step records the
+mask of the columns it kills.  A row with a nonzero right-hand side and
+no live column is detected; of the rows a later step empties, the one
+detected is found from the recorded steps.  A phase-1 revised simplex
+with Bland's rule solves what remains: the lowest live column with a
+positive reduced cost enters.
 
 A problem states b by its integer view (beta, B), B = beta * b in lowest
 terms, and everything from the presolve to the check works on it.  The
@@ -129,48 +128,32 @@ class ColumnFamilies(_Value):
             raise LPError(f"column {end - 1} out of range")
 
     @cached_property
-    def plain(self) -> ColumnFamilies:
-        """The same columns as the form the solver takes: one family at base
-        0 whose left strategy c is column c, an empty strategy where no
-        family holds c, and whose one right is empty.  Itself when already
-        in that form; otherwise each column lefts[i] + rights[j] is built."""
-        fams = self.families
-        if len(fams) == 1 and fams[0].base == 0 and fams[0].rights == ((),) and len(fams[0].lefts) == self.num_vars:
-            return self
-        cols = [()] * self.num_vars
-        for fam in self.families:
-            cols[fam.base:fam.base + len(fam.lefts) * len(fam.rights)] = (
-                left + right for left in fam.lefts for right in fam.rights)
-        return ColumnFamilies(self.num_vars, self.num_rows, (Family(0, tuple(cols), ((),)),))
-
-    @cached_property
     def index(self) -> tuple:
         """by_row[r]: the (strategy, coefficient) pairs of the strategies
         that touch row r, ascending.  Strategies are numbered family by
-        family, lefts then rights, so in plain strategy c is column c."""
+        family, lefts then rights, so in a plain problem strategy c is
+        column c."""
         by_row: list[list] = [[] for _ in range(self.num_rows)]
-        t = 0
-        for fam in self.families:
-            for strategy in chain(fam.lefts, fam.rights):
-                pairs = {}  # one shared (t, coefficient) tuple per coefficient
-                for row, coeff in strategy:
-                    by_row[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff)))
-                t += 1
+        strategies = chain.from_iterable(chain(fam.lefts, fam.rights) for fam in self.families)
+        for t, strategy in enumerate(strategies):
+            pairs = {}  # one tuple per coefficient, not per entry: the columns are cached
+            for row, coeff in strategy:
+                by_row[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff)))
         return tuple(map(tuple, by_row))
 
     @cached_property
     def masks(self) -> tuple:
         """Per row, (mask, positive): bit t set for each strategy t that
-        index lists, and in positive where its coefficient is > 0.  The bits
-        are set in bytes, as |= on an int copies the whole int."""
-
-        def mask(entries):
-            bits = bytearray(entries[-1][0] // 8 + 1 if entries else 0)
-            for t, _ in entries:
-                bits[t >> 3] |= 1 << (t & 7)
-            return int.from_bytes(bits, "little")
-
-        return tuple((mask(e), mask([p for p in e if p[1] > 0])) for e in self.index)
+        index lists, and in positive where its coefficient is > 0."""
+        masks = []
+        for entries in self.index:
+            mask = positive = 0
+            for t, coeff in entries:
+                mask |= 1 << t
+                if coeff > 0:
+                    positive |= 1 << t
+            masks.append((mask, positive))
+        return tuple(masks)
 
     def row_sums(self, point) -> tuple | None:
         """A x at a sparse point of (column, value) pairs; None when a value
@@ -199,6 +182,17 @@ class ColumnFamilies(_Value):
         """Add v times row's coefficients to the strategy sums u."""
         for t, coeff in self.index[row]:
             u[t] += v * coeff
+
+
+def _plain(columns: ColumnFamilies) -> ColumnFamilies:
+    """columns when they are plain: one family at base 0 with a left
+    strategy per column and one empty right, so strategy c is column c.
+    Any other form, a product family's among them, raises LPError."""
+    fams = columns.families
+    if not (len(fams) == 1 and fams[0].base == 0 and fams[0].rights == ((),)
+            and len(fams[0].lefts) == columns.num_vars):
+        raise LPError("the solver takes plain columns: one family at base 0, a left per column, one empty right")
+    return columns
 
 
 class FamilyProblem(_Value):
@@ -238,9 +232,10 @@ class FamilyProblem(_Value):
 
     @cached_property
     def rows(self) -> tuple:
-        """The expanded rows (entries, rhs): nonzero (column, coefficient)
-        pairs, columns ascending, as the plain columns' index holds them."""
-        return tuple(zip(self.columns.plain.index, self.rhs))
+        """The rows (entries, rhs) of a plain problem: nonzero (column,
+        coefficient) pairs, columns ascending, as its index holds them.  A
+        product family is not expanded: its problem raises LPError."""
+        return tuple(zip(_plain(self.columns).index, self.rhs))
 
 
 class LPCertificate(_Value):
@@ -318,7 +313,7 @@ def _bit_ids(mask: int):
         mask ^= low
 
 
-# live: the int with bit c set while column c of the plain columns is
+# live: the int with bit c set while column c of the plain problem is
 # live.  steps: (row, sign, hit) in elimination order, hit the mask of the
 # columns the step killed.  detected: a row left with no live column and a
 # nonzero right-hand side, or None; active_rows: the rows left, when none is.
@@ -326,8 +321,8 @@ _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 
 
 def _presolve(problem) -> _Presolve:
-    """Fix to zero every column touched by a same-sign zero-rhs row of the
-    plain columns, in one ascending pass over the rows: a zero row's live
+    """Fix to zero every column touched by a same-sign zero-rhs row of a
+    plain problem, in one ascending pass over the rows: a zero row's live
     coefficients are positive where its positive mask covers its live mask,
     negative where it misses it, and mixed otherwise.  A mixed zero row is
     left to phase 1, and a row with a nonzero right-hand side is only tested
@@ -339,7 +334,7 @@ def _presolve(problem) -> _Presolve:
     step that touches it, the lowest column that step kills in it, the
     row): the first that a queue would take back, were each step to queue
     the rows it touches, in the order its columns reach them."""
-    masks, (_, rhs) = problem.columns.plain.masks, problem.scaled
+    masks, (_, rhs) = _plain(problem.columns).masks, problem.scaled
     live = (1 << problem.num_vars) - 1
     steps: list = []
     kept = []
@@ -372,7 +367,7 @@ def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
     adds its own; an aggregate over a coefficient of 1 or -1 is compared as
     the integer it is.
     """
-    columns = problem.columns.plain
+    columns = _plain(problem.columns)
     scale, w = _integer_scaled(farkas)
     u = columns.strategy_sums(w)
     for row, sign, hit in reversed(pre.steps):
@@ -429,7 +424,7 @@ def _phase1(problem, pre: _Presolve):
     y = [-1 if v < 0 else 1 for v in b] + [sum(xb.values())]
     basis = {}  # row -> the column id of the structural it holds
     # The live columns as (id, entries), ascending; they meet active rows only.
-    cols = problem.columns.plain.families[0].lefts
+    cols = _plain(problem.columns).families[0].lefts
     live = [(c, cols[c]) for c in _bit_ids(pre.live)]
     det = 1
     while y[-1]:

@@ -8,8 +8,9 @@ signalling pair[1], pair strategy with pair[1] signalling pair[0]) whose two
 directional readings both reproduce the box; feasibility means every wiring
 of that bipartition yields a local effective box.  tobl_problem states that
 LP on the 16384 triples, as products of route strategies in four column
-families, and its certificates index them.  is_tobl solves the same LP on
-the 512 marginals of those weights and lifts the answer to tobl_problem.
+families, and its certificates index them.  lp_feasible takes plain
+columns only, so no one solves tobl_problem: is_tobl solves the same LP on
+the 512 marginals of those weights and lifts the answer to it.
 
 Strategy truth tables follow the package convention: bit j is the value at
 packed argument index j, first argument most significant.  One-way pair
@@ -113,9 +114,9 @@ def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
     index), 64..127 route-2, 128 normalization.  The column at a strategy
     triple's lambda index (module docstring) hits the 8 rows of each of its
     two route strategies and row 128, each with coefficient 1.  The columns
-    are four families, built once per bipartition (_tobl_columns); the rows
-    are expanded only when read.  A bp that is not a Bipartition raises
-    ParseError."""
+    are four families, built once per bipartition (_tobl_columns), and are
+    never expanded: verify checks certificates on them, and lp_feasible and
+    rows raise LPError.  A bp that is not a Bipartition raises ParseError."""
     _require(bp, "tobl_problem", Bipartition, ParseError)
     return _problem(_tobl_columns(bp), _require3(box, "tobl_problem"), 2)
 

@@ -9,7 +9,9 @@ integer, which keeps its points, its witnesses and the solver's pivots;
 any value that is not an int or a Fraction is passed on as it is, for
 Family, ColumnFamilies and FamilyProblem to reject.  Given the columns of
 an earlier row_problem on the same entries, it states only the new
-right-hand sides.
+right-hand sides.  expanded(problem) is the row_problem of a problem's
+column families, each column lefts[i] + rights[j] under its own id: the
+plain problem that lp_feasible takes in place of a product family.
 
 solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
@@ -22,7 +24,7 @@ Fractions of the unscaled system and updates them with textbook pivots.
 It shares nothing with the library's integer phase 1 but the contract:
 Bland's rule over the same integer labels (column id, or num_vars + pos
 for the artificial of row pos), and the same (point, farkas) dicts out.
-Nothing here reads the problem's column families.
+Nothing here but expanded reads a problem's column families.
 """
 
 from collections import deque
@@ -60,6 +62,21 @@ def row_problem(num_vars, rows, columns=None):
                 columns[col].append((row, coeff))
     family = Family(0, tuple(map(tuple, columns)), ((),))
     return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), rhs)
+
+
+def expanded(problem, keep=None):
+    """row_problem of problem's column families: column base + i *
+    len(rights) + j of a family holds lefts[i] + rights[j], over the
+    columns in keep only when given."""
+    entries = [[] for _ in problem.rhs]
+    for fam in problem.columns.families:
+        for i, left in enumerate(fam.lefts):
+            for j, right in enumerate(fam.rights):
+                col = fam.base + i * len(fam.rights) + j
+                if keep is None or col in keep:
+                    for row, coeff in left + right:
+                        entries[row].append((col, coeff))
+    return row_problem(problem.num_vars, tuple(zip(map(tuple, entries), problem.rhs)))
 
 
 def column_index(problem):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import lp_oracle
 from box_oracle import Relabeling, relabel
-from lp_oracle import row_problem
+from lp_oracle import expanded, row_problem
 from nsboxes import (
     BIPARTITIONS,
     InexactValueError,
@@ -17,6 +17,7 @@ from nsboxes import (
     is_local,
     is_tobl,
     local_problem,
+    membership,
     mix,
     tobl_problem,
 )
@@ -469,15 +470,14 @@ def test_noisy_local_certificates_pinned(key):
 # count, then the row it detects or the rows it leaves and the number of
 # live columns that families hold.  A presolve that reorders its rows or
 # steps fails here on the LP and the count that moved.  The one-way LPs are
-# tobl_problem's product form, which lp_feasible solves on its 16384
-# expanded columns.
+# is_tobl's 133 x 512 marginal form, the one lp_feasible solves.
 PRESOLVE_TRACES = {
     "tobl class3 A|BC": "49 steps, detected at row 121",
     "tobl class3 B|AC": "17 steps, detected at row 57",
-    "tobl class3 C|AB": "44 steps, 65 active rows, live 8",
-    "tobl class4 A|BC": "48 steps, 65 active rows, live 4",
-    "tobl class4 B|AC": "48 steps, 65 active rows, live 4",
-    "tobl class4 C|AB": "48 steps, 65 active rows, live 4",
+    "tobl class3 C|AB": "44 steps, 69 active rows, live 12",
+    "tobl class4 A|BC": "48 steps, 69 active rows, live 8",
+    "tobl class4 B|AC": "48 steps, 69 active rows, live 8",
+    "tobl class4 C|AB": "48 steps, 69 active rows, live 8",
     "tobl class44 A|BC": "21 steps, detected at row 57",
     "tobl class44 B|AC": "21 steps, detected at row 57",
     "tobl class44 C|AB": "21 steps, detected at row 57",
@@ -500,7 +500,7 @@ def test_presolve_trace_pinned(key):
     model, name, *bp = key.split()
     box = builtin(name)
     if model == "tobl":
-        problem = tobl_problem(box, next(b for b in BIPARTITIONS if b.name == bp[0]))
+        problem = membership._marginal_problem(box, next(b for b in BIPARTITIONS if b.name == bp[0]))
     else:
         problem = local_problem(box)
     assert presolve_trace(problem) == PRESOLVE_TRACES[key]
@@ -532,20 +532,6 @@ def families_hit(problem, mask):
 def live_columns(problem, pre):
     """The columns the presolve left among those a family holds."""
     return family_columns(problem) & {col for col, bit in enumerate(bin(pre.live)[:1:-1]) if bit == "1"}
-
-
-def expanded(problem, keep=None):
-    """The row_problem of a problem's column families, over the columns in
-    keep only when given."""
-    entries = [[] for _ in problem.rhs]
-    for fam in problem.columns.families:
-        for i, left in enumerate(fam.lefts):
-            for j, right in enumerate(fam.rights):
-                col = fam.base + i * len(fam.rights) + j
-                if keep is None or col in keep:
-                    for row, coeff in left + right:
-                        entries[row].append((col, coeff))
-    return row_problem(problem.num_vars, tuple(zip(map(tuple, entries), problem.rhs)))
 
 
 def phase1_agrees_with_oracle(problem):
@@ -620,7 +606,7 @@ def test_phase1_matches_fraction_oracle_on_membership_lps():
             outcome = phase1_agrees_with_oracle(local_problem(noisy))
             local += outcome is not None
             outcomes.add(("local", outcome))
-        problem = tobl_problem(box, bp)
+        problem = membership._marginal_problem(box, bp)
         pre = _presolve(problem)
         if one_way < 10 and pre.detected is None:
             if len(live_columns(problem, pre)) <= MAX_ONE_WAY_COLUMNS:
@@ -678,21 +664,21 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
     # mixed-sign rows of assorted magnitudes inside a family, and rows that
     # families share on different sides.  The second stream keeps one sign
     # per row.  The presolve takes its steps in one pass on both, and a row
-    # emptied after its test is found from the steps.
+    # emptied after its test is found from the steps.  Each is solved on its
+    # expansion, and the certificate verifies on the families too.
     for seed, same_sign in ((FAMILY_SEED, False), (SAME_SIGN_SEED, True)):
         rng = random.Random(seed)
         outcomes = {}
         spanning = requeued_steps = 0
         for _ in range(400):
             problem = family_system(rng, same_sign)
-            rows = row_problem(problem.num_vars, problem.rows)
-            cert = lp_feasible(problem)
+            rows = expanded(problem)
+            cert = lp_feasible(rows)
             want, outcome = lp_oracle.solve(rows)
             assert cert.to_text() == want.to_text()
             assert cert.verify(problem) and cert.verify(rows)
-            assert lp_feasible(rows).to_text() == cert.to_text()
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            pre = _presolve(problem)
+            pre = _presolve(rows)
             col_alive, active_rows, oracle_steps, early, _ = lp_oracle.presolve(rows)
             assert [(r, s) for r, s, _ in pre.steps] == [(r, s) for r, s, _ in oracle_steps]
             if early is None:
@@ -730,7 +716,7 @@ def test_solution_scales_with_b_and_inversely_with_a(k):
     if type(k) is int:
         factors.append((1, k, F(1, k)))
     for _ in range(100):
-        problem = family_system(rng)
+        problem = expanded(family_system(rng))
         cert = lp_feasible(problem)
         outcomes.add(cert.feasible)
         for rhs_factor, coeff_factor, point_factor in factors:
@@ -748,7 +734,7 @@ def test_certificate_bytes_survive_scaling_every_row(rng, k):
     # Every coefficient and right-hand side times one k > 0: the presolve's
     # signs, the pivots, the ratio ties and the duals are kept, so the
     # point and the witness are the same to the byte.
-    problem = family_system(rng)
+    problem = expanded(family_system(rng))
     assert lp_feasible(scaled_system(problem, k, k)).to_text() == lp_feasible(problem).to_text()
 
 
@@ -762,12 +748,12 @@ def test_presolve_leaves_rows_a_later_step_makes_same_sign_to_phase_1():
         Family(3, (((1, 1),),), ((),)),
         Family(4, (((0, 1),),), ((),)),
     )), (1, (1, 0, 0, 0)))
-    rows = row_problem(5, problem.rows)
-    pre = _presolve(problem)
+    rows = expanded(problem)
+    pre = _presolve(rows)
     _, active_rows, oracle_steps, *_ = lp_oracle.presolve(rows)
     assert [(r, s) for r, s, _ in pre.steps] == [(r, s) for r, s, _ in oracle_steps] == [(3, 1)]
     assert pre.active_rows == active_rows == [0, 1, 2]
-    assert lp_feasible(problem).to_text() == lp_oracle.solve(rows)[0].to_text() == "feasible\n4 = 1\n"
+    assert lp_feasible(rows).to_text() == lp_oracle.solve(rows)[0].to_text() == "feasible\n4 = 1\n"
 
 
 def test_presolve_detects_the_first_requeued_row_not_the_first_emptied():
@@ -793,6 +779,27 @@ def test_local_presolve_steps_match_the_row_form_oracle(name):
     rows = row_problem(problem.num_vars, problem.rows)
     steps = _presolve(problem).steps
     assert [(r, s) for r, s, _ in steps] == [(r, s) for r, s, _ in lp_oracle.presolve(rows)[2]]
+
+
+def test_solver_takes_plain_problems_only():
+    # A product family is verified on, never expanded: lp_feasible and
+    # rows refuse it, as they refuse one family with fewer lefts than
+    # columns, one at base 1 and no family; its expansion is what the
+    # solver takes.
+    product = family_system(random.Random(FAMILY_SEED))
+    not_plain = [
+        tobl_problem(builtin("class4"), BIPARTITIONS[0]),
+        product,
+        FamilyProblem(ColumnFamilies(2, 1, (Family(0, (((0, 1),),), ((),)),)), (1, (1,))),
+        FamilyProblem(ColumnFamilies(2, 1, (Family(1, (((0, 1),),), ((),)),)), (1, (1,))),
+        FamilyProblem(ColumnFamilies(0, 1, ()), (1, (0,))),
+    ]
+    for problem in not_plain:
+        with pytest.raises(LPError):
+            lp_feasible(problem)
+        with pytest.raises(LPError):
+            problem.rows
+    assert lp_feasible(expanded(product)).verify(product)
 
 
 def test_family_structure_is_validated():

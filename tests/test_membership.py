@@ -24,7 +24,7 @@ from nsboxes import (
 )
 from nsboxes import membership
 from nsboxes.boxes import integer_scaled
-from nsboxes.lp import ColumnFamilies, LPCertificate, LPError, _presolve
+from nsboxes.lp import FamilyProblem, LPCertificate, LPError, _presolve
 from random_boxes import odd_lcm_mixtures, random_ns_box2
 
 SEED = 31415
@@ -194,11 +194,12 @@ def test_local_box_is_tobl_everywhere():
 
 def test_tobl_problem_shape():
     problem = tobl_problem(builtin("class4"), BIPARTITIONS[1])
+    rows = lp_oracle.expanded(problem).rows
     assert problem.num_vars == 16384
-    assert len(problem.rows) == 129
+    assert len(rows) == 129
     # normalization row touches every column
-    assert len(problem.rows[128][0]) == 16384
-    assert problem.rows[128][1] == 1
+    assert len(rows[128][0]) == 16384
+    assert rows[128][1] == 1
 
 
 EXTREMAL = ("class3", "class4", "class44")
@@ -232,12 +233,12 @@ def seeded_one_way_cases(count=ONE_WAY_CASES):
 
 
 def test_factored_tobl_matches_expanded_lp():
-    # lp_feasible on tobl_problem, the product form, and the row-form oracle
-    # on the expanded 16384 columns must give the same certificate byte for
-    # byte, through each outcome.  is_tobl, which solves the marginal form,
-    # must give the oracle's verdict with a certificate of tobl_problem.
-    # The entries depend on the bipartition only, so the row form's columns
-    # and their column index are built once per bipartition.
+    # is_tobl, which solves the marginal form, must give the verdict of the
+    # row-form oracle on tobl_problem's 16384 expanded columns, through each
+    # of the oracle's outcomes, with a certificate of tobl_problem.  The
+    # entries depend on the bipartition only, so the expansion's columns
+    # and their column index are built once per bipartition, and each case
+    # states its own right-hand side on them.
     cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
     cases += seeded_one_way_cases()
     outcomes = set()
@@ -245,12 +246,10 @@ def test_factored_tobl_matches_expanded_lp():
     for box, bp in cases:
         problem = tobl_problem(box, bp)
         if bp not in row_forms:
-            expanded = lp_oracle.row_problem(problem.num_vars, problem.rows)
+            expanded = lp_oracle.expanded(problem)
             row_forms[bp] = expanded.columns, lp_oracle.column_index(expanded)
         columns, index = row_forms[bp]
-        expanded = lp_oracle.row_problem(problem.num_vars, problem.rows, columns)
-        want, outcome = lp_oracle.solve(expanded, index)
-        assert lp_feasible(problem).to_text() == want.to_text(), bp.name
+        want, outcome = lp_oracle.solve(FamilyProblem(columns, problem.scaled), index)
         cert = is_tobl(box, bp)
         assert cert.feasible == want.feasible and cert.verify(problem), bp.name
         outcomes.add(outcome)
@@ -258,17 +257,21 @@ def test_factored_tobl_matches_expanded_lp():
 
 
 def test_one_way_solve_never_expands_rows(monkeypatch):
-    # tobl_problem's rows and plain columns hold 16384 x 17 entries.
-    # is_tobl solves the 512-column marginal form, and verify checks the
-    # lifted certificate on the route strategies, so neither is built.
-    expanded = []
-    plain = ColumnFamilies.plain.func
-    monkeypatch.setattr(ColumnFamilies, "plain", property(lambda self: expanded.append(self.num_vars) or plain(self)))
+    # tobl_problem's expansion holds 16384 x 17 entries.  is_tobl solves
+    # only the 512-column marginal form, without reading its rows, and
+    # verify checks the lifted certificate on the route strategies.
+    solved = []
+
+    def spy(problem):
+        solved.append(problem)
+        return lp_feasible(problem)
+
+    monkeypatch.setattr(membership, "lp_feasible", spy)
     for name in ("class4", "class44"):
         problem = tobl_problem(builtin(name), BIPARTITIONS[0])
         assert is_tobl(builtin(name), BIPARTITIONS[0]).verify(problem)
-        assert "rows" not in vars(problem)
-    assert expanded and set(expanded) == {512}
+        assert "rows" not in vars(problem) and "rows" not in vars(solved[-1])
+    assert [p.num_vars for p in solved] == [512, 512]
 
 
 MARGINAL_CASES = 8
@@ -330,7 +333,8 @@ def test_coupling_reproduces_both_marginals_within_the_support_bound():
 def test_marginal_witness_lifted_after_a_presolve_detection():
     # On class44 the marginal LP's presolve empties row 57, and the witness
     # carries the multipliers of the steps before it.  Lifted, it is the
-    # product route's certificate byte for byte.
+    # row-form oracle's certificate on tobl_problem's expansion byte for
+    # byte.
     box = builtin("class44")
     for bp in BIPARTITIONS:
         problem = membership._marginal_problem(box, bp)
@@ -340,7 +344,7 @@ def test_marginal_witness_lifted_after_a_presolve_detection():
         assert {pre.detected} < {r for r, _ in cert.farkas} <= {pre.detected} | {r for r, *_ in pre.steps}
         lifted = is_tobl(box, bp)
         assert lifted.verify(tobl_problem(box, bp))
-        assert lifted.to_text() == lp_feasible(tobl_problem(box, bp)).to_text()
+        assert lifted.to_text() == lp_oracle.solve(lp_oracle.expanded(tobl_problem(box, bp)))[0].to_text()
 
 
 def test_problems_take_the_integer_view_of_their_right_hand_side():
@@ -390,7 +394,7 @@ def test_factored_verification_rejects_tampered_certificates():
     for name in ("class4", "class44"):
         box = builtin(name)
         problem = tobl_problem(box, bp)
-        rows = lp_oracle.row_problem(problem.num_vars, problem.rows)
+        rows = lp_oracle.expanded(problem)
         cert = is_tobl(box, bp)
         assert cert.verify(problem) and cert.verify(rows)
         if cert.feasible:

@@ -88,6 +88,7 @@ REACHED = [
     (membership, "lp_feasible"),
     (lp.LPCertificate, "verify"),
     (lp.FamilyProblem, "rows"),
+    (lp.FamilyProblem, "num_vars"),
     (cli, "main"),
     (nsboxes, "dump"),
     (nsboxes, "mix"),
@@ -109,6 +110,7 @@ def test_test_only_names_left_the_package():
         assert not any(hasattr(module, name) for module in MODULES), name
     assert not hasattr(boxes.Box3, "from_function")
     assert not hasattr(wiring.Wiring, "is_type_i")
+    assert not hasattr(lp.ColumnFamilies, "plain")  # the solver takes plain problems only
 
 
 @pytest.mark.parametrize("owner, name", REACHED, ids=lambda v: getattr(v, "__name__", v))
