@@ -1,32 +1,27 @@
 """Exact rational linear feasibility with verifiable certificates.
 
-Problems are systems  A x = b, x >= 0  with sparse int columns and a
-right-hand side stated by its integer view.  lp_feasible answers with
-either a feasible point or a Farkas witness y satisfying  y^T A <= 0
-componentwise and y^T b > 0; both certificate kinds re-verify by direct
-substitution into the original system.
-
-A problem is a FamilyProblem.  Its columns come in families: a family is
-a base column id and left and right strategies, each a sparse list of
-(row, coefficient) pairs, rows ascending; column base + i * len(rights) +
-j has the entries lefts[i] + rights[j], and every left row precedes every
-right row (Family raises LPError otherwise).  verify checks a certificate
-on any families; the solver and FamilyProblem.rows take a plain problem
-only, one family at base 0 with a left per column and one empty right,
-and raise LPError on a product family such as tobl_problem's.  Every LP
-the package solves is plain: the local LP and is_tobl's marginal form.
+A problem is a SparseProblem: A x = b, x >= 0 with the columns of A given
+as Columns, each column a sparse list of (row, coefficient) pairs with int
+coefficients, rows ascending, and b stated by its integer view.
+lp_feasible answers with either a feasible point or a Farkas witness y
+satisfying  y^T A <= 0  componentwise and  y^T b > 0; both certificate
+kinds re-verify by direct substitution into the original system.  verify
+asks a problem two questions only: the row sums of a point, and whether a
+witness gives some column a positive aggregate.  A system that answers
+them without listing its columns, as membership's one-way LP does, is
+checked the same way.
 
 The presolve takes one ascending pass over the rows.  It removes each row
 with zero right-hand side whose live coefficients share one sign, forcing
 every column it touches to zero, and leaves a zero row of mixed signs to
 phase 1; every row of the local and one-way LPs has one sign.  It keeps
 one mask of the live columns and reads each row's columns and positive
-coefficients off two masks (ColumnFamilies.masks); a step records the
-mask of the columns it kills.  A row with a nonzero right-hand side and
-no live column is detected; of the rows a later step empties, the one
-detected is found from the recorded steps.  A phase-1 revised simplex
-with Bland's rule solves what remains: the lowest live column with a
-positive reduced cost enters.
+coefficients off two masks (Columns.masks); a step records the mask of
+the columns it kills.  A row with a nonzero right-hand side and no live
+column is detected; of the rows a later step empties, the one detected is
+found from the recorded steps.  A phase-1 revised simplex with Bland's
+rule solves what remains: the lowest live column with a positive reduced
+cost enters.
 
 A problem states b by its integer view (beta, B), B = beta * b in lowest
 terms, and everything from the presolve to the check works on it.  The
@@ -36,9 +31,7 @@ sparsely, and a pivot rewrites only the entries it changes; each column's
 sum over the artificial rows, which gives the duals, is updated with it.
 Farkas witnesses found on the reduced system are lifted back through the
 presolve steps, so certificates always refer to the caller's row and
-column indices.  verify checks a certificate scaled once to integers, and
-a witness per family: the largest left sum plus the largest right sum of
-the witness must be nonpositive, so a product family is never expanded.
+column indices.  verify checks a certificate scaled once to integers.
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
 from .boxes import InexactValueError, _integer_scaled, _Value, _require
@@ -64,94 +56,63 @@ def _pairs(seq, what: str):
     return seq
 
 
-class Family(_Value):
-    """Columns base + i * len(rights) + j with the entries lefts[i] +
-    rights[j], base an int (a bool is not one).  lefts and rights are
-    tuples of strategies, each a tuple of (row, coefficient) pairs, rows
-    strictly ascending ints, coefficients nonzero; every left row precedes
-    every right row.  A breach raises LPError, and a coefficient that is
-    not an int (a Fraction or a bool included) raises InexactValueError:
-    a rational system is stated with its rows scaled to integers."""
+class Columns(_Value):
+    """The columns of A over num_rows rows, a nonnegative int (a bool is
+    not one): entries[c] is column c, a tuple of (row, coefficient) pairs,
+    rows strictly ascending ints in 0..num_rows-1, coefficients nonzero.  A
+    breach raises LPError, and a coefficient that is not an int (a Fraction
+    or a bool included) raises InexactValueError: a rational system is
+    stated with its rows scaled to integers."""
 
-    base: int
-    lefts: tuple
-    rights: tuple
+    num_rows: int
+    entries: tuple
 
     def __post_init__(self):
-        if type(self.base) is not int:
-            raise LPError(f"family base {self.base!r} is not an int")
-        for side in (self.lefts, self.rights):
-            if not isinstance(side, (tuple, list)):
-                raise LPError("a family's lefts and rights must be tuples of strategies")
-        for strategy in chain(self.lefts, self.rights):
+        if type(self.num_rows) is not int or self.num_rows < 0:
+            raise LPError(f"num_rows {self.num_rows!r} is not a nonnegative int")
+        if not isinstance(self.entries, (tuple, list)):
+            raise LPError("the entries must be a tuple of columns")
+        for column in self.entries:
             prev = -1
-            for row, coeff in _pairs(strategy, "a strategy"):
+            for row, coeff in _pairs(column, "a column"):
                 if type(row) is not int:
                     raise LPError(f"row {row!r} is not an int")
                 if row <= prev:
-                    raise LPError(f"rows of a strategy must ascend, got {row} after {prev}")
+                    raise LPError(f"rows of a column must ascend, got {row} after {prev}")
                 prev = row
                 if type(coeff) is not int:
                     raise InexactValueError(f"coefficient {coeff!r} in row {row} is not an int")
                 if not coeff:
                     raise LPError(f"zero coefficient in row {row}")
-        last_left = max((s[-1][0] for s in self.lefts if s), default=-1)
-        if any(s and s[0][0] <= last_left for s in self.rights):
-            raise LPError("every left row of a family must precede its right rows")
+            if prev >= self.num_rows:
+                raise LPError(f"row {prev} out of range")
 
-
-class ColumnFamilies(_Value):
-    """The columns of a problem with num_rows rows: a tuple of Family,
-    ascending by base, not overlapping, inside 0..num_vars-1, both counts
-    nonnegative ints (a bool is not one), else LPError.  A column no family
-    holds has no entries."""
-
-    num_vars: int
-    num_rows: int
-    families: tuple
-
-    def __post_init__(self):
-        for what, count in (("num_vars", self.num_vars), ("num_rows", self.num_rows)):
-            if type(count) is not int or count < 0:
-                raise LPError(f"{what} {count!r} is not a nonnegative int")
-        if not isinstance(self.families, (tuple, list)) or not all(type(f) is Family for f in self.families):
-            raise LPError("families must be a tuple of Family")
-        end = 0
-        for fam in self.families:
-            if fam.base < end:
-                raise LPError(f"family at column {fam.base} overlaps the one before it")
-            end = fam.base + len(fam.lefts) * len(fam.rights)
-            for strategy in chain(fam.lefts, fam.rights):
-                if strategy and strategy[-1][0] >= self.num_rows:  # Family keeps rows ascending from 0
-                    raise LPError(f"row out of range in the family at column {fam.base}")
-        if end > self.num_vars:
-            raise LPError(f"column {end - 1} out of range")
+    @property
+    def num_vars(self) -> int:
+        return len(self.entries)
 
     @cached_property
     def index(self) -> tuple:
-        """by_row[r]: the (strategy, coefficient) pairs of the strategies
-        that touch row r, ascending.  Strategies are numbered family by
-        family, lefts then rights, so in a plain problem strategy c is
-        column c."""
+        """by_row[r]: the (column, coefficient) pairs of the columns that
+        touch row r, columns ascending."""
         by_row: list[list] = [[] for _ in range(self.num_rows)]
-        strategies = chain.from_iterable(chain(fam.lefts, fam.rights) for fam in self.families)
-        for t, strategy in enumerate(strategies):
+        for c, column in enumerate(self.entries):
             pairs = {}  # one tuple per coefficient, not per entry: the columns are cached
-            for row, coeff in strategy:
-                by_row[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (t, coeff)))
+            for row, coeff in column:
+                by_row[row].append(pairs.get(coeff) or pairs.setdefault(coeff, (c, coeff)))
         return tuple(map(tuple, by_row))
 
     @cached_property
     def masks(self) -> tuple:
-        """Per row, (mask, positive): bit t set for each strategy t that
+        """Per row, (mask, positive): bit c set for each column c that
         index lists, and in positive where its coefficient is > 0."""
         masks = []
         for entries in self.index:
             mask = positive = 0
-            for t, coeff in entries:
-                mask |= 1 << t
+            for c, coeff in entries:
+                mask |= 1 << c
                 if coeff > 0:
-                    positive |= 1 << t
+                    positive |= 1 << c
             masks.append((mask, positive))
         return tuple(masks)
 
@@ -162,67 +123,48 @@ class ColumnFamilies(_Value):
         for col, v in point:
             if v < 0 or not 0 <= col < self.num_vars:
                 return None
-            for fam in self.families:
-                if 0 <= col - fam.base < len(fam.lefts) * len(fam.rights):
-                    i, j = divmod(col - fam.base, len(fam.rights))
-                    for row, coeff in fam.lefts[i] + fam.rights[j]:
-                        sums[row] += coeff * v
-                    break
+            for row, coeff in self.entries[col]:
+                sums[row] += coeff * v
         return tuple(sums)
 
-    def strategy_sums(self, y: dict) -> list:
-        """u[t]: strategy t's sum of y[row] * coefficient over its rows,
-        strategies numbered as in index."""
-        u = [0] * sum(len(fam.lefts) + len(fam.rights) for fam in self.families)
+    def column_sums(self, y: dict) -> list:
+        """u[c]: column c's sum of y[row] * coefficient over its rows."""
+        u = [0] * len(self.entries)
         for row, v in y.items():
             self.add_row(u, row, v)
         return u
 
     def add_row(self, u: list, row: int, v) -> None:
-        """Add v times row's coefficients to the strategy sums u."""
-        for t, coeff in self.index[row]:
-            u[t] += v * coeff
+        """Add v times row's coefficients to the column sums u."""
+        for c, coeff in self.index[row]:
+            u[c] += v * coeff
 
 
-def _plain(columns: ColumnFamilies) -> ColumnFamilies:
-    """columns when they are plain: one family at base 0 with a left
-    strategy per column and one empty right, so strategy c is column c.
-    Any other form, a product family's among them, raises LPError."""
-    fams = columns.families
-    if not (len(fams) == 1 and fams[0].base == 0 and fams[0].rights == ((),)
-            and len(fams[0].lefts) == columns.num_vars):
-        raise LPError("the solver takes plain columns: one family at base 0, a left per column, one empty right")
-    return columns
+class _System:
+    """A x = b, x >= 0 as LPCertificate.verify asks about it.  A subclass
+    holds b by its integer view scaled = (beta, B), B = beta * b in lowest
+    terms, as integer_scaled gives it, and answers row_sums(point), A x at
+    a sparse point of (column, value) pairs or None when a value is
+    negative or a column is not one of its own, and positive_aggregate(w),
+    whether some column's sum of w[row] * coefficient is positive under an
+    integer witness w, a {row: value} dict."""
 
-
-class FamilyProblem(_Value):
-    """A x = b, x >= 0 with the columns given as families and b by its
-    integer view scaled = (beta, B), B = beta * b in lowest terms, as
-    integer_scaled gives it.  A beta or B entry that is not an int (a bool
-    is not one) raises InexactValueError; columns that are not a
-    ColumnFamilies, a view that is not a pair with B a tuple, beta < 1, not
-    one B entry per row or gcd(beta, *B) != 1 raises LPError, so equal
-    right-hand sides give equal problems."""
-
-    columns: ColumnFamilies
-    scaled: tuple
-
-    def __post_init__(self):
-        _require(self.columns, "FamilyProblem", ColumnFamilies, LPError)
+    def _check_view(self, num_rows: int) -> None:
+        """Raise unless scaled is an integer view of num_rows right-hand
+        sides: a beta or B entry that is not an int (a bool is not one)
+        raises InexactValueError; a view that is not a pair with B a
+        tuple, beta < 1, not one B entry per row or gcd(beta, *B) != 1
+        raises LPError, so equal right-hand sides give equal problems."""
         if not (type(self.scaled) is tuple and len(self.scaled) == 2 and type(self.scaled[1]) is tuple):
             raise LPError("the right-hand side must be a pair (beta, B), B a tuple")
         beta, b = self.scaled
         for v in (beta, *b):
             if type(v) is not int:
                 raise InexactValueError(f"right-hand side value {v!r} is not an int")
-        if len(b) != self.columns.num_rows:
-            raise LPError(f"{len(b)} right-hand sides for {self.columns.num_rows} rows")
+        if len(b) != num_rows:
+            raise LPError(f"{len(b)} right-hand sides for {num_rows} rows")
         if beta < 1 or gcd(beta, *b) != 1:
             raise LPError(f"right-hand side scale {beta} is not positive, or (beta, B) not in lowest terms")
-
-    @property
-    def num_vars(self) -> int:
-        return self.columns.num_vars
 
     @cached_property
     def rhs(self) -> tuple:
@@ -230,12 +172,34 @@ class FamilyProblem(_Value):
         beta, b = self.scaled
         return tuple(Fraction(v, beta) for v in b)
 
+
+class SparseProblem(_Value, _System):
+    """A x = b, x >= 0 with the columns of A given as Columns and b by its
+    integer view scaled = (beta, B) (_System._check_view); columns that
+    are not a Columns raise LPError."""
+
+    columns: Columns
+    scaled: tuple
+
+    def __post_init__(self):
+        _require(self.columns, "SparseProblem", Columns, LPError)
+        self._check_view(self.columns.num_rows)
+
+    @property
+    def num_vars(self) -> int:
+        return self.columns.num_vars
+
     @cached_property
     def rows(self) -> tuple:
-        """The rows (entries, rhs) of a plain problem: nonzero (column,
-        coefficient) pairs, columns ascending, as its index holds them.  A
-        product family is not expanded: its problem raises LPError."""
-        return tuple(zip(_plain(self.columns).index, self.rhs))
+        """The rows (entries, rhs): nonzero (column, coefficient) pairs,
+        columns ascending, as columns.index holds them."""
+        return tuple(zip(self.columns.index, self.rhs))
+
+    def row_sums(self, point) -> tuple | None:
+        return self.columns.row_sums(point)
+
+    def positive_aggregate(self, w: dict) -> bool:
+        return max(self.columns.column_sums(w), default=0) > 0
 
 
 class LPCertificate(_Value):
@@ -266,32 +230,24 @@ class LPCertificate(_Value):
                 if not (type(v) is int or isinstance(v, Fraction)):
                     raise InexactValueError(f"certificate value {v!r} at {key} is not an int or a Fraction")
 
-    def verify(self, problem: FamilyProblem) -> bool:
+    def verify(self, problem: _System) -> bool:
         """Check exactly, on values scaled once to integers (which keeps
         every sign) and on the right-hand side's integer view B = beta * b.
         A point X = rho * x must be nonnegative with beta * (A X) = rho * B
-        row by row; a witness w needs w^T B > 0 and, per family, a
-        nonpositive largest column aggregate."""
-        beta, b = _require(problem, "verify", FamilyProblem, LPError).scaled
+        row by row; a witness w needs w^T B > 0 and no column with a
+        positive aggregate."""
+        if not isinstance(problem, _System):
+            raise LPError("verify needs a problem")
+        beta, b = problem.scaled
         if self.feasible:
             rho, x = _integer_scaled(dict(self.point or ()))
-            sums = problem.columns.row_sums(x.items())
+            sums = problem.row_sums(x.items())
             return sums is not None and all(beta * s == rho * v for s, v in zip(sums, b))
         y = dict(self.farkas or ())
         if any(not 0 <= r < len(b) for r in y):
             return False
         _, w = _integer_scaled(y)
-        if sum(v * b[r] for r, v in w.items()) <= 0:
-            return False
-        # Every column aggregate is nonpositive iff, per family, the largest
-        # left sum plus the largest right sum is.
-        u = problem.columns.strategy_sums(w)
-        end = 0
-        for fam in problem.columns.families:
-            start, cut, end = end, end + len(fam.lefts), end + len(fam.lefts) + len(fam.rights)
-            if start < cut < end and max(u[start:cut]) + max(u[cut:end]) > 0:
-                return False
-        return True
+        return sum(v * b[r] for r, v in w.items()) > 0 and not problem.positive_aggregate(w)
 
     def to_text(self) -> str:
         if self.feasible:
@@ -313,20 +269,20 @@ def _bit_ids(mask: int):
         mask ^= low
 
 
-# live: the int with bit c set while column c of the plain problem is
-# live.  steps: (row, sign, hit) in elimination order, hit the mask of the
-# columns the step killed.  detected: a row left with no live column and a
-# nonzero right-hand side, or None; active_rows: the rows left, when none is.
+# live: the int with bit c set while column c is live.  steps: (row, sign,
+# hit) in elimination order, hit the mask of the columns the step killed.
+# detected: a row left with no live column and a nonzero right-hand side,
+# or None; active_rows: the rows left, when none is.
 _Presolve = namedtuple("_Presolve", "live active_rows steps detected")
 
 
 def _presolve(problem) -> _Presolve:
-    """Fix to zero every column touched by a same-sign zero-rhs row of a
-    plain problem, in one ascending pass over the rows: a zero row's live
-    coefficients are positive where its positive mask covers its live mask,
-    negative where it misses it, and mixed otherwise.  A mixed zero row is
-    left to phase 1, and a row with a nonzero right-hand side is only tested
-    for a live column: none is the detection.
+    """Fix to zero every column touched by a same-sign zero-rhs row, in
+    one ascending pass over the rows: a zero row's live coefficients are
+    positive where its positive mask covers its live mask, negative where
+    it misses it, and mixed otherwise.  A mixed zero row is left to phase
+    1, and a row with a nonzero right-hand side is only tested for a live
+    column: none is the detection.
 
     A row kept for phase 1 that a later step empties is found after the
     pass.  A mixed zero row is then dropped.  Of the rows with a nonzero
@@ -334,7 +290,7 @@ def _presolve(problem) -> _Presolve:
     step that touches it, the lowest column that step kills in it, the
     row): the first that a queue would take back, were each step to queue
     the rows it touches, in the order its columns reach them."""
-    masks, (_, rhs) = _plain(problem.columns).masks, problem.scaled
+    masks, (_, rhs) = problem.columns.masks, problem.scaled
     live = (1 << problem.num_vars) - 1
     steps: list = []
     kept = []
@@ -367,9 +323,9 @@ def _lift_farkas(problem, pre: _Presolve, farkas: dict) -> dict:
     adds its own; an aggregate over a coefficient of 1 or -1 is compared as
     the integer it is.
     """
-    columns = _plain(problem.columns)
+    columns = problem.columns
     scale, w = _integer_scaled(farkas)
-    u = columns.strategy_sums(w)
+    u = columns.column_sums(w)
     for row, sign, hit in reversed(pre.steps):
         top = 0
         for c, coeff in columns.index[row]:
@@ -424,7 +380,7 @@ def _phase1(problem, pre: _Presolve):
     y = [-1 if v < 0 else 1 for v in b] + [sum(xb.values())]
     basis = {}  # row -> the column id of the structural it holds
     # The live columns as (id, entries), ascending; they meet active rows only.
-    cols = _plain(problem.columns).families[0].lefts
+    cols = problem.columns.entries
     live = [(c, cols[c]) for c in _bit_ids(pre.live)]
     det = 1
     while y[-1]:
@@ -475,9 +431,9 @@ def _phase1(problem, pre: _Presolve):
     return {basis[i]: Fraction(v, det * beta) for i, v in xb.items() if i in basis}, None
 
 
-def lp_feasible(problem: FamilyProblem) -> LPCertificate:
+def lp_feasible(problem: SparseProblem) -> LPCertificate:
     """Decide A x = b, x >= 0 and return a verifiable certificate."""
-    _require(problem, "lp_feasible", FamilyProblem, LPError)
+    _require(problem, "lp_feasible", SparseProblem, LPError)
     pre = _presolve(problem)
     if pre.detected is None:
         point, farkas = _phase1(problem, pre)

@@ -7,10 +7,10 @@ weight vector over triples (solo strategy, pair strategy with pair[0]
 signalling pair[1], pair strategy with pair[1] signalling pair[0]) whose two
 directional readings both reproduce the box; feasibility means every wiring
 of that bipartition yields a local effective box.  tobl_problem states that
-LP on the 16384 triples, as products of route strategies in four column
-families, and its certificates index them.  lp_feasible takes plain
-columns only, so no one solves tobl_problem: is_tobl solves the same LP on
-the 512 marginals of those weights and lifts the answer to it.
+LP on the 16384 triples, as a OneWayProblem: a triple's column is the sum
+of its two route strategies, and the certificates index the triples.  It
+is checked, never solved: is_tobl solves the same LP on the 512 marginals
+of those weights and lifts the answer to it.
 
 Strategy truth tables follow the package convention: bit j is the value at
 packed argument index j, first argument most significant.  One-way pair
@@ -28,8 +28,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .boxes import BITS, Box3, ParseError, _require, _require3, pack, require_valid
-from .lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, LPError, lp_feasible
+from .boxes import BITS, Box3, ParseError, _require, _require3, _Value, pack, require_valid
+from .lp import Columns, LPCertificate, LPError, SparseProblem, _System, lp_feasible
 from .wiring import Bipartition
 
 
@@ -37,37 +37,36 @@ def _bit(tt: int, i: int) -> int:
     return (tt >> i) & 1
 
 
-def _problem(columns: ColumnFamilies, box, copies: int, ones: int = 1) -> FamilyProblem:
-    """The problem on columns whose right-hand side is copies of the table
-    and then ones 1s, stated by the box's integer view: (scale, ints *
-    copies + (scale,) * ones) is what integer_scaled gives on it, since
-    repeating the table and adding 1s leave the lcm of the denominators as
-    it is."""
+def _view(box, copies: int, ones: int = 1) -> tuple:
+    """The integer view of a right-hand side that is copies of the table
+    and then ones 1s: (scale, ints * copies + (scale,) * ones) is what
+    integer_scaled gives on it, since repeating the table and adding 1s
+    leave the lcm of the denominators as it is."""
     scale, ints = box.scaled
-    return FamilyProblem(columns, (scale, ints * copies + (scale,) * ones))
+    return scale, ints * copies + (scale,) * ones
 
 
 @cache
-def _local_columns(n: int) -> ColumnFamilies:
-    """local_problem's columns for n parties: one family whose lefts are the
-    4**n deterministic vertices, each hitting its 2**n table rows and the
-    normalization row, and whose one right is empty.  Vertex index is the
-    big-endian stack of the per-party response truth tables."""
+def _local_columns(n: int) -> Columns:
+    """local_problem's columns for n parties: the 4**n deterministic
+    vertices, each hitting its 2**n table rows and the normalization row.
+    Vertex index is the big-endian stack of the per-party response truth
+    tables."""
     size = 4**n
     vertices = []
     for col in range(size):
         tts = [(col >> (2 * (n - 1 - p))) & 3 for p in range(n)]
         rows = (pack(tuple(_bit(tts[p], ins[p]) for p in range(n)), ins) for ins in product(BITS, repeat=n))
         vertices.append(tuple((row, 1) for row in rows) + ((size, 1),))
-    return ColumnFamilies(size, size + 1, (Family(0, tuple(vertices), ((),)),))
+    return Columns(size + 1, tuple(vertices))
 
 
-def local_problem(box) -> FamilyProblem:
+def local_problem(box) -> SparseProblem:
     """LP whose feasibility is locality: deterministic vertex weights matching
-    every table entry plus normalization.  The columns are one family, built
-    once per party count (_local_columns); only the right-hand side, the
-    table and then 1, comes from the box."""
-    return _problem(_local_columns(_require(box, "local_problem").n_parties), box, 1)
+    every table entry plus normalization.  The columns are built once per
+    party count (_local_columns); only the right-hand side, the table and
+    then 1, comes from the box."""
+    return SparseProblem(_local_columns(_require(box, "local_problem").n_parties), _view(box, 1))
 
 
 def is_local(box) -> LPCertificate:
@@ -79,12 +78,14 @@ def is_local(box) -> LPCertificate:
 
 
 @cache
-def _tobl_columns(bp: Bipartition) -> ColumnFamilies:
-    """tobl_problem's columns: one family per solo truth table at base
-    4096 * solo_tt, its lefts the 64 route-1 strategies f * 16 + g and its
-    rights the 64 route-2 ones.  Route 1: pair[0] sends, so pair[0] out =
-    f(pair[0] in) and pair[1] out = g(inputs).  Route 2: pair[1] sends.
-    Rows ascend as built: the inputs are a flat index's high bits."""
+def _routes(bp: Bipartition) -> Columns:
+    """The route strategies of bp over tobl_problem's 129 rows, all
+    coefficients 1: for solo truth table s, route-1 strategy f * 16 + g at
+    128 * s + f * 16 + g and route-2 strategy f * 16 + g at 128 * s + 64 +
+    f * 16 + g, the latter also hitting row 128.  Route 1: pair[0] sends,
+    so pair[0] out = f(pair[0] in) and pair[1] out = g(inputs).  Route 2:
+    pair[1] sends.  Rows ascend as built: the inputs are a flat index's
+    high bits."""
     s = bp.solo
     p0, p1 = bp.pair
     unit = [(row, 1) for row in range(129)]  # shared by every strategy
@@ -102,43 +103,66 @@ def _tobl_columns(bp: Bipartition) -> ColumnFamilies:
                     rows.append(64 * (route - 1) + pack(tuple(outs), ins))
                 yield tuple(unit[row] for row in rows) + ((unit[128],) if route == 2 else ())
 
-    families = tuple(
-        Family(4096 * solo_tt, tuple(strategies(1, solo_tt)), tuple(strategies(2, solo_tt)))
-        for solo_tt in range(4)
-    )
-    return ColumnFamilies(16384, 129, families)
+    return Columns(129, tuple(c for solo_tt in range(4) for route in (1, 2) for c in strategies(route, solo_tt)))
 
 
-def tobl_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
-    """129-row, 16384-column LP: rows 0..63 are route-1 table equations (flat
-    index), 64..127 route-2, 128 normalization.  The column at a strategy
-    triple's lambda index (module docstring) hits the 8 rows of each of its
-    two route strategies and row 128, each with coefficient 1.  The columns
-    are four families, built once per bipartition (_tobl_columns), and are
-    never expanded: verify checks certificates on them, and lp_feasible and
-    rows raise LPError.  A bp that is not a Bipartition raises ParseError."""
-    _require(bp, "tobl_problem", Bipartition, ParseError)
-    return _problem(_tobl_columns(bp), _require3(box, "tobl_problem"), 2)
+class OneWayProblem(_Value, _System):
+    """tobl_problem's LP, 129 rows by 16384 columns, with b by its integer
+    view scaled (lp._System).  The column at lambda index 4096 * s + 64 *
+    i + j is the sum of _routes(bipartition)'s columns 128 * s + i and 128
+    * s + 64 + j, and is never built: a point's row sums add the two, and
+    a witness gives some column a positive aggregate iff, for some solo
+    truth table s, its largest route-1 sum plus its largest route-2 sum is
+    positive.  lp_feasible does not take it.  A bipartition that is not a
+    Bipartition raises ParseError."""
+
+    bipartition: Bipartition
+    scaled: tuple
+
+    def __post_init__(self):
+        _require(self.bipartition, "OneWayProblem", Bipartition, ParseError)
+        self._check_view(129)
+
+    def row_sums(self, point) -> tuple | None:
+        # lambda = 4096 s + 64 i + j is in 0..16383 iff 128 s + i and 128 s +
+        # 64 + j are in 0..511, which _routes' row_sums checks.
+        split = [(128 * (col >> 12) + k, v) for col, v in point for k in (col >> 6 & 63, 64 + (col & 63))]
+        return _routes(self.bipartition).row_sums(split)
+
+    def positive_aggregate(self, w: dict) -> bool:
+        u = _routes(self.bipartition).column_sums(w)
+        return any(max(u[k:k + 64]) + max(u[k + 64:k + 128]) > 0 for k in range(0, 512, 128))
+
+
+def tobl_problem(box: Box3, bp: Bipartition) -> OneWayProblem:
+    """The one-way LP of box on bp: rows 0..63 are route-1 table equations
+    (flat index), 64..127 route-2, 128 normalization, and the column at a
+    strategy triple's lambda index (module docstring) hits the 8 rows of
+    each of its two route strategies and row 128, each with coefficient 1.
+    A bp that is not a Bipartition raises ParseError."""
+    return OneWayProblem(bp, _view(_require3(box, "tobl_problem"), 2))
 
 
 @cache
-def _marginal_columns(bp: Bipartition) -> ColumnFamilies:
-    """is_tobl's 512 plain columns over 133 rows, all coefficients 1: for
-    solo truth table s, a_{s,i} at 128 * s + i is route-1 strategy i of
-    _tobl_columns(bp)'s family s plus row 129 + s, and c_{s,j} at 128 * s +
-    64 + j its route-2 strategy j plus each row 129 + s', s' != s."""
+def _marginal_columns(bp: Bipartition) -> Columns:
+    """is_tobl's 512 columns over 133 rows, all coefficients 1: for solo
+    truth table s, a_{s,i} at 128 * s + i is _routes(bp)'s column 128 * s
+    + i, route-1 strategy i, plus row 129 + s, and c_{s,j} at 128 * s + 64
+    + j its column 128 * s + 64 + j, route-2 strategy j, plus each row 129
+    + s', s' != s."""
     unit = [(row, 1) for row in range(133)]
+    routes = _routes(bp).entries
     cols = []
-    for s, fam in enumerate(_tobl_columns(bp).families):
+    for s in range(4):
         others = tuple(unit[129 + t] for t in range(4) if t != s)
-        cols += [left + (unit[129 + s],) for left in fam.lefts]
-        cols += [right + others for right in fam.rights]
-    return ColumnFamilies(512, 133, (Family(0, tuple(cols), ((),)),))
+        cols += [left + (unit[129 + s],) for left in routes[128 * s:128 * s + 64]]
+        cols += [right + others for right in routes[128 * s + 64:128 * s + 128]]
+    return Columns(133, tuple(cols))
 
 
-def _marginal_problem(box: Box3, bp: Bipartition) -> FamilyProblem:
+def _marginal_problem(box: Box3, bp: Bipartition) -> SparseProblem:
     """The LP on _marginal_columns(bp): the table twice, then five 1s."""
-    return _problem(_marginal_columns(bp), box, 2, 5)
+    return SparseProblem(_marginal_columns(bp), _view(box, 2, 5))
 
 
 def _coupling(a: list, c: list) -> list:

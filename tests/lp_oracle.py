@@ -1,17 +1,15 @@
 """A row-form Fraction LP solver that nsboxes.lp is tested against, and
 row_problem, the tests' way to state an LP by its rows.
 
-row_problem(num_vars, rows) builds the FamilyProblem of one family whose
-left strategies are the columns and whose one right strategy is empty, so
-a hand-written or random system goes through the library's solver.  A
-rational system is stated with every row times one common positive
-integer, which keeps its points, its witnesses and the solver's pivots;
-any value that is not an int or a Fraction is passed on as it is, for
-Family, ColumnFamilies and FamilyProblem to reject.  Given the columns of
-an earlier row_problem on the same entries, it states only the new
-right-hand sides.  expanded(problem) is the row_problem of a problem's
-column families, each column lefts[i] + rights[j] under its own id: the
-plain problem that lp_feasible takes in place of a product family.
+row_problem(num_vars, rows) builds the SparseProblem whose columns are the
+system's, so a hand-written or random system goes through the library's
+solver.  A rational system is stated with every row times one common
+positive integer, which keeps its points, its witnesses and the solver's
+pivots; any value that is not an int or a Fraction is passed on as it is,
+for Columns and SparseProblem to reject.  Given the columns of an earlier
+row_problem on the same entries, it states only the new right-hand sides.
+expanded(problem) is the SparseProblem of a one-way problem's 16384
+columns, each the sum of its two route strategies.
 
 solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
@@ -24,15 +22,16 @@ Fractions of the unscaled system and updates them with textbook pivots.
 It shares nothing with the library's integer phase 1 but the contract:
 Bland's rule over the same integer labels (column id, or num_vars + pos
 for the artificial of row pos), and the same (point, farkas) dicts out.
-Nothing here but expanded reads a problem's column families.
 """
 
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
+from nsboxes import membership
 from nsboxes.boxes import integer_scaled
-from nsboxes.lp import ColumnFamilies, Family, FamilyProblem, LPCertificate, LPError
+from nsboxes.lp import Columns, LPCertificate, LPError, SparseProblem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,9 +39,8 @@ ONE = Fraction(1)
 
 def row_problem(num_vars, rows, columns=None):
     """A x = b, x >= 0 given by rows of (entries, rhs), entries a tuple of
-    (column, coefficient) pairs, as one family: column j is left strategy
-    j, its nonzero coefficients in row order.  Zero coefficients are
-    dropped.  Every coefficient and right-hand side is multiplied by the
+    (column, coefficient) pairs: column j holds its nonzero coefficients in
+    row order.  Every coefficient and right-hand side is multiplied by the
     lcm of the Fraction coefficients' denominators, which makes those
     coefficients ints, and the right-hand sides are stated by
     integer_scaled.  columns, if given, is the .columns of a row_problem
@@ -50,7 +48,7 @@ def row_problem(num_vars, rows, columns=None):
     scale = lcm(*(c.denominator for entries, _ in rows for _, c in entries if type(c) is Fraction))
     rhs = integer_scaled(v * scale for _, v in rows)
     if columns is not None:
-        return FamilyProblem(columns, rhs)
+        return SparseProblem(columns, rhs)
     columns = [[] for _ in range(num_vars)]
     for row, (entries, _) in enumerate(rows):
         for col, coeff in entries:
@@ -60,23 +58,22 @@ def row_problem(num_vars, rows, columns=None):
                 elif type(coeff) is int:
                     coeff *= scale
                 columns[col].append((row, coeff))
-    family = Family(0, tuple(map(tuple, columns)), ((),))
-    return FamilyProblem(ColumnFamilies(num_vars, len(rows), (family,)), rhs)
+    return SparseProblem(Columns(len(rows), tuple(map(tuple, columns))), rhs)
 
 
-def expanded(problem, keep=None):
-    """row_problem of problem's column families: column base + i *
-    len(rights) + j of a family holds lefts[i] + rights[j], over the
-    columns in keep only when given."""
-    entries = [[] for _ in problem.rhs]
-    for fam in problem.columns.families:
-        for i, left in enumerate(fam.lefts):
-            for j, right in enumerate(fam.rights):
-                col = fam.base + i * len(fam.rights) + j
-                if keep is None or col in keep:
-                    for row, coeff in left + right:
-                        entries[row].append((col, coeff))
-    return row_problem(problem.num_vars, tuple(zip(map(tuple, entries), problem.rhs)))
+@cache
+def _expanded_columns(bp):
+    routes = membership._routes(bp).entries
+    return Columns(129, tuple(routes[128 * s + i] + routes[128 * s + 64 + j]
+                              for s in range(4) for i in range(64) for j in range(64)))
+
+
+def expanded(problem):
+    """The SparseProblem of a one-way problem's columns: the column at
+    lambda index 4096 * s + 64 * i + j holds route-1 strategy i and route-2
+    strategy j of solo truth table s.  The columns are built once per
+    bipartition."""
+    return SparseProblem(_expanded_columns(problem.bipartition), problem.scaled)
 
 
 def column_index(problem):

@@ -85,7 +85,7 @@ def test_criterion_5_class4_one_way_models():
         # the two-bit-seed model is a second certificate of the same LP
         model = class4_tobl_model(bp)
         assert model.verify(problem)
-        reading = problem.columns.row_sums(model.point)
+        reading = problem.row_sums(model.point)
         assert reading[:64] == reading[64:128] == box.table
 
 

@@ -1,15 +1,17 @@
 import hashlib
 import random
+import runpy
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
 from box_oracle import Relabeling, relabel
-from lp_oracle import expanded, row_problem
+from lp_oracle import row_problem
 from nsboxes import (
     BIPARTITIONS,
     InexactValueError,
@@ -23,11 +25,10 @@ from nsboxes import (
 )
 from nsboxes.boxes import integer_scaled
 from nsboxes.lp import (
-    ColumnFamilies,
-    Family,
-    FamilyProblem,
+    Columns,
     LPCertificate,
     LPError,
+    SparseProblem,
     _phase1,
     _presolve,
     lp_feasible,
@@ -137,9 +138,11 @@ def test_fractional_solution():
 
 
 def test_column_out_of_range_rejected():
-    # two columns in a problem of one
-    with pytest.raises(LPError):
-        ColumnFamilies(1, 1, (Family(0, (((0, 1),), ((0, 1),)), ((),)),))
+    # a point on a column the problem does not have has no row sums
+    problem, _ = solve(2, [(((0, 1), (1, 1)), 1)])
+    assert problem.row_sums(((0, 1),)) == (1,)
+    for outside in (-1, 2):
+        assert problem.row_sums(((0, 1), (outside, 1))) is None
 
 
 def test_certificate_text_formats():
@@ -232,16 +235,16 @@ def test_degenerate_single_variable_chain():
 
 def test_float_coefficient_rejected():
     with pytest.raises(InexactValueError):
-        Family(0, (((0, 1),), ((0, 0.5),)), ((),))
+        Columns(1, (((0, 1),), ((0, 0.5),)))
 
 
 # x0 + x1 = b, the columns of a one-row problem
-ONE_ROW = ColumnFamilies(2, 1, (Family(0, (((0, 1),), ((0, 1),)), ((),)),))
+ONE_ROW = Columns(1, (((0, 1),), ((0, 1),)))
 
 
 def test_float_rhs_rejected():
     with pytest.raises(InexactValueError):
-        FamilyProblem(ONE_ROW, (1, (0.1,)))
+        SparseProblem(ONE_ROW, (1, (0.1,)))
 
 
 @pytest.mark.parametrize(
@@ -253,18 +256,18 @@ def test_inexact_values_rejected(value):
     # bool is not taken as 0 or 1, a str is not parsed, and a Fraction,
     # even an integral one, is stated by scaling its rows to integers.
     with pytest.raises(InexactValueError):
-        Family(0, (((0, 1),), ((0, value),)), ((),))
+        Columns(1, (((0, 1),), ((0, value),)))
     with pytest.raises(InexactValueError):
-        FamilyProblem(ONE_ROW, (1, (value,)))
+        SparseProblem(ONE_ROW, (1, (value,)))
 
 
 def test_column_repeated_in_a_row_rejected():
     # x0 + x0 = 0, x0 + x1 = 1 is feasible at x1 = 1, but the presolve
     # counts the live entries of a row, so a repeated column used to empty
     # the second row while x1 was still live.  Column 0 then lists row 0
-    # twice, and its strategy's rows must ascend strictly.
+    # twice, and a column's rows must ascend strictly.
     with pytest.raises(LPError):
-        Family(0, (((0, 1), (0, 1), (1, 1)), ((1, 1),)), ((),))
+        Columns(2, (((0, 1), (0, 1), (1, 1)), ((1, 1),)))
 
 
 def basis_feasible(problem):
@@ -421,13 +424,19 @@ PINNED_CERTIFICATES = {
 }
 
 
-def pinned_certificates():
+def membership_certificates():
+    """The 13 membership certificates that PINNED_CERTIFICATES pins, by key."""
     certs = {}
     for name in ("class3", "class4", "class44"):
         for bp in BIPARTITIONS:
             certs[f"tobl {name} {bp.name}"] = is_tobl(builtin(name), bp)
     for name in ("class3", "class4", "class44", "pr"):
         certs[f"local {name}"] = is_local(builtin(name))
+    return certs
+
+
+def pinned_certificates():
+    certs = membership_certificates()
     for target in (F(-5, 4), F(-5, 4) - F(1, 100), F(0)):
         certs[f"beale {target}"] = lp_feasible(row_problem(8, tuple(BEALE + [(BEALE_OBJECTIVE, target)])))
     rng = random.Random(TIE_SEED)
@@ -439,6 +448,31 @@ def pinned_certificates():
 
 def test_certificates_pinned():
     assert pinned_certificates() == PINNED_CERTIFICATES
+
+
+def test_pinned_membership_certificates_pass_the_benchmark_checker():
+    # perfbench/naive.py checks a certificate's text by substitution into the
+    # LP it builds from the documented layouts, without nsboxes; it is run
+    # from its source so no bytecode is written under perfbench/.  Each
+    # certificate proves its own verdict there, and a copy with its first
+    # value plus 1 proves nothing: a point's weights then sum past 1, and
+    # a witness's first row makes some column's aggregate positive.
+    naive = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "naive.py"))
+    certs = membership_certificates()
+    assert len(certs) == 13
+    for key, cert in certs.items():
+        model, name, *bp = key.split()
+        table = builtin(name).table
+        if model == "tobl":
+            bp_index = [b.name for b in BIPARTITIONS].index(bp[0])
+            check = lambda text: naive["check_tobl_certificate"](table, bp_index, text)
+        else:
+            check = lambda text: naive["check_local_certificate"](table, text)
+        verdict, first, *rest = cert.to_text().splitlines()
+        assert check(cert.to_text()) == verdict, key
+        col, value = first.split(" = ")
+        changed = "\n".join([verdict, f"{col} = {F(value) + 1}", *rest]) + "\n"
+        assert check(changed) is None, key
 
 
 # The local LP of p * V + (1 - p) * uniform3, keyed "p V", hashed as above.
@@ -468,8 +502,8 @@ def test_noisy_local_certificates_pinned(key):
 
 # What the presolve does on each membership LP of the builtins: its step
 # count, then the row it detects or the rows it leaves and the number of
-# live columns that families hold.  A presolve that reorders its rows or
-# steps fails here on the LP and the count that moved.  The one-way LPs are
+# live columns.  A presolve that reorders its rows or steps fails here on
+# the LP and the count that moved.  The one-way LPs are
 # is_tobl's 133 x 512 marginal form, the one lp_feasible solves.
 PRESOLVE_TRACES = {
     "tobl class3 A|BC": "49 steps, detected at row 121",
@@ -492,7 +526,7 @@ def presolve_trace(problem):
     pre = _presolve(problem)
     if pre.detected is not None:
         return f"{len(pre.steps)} steps, detected at row {pre.detected}"
-    return f"{len(pre.steps)} steps, {len(pre.active_rows)} active rows, live {len(live_columns(problem, pre))}"
+    return f"{len(pre.steps)} steps, {len(pre.active_rows)} active rows, live {sum(live_columns(problem, pre))}"
 
 
 @pytest.mark.parametrize("key", PRESOLVE_TRACES)
@@ -518,20 +552,9 @@ def rescaled(rng, problem):
     return row_problem(problem.num_vars, tuple(rows))
 
 
-def family_columns(problem):
-    """Every column that a family of the problem holds."""
-    return {fam.base + k for fam in problem.columns.families for k in range(len(fam.lefts) * len(fam.rights))}
-
-
-def families_hit(problem, mask):
-    """The families that hold a column of mask."""
-    return {f for f, fam in enumerate(problem.columns.families)
-            if mask >> fam.base & (1 << len(fam.lefts) * len(fam.rights)) - 1}
-
-
 def live_columns(problem, pre):
-    """The columns the presolve left among those a family holds."""
-    return family_columns(problem) & {col for col, bit in enumerate(bin(pre.live)[:1:-1]) if bit == "1"}
+    """col_alive: for each column, whether the presolve left it live."""
+    return [bool(pre.live >> col & 1) for col in range(problem.num_vars)]
 
 
 def phase1_agrees_with_oracle(problem):
@@ -542,8 +565,7 @@ def phase1_agrees_with_oracle(problem):
     if pre.detected is not None:
         return None
     got = _phase1(problem, pre)
-    reduced = expanded(problem, live_columns(problem, pre))
-    assert got == lp_oracle.phase1(reduced, [True] * problem.num_vars, pre.active_rows)
+    assert got == lp_oracle.phase1(problem, live_columns(problem, pre), pre.active_rows)
     return "feasible" if got[1] is None else "farkas"
 
 
@@ -609,7 +631,7 @@ def test_phase1_matches_fraction_oracle_on_membership_lps():
         problem = membership._marginal_problem(box, bp)
         pre = _presolve(problem)
         if one_way < 10 and pre.detected is None:
-            if len(live_columns(problem, pre)) <= MAX_ONE_WAY_COLUMNS:
+            if sum(live_columns(problem, pre)) <= MAX_ONE_WAY_COLUMNS:
                 outcome = phase1_agrees_with_oracle(problem)
                 one_way += outcome is not None
                 outcomes.add(("one-way", outcome))
@@ -621,10 +643,14 @@ def coefficient(rng, sign):
 
 
 def family_system(rng, same_sign=False):
-    """2-3 families of 1-4 strategies per side over 3-6 rows, coefficients
-    ints of magnitude 1-9 and right-hand sides halves: each family
-    splits the rows into left rows below a cut and right rows above it.
-    Each family row gets one sign for all its coefficients or, one time in
+    """(problem, families): 2-3 families of columns over 3-6 rows, each
+    family the sums of 1-4 left and 1-4 right strategies, as the one-way
+    LP's columns are, with coefficients ints of magnitude 1-9 and
+    right-hand sides halves; families lists each family's range of
+    columns, and a column between two families may be empty.  Each family
+    splits the rows into left rows below a cut and right rows above it, and
+    column base + i * len(rights) + j holds lefts[i] + rights[j].  Each
+    family row gets one sign for all its coefficients or, one time in
     three, signs drawn per entry, so zero rows are same-sign, mixed-sign,
     or same-sign once other steps remove their mixed entries: a step when
     those steps come first, left to phase 1 when they come later.  With
@@ -634,7 +660,7 @@ def family_system(rng, same_sign=False):
     m = rng.randrange(3, 7)
     row_signs = {r: rng.choice((1, -1)) for r in range(m)} if same_sign else None
     families = []
-    base = 0
+    columns = []
     for _ in range(rng.randrange(2, 4)):
         cut = rng.randrange(1, m)
         sides = []
@@ -649,10 +675,11 @@ def family_system(rng, same_sign=False):
                       for r in rows if rng.random() < 0.5)
                 for _ in range(rng.randrange(1, 5))
             ))
-        families.append(Family(base, *sides))
-        base += len(sides[0]) * len(sides[1]) + rng.randrange(2)
+        lefts, rights = sides
+        families.append(range(len(columns), len(columns) + len(lefts) * len(rights)))
+        columns += [left + right for left in lefts for right in rights] + [()] * rng.randrange(2)
     rhs = tuple(F(0) if rng.random() < 1 / 3 else F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m))
-    return FamilyProblem(ColumnFamilies(base, m, tuple(families)), integer_scaled(rhs))
+    return SparseProblem(Columns(m, tuple(columns)), integer_scaled(rhs)), families
 
 
 FAMILY_SEED = 4242
@@ -664,28 +691,27 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
     # mixed-sign rows of assorted magnitudes inside a family, and rows that
     # families share on different sides.  The second stream keeps one sign
     # per row.  The presolve takes its steps in one pass on both, and a row
-    # emptied after its test is found from the steps.  Each is solved on its
-    # expansion, and the certificate verifies on the families too.
+    # emptied after its test is found from the steps.
     for seed, same_sign in ((FAMILY_SEED, False), (SAME_SIGN_SEED, True)):
         rng = random.Random(seed)
         outcomes = {}
         spanning = requeued_steps = 0
         for _ in range(400):
-            problem = family_system(rng, same_sign)
-            rows = expanded(problem)
-            cert = lp_feasible(rows)
-            want, outcome = lp_oracle.solve(rows)
+            problem, families = family_system(rng, same_sign)
+            cert = lp_feasible(problem)
+            want, outcome = lp_oracle.solve(problem)
             assert cert.to_text() == want.to_text()
-            assert cert.verify(problem) and cert.verify(rows)
+            assert cert.verify(problem)
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            pre = _presolve(rows)
-            col_alive, active_rows, oracle_steps, early, _ = lp_oracle.presolve(rows)
+            pre = _presolve(problem)
+            col_alive, active_rows, oracle_steps, early, _ = lp_oracle.presolve(problem)
             assert [(r, s) for r, s, _ in pre.steps] == [(r, s) for r, s, _ in oracle_steps]
             if early is None:
-                # The oracle keeps the columns no family holds alive.
+                # Both keep the empty columns alive.
                 assert pre.active_rows == active_rows
-                assert live_columns(problem, pre) == {col for col in family_columns(problem) if col_alive[col]}
-            spanning += any(len(families_hit(problem, hit)) > 1 for *_, hit in pre.steps)
+                assert live_columns(problem, pre) == col_alive
+            spanning += any(sum(any(hit >> col & 1 for col in cols) for cols in families) > 1
+                            for *_, hit in pre.steps)
             # Steps come in ascending row order; a step on a row at or below
             # the one before it would be a step on a row queued again.
             requeued_steps += any(b <= a for (a, *_), (b, *_) in zip(pre.steps, pre.steps[1:]))
@@ -697,13 +723,9 @@ def test_family_systems_match_row_form_oracle_on_their_expansion():
 def scaled_system(problem, rhs_factor, coeff_factor):
     """problem with its right-hand side times rhs_factor and every
     coefficient times coeff_factor."""
-    families = tuple(
-        Family(fam.base, *(tuple(tuple((r, c * coeff_factor) for r, c in strategy) for strategy in side)
-                           for side in (fam.lefts, fam.rights)))
-        for fam in problem.columns.families
-    )
-    return FamilyProblem(ColumnFamilies(problem.num_vars, problem.columns.num_rows, families),
-                         integer_scaled(v * rhs_factor for v in problem.rhs))
+    columns = Columns(problem.columns.num_rows, tuple(
+        tuple((r, c * coeff_factor) for r, c in column) for column in problem.columns.entries))
+    return SparseProblem(columns, integer_scaled(v * rhs_factor for v in problem.rhs))
 
 
 @pytest.mark.parametrize("k", [3, F(7, 2), F(1, 6)], ids=["3", "7/2", "1/6"])
@@ -716,7 +738,7 @@ def test_solution_scales_with_b_and_inversely_with_a(k):
     if type(k) is int:
         factors.append((1, k, F(1, k)))
     for _ in range(100):
-        problem = expanded(family_system(rng))
+        problem, _ = family_system(rng)
         cert = lp_feasible(problem)
         outcomes.add(cert.feasible)
         for rhs_factor, coeff_factor, point_factor in factors:
@@ -734,21 +756,21 @@ def test_certificate_bytes_survive_scaling_every_row(rng, k):
     # Every coefficient and right-hand side times one k > 0: the presolve's
     # signs, the pivots, the ratio ties and the duals are kept, so the
     # point and the witness are the same to the byte.
-    problem = expanded(family_system(rng))
+    problem, _ = family_system(rng)
     assert lp_feasible(scaled_system(problem, k, k)).to_text() == lp_feasible(problem).to_text()
 
 
 def test_presolve_leaves_rows_a_later_step_makes_same_sign_to_phase_1():
-    # Row 3 kills family 0's one right, so columns 0 = (left 0, right 0) and
-    # 1 = (left 1, right 0) die.  Rows 1 and 2 mixed signs when the pass
-    # reached them and are same-sign after it; they stay for phase 1.
-    problem = FamilyProblem(ColumnFamilies(5, 4, (
-        Family(0, (((0, 1),), ((1, -1),)), (((2, -1), (3, 1)),)),
-        Family(2, (((2, 1),),), ((),)),
-        Family(3, (((1, 1),),), ((),)),
-        Family(4, (((0, 1),),), ((),)),
+    # Row 3 kills columns 0 and 1, which share their entries in rows 2 and
+    # 3.  Rows 1 and 2 mixed signs when the pass reached them and are
+    # same-sign after it; they stay for phase 1.
+    rows = SparseProblem(Columns(4, (
+        ((0, 1), (2, -1), (3, 1)),
+        ((1, -1), (2, -1), (3, 1)),
+        ((2, 1),),
+        ((1, 1),),
+        ((0, 1),),
     )), (1, (1, 0, 0, 0)))
-    rows = expanded(problem)
     pre = _presolve(rows)
     _, active_rows, oracle_steps, *_ = lp_oracle.presolve(rows)
     assert [(r, s) for r, s, _ in pre.steps] == [(r, s) for r, s, _ in oracle_steps] == [(3, 1)]
@@ -782,64 +804,47 @@ def test_local_presolve_steps_match_the_row_form_oracle(name):
 
 
 def test_solver_takes_plain_problems_only():
-    # A product family is verified on, never expanded: lp_feasible and
-    # rows refuse it, as they refuse one family with fewer lefts than
-    # columns, one at base 1 and no family; its expansion is what the
-    # solver takes.
-    product = family_system(random.Random(FAMILY_SEED))
-    not_plain = [
-        tobl_problem(builtin("class4"), BIPARTITIONS[0]),
-        product,
-        FamilyProblem(ColumnFamilies(2, 1, (Family(0, (((0, 1),),), ((),)),)), (1, (1,))),
-        FamilyProblem(ColumnFamilies(2, 1, (Family(1, (((0, 1),),), ((),)),)), (1, (1,))),
-        FamilyProblem(ColumnFamilies(0, 1, ()), (1, (0,))),
-    ]
-    for problem in not_plain:
+    # tobl_problem's one-way form is checked, never solved: lp_feasible
+    # refuses it, as it refuses anything that is not a SparseProblem, and
+    # it has no rows to expand.
+    one_way = tobl_problem(builtin("class4"), BIPARTITIONS[0])
+    for problem in (one_way, one_way.scaled, None):
         with pytest.raises(LPError):
             lp_feasible(problem)
-        with pytest.raises(LPError):
-            problem.rows
-    assert lp_feasible(expanded(product)).verify(product)
+    assert not hasattr(one_way, "rows")
 
 
-def test_family_structure_is_validated():
-    with pytest.raises(LPError):  # a left row after a right row
-        Family(0, (((2, 1),),), (((1, 1),),))
+def test_column_structure_is_validated():
     with pytest.raises(LPError):  # rows not ascending
-        Family(0, (((1, 1), (0, 1)),), ((),))
+        Columns(2, (((1, 1), (0, 1)),))
     with pytest.raises(LPError):
-        Family(0, (((0, 0),),), ((),))
+        Columns(1, (((0, 0),),))
     with pytest.raises(InexactValueError):
-        Family(0, (((0, 0.5),),), ((),))
-    # a strategy that is a pair, not a tuple of pairs, a side that is not a
-    # tuple, families that are not a tuple of Family, columns that are not
-    # a ColumnFamilies, and a negative count: each used to raise a bare
-    # TypeError or AttributeError, or to build
-    for build in (lambda: Family(0, ((0, 1),), ((),)), lambda: Family(0, 5, ((),)),
-                  lambda: Family(0, ((),), 5), lambda: ColumnFamilies(1, 1, (5,)),
-                  lambda: ColumnFamilies(1, 1, 5), lambda: FamilyProblem(5, (1, (1,))),
-                  lambda: ColumnFamilies(1, -1, ())):
+        Columns(1, (((0, 0.5),),))
+    with pytest.raises(LPError):  # row out of range
+        Columns(2, (((0, 1),), ((2, 1),)))
+    with pytest.raises(LPError):  # a negative row
+        Columns(2, (((-1, 1),),))
+    # a column that is a pair, not a tuple of pairs, entries or a column
+    # that are not a tuple, columns that are not a Columns, and a negative
+    # count: each used to raise a bare TypeError or AttributeError, or to
+    # build
+    for build in (lambda: Columns(1, ((0, 1),)), lambda: Columns(1, 5), lambda: Columns(1, (5,)),
+                  lambda: SparseProblem(5, (1, (1,))), lambda: Columns(-1, ())):
         with pytest.raises(LPError):
             build()
-    fam = Family(0, (((0, 1),), ((1, 1),)), (((2, 1),),))
-    with pytest.raises(LPError):  # overlapping families
-        ColumnFamilies(4, 3, (fam, Family(1, (((0, 1),),), ((),))))
-    with pytest.raises(LPError):  # row out of range
-        ColumnFamilies(2, 2, (fam,))
-    with pytest.raises(LPError):  # column out of range
-        ColumnFamilies(1, 3, (fam,))
-    columns = ColumnFamilies(2, 3, (fam,))
-    assert FamilyProblem(columns, (2, (1, 2, 0))).rhs == (F(1, 2), 1, 0)
+    columns = Columns(3, (((0, 1), (2, 1)), ((1, 1), (2, 1))))
+    assert SparseProblem(columns, (2, (1, 2, 0))).rhs == (F(1, 2), 1, 0)
     # the right-hand side is its integer view (beta, B) in lowest terms
     for view in ((F(1), F(1), F(1)), (1,), (1, (1, 1, 1), 1), [1, (1, 1, 1)], (1, [1, 1, 1]), (1, 1)):
         with pytest.raises(LPError):  # not a pair (beta, B) with B a tuple
-            FamilyProblem(columns, view)
+            SparseProblem(columns, view)
     for view in ((0, (0, 0, 0)), (-1, (1, 1, 1)), (1, (1, 1)), (2, (2, 4, 0)), (6, (2, 4, 0))):
         with pytest.raises(LPError):  # beta < 1, a row missing, not in lowest terms
-            FamilyProblem(columns, view)
+            SparseProblem(columns, view)
     for view in ((1, (1, 1, 1.0)), (1, (1, True, 1)), (F(1), (1, 1, 1)), (True, (1, 1, 1)), (1, (F(1), 1, 1))):
         with pytest.raises(InexactValueError):
-            FamilyProblem(columns, view)
+            SparseProblem(columns, view)
 
 
 @pytest.mark.parametrize(
@@ -854,13 +859,12 @@ def test_inexact_certificate_values_rejected(value):
         LPCertificate(False, None, ((0, value),))
 
 
-def test_row_problem_is_one_family():
-    # row_problem builds the FamilyProblem whose one family's lefts are the
-    # columns; its rows read back as the nonzero entries, columns ascending.
+def test_row_problem_states_its_columns():
+    # row_problem builds the SparseProblem of the system's columns; its rows
+    # read back as the nonzero entries, columns ascending.
     problem = row_problem(3, ((((2, F(1)), (0, 0), (1, F(-2))), F(1)), (((0, 3),), 0)))
-    assert isinstance(problem, FamilyProblem)
-    (fam,) = problem.columns.families
-    assert (fam.base, fam.lefts, fam.rights) == (0, (((1, 3),), ((0, F(-2)),), ((0, F(1)),)), ((),))
+    assert isinstance(problem, SparseProblem)
+    assert problem.columns == Columns(2, (((1, 3),), ((0, -2),), ((0, 1),)))
     assert problem.rhs == (F(1), 0)
     assert problem.rows == ((((1, F(-2)), (2, F(1))), F(1)), (((0, 3),), 0))
     assert problem == row_problem(3, problem.rows)
@@ -882,7 +886,7 @@ def test_row_problem_states_its_integer_view():
     # denominators, on every row: x0 / 2 + x1 / 3 = 1, x0 = 2 is 3 x0 + 2 x1
     # = 6, 6 x0 = 12, with the same point.
     problem = row_problem(2, ((((0, F(1, 2)), (1, F(1, 3))), 1), (((0, 1),), 2)))
-    assert problem.columns.families[0].lefts == (((0, 3), (1, 6)), ((0, 2),))
+    assert problem.columns.entries == (((0, 3), (1, 6)), ((0, 2),))
     assert problem.scaled == (1, (6, 12))
     assert lp_feasible(problem).point == ((0, 2),)
     # the sign of a row detected empty comes from B
@@ -930,23 +934,18 @@ def test_lp_indices_must_be_ints(index):
     # True used to be read as row 1, and the others raised a bare
     # TypeError when the problem was built or solved.
     with pytest.raises(LPError):
-        Family(0, (((index, 1),),), ((),))
-
-
-ONE_COLUMN = Family(0, (((0, 1),),), ((),))
+        Columns(1, (((index, 1),),))
 
 
 @pytest.mark.parametrize(
     "value", [True, 1.0, 1.5, "1", None], ids=["bool", "integral float", "float", "str", "None"]
 )
 @pytest.mark.parametrize("build", [
-    lambda value: Family(value, (((0, 1),),), ((),)),
-    lambda value: ColumnFamilies(value, 1, (ONE_COLUMN,)),
-    lambda value: ColumnFamilies(1, value, (ONE_COLUMN,)),
-], ids=["base", "num_vars", "num_rows"])
+    lambda value: Columns(value, (((0, 1),),)),
+], ids=["num_rows"])
 def test_lp_bases_and_counts_must_be_ints(build, value):
     # each used to build (True read as 1), or to raise a bare TypeError at
-    # the first comparison with a row or a column
+    # the first comparison with a row
     with pytest.raises(LPError):
         build(value)
 

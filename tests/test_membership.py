@@ -24,7 +24,7 @@ from nsboxes import (
 )
 from nsboxes import membership
 from nsboxes.boxes import integer_scaled
-from nsboxes.lp import FamilyProblem, LPCertificate, LPError, _presolve
+from nsboxes.lp import LPCertificate, LPError, SparseProblem, _presolve
 from random_boxes import odd_lcm_mixtures, random_ns_box2
 
 SEED = 31415
@@ -136,7 +136,7 @@ def test_class4_model_verifies_on_every_bipartition():
         problem = tobl_problem(box, bp)
         assert model.verify(problem)
         # both directional readings reproduce the box
-        reading = problem.columns.row_sums(model.point)
+        reading = problem.row_sums(model.point)
         assert reading[:64] == reading[64:128] == box.table
 
 
@@ -172,7 +172,7 @@ def test_verify_model_rejects_indices_outside_lambda_range():
     for shift in (-16384, 16384):
         shifted = tuple((idx + shift, w) for idx, w in class4_tobl_model(bp).point)
         assert not LPCertificate(True, shifted, None).verify(problem)
-        assert problem.columns.row_sums(shifted) is None
+        assert problem.row_sums(shifted) is None
 
 
 def test_lp_weights_for_class4_form_a_valid_model():
@@ -183,7 +183,7 @@ def test_lp_weights_for_class4_form_a_valid_model():
         problem = tobl_problem(box, bp)
         cert, model = is_tobl(box, bp), class4_tobl_model(bp)
         assert cert.verify(problem) and model.verify(problem)
-        assert problem.columns.row_sums(cert.point) == problem.columns.row_sums(model.point)
+        assert problem.row_sums(cert.point) == problem.row_sums(model.point)
 
 
 def test_local_box_is_tobl_everywhere():
@@ -193,9 +193,9 @@ def test_local_box_is_tobl_everywhere():
 
 
 def test_tobl_problem_shape():
-    problem = tobl_problem(builtin("class4"), BIPARTITIONS[1])
-    rows = lp_oracle.expanded(problem).rows
-    assert problem.num_vars == 16384
+    expanded = lp_oracle.expanded(tobl_problem(builtin("class4"), BIPARTITIONS[1]))
+    rows = expanded.rows
+    assert expanded.num_vars == 16384
     assert len(rows) == 129
     # normalization row touches every column
     assert len(rows[128][0]) == 16384
@@ -237,19 +237,18 @@ def test_factored_tobl_matches_expanded_lp():
     # row-form oracle on tobl_problem's 16384 expanded columns, through each
     # of the oracle's outcomes, with a certificate of tobl_problem.  The
     # entries depend on the bipartition only, so the expansion's columns
-    # and their column index are built once per bipartition, and each case
-    # states its own right-hand side on them.
+    # (cached by lp_oracle) and their column index are built once per
+    # bipartition, and each case states its own right-hand side on them.
     cases = [(builtin(name), bp) for name in EXTREMAL for bp in BIPARTITIONS]
     cases += seeded_one_way_cases()
     outcomes = set()
     row_forms = {}
     for box, bp in cases:
         problem = tobl_problem(box, bp)
+        expanded = lp_oracle.expanded(problem)
         if bp not in row_forms:
-            expanded = lp_oracle.expanded(problem)
-            row_forms[bp] = expanded.columns, lp_oracle.column_index(expanded)
-        columns, index = row_forms[bp]
-        want, outcome = lp_oracle.solve(FamilyProblem(columns, problem.scaled), index)
+            row_forms[bp] = lp_oracle.column_index(expanded)
+        want, outcome = lp_oracle.solve(expanded, row_forms[bp])
         cert = is_tobl(box, bp)
         assert cert.feasible == want.feasible and cert.verify(problem), bp.name
         outcomes.add(outcome)
@@ -370,7 +369,7 @@ def test_local_columns_are_built_once_per_party_count():
     for names, vertices in ((("pr", "uniform2"), 16),
                             (("class3", "class44", "uniform3", "deterministic(1,2,3)"), 64)):
         first, *rest = (local_problem(builtin(name)).columns for name in names)
-        assert (first.num_vars, first.num_rows, len(first.families[0].lefts)) == (vertices, vertices + 1, vertices)
+        assert (first.num_vars, first.num_rows) == (vertices, vertices + 1)
         assert all(columns is first for columns in rest)
 
 
@@ -413,6 +412,97 @@ def test_factored_verification_rejects_tampered_certificates():
         for bad in forged:
             assert not bad.verify(problem)
             assert not bad.verify(rows)
+
+
+def extremal_one_way_certificates():
+    """((box, bp), certificate) for is_tobl on the extremal builtins: the 9
+    one-way certificates that test_lp.PINNED_CERTIFICATES pins."""
+    return [((builtin(name), bp), is_tobl(builtin(name), bp)) for name in EXTREMAL for bp in BIPARTITIONS]
+
+
+def largest_aggregate(problem, w):
+    """The largest column aggregate of a witness, over tobl_problem's
+    expanded columns."""
+    return max(lp_oracle.expanded(problem).columns.column_sums(w))
+
+
+def test_one_way_check_rejects_each_breach():
+    # The pinned extremal certificates verify on tobl_problem's check, and
+    # each breach of one fails it: for a point, a lambda index outside
+    # 0..16383, a negative weight or one weight moved to another triple;
+    # for a witness, a row outside 0..128, y.b <= 0 with every aggregate
+    # still nonpositive, or a largest route-1 plus route-2 sum of 1 with
+    # y.b still positive.  Row 128 is in every column, so moving its
+    # multiplier moves every aggregate and y.b (b_128 = 1) alike.
+    kinds = set()
+    for (box, bp), cert in extremal_one_way_certificates():
+        problem = tobl_problem(box, bp)
+        assert cert.verify(problem)
+        kinds.add(cert.feasible)
+        if cert.feasible:
+            (col, w), *rest = cert.point
+            moved = next(c for c in range(16384) if c not in dict(cert.point))
+            breaches = [((16384, w), *rest), ((-1, w), *rest), ((col, -w), *rest), ((moved, w), *rest)]
+            assert all(not LPCertificate(True, tuple(sorted(p)), None).verify(problem) for p in breaches)
+        else:
+            y = dict(cert.farkas)
+            dot = sum(v * b for v, b in zip((y.get(r, 0) for r in range(129)), problem.rhs))
+            top = largest_aggregate(problem, y)
+            assert dot > 0 and top <= 0
+            for row in (129, -1):
+                assert not LPCertificate(False, None, tuple(sorted({**y, row: 1}.items()))).verify(problem)
+            for shift, verdict in ((-dot, False), (-top, True), (1 - top, False)):
+                moved = {**y, 128: y.get(128, 0) + shift}
+                assert LPCertificate(False, None, tuple(sorted(moved.items()))).verify(problem) is verdict
+    assert kinds == {True, False}
+
+
+ONE_WAY_CHECK_SEED = 2024
+
+
+def test_one_way_check_agrees_with_its_expansion():
+    # tobl_problem's check never builds a column: a witness passes iff,
+    # per solo truth table, its largest route-1 sum plus its largest
+    # route-2 sum is nonpositive.  Seeded witnesses, their largest
+    # aggregate moved to -1, 0 or 1 through row 128, are checked against a
+    # right-hand side B = 100 y below row 128 and B_128 = 1, so y.B > 0 and
+    # the aggregates decide; the check agrees with the plain one on the
+    # 16384 expanded columns, and among the witnesses it accepts are some
+    # whose largest route-1 and route-2 sums, over different solo truth
+    # tables, add to more than 0.  Seeded points near a feasible pinned
+    # certificate agree too.
+    rng = random.Random(ONE_WAY_CHECK_SEED)
+    accepted = crossed = rejected = 0
+    points = [0, 0]  # rejected, accepted
+    for bp in BIPARTITIONS:
+        for _ in range(40):
+            y = {r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in rng.sample(range(128), 6)}
+            problem = membership.OneWayProblem(bp, (1, tuple(100 * y.get(r, 0) for r in range(128)) + (1,)))
+            y[128] = rng.choice((-1, 0, 1)) - largest_aggregate(problem, y)
+            witness = LPCertificate(False, None, tuple(sorted((r, v) for r, v in y.items() if v)))
+            verdict = witness.verify(problem)
+            assert verdict == witness.verify(lp_oracle.expanded(problem))
+            if verdict:
+                accepted += 1
+                u = membership._routes(bp).column_sums(y)
+                crossed += max(max(u[k:k + 64]) for k in range(0, 512, 128)) + max(
+                    max(u[k + 64:k + 128]) for k in range(0, 512, 128)) > 0
+            else:
+                rejected += 1
+    for (box, bp), cert in extremal_one_way_certificates():
+        problem = tobl_problem(box, bp)
+        for _ in range(20 if cert.feasible else 0):
+            point = dict(cert.point)
+            col = rng.choice(list(point))
+            other = rng.randrange(-2, 16386)
+            point[other] = point.get(other, 0) + rng.choice((0, point[col], -point[col]))
+            point[col] -= rng.choice((0, point[col]))
+            candidate = LPCertificate(True, tuple(sorted(point.items())), None)
+            verdict = candidate.verify(problem)
+            assert verdict == candidate.verify(lp_oracle.expanded(problem))
+            points[verdict] += 1
+    assert accepted >= 20 and crossed >= 10 and rejected >= 20, (accepted, crossed, rejected)
+    assert min(points) >= 5, points
 
 
 @pytest.mark.parametrize(

@@ -87,8 +87,8 @@ REACHED = [
     (membership, "tobl_problem"),
     (membership, "lp_feasible"),
     (lp.LPCertificate, "verify"),
-    (lp.FamilyProblem, "rows"),
-    (lp.FamilyProblem, "num_vars"),
+    (lp.SparseProblem, "rows"),
+    (lp.SparseProblem, "num_vars"),
     (cli, "main"),
     (nsboxes, "dump"),
     (nsboxes, "mix"),
@@ -110,7 +110,8 @@ def test_test_only_names_left_the_package():
         assert not any(hasattr(module, name) for module in MODULES), name
     assert not hasattr(boxes.Box3, "from_function")
     assert not hasattr(wiring.Wiring, "is_type_i")
-    assert not hasattr(lp.ColumnFamilies, "plain")  # the solver takes plain problems only
+    # every LP is stated one way, as sparse int columns
+    assert not any(hasattr(lp, name) for name in ("Family", "ColumnFamilies", "_plain"))
 
 
 @pytest.mark.parametrize("owner, name", REACHED, ids=lambda v: getattr(v, "__name__", v))

@@ -14,12 +14,12 @@ from nsboxes import builtin, dumps, loads, validate
 from nsboxes.bell import GyniWeights, IcVerdict
 from nsboxes.boxes import Box2, Box3, ValidationReport, _Table, _Value
 from nsboxes.cli import TableRow
-from nsboxes.lp import ColumnFamilies, Family, FamilyProblem, LPCertificate
+from nsboxes.lp import Columns, LPCertificate, SparseProblem
+from nsboxes.membership import OneWayProblem, tobl_problem
 from nsboxes.wiring import Bipartition, Wiring
 
 BP = Bipartition(0, (1, 2))
-FAMILY = Family(0, (((0, 1),), ((1, 1),)), (((2, 1),),))
-COLUMNS = ColumnFamilies(2, 3, (FAMILY,))
+COLUMNS = Columns(3, (((0, 1), (2, 1)), ((1, 1), (2, 1))))
 
 # class -> (field names, field values); the values are as __post_init__
 # leaves them, so the fields read back as given.
@@ -30,9 +30,9 @@ CASES = {
         ("negative_entries", "normalization_failures", "signalling_failures"),
         ((((0, 0), (0, 0), Fraction(-1, 2)),), (((0, 0), Fraction(1, 2)),), ()),
     ),
-    Family: (("base", "lefts", "rights"), (0, (((0, 1),), ((1, 1),)), (((2, 1),),))),
-    ColumnFamilies: (("num_vars", "num_rows", "families"), (2, 3, (FAMILY,))),
-    FamilyProblem: (("columns", "scaled"), (COLUMNS, (2, (1, 1, 2)))),
+    Columns: (("num_rows", "entries"), (3, (((0, 1), (2, 1)), ((1, 1), (2, 1))))),
+    SparseProblem: (("columns", "scaled"), (COLUMNS, (2, (1, 1, 2)))),
+    OneWayProblem: (("bipartition", "scaled"), (BP, tobl_problem(builtin("class4"), BP).scaled)),
     LPCertificate: (("feasible", "point", "farkas"), (False, None, ((0, Fraction(-1, 2)), (3, 1)))),
     Bipartition: (("solo", "pair"), (0, (1, 2))),
     Wiring: (("bipartition", "ordering", "alpha", "beta", "gamma"), (BP, 1, 2, 15, 102)),
@@ -118,7 +118,7 @@ def test_normalised_fields_and_cached_properties_fill():
         assert vars(x)[name] is value
     assert loaded.table == box.table
     assert box.report is validate(box) and box.report.is_valid
-    problem = FamilyProblem(*CASES[FamilyProblem][1])
+    problem = SparseProblem(*CASES[SparseProblem][1])
     assert "rhs" not in vars(problem)
     assert problem.rhs == (Fraction(1, 2), Fraction(1, 2), 1) and vars(problem)["rhs"] is problem.rhs
     assert GyniWeights(["1/4", 0, 0, "1/4", 0, "1/4", "1/4", 0]) == GyniWeights.uniform_even_parity()
