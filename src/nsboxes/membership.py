@@ -6,11 +6,13 @@ local response functions.  is_tobl asks, for a fixed bipartition, for one
 weight vector over triples (solo strategy, pair strategy with pair[0]
 signalling pair[1], pair strategy with pair[1] signalling pair[0]) whose two
 directional readings both reproduce the box; feasibility means every wiring
-of that bipartition yields a local effective box.  tobl_problem states that
-LP on the 16384 triples, as a OneWayProblem: a triple's column is the sum
-of its two route strategies, and the certificates index the triples.  It
-is checked, never solved: is_tobl solves the same LP on the 512 marginals
-of those weights and lifts the answer to it.
+of that bipartition yields a local effective box.  One set of 133-row
+columns, the 512 route strategies of a bipartition, states both one-way
+LPs.  tobl_problem states the LP on the 16384 triples, as a OneWayProblem
+on the first 129 rows: a triple's column is the sum of its two route
+strategies, and the certificates index the triples.  It is checked, never
+solved: is_tobl solves the same LP on the 512 marginals of those weights,
+all 133 rows, and lifts the answer to it.
 
 Strategy truth tables follow the package convention: bit j is the value at
 packed argument index j, first argument most significant.  One-way pair
@@ -18,9 +20,9 @@ strategies are (sender output = f(sender input), receiver output = g(pair
 inputs)) with g indexed by 2 * pair[0] input + pair[1] input regardless of
 direction.  The lambda index of a strategy triple is
 
-    solo_tt * 4096 + (f1 * 16 + g1) * 64 + (f2 * 16 + g2)
+    solo_tt * 4096 + (f0 * 16 + g0) * 64 + (f1 * 16 + g1)
 
-where route 1 has pair[0] sending and route 2 has pair[1] sending.
+where route 0 has pair[0] sending and route 1 has pair[1] sending.
 """
 
 from __future__ import annotations
@@ -78,43 +80,45 @@ def is_local(box) -> LPCertificate:
 
 
 @cache
-def _routes(bp: Bipartition) -> Columns:
-    """The route strategies of bp over tobl_problem's 129 rows, all
-    coefficients 1: for solo truth table s, route-1 strategy f * 16 + g at
-    128 * s + f * 16 + g and route-2 strategy f * 16 + g at 128 * s + 64 +
-    f * 16 + g, the latter also hitting row 128.  Route 1: pair[0] sends,
-    so pair[0] out = f(pair[0] in) and pair[1] out = g(inputs).  Route 2:
-    pair[1] sends.  Rows ascend as built: the inputs are a flat index's
-    high bits."""
+def _marginal_columns(bp: Bipartition) -> Columns:
+    """The 512 one-way route strategies of bp, over 133 rows with all
+    coefficients 1: is_tobl's columns, and tobl_problem's on its first 129
+    rows.  For solo truth table s, route-0 strategy i = f * 16 + g is
+    column a_{s,i} at 128 * s + i and also hits row 129 + s; route-1
+    strategy j is column c_{s,j} at 128 * s + 64 + j, offset by 64 rows,
+    and also hits row 128 and each row 129 + s', s' != s.  Route 0: pair[0]
+    sends, so pair[0] out = f(pair[0] in) and pair[1] out = g(inputs).
+    Route 1: pair[1] sends.  Rows ascend as built: the inputs are a flat
+    index's high bits."""
     s = bp.solo
     p0, p1 = bp.pair
-    unit = [(row, 1) for row in range(129)]  # shared by every strategy
-
-    def strategies(route, solo_tt):
-        sender, receiver = (p0, p1) if route == 1 else (p1, p0)
-        for f in range(4):
-            for g in range(16):
-                rows = []
-                for ins in product(BITS, repeat=3):
-                    outs = [0, 0, 0]
-                    outs[s] = _bit(solo_tt, ins[s])
-                    outs[sender] = _bit(f, ins[sender])
-                    outs[receiver] = _bit(g, 2 * ins[p0] + ins[p1])
-                    rows.append(64 * (route - 1) + pack(tuple(outs), ins))
-                yield tuple(unit[row] for row in rows) + ((unit[128],) if route == 2 else ())
-
-    return Columns(129, tuple(c for solo_tt in range(4) for route in (1, 2) for c in strategies(route, solo_tt)))
+    unit = [(row, 1) for row in range(133)]  # shared by every column
+    cols = []
+    for solo_tt, route in product(range(4), (0, 1)):
+        sender, receiver = bp.actors(route)
+        extra = (129 + solo_tt,) if route == 0 else (128, *(129 + t for t in range(4) if t != solo_tt))
+        for f, g in product(range(4), range(16)):
+            rows = []
+            for ins in product(BITS, repeat=3):
+                outs = [0, 0, 0]
+                outs[s] = _bit(solo_tt, ins[s])
+                outs[sender] = _bit(f, ins[sender])
+                outs[receiver] = _bit(g, 2 * ins[p0] + ins[p1])
+                rows.append(64 * route + pack(tuple(outs), ins))
+            cols.append(tuple(unit[row] for row in (*rows, *extra)))
+    return Columns(133, tuple(cols))
 
 
 class OneWayProblem(_Value, _System):
     """tobl_problem's LP, 129 rows by 16384 columns, with b by its integer
     view scaled (lp._System).  The column at lambda index 4096 * s + 64 *
-    i + j is the sum of _routes(bipartition)'s columns 128 * s + i and 128
-    * s + 64 + j, and is never built: a point's row sums add the two, and
-    a witness gives some column a positive aggregate iff, for some solo
-    truth table s, its largest route-1 sum plus its largest route-2 sum is
-    positive.  lp_feasible does not take it.  A bipartition that is not a
-    Bipartition raises ParseError."""
+    i + j is the sum of _marginal_columns(bipartition)'s columns 128 * s +
+    i and 128 * s + 64 + j on their first 129 rows, and is never built: a
+    point's row sums add the two, and a witness, on rows 0..128 only, gives
+    some column a positive aggregate iff, for some solo truth table s, its
+    largest route-0 sum plus its largest route-1 sum is positive.
+    lp_feasible does not take it.  A bipartition that is not a Bipartition
+    raises ParseError."""
 
     bipartition: Bipartition
     scaled: tuple
@@ -125,39 +129,23 @@ class OneWayProblem(_Value, _System):
 
     def row_sums(self, point) -> tuple | None:
         # lambda = 4096 s + 64 i + j is in 0..16383 iff 128 s + i and 128 s +
-        # 64 + j are in 0..511, which _routes' row_sums checks.
+        # 64 + j are in 0..511, which the columns' row_sums checks.
         split = [(128 * (col >> 12) + k, v) for col, v in point for k in (col >> 6 & 63, 64 + (col & 63))]
-        return _routes(self.bipartition).row_sums(split)
+        sums = _marginal_columns(self.bipartition).row_sums(split)
+        return sums and sums[:129]  # rows 129..132 are is_tobl's own
 
     def positive_aggregate(self, w: dict) -> bool:
-        u = _routes(self.bipartition).column_sums(w)
+        u = _marginal_columns(self.bipartition).column_sums(w)
         return any(max(u[k:k + 64]) + max(u[k + 64:k + 128]) > 0 for k in range(0, 512, 128))
 
 
 def tobl_problem(box: Box3, bp: Bipartition) -> OneWayProblem:
-    """The one-way LP of box on bp: rows 0..63 are route-1 table equations
-    (flat index), 64..127 route-2, 128 normalization, and the column at a
+    """The one-way LP of box on bp: rows 0..63 are route-0 table equations
+    (flat index), 64..127 route-1, 128 normalization, and the column at a
     strategy triple's lambda index (module docstring) hits the 8 rows of
     each of its two route strategies and row 128, each with coefficient 1.
     A bp that is not a Bipartition raises ParseError."""
     return OneWayProblem(bp, _view(_require3(box, "tobl_problem"), 2))
-
-
-@cache
-def _marginal_columns(bp: Bipartition) -> Columns:
-    """is_tobl's 512 columns over 133 rows, all coefficients 1: for solo
-    truth table s, a_{s,i} at 128 * s + i is _routes(bp)'s column 128 * s
-    + i, route-1 strategy i, plus row 129 + s, and c_{s,j} at 128 * s + 64
-    + j its column 128 * s + 64 + j, route-2 strategy j, plus each row 129
-    + s', s' != s."""
-    unit = [(row, 1) for row in range(133)]
-    routes = _routes(bp).entries
-    cols = []
-    for s in range(4):
-        others = tuple(unit[129 + t] for t in range(4) if t != s)
-        cols += [left + (unit[129 + s],) for left in routes[128 * s:128 * s + 64]]
-        cols += [right + others for right in routes[128 * s + 64:128 * s + 128]]
-    return Columns(133, tuple(cols))
 
 
 def _marginal_problem(box: Box3, bp: Bipartition) -> SparseProblem:

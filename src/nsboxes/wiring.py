@@ -132,7 +132,8 @@ class Wiring(_Value):
         if len(order_parts) != 2:
             raise ParseError(f"bad order field {fields['order']!r}")
         try:
-            first, second = (PARTY_NAMES.index(p.strip()) for p in order_parts)
+            # one party letter per side: str.index would also find "", "AB" or "BC"
+            first, second = ([*PARTY_NAMES].index(p.strip()) for p in order_parts)
         except ValueError as exc:
             raise ParseError(f"bad order field {fields['order']!r}") from exc
         if {first, second} != set(bp.pair):

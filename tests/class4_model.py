@@ -44,7 +44,7 @@ def class4_tobl_model(bp: Bipartition) -> LPCertificate:
     entries = []
     for l0, l1 in product(BITS, repeat=2):
         routes = []
-        for k in (0, 1):  # route k + 1: pair[k] sends
+        for k in (0, 1):  # route k: pair[k] sends
             sender, receiver = bp.pair[k], bp.pair[1 - k]
             if receiver == (sender + 1) % 3:
                 f = lambda s: l0 ^ l1 ^ (l1 & s)

@@ -9,7 +9,8 @@ pivots; any value that is not an int or a Fraction is passed on as it is,
 for Columns and SparseProblem to reject.  Given the columns of an earlier
 row_problem on the same entries, it states only the new right-hand sides.
 expanded(problem) is the SparseProblem of a one-way problem's 16384
-columns, each the sum of its two route strategies.
+columns, each the sum of its two route strategies, built from
+perfbench/naive.py and not from nsboxes' own column builder.
 
 solve() decides A x = b, x >= 0 on a problem's rows and returns the
 certificate nsboxes.lp.lp_feasible must return: the same presolve (rows with
@@ -24,12 +25,14 @@ Bland's rule over the same integer labels (column id, or num_vars + pos
 for the artificial of row pos), and the same (point, farkas) dicts out.
 """
 
+import runpy
 from collections import deque
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from pathlib import Path
 
-from nsboxes import membership
+from nsboxes import BIPARTITIONS
 from nsboxes.boxes import integer_scaled
 from nsboxes.lp import Columns, LPCertificate, LPError, SparseProblem
 
@@ -63,16 +66,20 @@ def row_problem(num_vars, rows, columns=None):
 
 @cache
 def _expanded_columns(bp):
-    routes = membership._routes(bp).entries
-    return Columns(129, tuple(routes[128 * s + i] + routes[128 * s + 64 + j]
+    # naive.py is run from its source, so no bytecode is written under perfbench/.
+    route_hits = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "naive.py"))["route_hits"]
+    routes = [[tuple((64 * route + i, 1) for i in route_hits(BIPARTITIONS.index(bp), route, s, *divmod(k, 16)))
+               for k in range(64)] for s in range(4) for route in (0, 1)]
+    return Columns(129, tuple(routes[2 * s][i] + routes[2 * s + 1][j] + ((128, 1),)
                               for s in range(4) for i in range(64) for j in range(64)))
 
 
 def expanded(problem):
     """The SparseProblem of a one-way problem's columns: the column at
-    lambda index 4096 * s + 64 * i + j holds route-1 strategy i and route-2
-    strategy j of solo truth table s.  The columns are built once per
-    bipartition."""
+    lambda index 4096 * s + 64 * i + j holds route-0 strategy i and route-1
+    strategy j of solo truth table s, then row 128, with the route
+    strategies of perfbench/naive.py's route_hits.  The columns are built
+    once per bipartition."""
     return SparseProblem(_expanded_columns(problem.bipartition), problem.scaled)
 
 

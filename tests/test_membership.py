@@ -431,7 +431,7 @@ def test_one_way_check_rejects_each_breach():
     # each breach of one fails it: for a point, a lambda index outside
     # 0..16383, a negative weight or one weight moved to another triple;
     # for a witness, a row outside 0..128, y.b <= 0 with every aggregate
-    # still nonpositive, or a largest route-1 plus route-2 sum of 1 with
+    # still nonpositive, or a largest route-0 plus route-1 sum of 1 with
     # y.b still positive.  Row 128 is in every column, so moving its
     # multiplier moves every aggregate and y.b (b_128 = 1) alike.
     kinds = set()
@@ -462,13 +462,13 @@ ONE_WAY_CHECK_SEED = 2024
 
 def test_one_way_check_agrees_with_its_expansion():
     # tobl_problem's check never builds a column: a witness passes iff,
-    # per solo truth table, its largest route-1 sum plus its largest
-    # route-2 sum is nonpositive.  Seeded witnesses, their largest
+    # per solo truth table, its largest route-0 sum plus its largest
+    # route-1 sum is nonpositive.  Seeded witnesses, their largest
     # aggregate moved to -1, 0 or 1 through row 128, are checked against a
     # right-hand side B = 100 y below row 128 and B_128 = 1, so y.B > 0 and
     # the aggregates decide; the check agrees with the plain one on the
     # 16384 expanded columns, and among the witnesses it accepts are some
-    # whose largest route-1 and route-2 sums, over different solo truth
+    # whose largest route-0 and route-1 sums, over different solo truth
     # tables, add to more than 0.  Seeded points near a feasible pinned
     # certificate agree too.
     rng = random.Random(ONE_WAY_CHECK_SEED)
@@ -484,7 +484,7 @@ def test_one_way_check_agrees_with_its_expansion():
             assert verdict == witness.verify(lp_oracle.expanded(problem))
             if verdict:
                 accepted += 1
-                u = membership._routes(bp).column_sums(y)
+                u = membership._marginal_columns(bp).column_sums(y)
                 crossed += max(max(u[k:k + 64]) for k in range(0, 512, 128)) + max(
                     max(u[k + 64:k + 128]) for k in range(0, 512, 128)) > 0
             else:

@@ -112,6 +112,8 @@ def test_test_only_names_left_the_package():
     assert not hasattr(wiring.Wiring, "is_type_i")
     # every LP is stated one way, as sparse int columns
     assert not any(hasattr(lp, name) for name in ("Family", "ColumnFamilies", "_plain"))
+    # the one-way route strategies are built once, as _marginal_columns
+    assert not hasattr(membership, "_routes")
 
 
 @pytest.mark.parametrize("owner, name", REACHED, ids=lambda v: getattr(v, "__name__", v))

@@ -133,6 +133,10 @@ def test_wiring_parse_rejects_malformed():
         "bp=A|BC order=B,C alpha=\u0662 beta=15 gamma=102",
         "bp=A|BC order=B,C alpha=2 beta=+15 gamma=102",
         "bp=A|BC order=B,C alpha=2 beta=15 gamma=\uff11\uff10\uff12",
+        # one party letter per side of the order field
+        "bp=B|AC order=,C alpha=2 beta=15 gamma=102",
+        "bp=B|AC order=AB,C alpha=2 beta=15 gamma=102",
+        "bp=A|BC order=BC,C alpha=2 beta=15 gamma=102",
     ):
         with pytest.raises(ParseError):
             Wiring.parse(bad)
